@@ -234,15 +234,17 @@ ChannelImage StateAccess::channel(const phy::Channel& channel) {
     ni.epoch = n.epoch;
     ni.activeRxCount = static_cast<std::uint32_t>(n.activeRx.size());
     Digest d;
-    for (const auto& rec : n.activeRx) {
-      d.add(rec->frame.src.value());
-      addVec2(d, rec->frame.srcPos);
-      d.add(static_cast<std::uint64_t>(rec->frame.bytes));
-      d.add(rec->frame.packet ? packetDigest(*rec->frame.packet) : std::uint64_t{0});
-      d.add(rec->frame.txStart);
-      d.add(rec->frame.txEnd);
-      d.add(static_cast<std::uint32_t>(rec->reason));
-      d.add(rec->orphaned);
+    for (const auto ref : n.activeRx) {
+      const phy::Frame& frame = channel.airFrames_[ref.frame].frame;
+      const auto& rec = channel.entry(ref);
+      d.add(frame.src.value());
+      addVec2(d, frame.srcPos);
+      d.add(static_cast<std::uint64_t>(frame.bytes));
+      d.add(frame.packet ? packetDigest(*frame.packet) : std::uint64_t{0});
+      d.add(frame.txStart);
+      d.add(frame.txEnd);
+      d.add(static_cast<std::uint32_t>(rec.reason));
+      d.add(rec.orphaned);
     }
     ni.activeRxDigest = d.value();
     image.nodes.push_back(ni);

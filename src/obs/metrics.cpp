@@ -48,6 +48,10 @@ const char* name(Counter counter) {
     case Counter::kEngineAllocPacketFresh: return "engine.alloc.packet.fresh";
     case Counter::kEngineAllocPacketReused:
       return "engine.alloc.packet.reused";
+    case Counter::kEngineAllocPhyFrameFresh:
+      return "engine.alloc.phy.frame.fresh";
+    case Counter::kEngineAllocPhyFrameReused:
+      return "engine.alloc.phy.frame.reused";
     case Counter::kShardWindows: return "engine.shard.windows";
     case Counter::kShardBarrierEvents: return "engine.shard.barrier_events";
     case Counter::kShardCrossMsgs: return "engine.shard.cross_msgs";

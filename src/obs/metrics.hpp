@@ -66,6 +66,8 @@ enum class Counter : std::size_t {
   kEngineAllocCallbackHeap,    // engine.alloc.callback.heap
   kEngineAllocPacketFresh,     // engine.alloc.packet.fresh
   kEngineAllocPacketReused,    // engine.alloc.packet.reused
+  kEngineAllocPhyFrameFresh,   // engine.alloc.phy.frame.fresh
+  kEngineAllocPhyFrameReused,  // engine.alloc.phy.frame.reused
   // Sharded-execution accounting (DESIGN.md §15): cadence of the
   // conservative-lookahead window loop. windows = barriers run;
   // barrier_events = (transmission, destination shard) mailbox messages

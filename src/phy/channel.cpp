@@ -29,6 +29,9 @@ constexpr std::size_t kParallelRebuildMinNodes = 256;
 Channel::Channel(sim::Scheduler& scheduler, PhyParams params)
     : scheduler_(scheduler), params_(params) {
   MANET_EXPECTS(params_.radiusMeters > 0.0);
+  // A frame's carrier-sense batch must fire strictly before its end batch
+  // (DESIGN.md §11.6): energy is sensed before the shortest frame ends.
+  MANET_EXPECTS(params_.carrierSenseDelay < params_.frameAirtime(0));
 }
 
 Channel::~Channel() {
@@ -444,13 +447,18 @@ sim::TimePoint Channel::transmit(net::HostId src, net::PacketPtr packet,
 
   const sim::TimePoint start = scheduler_.now();
   const sim::TimePoint end = start + params_.frameAirtime(bytes);
-  Frame frame;
+  // `air` stays valid across the listener callbacks below: a re-entrant
+  // transmit() appends to the deque, which never moves existing slots.
+  const std::uint32_t slot = acquireAirFrame();
+  AirFrame& air = airFrames_[slot];
+  Frame& frame = air.frame;
   frame.src = src;
   frame.srcPos = tx.position();
   frame.bytes = bytes;
   frame.packet = std::move(packet);
   frame.txStart = start;
   frame.txEnd = end;
+  air.txEpoch = tx.epoch;
   ++framesTransmitted_;
   obs::add(obs::Counter::kChannelTx);
   if (obs::current() != nullptr) {
@@ -481,7 +489,9 @@ sim::TimePoint Channel::transmit(net::HostId src, net::PacketPtr packet,
   tx.transmitting = true;
   raiseBusy(tx);
   if (collisionsEnabled_) {
-    for (const auto& rec : tx.activeRx) corrupt(*rec, DropReason::kHalfDuplex);
+    for (const RxRef ref : tx.activeRx) {
+      corrupt(entry(ref), DropReason::kHalfDuplex);
+    }
   }
 
   // Take the scratch buffer by move so a listener callback that reenters
@@ -492,57 +502,91 @@ sim::TimePoint Channel::transmit(net::HostId src, net::PacketPtr packet,
   if (shardObserver_ != nullptr && !receivers.empty()) {
     classifyCrossShard(frame.srcPos, end, receivers);
   }
+  const bool instantSense = params_.carrierSenseDelay <= sim::Duration{};
   for (const net::HostId id : receivers) {
     Node& rx = nodes_[id.value()];
-    auto rec = std::make_shared<ActiveRx>();
-    rec->frame = frame;
+    RxEntry rec{id, rx.epoch};
     // Injected link loss is resolved first (the radio impairment exists
     // regardless of contention) but the frame's energy still collides with
     // everything else arriving at this receiver.
     if (lossFn_ && lossFn_(src, id)) {
-      rec->reason = DropReason::kFaultLoss;
+      rec.reason = DropReason::kFaultLoss;
     }
     if (collisionsEnabled_) {
       // Overlap with anything already arriving, or with the receiver's own
       // ongoing transmission, corrupts everything involved.
       if (!rx.activeRx.empty() || rx.transmitting) {
-        corrupt(*rec, rx.transmitting ? DropReason::kHalfDuplex
-                                      : DropReason::kCollision);
-        for (const auto& other : rx.activeRx) {
-          corrupt(*other, DropReason::kCollision);
+        corrupt(rec, rx.transmitting ? DropReason::kHalfDuplex
+                                     : DropReason::kCollision);
+        for (const RxRef other : rx.activeRx) {
+          corrupt(entry(other), DropReason::kCollision);
         }
       }
     }
-    rx.activeRx.push_back(rec);
+    rx.activeRx.push_back(
+        RxRef{slot, static_cast<std::uint32_t>(air.rx.size())});
+    air.rx.push_back(rec);
     MANET_AUDIT_HOOK(audit_.onBeginReception(id, scheduler_.now()));
     // The energy becomes detectable at the receiver only after the carrier-
     // sense delay; a station that starts its own transmission inside that
     // window never saw the medium busy (and collides, per §2.2.3).
-    if (params_.carrierSenseDelay <= sim::Duration{}) {
-      raiseBusy(rx);
-    } else {
-      auto senseCb = [this, id, epoch = rx.epoch] {
-        Node& n = node(id);
-        if (n.epoch == epoch) raiseBusy(n);
-      };
-      static_assert(sim::InlineFn::storesInline<decltype(senseCb)>(),
-                    "carrier-sense capture must fit the event node");
-      scheduler_.scheduleAfter(params_.carrierSenseDelay, std::move(senseCb));
-    }
-    auto rxDoneCb = [this, id, rec] { finishReception(id, rec); };
-    static_assert(sim::InlineFn::storesInline<decltype(rxDoneCb)>(),
-                  "reception-completion capture must fit the event node");
-    scheduler_.schedule(end, std::move(rxDoneCb));
+    if (instantSense) raiseBusy(rx);
   }
-
-  auto txDoneCb = [this, src, epoch = tx.epoch] {
-    finishTransmission(src, epoch);
-  };
-  static_assert(sim::InlineFn::storesInline<decltype(txDoneCb)>(),
-                "transmission-completion capture must fit the event node");
-  scheduler_.schedule(end, std::move(txDoneCb));
   scratch_ = std::move(receivers);
+
+  // One sense and one end event per frame. Nothing else schedules while
+  // transmit() does, so each batch fires exactly where separate
+  // per-receiver events of the same timestamp would (DESIGN.md §11.6).
+  if (!instantSense && !air.rx.empty()) {
+    auto senseCb = [this, slot] { senseFrame(slot); };
+    static_assert(sim::InlineFn::storesInline<decltype(senseCb)>(),
+                  "carrier-sense capture must fit the event node");
+    scheduler_.scheduleAfter(params_.carrierSenseDelay, std::move(senseCb));
+  }
+  auto endCb = [this, slot] { endFrame(slot); };
+  static_assert(sim::InlineFn::storesInline<decltype(endCb)>(),
+                "frame-end capture must fit the event node");
+  scheduler_.schedule(end, std::move(endCb));
   return end;
+}
+
+std::uint32_t Channel::acquireAirFrame() {
+  if (!freeAirFrames_.empty()) {
+    const std::uint32_t slot = freeAirFrames_.back();
+    freeAirFrames_.pop_back();
+    obs::add(obs::Counter::kEngineAllocPhyFrameReused);
+    return slot;
+  }
+  obs::add(obs::Counter::kEngineAllocPhyFrameFresh);
+  airFrames_.emplace_back();
+  return static_cast<std::uint32_t>(airFrames_.size() - 1);
+}
+
+// Both batches walk entries by index and re-read each one after the previous
+// receiver's callbacks ran: those may reenter transmit(), which appends a new
+// slot and may corrupt (but never adds or removes) this frame's entries.
+void Channel::senseFrame(std::uint32_t slot) {
+  const std::size_t receivers = airFrames_[slot].rx.size();
+  for (std::size_t i = 0; i < receivers; ++i) {
+    const RxEntry& rec = airFrames_[slot].rx[i];
+    Node& n = node(rec.id);
+    if (n.epoch == rec.epoch) raiseBusy(n);
+  }
+}
+
+void Channel::endFrame(std::uint32_t slot) {
+  const auto receivers =
+      static_cast<std::uint32_t>(airFrames_[slot].rx.size());
+  for (std::uint32_t i = 0; i < receivers; ++i) finishReception(slot, i);
+  AirFrame& air = airFrames_[slot];
+  const net::HostId src = air.frame.src;
+  const std::uint64_t txEpoch = air.txEpoch;
+  // Drop the packet reference so the arena can recycle it; the slot keeps
+  // its entry capacity for the next frame.
+  air.frame.packet.reset();
+  air.rx.clear();
+  freeAirFrames_.push_back(slot);
+  finishTransmission(src, txEpoch);
 }
 
 void Channel::classifyCrossShard(
@@ -584,20 +628,22 @@ void Channel::classifyCrossShard(
   }
 }
 
-void Channel::finishReception(net::HostId rxId,
-                              const std::shared_ptr<ActiveRx>& rec) {
-  if (rec->orphaned) return;  // receiver churned down mid-frame
+void Channel::finishReception(std::uint32_t slot, std::uint32_t index) {
+  const RxRef ref{slot, index};
+  if (entry(ref).orphaned) return;  // receiver churned down mid-frame
+  const net::HostId rxId = entry(ref).id;
   Node& rx = node(rxId);
   // A down node's receptions must all have been orphaned by the flush; a
   // completion that still reaches one is a churn consistency bug.
   MANET_AUDIT_HOOK(if (!rx.up)
                        audit_.onDeliveryWhileDown(rxId, scheduler_.now()));
-  auto it = std::find(rx.activeRx.begin(), rx.activeRx.end(), rec);
+  auto it = std::find(rx.activeRx.begin(), rx.activeRx.end(), ref);
   MANET_ASSERT(it != rx.activeRx.end());
   rx.activeRx.erase(it);
   MANET_AUDIT_HOOK(audit_.onEndReception(rxId, scheduler_.now()));
   lowerBusy(rx);
-  switch (rec->reason) {
+  const DropReason reason = entry(ref).reason;
+  switch (reason) {
     case DropReason::kNone:
       ++framesDelivered_;
       obs::add(obs::Counter::kChannelDelivered);
@@ -619,7 +665,7 @@ void Channel::finishReception(net::HostId rxId,
       obs::add(obs::Counter::kChannelDropCollision);
       break;
   }
-  rx.listener->onFrameReceived(rec->frame, rec->reason);
+  rx.listener->onFrameReceived(airFrames_[slot].frame, reason);
 }
 
 void Channel::finishTransmission(net::HostId src, std::uint64_t epoch) {
@@ -636,14 +682,14 @@ std::vector<Frame> Channel::setNodeUp(net::HostId id, bool up) {
   if (n.up == up) return {};
   std::vector<Frame> flushed;
   if (!up) {
-    // Off the air: flush in-flight receptions (their completion events are
+    // Off the air: flush in-flight receptions (their end-batch entries are
     // orphaned) and silently reset medium/transmit state. The node's own
     // in-flight frame, if any, keeps going at its receivers; the epoch bump
-    // cancels the pending finishTransmission callback.
+    // makes the end batch skip finishTransmission.
     flushed.reserve(n.activeRx.size());
-    for (const auto& rec : n.activeRx) {
-      rec->orphaned = true;
-      flushed.push_back(rec->frame);
+    for (const RxRef ref : n.activeRx) {
+      entry(ref).orphaned = true;
+      flushed.push_back(airFrames_[ref.frame].frame);
       ++framesDroppedHostDown_;
     }
     n.activeRx.clear();

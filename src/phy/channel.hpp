@@ -22,12 +22,22 @@
 // query. `setGridEnabled(false)` restores the exhaustive O(N) scan; both
 // paths visit candidates in ascending node id, so a run is bit-identical
 // under either.
+//
+// Frame-centric reception (DESIGN.md §11.6): one transmitted frame is one
+// pooled air-frame record holding the Frame once plus a per-receiver entry
+// {id, epoch, verdict, orphaned}, and exactly two scheduler events — a
+// carrier-sense batch at txStart + carrierSenseDelay and an end batch at
+// txEnd that completes every reception, then the transmission. Each batch
+// walks the receivers in ascending id, which is the order the per-receiver
+// events it replaces fired in. A listener may re-enter transmit() from any
+// callback of a batch: records never move once created (deque storage) and
+// the batch re-reads each entry by index just before acting on it.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "audit/audit.hpp"
@@ -192,13 +202,29 @@ class Channel {
 
  private:
   friend struct manet::ckpt::StateAccess;
-  struct ActiveRx {
-    Frame frame;
+  /// One receiver's view of an air frame.
+  struct RxEntry {
+    net::HostId id;
+    /// Receiver's churn epoch at tx start; the carrier-sense batch skips
+    /// the entry when the node went down (and maybe up) since.
+    std::uint64_t epoch = 0;
     DropReason reason = DropReason::kNone;  // first corruption cause wins
-    /// Receiver churned off the air mid-frame: the scheduled completion
-    /// event must not touch the (already flushed) node state.
+    /// Receiver churned off the air mid-frame: the end batch must not touch
+    /// the (already flushed) node state.
     bool orphaned = false;
-    bool corrupted() const { return reason != DropReason::kNone; }
+  };
+  /// A frame on the air and its receivers, ascending by id. Pooled: a slot
+  /// is recycled (with its entry capacity) after its end batch.
+  struct AirFrame {
+    Frame frame;
+    std::uint64_t txEpoch = 0;  // transmitter's epoch at tx start
+    std::vector<RxEntry> rx;
+  };
+  /// A reception in flight at one node: entry `index` of air frame `frame`.
+  struct RxRef {
+    std::uint32_t frame = 0;
+    std::uint32_t index = 0;
+    bool operator==(const RxRef&) const = default;
   };
   struct Node {
     Listener* listener = nullptr;
@@ -207,10 +233,10 @@ class Channel {
     bool up = true;     // false while churned down (attached but off-air)
     bool transmitting = false;
     int busyCount = 0;  // overlapping in-range transmissions incl. own
-    /// Bumped on every up/down transition; deferred channel events carry
-    /// the epoch they were scheduled under and skip if the node churned.
+    /// Bumped on every up/down transition; air-frame entries record the
+    /// epoch at tx start, and the batches skip a node that churned since.
     std::uint64_t epoch = 0;
-    std::vector<std::shared_ptr<ActiveRx>> activeRx;
+    std::vector<RxRef> activeRx;  // in arrival order
   };
 
   /// Uniform-cell spatial index over the attached nodes' positions, cached
@@ -249,10 +275,22 @@ class Channel {
   const Node& node(net::HostId id) const;
   void raiseBusy(Node& n);
   void lowerBusy(Node& n);
-  void finishReception(net::HostId rx, const std::shared_ptr<ActiveRx>& rec);
+  RxEntry& entry(RxRef ref) { return airFrames_[ref.frame].rx[ref.index]; }
+  const RxEntry& entry(RxRef ref) const {
+    return airFrames_[ref.frame].rx[ref.index];
+  }
+  /// Takes a free air-frame slot (recycled, else freshly appended).
+  std::uint32_t acquireAirFrame();
+  /// Carrier-sense batch: raises energy at every receiver still on the
+  /// epoch it was resolved under.
+  void senseFrame(std::uint32_t slot);
+  /// End batch: completes every non-orphaned reception in entry order,
+  /// then the transmission, then recycles the slot.
+  void endFrame(std::uint32_t slot);
+  void finishReception(std::uint32_t slot, std::uint32_t index);
   void finishTransmission(net::HostId src, std::uint64_t epoch);
   /// Marks `rec` corrupted with `reason` unless an earlier cause already did.
-  static void corrupt(ActiveRx& rec, DropReason reason) {
+  static void corrupt(RxEntry& rec, DropReason reason) {
     if (rec.reason == DropReason::kNone) rec.reason = reason;
   }
 
@@ -311,6 +349,10 @@ class Channel {
   std::uint64_t attachVersion_ = 0;
   mutable Grid grid_;
   mutable std::vector<net::HostId> scratch_;  // transmit() receiver list
+  /// Air-frame pool. A deque so a slot never moves when a re-entrant
+  /// transmit() appends one: batches hold `const Frame&` across callbacks.
+  std::deque<AirFrame> airFrames_;
+  std::vector<std::uint32_t> freeAirFrames_;
   std::uint64_t framesTransmitted_ = 0;
   std::uint64_t framesDelivered_ = 0;
   std::uint64_t framesCorrupted_ = 0;

@@ -385,6 +385,29 @@ TEST(Differential, EngineAllocCountersShowSteadyStateReuse) {
   EXPECT_GT(m.counter(obs::Counter::kEngineAllocPacketReused), 0U);
 }
 
+TEST(Differential, AirFramePoolReachesSteadyState) {
+  // phy::Channel's air-frame pool (DESIGN.md §11.6) on a storm: a 1x1 map
+  // where every frame reaches nearly every host. A slot is carved only when
+  // every existing one is on the air, so `fresh` is the peak number of
+  // concurrent frames — at most one per host — and every later frame
+  // recycles a slot.
+  ForcedCollection forced;
+  experiment::ScenarioConfig c;
+  c.mapUnits = 1;
+  c.numHosts = 50;
+  c.numBroadcasts = 10;
+  c.seed = 5;
+  const experiment::RunResult r = experiment::runScenario(c);
+  ASSERT_NE(r.metrics, nullptr);
+  const obs::Registry& m = *r.metrics;
+  const auto fresh = m.counter(obs::Counter::kEngineAllocPhyFrameFresh);
+  const auto reused = m.counter(obs::Counter::kEngineAllocPhyFrameReused);
+  EXPECT_EQ(fresh + reused, r.framesTransmitted);
+  EXPECT_GT(fresh, 0U);
+  EXPECT_LE(fresh, static_cast<std::uint64_t>(c.numHosts));
+  EXPECT_GT(reused, 20U * fresh) << "air-frame slots are not being recycled";
+}
+
 // --- thread-count invariance of the merged registry ---
 
 TEST(ThreadInvariance, MergedRegistryJsonIsByteIdenticalAcrossThreadCounts) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
+#include "audit/audit.hpp"
 #include "net/packet.hpp"
+#include "obs/metrics.hpp"
 #include "sim/scheduler.hpp"
 
 namespace manet::phy {
@@ -23,11 +26,14 @@ class Probe : public Channel::Listener {
     HostId from;
     bool corrupted;
     sim::TimePoint at;
+    DropReason reason;
   };
   void onMediumBusy() override { ++busyEvents; }
   void onMediumIdle() override { ++idleEvents; }
   void onFrameReceived(const Frame& frame, DropReason drop) override {
-    receptions.push_back({frame.src, drop != DropReason::kNone, frame.txEnd});
+    receptions.push_back(
+        {frame.src, drop != DropReason::kNone, frame.txEnd, drop});
+    if (onRx) onRx(frame);
   }
   void onTxComplete() override { ++txCompleted; }
 
@@ -35,6 +41,8 @@ class Probe : public Channel::Listener {
   int idleEvents = 0;
   int txCompleted = 0;
   std::vector<Rx> receptions;
+  /// Optional hook run after recording a reception (re-entrancy tests).
+  std::function<void(const Frame&)> onRx;
 };
 
 /// A fixture with a scheduler, a 500 m channel, and helpers to place nodes.
@@ -292,6 +300,138 @@ TEST_F(ChannelTest, TransmitWhileTransmittingIsRejected) {
   const HostId a = addNode({0, 0});
   ch.transmit(a, dataPacket(a), 280);
   EXPECT_DEATH(ch.transmit(a, dataPacket(a), 280), "Precondition");
+}
+
+// --- frame-centric reception (DESIGN.md §11.6) -------------------------------
+
+TEST_F(ChannelTest, OneTransmitSchedulesOneSenseAndOneEndEvent) {
+  obs::Registry registry;
+  obs::ScopedRegistry scope(&registry);
+  Channel& ch = makeChannel();
+  const HostId a = addNode({0, 0});
+  for (int i = 1; i <= 6; ++i) addNode({50.0 * i, 0});
+  ch.transmit(a, dataPacket(a), 280);
+  EXPECT_EQ(registry.counter(obs::Counter::kSchedulerScheduled), 2u);
+  scheduler_.runAll();
+  EXPECT_EQ(registry.counter(obs::Counter::kSchedulerExecuted), 2u);
+  for (std::uint32_t i = 1; i <= 6; ++i) {
+    ASSERT_EQ(probe(HostId{i}).receptions.size(), 1u);
+    EXPECT_FALSE(probe(HostId{i}).receptions[0].corrupted);
+    EXPECT_EQ(probe(HostId{i}).busyEvents, 1);
+    EXPECT_EQ(probe(HostId{i}).idleEvents, 1);
+  }
+  EXPECT_EQ(probe(a).txCompleted, 1);
+}
+
+TEST_F(ChannelTest, InstantCarrierSenseSchedulesOnlyTheEndEvent) {
+  obs::Registry registry;
+  obs::ScopedRegistry scope(&registry);
+  PhyParams params;
+  params.carrierSenseDelay = sim::Duration{};
+  Channel& ch = makeChannel(params);
+  const HostId a = addNode({0, 0});
+  const HostId b = addNode({100, 0});
+  const HostId c = addNode({200, 0});
+  ch.transmit(a, dataPacket(a), 280);
+  EXPECT_EQ(registry.counter(obs::Counter::kSchedulerScheduled), 1u);
+  // Energy is raised synchronously inside transmit().
+  EXPECT_TRUE(ch.carrierBusy(b));
+  EXPECT_TRUE(ch.carrierBusy(c));
+  scheduler_.runAll();
+  EXPECT_EQ(probe(b).receptions.size(), 1u);
+  EXPECT_EQ(probe(c).receptions.size(), 1u);
+  EXPECT_FALSE(ch.carrierBusy(b));
+}
+
+TEST_F(ChannelTest, ReentrantTransmitFromEndBatchGivesSerialVerdicts) {
+  // b (an earlier receiver of a's frame) starts two transmissions from its
+  // reception callback, before the end batch reaches c and d: d itself
+  // goes on the air (half-duplex loss of a's frame there) and d's energy
+  // reaches c (collision there) — the verdicts per-receiver completion
+  // events gave in the same serial order.
+  Channel& ch = makeChannel();
+  const HostId a = addNode({0, 0});
+  const HostId b = addNode({100, 0});
+  const HostId c = addNode({200, 0});
+  const HostId d = addNode({300, 0});
+  const HostId e = addNode({700, 0});  // hears only d among the senders
+  const net::PacketPtr packet = dataPacket(a);
+  const sim::TimePoint end = ch.transmit(a, packet, 280);
+  bool fired = false;
+  probe(b).onRx = [&](const Frame& frame) {
+    if (fired) return;
+    fired = true;
+    ch.transmit(d, dataPacket(d), 280);
+    ch.transmit(b, dataPacket(b), 280);
+    // The frame being delivered did not move while transmit() pooled two
+    // more air frames.
+    EXPECT_EQ(frame.src, a);
+    EXPECT_EQ(frame.packet, packet);
+    EXPECT_EQ(frame.txEnd, end);
+  };
+  scheduler_.runAll();
+  ASSERT_TRUE(fired);
+  ASSERT_EQ(probe(b).receptions.size(), 2u);  // a's, then d's
+  EXPECT_EQ(probe(b).receptions[0].reason, DropReason::kNone);
+  ASSERT_EQ(probe(c).receptions.size(), 3u);
+  EXPECT_EQ(probe(c).receptions[0].from, a);
+  EXPECT_EQ(probe(c).receptions[0].reason, DropReason::kCollision);
+  ASSERT_EQ(probe(d).receptions.size(), 2u);  // a's, then b's
+  EXPECT_EQ(probe(d).receptions[0].from, a);
+  EXPECT_EQ(probe(d).receptions[0].reason, DropReason::kHalfDuplex);
+  ASSERT_EQ(probe(e).receptions.size(), 1u);
+  EXPECT_EQ(probe(e).receptions[0].from, d);
+  EXPECT_EQ(probe(e).receptions[0].reason, DropReason::kNone);
+  EXPECT_EQ(probe(a).txCompleted, 1);
+  EXPECT_EQ(probe(b).txCompleted, 1);
+  EXPECT_EQ(probe(d).txCompleted, 1);
+  EXPECT_EQ(ch.framesTransmitted(), 3u);
+  EXPECT_FALSE(ch.carrierBusy(c));
+}
+
+TEST_F(ChannelTest, ReceiverChurnMidFrameSkipsItsEntries) {
+  // b goes down and back up while a's frame is on the air: once before the
+  // carrier-sense batch (its stale entry must raise nothing), once after it.
+  // Either way its orphaned entry is skipped by the end batch while c, the
+  // next receiver, completes normally; the audit ledger balances.
+  audit::ScopedCountingSink sink;
+  Channel& ch = makeChannel();
+  const HostId a = addNode({0, 0});
+  const HostId b = addNode({100, 0});
+  const HostId c = addNode({200, 0});
+
+  sim::TimePoint end = ch.transmit(a, dataPacket(a), 280);
+  scheduler_.runUntil(sim::TimePoint{2});  // before the sense batch at 5 us
+  EXPECT_EQ(ch.setNodeUp(b, false).size(), 1u);
+  EXPECT_TRUE(ch.setNodeUp(b, true).empty());
+  scheduler_.runUntil(sim::TimePoint{100});
+  EXPECT_FALSE(ch.carrierBusy(b));
+  EXPECT_TRUE(ch.carrierBusy(c));
+  scheduler_.runUntil(end);
+  EXPECT_EQ(probe(b).busyEvents, 0);
+  EXPECT_TRUE(probe(b).receptions.empty());
+
+  end = ch.transmit(a, dataPacket(a), 280);
+  scheduler_.runUntil(end - sim::Duration{100});  // b is sensing energy
+  EXPECT_TRUE(ch.carrierBusy(b));
+  EXPECT_EQ(ch.setNodeUp(b, false).size(), 1u);
+  EXPECT_TRUE(ch.setNodeUp(b, true).empty());
+  EXPECT_FALSE(ch.carrierBusy(b));
+  scheduler_.runAll();
+
+  EXPECT_EQ(probe(b).busyEvents, 1);
+  EXPECT_EQ(probe(b).idleEvents, 0);  // churn resets without callbacks
+  EXPECT_TRUE(probe(b).receptions.empty());
+  ASSERT_EQ(probe(c).receptions.size(), 2u);
+  EXPECT_FALSE(probe(c).receptions[0].corrupted);
+  EXPECT_FALSE(probe(c).receptions[1].corrupted);
+  EXPECT_EQ(probe(c).busyEvents, 2);
+  EXPECT_EQ(probe(c).idleEvents, 2);
+  EXPECT_EQ(ch.framesDroppedHostDown(), 2u);
+  EXPECT_EQ(ch.framesDelivered(), 2u);
+  EXPECT_EQ(probe(a).txCompleted, 2);
+  channel_.reset();  // audited builds check the reception ledger here
+  EXPECT_EQ(sink.count(), 0u);
 }
 
 }  // namespace
