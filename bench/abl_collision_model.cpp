@@ -25,10 +25,11 @@ int main() {
       experiment::SchemeSpec::adaptiveCounter(),
   };
 
-  for (int units : {1, 3, 5}) {
-    std::cout << "--- " << bench::mapLabel(units) << " map ---\n";
-    util::Table table({"scheme", "RE(real PHY)", "RE(perfect PHY)",
-                       "SRB(real)", "SRB(perfect)"});
+  const std::vector<int> maps{1, 3, 5};
+
+  // Two cells per (map, scheme): the real PHY, then the collision-free one.
+  std::vector<experiment::ScenarioConfig> configs;
+  for (int units : maps) {
     for (const auto& scheme : schemes) {
       experiment::ScenarioConfig real;
       real.mapUnits = units;
@@ -36,10 +37,20 @@ int main() {
       experiment::applyScale(real, scale);
       experiment::ScenarioConfig perfect = real;
       perfect.collisions = false;
-      const auto rReal =
-          experiment::runScenarioAveraged(real, scale.repetitions);
-      const auto rPerfect =
-          experiment::runScenarioAveraged(perfect, scale.repetitions);
+      configs.push_back(real);
+      configs.push_back(perfect);
+    }
+  }
+  const auto results = experiment::runCells(configs, scale.repetitions);
+
+  auto r = results.begin();
+  for (int units : maps) {
+    std::cout << "--- " << bench::mapLabel(units) << " map ---\n";
+    util::Table table({"scheme", "RE(real PHY)", "RE(perfect PHY)",
+                       "SRB(real)", "SRB(perfect)"});
+    for (const auto& scheme : schemes) {
+      const auto& rReal = *r++;
+      const auto& rPerfect = *r++;
       table.addRow({scheme.name(), util::fmt(rReal.re(), 3),
                     util::fmt(rPerfect.re(), 3), util::fmt(rReal.srb(), 3),
                     util::fmt(rPerfect.srb(), 3)});

@@ -19,23 +19,34 @@ int main() {
                 scale);
 
   const std::vector<int> windows{0, 4, 16, 31, 64};
-  for (int units : {1, 5}) {
-    std::cout << "--- " << bench::mapLabel(units) << " map, flooding ---\n";
-    util::Table table(
-        {"jitterSlots", "RE", "collision_frac", "latency(s)"});
+  const std::vector<int> maps{1, 5};
+
+  std::vector<experiment::ScenarioConfig> configs;
+  for (int units : maps) {
     for (int w : windows) {
       experiment::ScenarioConfig config;
       config.mapUnits = units;
       config.scheme = experiment::SchemeSpec::flooding();
       config.jitterSlots = w;
       experiment::applyScale(config, scale);
-      const auto r = experiment::runScenarioAveraged(config, scale.repetitions);
-      const double total = static_cast<double>(r.framesDelivered +
-                                               r.framesCorrupted);
+      configs.push_back(config);
+    }
+  }
+  const auto results = experiment::runCells(configs, scale.repetitions);
+
+  auto r = results.begin();
+  for (int units : maps) {
+    std::cout << "--- " << bench::mapLabel(units) << " map, flooding ---\n";
+    util::Table table(
+        {"jitterSlots", "RE", "collision_frac", "latency(s)"});
+    for (int w : windows) {
+      const double total = static_cast<double>(r->framesDelivered +
+                                               r->framesCorrupted);
       const double collisionFrac =
-          total > 0 ? static_cast<double>(r.framesCorrupted) / total : 0.0;
-      table.addRow({std::to_string(w), util::fmt(r.re(), 3),
-                    util::fmt(collisionFrac, 3), util::fmt(r.latency(), 4)});
+          total > 0 ? static_cast<double>(r->framesCorrupted) / total : 0.0;
+      table.addRow({std::to_string(w), util::fmt(r->re(), 3),
+                    util::fmt(collisionFrac, 3), util::fmt(r->latency(), 4)});
+      ++r;
     }
     table.print(std::cout);
     std::cout << "\n";

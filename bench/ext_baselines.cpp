@@ -32,18 +32,25 @@ int main() {
     header.push_back(s.name() + "_RE");
     header.push_back(s.name() + "_SRB");
   }
-  util::Table table(header);
+  std::vector<experiment::ScenarioConfig> configs;
   for (int units : experiment::paperMapSizes()) {
-    std::vector<std::string> row{bench::mapLabel(units)};
     for (const auto& scheme : schemes) {
       experiment::ScenarioConfig config;
       config.mapUnits = units;
       config.scheme = scheme;
       experiment::applyScale(config, scale);
-      const auto r =
-          experiment::runScenarioAveraged(config, scale.repetitions);
-      row.push_back(util::fmt(r.re(), 3));
-      row.push_back(util::fmt(r.srb(), 3));
+      configs.push_back(config);
+    }
+  }
+  const auto results = experiment::runCells(configs, scale.repetitions);
+
+  util::Table table(header);
+  auto r = results.begin();
+  for (int units : experiment::paperMapSizes()) {
+    std::vector<std::string> row{bench::mapLabel(units)};
+    for (std::size_t s = 0; s < schemes.size(); ++s, ++r) {
+      row.push_back(util::fmt(r->re(), 3));
+      row.push_back(util::fmt(r->srb(), 3));
     }
     table.addRow(std::move(row));
   }

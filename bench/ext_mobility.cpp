@@ -32,7 +32,25 @@ int main() {
       experiment::SchemeSpec::adaptiveCounter(),
   };
 
-  for (int units : {3, 9}) {
+  const std::vector<int> maps{3, 9};
+
+  std::vector<experiment::ScenarioConfig> configs;
+  for (int units : maps) {
+    for (const auto& model : models) {
+      for (const auto& scheme : schemes) {
+        experiment::ScenarioConfig config;
+        config.mapUnits = units;
+        config.scheme = scheme;
+        config.mobility = model.kind;
+        experiment::applyScale(config, scale);
+        configs.push_back(config);
+      }
+    }
+  }
+  const auto results = experiment::runCells(configs, scale.repetitions);
+
+  auto r = results.begin();
+  for (int units : maps) {
     std::cout << "--- " << bench::mapLabel(units) << " map ---\n";
     std::vector<std::string> header{"mobility"};
     for (const auto& s : schemes) {
@@ -42,16 +60,9 @@ int main() {
     util::Table table(header);
     for (const auto& model : models) {
       std::vector<std::string> row{model.name};
-      for (const auto& scheme : schemes) {
-        experiment::ScenarioConfig config;
-        config.mapUnits = units;
-        config.scheme = scheme;
-        config.mobility = model.kind;
-        experiment::applyScale(config, scale);
-        const auto r =
-            experiment::runScenarioAveraged(config, scale.repetitions);
-        row.push_back(util::fmt(r.re(), 3));
-        row.push_back(util::fmt(r.srb(), 3));
+      for (std::size_t s = 0; s < schemes.size(); ++s, ++r) {
+        row.push_back(util::fmt(r->re(), 3));
+        row.push_back(util::fmt(r->srb(), 3));
       }
       table.addRow(std::move(row));
     }

@@ -25,29 +25,44 @@ struct Candidate {
   core::CounterThreshold fn;
 };
 
-void runPanel(bench::Report& report, const std::string& panel,
-              const std::string& title, const std::vector<Candidate>& cands,
-              const experiment::BenchScale& scale) {
-  std::cout << "--- " << title << " ---\n";
+struct Panel {
+  std::string tag;
+  std::string title;
+  std::vector<Candidate> cands;
+};
+
+/// One cell per (map, candidate), in the order printPanel consumes them.
+void addCells(const Panel& panel, const experiment::BenchScale& scale,
+              std::vector<experiment::ScenarioConfig>& configs) {
+  for (int units : experiment::paperMapSizes()) {
+    for (const auto& cand : panel.cands) {
+      experiment::ScenarioConfig config;
+      config.mapUnits = units;
+      config.scheme = experiment::SchemeSpec::adaptiveCounter(cand.fn,
+                                                              cand.label);
+      experiment::applyScale(config, scale);
+      configs.push_back(config);
+    }
+  }
+}
+
+void printPanel(bench::Report& report, const Panel& panel,
+                std::vector<experiment::RunResult>::const_iterator& r) {
+  std::cout << "--- " << panel.title << " ---\n";
   std::vector<std::string> header{"map"};
-  for (const auto& c : cands) {
+  for (const auto& c : panel.cands) {
     header.push_back(c.label + "_RE");
     header.push_back(c.label + "_SRB");
   }
   util::Table table(header);
   for (int units : experiment::paperMapSizes()) {
     std::vector<std::string> row{bench::mapLabel(units)};
-    for (const auto& cand : cands) {
-      experiment::ScenarioConfig config;
-      config.mapUnits = units;
-      config.scheme = experiment::SchemeSpec::adaptiveCounter(cand.fn,
-                                                              cand.label);
-      experiment::applyScale(config, scale);
-      const auto r =
-          experiment::runScenarioAveraged(config, scale.repetitions);
-      report.add(panel + "/" + cand.label + "/" + bench::mapLabel(units), r);
-      row.push_back(util::fmt(r.re(), 3));
-      row.push_back(util::fmt(r.srb(), 3));
+    for (const auto& cand : panel.cands) {
+      report.add(panel.tag + "/" + cand.label + "/" + bench::mapLabel(units),
+                 *r);
+      row.push_back(util::fmt(r->re(), 3));
+      row.push_back(util::fmt(r->srb(), 3));
+      ++r;
     }
     table.addRow(std::move(row));
   }
@@ -66,31 +81,31 @@ int main(int argc, char** argv) {
 
   using CT = core::CounterThreshold;
 
-  runPanel(report, "5a", "Fig. 5a: slope before n1",
-           {{"s1/3", CT::fromDigits("22233344455555")},
-            {"s1/2", CT::fromDigits("22334455555")},
-            {"s1", CT::fromDigits("23455555")}},
-           scale);
-
-  runPanel(report, "5b", "Fig. 5b: choosing n1",
-           {{"n1=2", CT::fromDigits("233")},
-            {"n1=3", CT::fromDigits("2344")},
-            {"n1=4", CT::fromDigits("23455")},
-            {"n1=5", CT::fromDigits("234566")}},
-           scale);
-
-  runPanel(report, "5c", "Fig. 5c: choosing n2 (linear decay from 5 to 2)",
-           {{"n2=8", CT::rampAndDecay(4, 8)},
-            {"n2=12", CT::rampAndDecay(4, 12)},
-            {"n2=16", CT::rampAndDecay(4, 16)}},
-           scale);
-
-  runPanel(report, "5d", "Fig. 5d: decay shape between n1=4 and n2=12",
-           {{"linear", CT::rampAndDecay(4, 12, core::DecayShape::kLinear)},
-            {"convex", CT::rampAndDecay(4, 12, core::DecayShape::kConvex)},
-            {"concave", CT::rampAndDecay(4, 12, core::DecayShape::kConcave)},
-            {"step", CT::rampAndDecay(4, 12, core::DecayShape::kStep)}},
-           scale);
+  const std::vector<Panel> panels{
+      {"5a", "Fig. 5a: slope before n1",
+       {{"s1/3", CT::fromDigits("22233344455555")},
+        {"s1/2", CT::fromDigits("22334455555")},
+        {"s1", CT::fromDigits("23455555")}}},
+      {"5b", "Fig. 5b: choosing n1",
+       {{"n1=2", CT::fromDigits("233")},
+        {"n1=3", CT::fromDigits("2344")},
+        {"n1=4", CT::fromDigits("23455")},
+        {"n1=5", CT::fromDigits("234566")}}},
+      {"5c", "Fig. 5c: choosing n2 (linear decay from 5 to 2)",
+       {{"n2=8", CT::rampAndDecay(4, 8)},
+        {"n2=12", CT::rampAndDecay(4, 12)},
+        {"n2=16", CT::rampAndDecay(4, 16)}}},
+      {"5d", "Fig. 5d: decay shape between n1=4 and n2=12",
+       {{"linear", CT::rampAndDecay(4, 12, core::DecayShape::kLinear)},
+        {"convex", CT::rampAndDecay(4, 12, core::DecayShape::kConvex)},
+        {"concave", CT::rampAndDecay(4, 12, core::DecayShape::kConcave)},
+        {"step", CT::rampAndDecay(4, 12, core::DecayShape::kStep)}}},
+  };
+  std::vector<experiment::ScenarioConfig> configs;
+  for (const Panel& panel : panels) addCells(panel, scale, configs);
+  const auto results = experiment::runCells(configs, scale.repetitions);
+  auto r = results.cbegin();
+  for (const Panel& panel : panels) printPanel(report, panel, r);
 
   // Fig. 6: the candidate functions themselves.
   std::cout << "--- Fig. 6: C(n) candidates (value per n) ---\n";

@@ -32,20 +32,28 @@ int main(int argc, char** argv) {
     header.push_back(s.name() + "_SRB");
     header.push_back(s.name() + "_lat(s)");
   }
-  util::Table table(header);
+  std::vector<experiment::ScenarioConfig> configs;
   for (int units : experiment::paperMapSizes()) {
-    std::vector<std::string> row{bench::mapLabel(units)};
     for (const auto& scheme : schemes) {
       experiment::ScenarioConfig config;
       config.mapUnits = units;
       config.scheme = scheme;
       experiment::applyScale(config, scale);
-      const auto r =
-          experiment::runScenarioAveraged(config, scale.repetitions);
-      report.add(bench::mapLabel(units) + "/" + scheme.name(), r);
-      row.push_back(util::fmt(r.re(), 3));
-      row.push_back(util::fmt(r.srb(), 3));
-      row.push_back(util::fmt(r.latency(), 4));
+      configs.push_back(config);
+    }
+  }
+  const auto results = experiment::runCells(configs, scale.repetitions);
+
+  util::Table table(header);
+  auto r = results.begin();
+  for (int units : experiment::paperMapSizes()) {
+    std::vector<std::string> row{bench::mapLabel(units)};
+    for (const auto& scheme : schemes) {
+      report.add(bench::mapLabel(units) + "/" + scheme.name(), *r);
+      row.push_back(util::fmt(r->re(), 3));
+      row.push_back(util::fmt(r->srb(), 3));
+      row.push_back(util::fmt(r->latency(), 4));
+      ++r;
     }
     table.addRow(std::move(row));
   }

@@ -51,9 +51,8 @@ int main() {
     header.push_back("(" + tag + ")RE");
     header.push_back("(" + tag + ")SRB");
   }
-  util::Table table(header);
+  std::vector<experiment::ScenarioConfig> configs;
   for (int units : experiment::paperMapSizes()) {
-    std::vector<std::string> row{bench::mapLabel(units)};
     for (auto [n1, n2] : candidates) {
       experiment::ScenarioConfig config;
       config.mapUnits = units;
@@ -61,10 +60,18 @@ int main() {
           core::AreaThreshold::piecewise(n1, n2),
           "AL(" + std::to_string(n1) + "," + std::to_string(n2) + ")");
       experiment::applyScale(config, scale);
-      const auto r =
-          experiment::runScenarioAveraged(config, scale.repetitions);
-      row.push_back(util::fmt(r.re(), 3));
-      row.push_back(util::fmt(r.srb(), 3));
+      configs.push_back(config);
+    }
+  }
+  const auto results = experiment::runCells(configs, scale.repetitions);
+
+  util::Table table(header);
+  auto r = results.begin();
+  for (int units : experiment::paperMapSizes()) {
+    std::vector<std::string> row{bench::mapLabel(units)};
+    for (std::size_t c = 0; c < candidates.size(); ++c, ++r) {
+      row.push_back(util::fmt(r->re(), 3));
+      row.push_back(util::fmt(r->srb(), 3));
     }
     table.addRow(std::move(row));
   }

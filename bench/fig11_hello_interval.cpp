@@ -25,7 +25,27 @@ int main(int argc, char** argv) {
       20 * sim::kSecond, 30 * sim::kSecond};
   const std::vector<double> speeds{20.0, 40.0, 60.0, 80.0};
 
-  for (int units : {5, 7, 9, 11}) {
+  const std::vector<int> maps{5, 7, 9, 11};
+
+  std::vector<experiment::ScenarioConfig> configs;
+  for (int units : maps) {
+    for (double speed : speeds) {
+      for (sim::Duration hi : intervals) {
+        experiment::ScenarioConfig config;
+        config.mapUnits = units;
+        config.maxSpeedKmh = speed;
+        config.scheme = experiment::SchemeSpec::neighborCoverage();
+        config.neighborSource = experiment::NeighborSource::kHello;
+        config.hello.interval = hi;
+        experiment::applyScale(config, scale);
+        configs.push_back(config);
+      }
+    }
+  }
+  const auto results = experiment::runCells(configs, scale.repetitions);
+
+  auto r = results.begin();
+  for (int units : maps) {
     std::cout << "--- " << bench::mapLabel(units) << " map: RE ---\n";
     std::vector<std::string> header{"speed(km/h)"};
     for (sim::Duration hi : intervals) {
@@ -35,20 +55,12 @@ int main(int argc, char** argv) {
     for (double speed : speeds) {
       std::vector<std::string> row{util::fmt(speed, 0)};
       for (sim::Duration hi : intervals) {
-        experiment::ScenarioConfig config;
-        config.mapUnits = units;
-        config.maxSpeedKmh = speed;
-        config.scheme = experiment::SchemeSpec::neighborCoverage();
-        config.neighborSource = experiment::NeighborSource::kHello;
-        config.hello.interval = hi;
-        experiment::applyScale(config, scale);
-        const auto r =
-            experiment::runScenarioAveraged(config, scale.repetitions);
         report.add(bench::mapLabel(units) + "/hi=" +
                        std::to_string(hi / sim::kSecond) + "s/" +
                        util::fmt(speed, 0) + "kmh",
-                   r);
-        row.push_back(util::fmt(r.re(), 3));
+                   *r);
+        row.push_back(util::fmt(r->re(), 3));
+        ++r;
       }
       table.addRow(std::move(row));
     }

@@ -29,10 +29,8 @@ int main(int argc, char** argv) {
                "---\n";
   util::Table rate({"speed(km/h)", "1x1", "3x3", "5x5", "9x9", "11x11"});
 
+  std::vector<experiment::ScenarioConfig> configs;
   for (double speed : speeds) {
-    std::vector<std::string> reRow{util::fmt(speed, 0)};
-    std::vector<std::string> srbRow{util::fmt(speed, 0)};
-    std::vector<std::string> rateRow{util::fmt(speed, 0)};
     for (int units : maps) {
       experiment::ScenarioConfig config;
       config.mapUnits = units;
@@ -41,13 +39,23 @@ int main(int argc, char** argv) {
       config.neighborSource = experiment::NeighborSource::kHello;
       config.hello.dynamic = true;  // nvMax = 0.02, [1 s, 10 s] defaults
       experiment::applyScale(config, scale);
-      const auto r =
-          experiment::runScenarioAveraged(config, scale.repetitions);
+      configs.push_back(config);
+    }
+  }
+  const auto results = experiment::runCells(configs, scale.repetitions);
+
+  auto r = results.begin();
+  for (double speed : speeds) {
+    std::vector<std::string> reRow{util::fmt(speed, 0)};
+    std::vector<std::string> srbRow{util::fmt(speed, 0)};
+    std::vector<std::string> rateRow{util::fmt(speed, 0)};
+    for (int units : maps) {
       report.add(bench::mapLabel(units) + "/" + util::fmt(speed, 0) + "kmh",
-                 r);
-      reRow.push_back(util::fmt(r.re(), 3));
-      srbRow.push_back(util::fmt(r.srb(), 3));
-      rateRow.push_back(util::fmt(r.hellosPerHostPerSecond, 3));
+                 *r);
+      reRow.push_back(util::fmt(r->re(), 3));
+      srbRow.push_back(util::fmt(r->srb(), 3));
+      rateRow.push_back(util::fmt(r->hellosPerHostPerSecond, 3));
+      ++r;
     }
     re.addRow(std::move(reRow));
     srb.addRow(std::move(srbRow));

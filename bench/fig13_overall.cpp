@@ -39,10 +39,8 @@ int main(int argc, char** argv) {
   nc.scheme.label = "NC-DHI";
   entries.push_back(nc);
 
+  std::vector<experiment::ScenarioConfig> configs;
   for (int units : experiment::paperMapSizes()) {
-    std::cout << "--- " << bench::mapLabel(units) << " map (max speed "
-              << 10 * units << " km/h) ---\n";
-    util::Table table({"scheme", "SRB", "RE", "latency(s)"});
     for (const auto& entry : entries) {
       experiment::ScenarioConfig config;
       config.mapUnits = units;
@@ -52,11 +50,21 @@ int main(int argc, char** argv) {
         config.hello.dynamic = entry.dhi;
       }
       experiment::applyScale(config, scale);
-      const auto r =
-          experiment::runScenarioAveraged(config, scale.repetitions);
-      report.add(bench::mapLabel(units) + "/" + entry.scheme.name(), r);
-      table.addRow({entry.scheme.name(), util::fmt(r.srb(), 3),
-                    util::fmt(r.re(), 3), util::fmt(r.latency(), 4)});
+      configs.push_back(config);
+    }
+  }
+  const auto results = experiment::runCells(configs, scale.repetitions);
+
+  auto r = results.begin();
+  for (int units : experiment::paperMapSizes()) {
+    std::cout << "--- " << bench::mapLabel(units) << " map (max speed "
+              << 10 * units << " km/h) ---\n";
+    util::Table table({"scheme", "SRB", "RE", "latency(s)"});
+    for (const auto& entry : entries) {
+      report.add(bench::mapLabel(units) + "/" + entry.scheme.name(), *r);
+      table.addRow({entry.scheme.name(), util::fmt(r->srb(), 3),
+                    util::fmt(r->re(), 3), util::fmt(r->latency(), 4)});
+      ++r;
     }
     table.print(std::cout);
     std::cout << "\n";

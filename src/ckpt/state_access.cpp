@@ -45,8 +45,12 @@ std::uint64_t packetDigest(const net::Packet& p) {
   d.add(p.appTarget.value());
   d.add(static_cast<std::uint64_t>(p.appPath.size()));
   for (net::HostId id : p.appPath) d.add(id.value());
-  d.add(static_cast<std::uint64_t>(p.helloNeighbors.size()));
-  for (net::HostId id : p.helloNeighbors) d.add(id.value());
+  // A HELLO without a list hashes as an empty one.
+  const auto& hello = p.helloNeighbors;
+  d.add(static_cast<std::uint64_t>(hello != nullptr ? hello->size() : 0));
+  if (hello != nullptr) {
+    for (net::HostId id : *hello) d.add(id.value());
+  }
   d.add(p.helloInterval);
   return d.value();
 }
@@ -94,8 +98,10 @@ NeighborTableImage StateAccess::neighborTable(const net::NeighborTable& table) {
     e.id = id.value();
     e.lastHeard = entry.lastHeard;
     e.interval = entry.interval;
-    e.neighbors.reserve(entry.neighbors.size());
-    for (net::HostId n : entry.neighbors) e.neighbors.push_back(n.value());
+    if (entry.neighbors != nullptr) {
+      e.neighbors.reserve(entry.neighbors->size());
+      for (net::HostId n : *entry.neighbors) e.neighbors.push_back(n.value());
+    }
     image.entries.push_back(std::move(e));
   }
   std::sort(image.entries.begin(), image.entries.end(),

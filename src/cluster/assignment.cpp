@@ -81,7 +81,7 @@ RoleInfo egoRole(const core::HostView& host) {
   // available so gateway/headness of the ring resolves correctly.
   std::set<net::HostId> ring2;
   for (net::HostId nb : oneHop) {
-    if (const auto theirs = host.neighborsOf(nb)) {
+    if (const auto* theirs = host.neighborsOf(nb)) {
       for (net::HostId two : *theirs) {
         nodes.insert(two);
         addEdge(nb, two);
@@ -90,7 +90,7 @@ RoleInfo egoRole(const core::HostView& host) {
     }
   }
   for (net::HostId two : ring2) {
-    if (const auto theirs = host.neighborsOf(two)) {
+    if (const auto* theirs = host.neighborsOf(two)) {
       for (net::HostId three : *theirs) {
         // Only keep edges among already-known nodes: we want the induced
         // subgraph, not an ever-growing frontier.

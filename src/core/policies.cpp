@@ -227,7 +227,7 @@ class NeighborCoverageDecider final : public PacketDecider {
  private:
   void subtractCoveredBy(HostView& host, net::HostId h) {
     pending_.erase(h);
-    if (auto theirs = host.neighborsOf(h)) {
+    if (const auto* theirs = host.neighborsOf(h)) {
       for (net::HostId id : *theirs) pending_.erase(id);
     }
   }

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,8 +58,9 @@ class HostView {
   virtual std::vector<net::HostId> neighborIds() const = 0;
 
   /// N_{x,h}: the one-hop set of neighbor `h` as known to this host, or
-  /// nullopt when nothing is known about `h`.
-  virtual std::optional<std::vector<net::HostId>> neighborsOf(
+  /// nullptr when nothing is known about `h`. The list is borrowed, not
+  /// copied: it stays valid until the next query on this view.
+  virtual const std::vector<net::HostId>* neighborsOf(
       net::HostId h) const = 0;
 
   /// This host's own position (its "GPS reading").

@@ -278,10 +278,10 @@ std::vector<net::HostId> Host::neighborIds() const {
   return table_.neighborIds(now());
 }
 
-std::optional<std::vector<net::HostId>> Host::neighborsOf(
-    net::HostId h) const {
+const std::vector<net::HostId>* Host::neighborsOf(net::HostId h) const {
   if (world_.config().neighborSource == NeighborSource::kOracle) {
-    return world_.oracleNeighbors(h);
+    world_.channel().nodesInRange(h, oracleNeighbors_);
+    return &oracleNeighbors_;
   }
   return table_.neighborsOf(h, now());
 }

@@ -115,7 +115,7 @@ class Host final : public mac::DcfMac::Upper, public core::HostView {
   net::HostId id() const override { return id_; }
   int neighborCount() const override;
   std::vector<net::HostId> neighborIds() const override;
-  std::optional<std::vector<net::HostId>> neighborsOf(
+  const std::vector<net::HostId>* neighborsOf(
       net::HostId h) const override;
   geom::Vec2 position() const override;
   double radius() const override;
@@ -151,6 +151,8 @@ class Host final : public mac::DcfMac::Upper, public core::HostView {
   // mutable: table queries purge expired entries lazily, which is not
   // observable state from the HostView's point of view.
   mutable net::NeighborTable table_;
+  // Oracle-mode neighborsOf result, reused across queries.
+  mutable std::vector<net::HostId> oracleNeighbors_;
   std::unique_ptr<mac::DcfMac> mac_;
   std::unique_ptr<net::HelloAgent> hello_;
   net::BroadcastSeq nextSeq_{};  // survives crashes: bids stay unique

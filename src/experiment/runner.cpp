@@ -99,7 +99,7 @@ RunResult runScenario(const ScenarioConfig& config) {
   return out;
 }
 
-RunResult poolRuns(const std::vector<RunResult>& runs) {
+RunResult poolRuns(std::span<const RunResult> runs) {
   MANET_EXPECTS(!runs.empty());
   RunResult pooled;
   double re = 0.0;
@@ -147,19 +147,38 @@ RunResult poolRuns(const std::vector<RunResult>& runs) {
   return pooled;
 }
 
-RunResult runScenarioAveraged(const ScenarioConfig& config, int repetitions,
-                              int threads) {
+std::vector<RunResult> runCells(const std::vector<ScenarioConfig>& configs,
+                                int repetitions, int threads) {
   MANET_EXPECTS(repetitions >= 1);
-  std::vector<RunResult> runs(static_cast<std::size_t>(repetitions));
+  const auto reps = static_cast<std::size_t>(repetitions);
+  // Job `cell * reps + rep` writes only its own slot, so completion order
+  // never reaches the output.
+  std::vector<RunResult> runs(configs.size() * reps);
   parallelFor(
-      static_cast<std::size_t>(repetitions),
-      [&config, &runs](std::size_t i) {
-        ScenarioConfig c = config;
-        c.seed = config.seed + static_cast<std::uint64_t>(i);
-        runs[i] = runScenario(c);
+      runs.size(),
+      [&configs, &runs, reps](std::size_t job) {
+        ScenarioConfig config = configs[job / reps];
+        config.seed += static_cast<std::uint64_t>(job % reps);
+        runs[job] = runScenario(config);
       },
       threads);
-  return poolRuns(runs);
+
+  std::vector<RunResult> out;
+  out.reserve(configs.size());
+  for (std::size_t cell = 0; cell < configs.size(); ++cell) {
+    if (reps == 1) {
+      out.push_back(std::move(runs[cell]));
+    } else {
+      out.push_back(poolRuns(std::span<const RunResult>(runs).subspan(
+          cell * reps, reps)));
+    }
+  }
+  return out;
+}
+
+RunResult runScenarioAveraged(const ScenarioConfig& config, int repetitions,
+                              int threads) {
+  return std::move(runCells({config}, repetitions, threads).front());
 }
 
 obs::RunSample toRunSample(std::string label, const RunResult& result) {

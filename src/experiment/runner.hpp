@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -115,13 +116,21 @@ RunResult runScenario(const ScenarioConfig& config);
 /// means across runs (the figures' numbers); counts (broadcasts, frames,
 /// raw r/t/e, wall-clock) are summed. `runs` must be non-empty and ordered
 /// by repetition so float accumulation is deterministic.
-RunResult poolRuns(const std::vector<RunResult>& runs);
+RunResult poolRuns(std::span<const RunResult> runs);
 
-/// Averages `repetitions` runs of the same scenario over distinct seeds
-/// (seed, seed+1, ...), optionally across `threads` workers (0 = auto via
-/// MANET_THREADS / hardware concurrency). Each repetition owns a private
-/// World/Scheduler/RNG seeded exactly as the serial path; results are pooled
-/// in repetition order, so the outcome is identical for any thread count.
+/// The one experiment fan-out (DESIGN.md §7). Runs every config as a cell
+/// averaged over `repetitions` consecutive seeds (seed, seed+1, ...): each
+/// (cell, repetition) pair is one job on a single pool of `threads` workers
+/// (0 = auto via MANET_THREADS / hardware concurrency, 1 = serial), owning a
+/// private World/Scheduler/RNG seeded exactly as the serial path. Each
+/// cell's runs are pooled with poolRuns in repetition order (a single
+/// repetition is returned as run, percentiles included) and the results
+/// come back in cell order, so the outcome is identical for any thread
+/// count.
+std::vector<RunResult> runCells(const std::vector<ScenarioConfig>& configs,
+                                int repetitions, int threads = 0);
+
+/// runCells over one cell.
 RunResult runScenarioAveraged(const ScenarioConfig& config, int repetitions,
                               int threads = 1);
 

@@ -1,6 +1,5 @@
 #include "experiment/sweep.hpp"
 
-#include "experiment/parallel.hpp"
 #include "util/assert.hpp"
 
 namespace manet::experiment {
@@ -99,39 +98,18 @@ ScenarioConfig cellConfig(const ScenarioConfig& base, const CellSpec& cell) {
 std::vector<SweepCell> runSweep(const ScenarioConfig& base,
                                 const std::vector<SweepAxis>& axes,
                                 int repetitions, int threads) {
-  MANET_EXPECTS(repetitions >= 1);
   for (const auto& axis : axes) MANET_EXPECTS(!axis.values.empty());
 
   const std::vector<CellSpec> cells = materializeCells(axes);
-  const std::size_t reps = static_cast<std::size_t>(repetitions);
-
-  // Fan the work out at (cell, repetition) granularity so a sweep with few
-  // cells but many repetitions still fills the pool. Every job owns its
-  // whole simulator; the slots below are the only shared writes, disjoint
-  // per job.
-  std::vector<std::vector<RunResult>> runs(cells.size());
-  for (auto& r : runs) r.resize(reps);
-  parallelFor(
-      cells.size() * reps,
-      [&](std::size_t job) {
-        const std::size_t cellIdx = job / reps;
-        const std::size_t rep = job % reps;
-        ScenarioConfig config = cellConfig(base, cells[cellIdx]);
-        config.seed += static_cast<std::uint64_t>(rep);
-        runs[cellIdx][rep] = runScenario(config);
-      },
-      threads);
+  std::vector<ScenarioConfig> configs;
+  configs.reserve(cells.size());
+  for (const CellSpec& cell : cells) configs.push_back(cellConfig(base, cell));
+  std::vector<RunResult> results = runCells(configs, repetitions, threads);
 
   std::vector<SweepCell> out;
   out.reserve(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    SweepCell cell;
-    cell.coordinates = cells[i].coordinates;
-    // Match the serial single-run path exactly: only pool when averaging
-    // (pooling a single run would drop its percentile/CI fields).
-    cell.result = repetitions > 1 ? poolRuns(runs[i])
-                                  : std::move(runs[i][0]);
-    out.push_back(std::move(cell));
+    out.push_back({cells[i].coordinates, std::move(results[i])});
   }
   return out;
 }

@@ -1,13 +1,13 @@
 // Cartesian parameter sweeps: run a scenario across schemes x maps x speeds
 // (or any custom axis) and collect results in one table, optionally as CSV.
-// The figure benches hand-roll their loops to match the paper's exact
-// panels; this utility is the general-purpose tool for new studies.
+// The figure benches build their own cell lists to match the paper's exact
+// panels and hand them to runCells; a sweep is the same fan-out over a
+// cartesian product.
 //
-// Execution is parallel by default (threads = 0 resolves via MANET_THREADS /
-// hardware concurrency): every (cell, repetition) pair is an independent job
-// with its own World/Scheduler/RNG seeded exactly as the serial path, and
-// results are reassembled in cell-major, repetition-minor order — so the
-// sweep output is identical for any thread count.
+// Execution is runCells (runner.hpp): parallel by default (threads = 0
+// resolves via MANET_THREADS / hardware concurrency), every (cell,
+// repetition) pair an independent job, results in cell order — so the sweep
+// output is identical for any thread count.
 #pragma once
 
 #include <functional>

@@ -58,8 +58,11 @@ void HelloAgent::sendHello() {
   packet->helloInterval = currentInterval_;
   std::size_t bytes = config_.baseBytes;
   if (config_.piggybackNeighbors) {
-    packet->helloNeighbors = table_.neighborIds(now);
-    bytes += config_.perNeighborBytes * packet->helloNeighbors.size();
+    // Built once here; every receiver's table shares this list.
+    auto neighbors =
+        std::make_shared<const std::vector<HostId>>(table_.neighborIds(now));
+    bytes += config_.perNeighborBytes * neighbors->size();
+    packet->helloNeighbors = std::move(neighbors);
   }
   mac_.enqueue(std::move(packet), bytes);
   ++hellosSent_;

@@ -84,12 +84,13 @@ bool NeighborTable::contains(HostId h, sim::TimePoint now) {
   return entries_.contains(h);
 }
 
-std::optional<std::vector<HostId>> NeighborTable::neighborsOf(HostId h,
-                                                              sim::TimePoint now) {
+const std::vector<HostId>* NeighborTable::neighborsOf(HostId h,
+                                                      sim::TimePoint now) {
+  static const std::vector<HostId> kNone;
   purge(now);
   auto it = entries_.find(h);
-  if (it == entries_.end()) return std::nullopt;
-  return it->second.neighbors;
+  if (it == entries_.end()) return nullptr;
+  return it->second.neighbors != nullptr ? it->second.neighbors.get() : &kNone;
 }
 
 int NeighborTable::changeEventsInWindow(sim::TimePoint now) {

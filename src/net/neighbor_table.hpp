@@ -10,7 +10,6 @@
 #pragma once
 
 #include <deque>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -34,7 +33,8 @@ class NeighborTable {
   struct Entry {
     sim::TimePoint lastHeard{};
     sim::Duration interval{};        // sender-announced hello interval
-    std::vector<HostId> neighbors;   // N_{x,h}: h's advertised one-hop set
+    NeighborList neighbors;          // N_{x,h}: h's advertised one-hop set,
+                                     // shared with the HELLO (null: none)
   };
 
   /// `nvWindow` is the sliding window for neighborhood variation (10 s in
@@ -59,9 +59,11 @@ class NeighborTable {
   /// True if `h` is currently a one-hop neighbor.
   bool contains(HostId h, sim::TimePoint now);
 
-  /// N_{x,h}: the advertised neighbor set of one-hop neighbor `h`, or
-  /// nullopt when `h` is unknown/expired.
-  std::optional<std::vector<HostId>> neighborsOf(HostId h, sim::TimePoint now);
+  /// N_{x,h}: the advertised neighbor set of one-hop neighbor `h` (empty
+  /// when its HELLO carried none), or nullptr when `h` is unknown/expired.
+  /// The list is the one h's HELLO carried, not a copy; the pointer stays
+  /// valid until the table next changes (a HELLO or a purging query).
+  const std::vector<HostId>* neighborsOf(HostId h, sim::TimePoint now);
 
   /// nv_x = (# joins + # leaves within the past window) / (|N_x| * window_s).
   /// With an empty neighborhood the denominator is treated as 1 host, so a

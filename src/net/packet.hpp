@@ -19,6 +19,11 @@ enum class PacketType {
   kAck,    // 802.11 control: data acknowledgment
 };
 
+/// An advertised one-hop neighbor set: built once per HELLO by the sender
+/// and shared, immutable, by the packet and every receiver's table entry
+/// (DESIGN.md §4.2).
+using NeighborList = std::shared_ptr<const std::vector<HostId>>;
+
 struct Packet {
   PacketType type = PacketType::kData;
   HostId sender = kInvalidHost;  // the (re)transmitting host
@@ -62,7 +67,8 @@ struct Packet {
   // --- HELLO fields ---
   /// The sender's one-hop neighbor set N_h, piggybacked so receivers can
   /// build the two-hop sets N_{x,h} the neighbor-coverage scheme needs.
-  std::vector<HostId> helloNeighbors;
+  /// Null when the HELLO carries no list.
+  NeighborList helloNeighbors;
   /// The sender's current hello interval; with the dynamic-hello-interval
   /// scheme each host announces its own interval so receivers can age the
   /// entry correctly (§4.3).

@@ -224,7 +224,8 @@ void Channel::ensureGrid() const {
   grid_.cellMaxX.assign(cells, -inf);
   grid_.cellMinY.assign(cells, inf);
   grid_.cellMaxY.assign(cells, -inf);
-  std::vector<int> fill(grid_.cellStart.begin(), grid_.cellStart.end() - 1);
+  std::vector<int>& fill = grid_.fill;
+  fill.assign(grid_.cellStart.begin(), grid_.cellStart.end() - 1);
   for (std::size_t id = 0; id < n; ++id) {
     const int c = grid_.cellOf[id];
     if (c < 0) continue;

@@ -269,6 +269,7 @@ class Channel {
     std::vector<double> cellMaxX;
     std::vector<double> cellMinY;
     std::vector<double> cellMaxY;
+    std::vector<int> fill;              // rebuild scratch: next slot per cell
   };
 
   Node& node(net::HostId id);

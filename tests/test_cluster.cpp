@@ -143,11 +143,10 @@ class GraphHost : public core::HostView {
   std::vector<net::HostId> neighborIds() const override {
     return adj_.at(self_);
   }
-  std::optional<std::vector<net::HostId>> neighborsOf(
+  const std::vector<net::HostId>* neighborsOf(
       net::HostId h) const override {
     auto it = adj_.find(h);
-    if (it == adj_.end()) return std::nullopt;
-    return it->second;
+    return it == adj_.end() ? nullptr : &it->second;
   }
   geom::Vec2 position() const override { return {}; }
   double radius() const override { return 500.0; }

@@ -18,11 +18,10 @@ class FakeHost : public HostView {
   net::HostId id() const override { return id_; }
   int neighborCount() const override { return static_cast<int>(nx_.size()); }
   std::vector<net::HostId> neighborIds() const override { return nx_; }
-  std::optional<std::vector<net::HostId>> neighborsOf(
+  const std::vector<net::HostId>* neighborsOf(
       net::HostId h) const override {
     auto it = twoHop_.find(h);
-    if (it == twoHop_.end()) return std::nullopt;
-    return it->second;
+    return it == twoHop_.end() ? nullptr : &it->second;
   }
   geom::Vec2 position() const override { return pos_; }
   double radius() const override { return 500.0; }

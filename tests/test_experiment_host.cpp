@@ -137,8 +137,8 @@ TEST(Host, OracleNeighborQueries) {
   EXPECT_EQ(w.host(net::HostId{0}).neighborIds(), (std::vector<net::HostId>{net::HostId{1}}));
   EXPECT_EQ(w.host(net::HostId{2}).neighborCount(), 0);
   // Oracle two-hop: neighbors of host 1 as seen from host 0.
-  const auto n1 = w.host(net::HostId{0}).neighborsOf(net::HostId{1});
-  ASSERT_TRUE(n1.has_value());
+  const auto* n1 = w.host(net::HostId{0}).neighborsOf(net::HostId{1});
+  ASSERT_NE(n1, nullptr);
   EXPECT_EQ(*n1, (std::vector<net::HostId>{net::HostId{0}}));
 }
 
@@ -152,9 +152,26 @@ TEST(Host, HelloTablesPopulateUnderHelloSource) {
   w.scheduler().runUntil(sim::kTimeZero + 5 * kSecond);
   EXPECT_EQ(w.host(net::HostId{0}).neighborCount(), 1);
   EXPECT_EQ(w.host(net::HostId{1}).neighborCount(), 1);
-  const auto twoHop = w.host(net::HostId{0}).neighborsOf(net::HostId{1});
-  ASSERT_TRUE(twoHop.has_value());
+  const auto* twoHop = w.host(net::HostId{0}).neighborsOf(net::HostId{1});
+  ASSERT_NE(twoHop, nullptr);
   EXPECT_EQ(*twoHop, (std::vector<net::HostId>{net::HostId{0}}));
+}
+
+TEST(Host, HelloReceiversShareTheSendersList) {
+  // Hosts 1 and 2 both hear host 0 but not each other.
+  ScenarioConfig c = staticConfig({{0, 0}, {400, 0}, {-400, 0}},
+                                  SchemeSpec::neighborCoverage());
+  c.neighborSource = NeighborSource::kHello;
+  c.hello.enabled = true;
+  World w(c);
+  w.startAgents();
+  w.scheduler().runUntil(sim::kTimeZero + 5 * kSecond);
+  const auto* at1 = w.host(net::HostId{1}).neighborsOf(net::HostId{0});
+  const auto* at2 = w.host(net::HostId{2}).neighborsOf(net::HostId{0});
+  ASSERT_NE(at1, nullptr);
+  EXPECT_EQ(*at1, (std::vector<net::HostId>{net::HostId{1}, net::HostId{2}}));
+  // One HELLO, one list object, held by every receiver.
+  EXPECT_EQ(at1, at2);
 }
 
 TEST(Host, NeighborCoverageLeafDoesNotRelay) {

@@ -139,7 +139,9 @@ TEST_F(HelloTest, PiggybackCarriesNeighborList) {
   h.helloInterval = 30 * kSecond;
   a.table->onHello(HostId{42}, h, sim::kTimeZero);
   scheduler_.runUntil(T(5 * kSecond));
-  EXPECT_EQ(a.upper->lastHello.helloNeighbors, (std::vector<HostId>{HostId{42}}));
+  ASSERT_NE(a.upper->lastHello.helloNeighbors, nullptr);
+  EXPECT_EQ(*a.upper->lastHello.helloNeighbors,
+            (std::vector<HostId>{HostId{42}}));
 }
 
 TEST_F(HelloTest, PiggybackDisabledSendsEmptyList) {
@@ -152,7 +154,7 @@ TEST_F(HelloTest, PiggybackDisabledSendsEmptyList) {
   a.table->onHello(HostId{42}, h, sim::kTimeZero);
   a.agent->start();
   scheduler_.runUntil(T(5 * kSecond));
-  EXPECT_TRUE(a.upper->lastHello.helloNeighbors.empty());
+  EXPECT_EQ(a.upper->lastHello.helloNeighbors, nullptr);
 }
 
 TEST_F(HelloTest, StopHaltsBeaconing) {

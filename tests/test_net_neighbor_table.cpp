@@ -28,7 +28,8 @@ Packet hello(std::uint32_t sender, std::vector<HostId> neighbors = {},
   Packet p;
   p.type = PacketType::kHello;
   p.sender = HostId{sender};
-  p.helloNeighbors = std::move(neighbors);
+  p.helloNeighbors =
+      std::make_shared<const std::vector<HostId>>(std::move(neighbors));
   p.helloInterval = interval;
   return p;
 }
@@ -78,8 +79,8 @@ TEST(NeighborTable, FallbackIntervalWhenNotAnnounced) {
 TEST(NeighborTable, TwoHopSetsStored) {
   NeighborTable t;
   t.onHello(H(7), hello(7, ids({1, 2, 3})), T(0));
-  const auto n = t.neighborsOf(H(7), T(kSecond));
-  ASSERT_TRUE(n.has_value());
+  const auto* n = t.neighborsOf(H(7), T(kSecond));
+  ASSERT_NE(n, nullptr);
   EXPECT_EQ(*n, ids({1, 2, 3}));
 }
 
@@ -90,9 +91,44 @@ TEST(NeighborTable, TwoHopSetsUpdatedByNewerHello) {
   EXPECT_EQ(*t.neighborsOf(H(7), T(kSecond)), ids({3}));
 }
 
+TEST(NeighborTable, ListlessHelloGivesEmptyTwoHopSet) {
+  NeighborTable t;
+  Packet p = hello(7);
+  p.helloNeighbors = nullptr;
+  t.onHello(H(7), p, T(0));
+  const auto* n = t.neighborsOf(H(7), T(0));
+  ASSERT_NE(n, nullptr);
+  EXPECT_TRUE(n->empty());
+}
+
+TEST(NeighborTable, ReceiversShareTheHellosList) {
+  NeighborTable a;
+  NeighborTable b;
+  const Packet p = hello(7, ids({1, 2, 3}));
+  a.onHello(H(7), p, T(0));
+  b.onHello(H(7), p, T(0));
+  // Both tables hold the list the packet carries, not copies of it.
+  EXPECT_EQ(a.neighborsOf(H(7), T(0)), p.helloNeighbors.get());
+  EXPECT_EQ(b.neighborsOf(H(7), T(0)), p.helloNeighbors.get());
+}
+
+TEST(NeighborTable, LaterHelloLeavesHeldListsUnchanged) {
+  NeighborTable a;
+  NeighborTable b;
+  const Packet first = hello(7, ids({1, 2}));
+  a.onHello(H(7), first, T(0));
+  b.onHello(H(7), first, T(0));
+  // Only `a` hears the sender's next HELLO.
+  a.onHello(H(7), hello(7, ids({3})), T(kSecond));
+  EXPECT_EQ(*a.neighborsOf(H(7), T(kSecond)), ids({3}));
+  EXPECT_EQ(b.neighborsOf(H(7), T(kSecond)), first.helloNeighbors.get());
+  EXPECT_EQ(*b.neighborsOf(H(7), T(kSecond)), ids({1, 2}));
+  EXPECT_EQ(*first.helloNeighbors, ids({1, 2}));
+}
+
 TEST(NeighborTable, UnknownNeighborHasNoTwoHopSet) {
   NeighborTable t;
-  EXPECT_FALSE(t.neighborsOf(H(9), T(0)).has_value());
+  EXPECT_EQ(t.neighborsOf(H(9), T(0)), nullptr);
 }
 
 TEST(NeighborTable, NeighborIdsListsCurrentNeighbors) {

@@ -3,14 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "experiment/parallel.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/sweep.hpp"
+#include "experiment/world.hpp"
 #include "net/packet_pool.hpp"
+#include "obs/metrics.hpp"
+#include "obs/report.hpp"
 
 namespace manet::experiment {
 namespace {
@@ -206,6 +211,121 @@ TEST(ParallelSweep, PacketPoolingDoesNotChangeSweepBytes) {
   EXPECT_EQ(table[0][1], table[1][1]) << "pooling changed parallel output";
   EXPECT_EQ(table[0][0], table[0][1]) << "unpooled sweep thread-dependent";
   EXPECT_EQ(table[1][0], table[1][1]) << "pooled sweep thread-dependent";
+}
+
+// --- runCells: the one (cell, repetition) fan-out -----------------------
+
+class ForcedCollection {
+ public:
+  ForcedCollection() { obs::forceCollection(true); }
+  ~ForcedCollection() { obs::forceCollection(false); }
+};
+
+/// Everything deterministic a figure bench prints or reports about a cell,
+/// merged metric registry included (wall-clock fields excluded).
+std::string fingerprint(const RunResult& r) {
+  std::ostringstream out;
+  out.precision(17);
+  out << r.schemeName << ' ' << r.seed << ' ' << r.re() << ' ' << r.srb()
+      << ' ' << r.latency() << ' ' << r.hellosPerHostPerSecond << ' '
+      << r.summary.broadcasts << ' ' << r.summary.totalReceived << ' '
+      << r.summary.totalRebroadcast << ' ' << r.summary.totalReachable << ' '
+      << r.framesTransmitted << ' ' << r.framesDelivered << ' '
+      << r.framesCorrupted << ' ' << r.simulatedSeconds << '\n';
+  if (r.metrics != nullptr) {
+    out << obs::metricsJson(*r.metrics, /*includeTiming=*/false);
+  }
+  return out.str();
+}
+
+std::vector<ScenarioConfig> mixedCells() {
+  std::vector<ScenarioConfig> configs;
+  for (const SchemeSpec& scheme :
+       {SchemeSpec::flooding(), SchemeSpec::neighborCoverage()}) {
+    for (int units : {1, 3}) {
+      ScenarioConfig c = tinyBase();
+      c.mapUnits = units;
+      c.scheme = scheme;
+      if (scheme.needsTwoHopInfo()) {
+        c.neighborSource = NeighborSource::kHello;
+        c.hello.dynamic = true;
+      }
+      configs.push_back(c);
+    }
+  }
+  return configs;
+}
+
+TEST(RunCells, ByteIdenticalAcrossThreadCounts) {
+  ForcedCollection forced;
+  const auto configs = mixedCells();
+  for (const int reps : {1, 2}) {
+    const auto serial = runCells(configs, reps, /*threads=*/1);
+    const auto parallel = runCells(configs, reps, /*threads=*/4);
+    ASSERT_EQ(serial.size(), configs.size());
+    ASSERT_EQ(parallel.size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      ASSERT_NE(serial[i].metrics, nullptr);
+      EXPECT_EQ(fingerprint(serial[i]), fingerprint(parallel[i]))
+          << "cell " << i << ", " << reps << " rep(s)";
+    }
+  }
+}
+
+TEST(RunCells, MatchesPerCellAveragedRuns) {
+  ForcedCollection forced;
+  const auto configs = mixedCells();
+  const auto cells = runCells(configs, /*repetitions=*/2, /*threads=*/4);
+  ASSERT_EQ(cells.size(), configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    EXPECT_EQ(fingerprint(cells[i]),
+              fingerprint(runScenarioAveraged(configs[i], 2, /*threads=*/1)))
+        << "cell " << i;
+  }
+}
+
+TEST(RunCells, KeepsCellOrderWhenCostsAreUneven) {
+  // A dense storm cell costs orders of magnitude more than a 3-host one, so
+  // with four workers the cheap cells finish first; the output must still
+  // be in input order.
+  std::vector<ScenarioConfig> configs;
+  for (std::uint64_t i = 0; i < 9; ++i) {
+    ScenarioConfig c = tinyBase();
+    c.seed = 100 + i;
+    const bool heavy = i % 4 == 0;
+    c.numHosts = heavy ? 100 : 3;
+    c.numBroadcasts = heavy ? 10 : 1;
+    c.mapUnits = heavy ? 1 : 5;
+    configs.push_back(c);
+  }
+  const auto cells = runCells(configs, /*repetitions=*/1, /*threads=*/4);
+  ASSERT_EQ(cells.size(), configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    EXPECT_EQ(cells[i].seed, configs[i].seed);
+    EXPECT_EQ(fingerprint(cells[i]), fingerprint(runScenario(configs[i])))
+        << "cell " << i;
+  }
+}
+
+TEST(RunCells, PropagatesAJobException) {
+  struct OverrideGuard {
+    ~OverrideGuard() { setWorldRunOverride(nullptr); }
+  } guard;
+  setWorldRunOverride([](const ScenarioConfig& c) -> std::unique_ptr<World> {
+    if (c.seed == 102) throw std::runtime_error("cell failed");
+    auto world = std::make_unique<World>(c);
+    world->run();
+    return world;
+  });
+  std::vector<ScenarioConfig> configs(4, tinyBase());
+  for (std::size_t i = 0; i < configs.size(); ++i) configs[i].seed = 100 + i;
+  // Seed 102 is the first repetition of cell 2 and the second of cell 1.
+  for (const int threads : {1, 4}) {
+    EXPECT_THROW(runCells(configs, /*repetitions=*/1, threads),
+                 std::runtime_error);
+    EXPECT_THROW(runCells({configs[1]}, /*repetitions=*/2, threads),
+                 std::runtime_error);
+  }
 }
 
 TEST(PooledCounts, SingleRunSummaryCountsAreConsistent) {
