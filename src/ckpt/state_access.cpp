@@ -336,17 +336,6 @@ MetricsImage StateAccess::metrics(const stats::MetricsCollector& collector,
       image.counters.push_back(
           registry->counter(static_cast<obs::Counter>(i)));
     }
-    // The engine.shard.* family counts window-loop phasing, an execution
-    // mode rather than simulation state (DESIGN.md §15): a straight run, a
-    // split run, and runs at different MANET_SHARDS values legitimately
-    // disagree on it while agreeing on everything else. Captured as zero so
-    // checkpoint images — and the resume replay verification — stay
-    // byte-identical across execution modes.
-    for (obs::Counter shard :
-         {obs::Counter::kShardWindows, obs::Counter::kShardBarrierEvents,
-          obs::Counter::kShardCrossMsgs}) {
-      image.counters[static_cast<std::size_t>(shard)] = 0;
-    }
     const auto gauges = static_cast<std::size_t>(obs::Gauge::kCount);
     image.gauges.reserve(gauges);
     for (std::size_t i = 0; i < gauges; ++i) {

@@ -79,16 +79,6 @@ struct ScenarioConfig {
   /// differential tests and perf comparisons (also: MANET_CHANNEL_GRID=0).
   bool channelGrid = true;
 
-  /// Intra-run sharded execution (DESIGN.md §15): number of spatial region
-  /// shards for the conservative-lookahead window loop and the shard worker
-  /// pool. 0 = auto (MANET_SHARDS environment override, default 1); 1 runs
-  /// serial. Like MANET_THREADS this is an execution mode, not simulation
-  /// semantics: every value produces byte-identical tables, traces, metrics
-  /// registries (modulo the engine.shard.* counter family) and checkpoints,
-  /// and the knob is not serialized into checkpoint images. Requests wider
-  /// than the map supports (strip width >= radio radius) are clamped.
-  int shards = 0;
-
   /// Fault injection (DESIGN.md §8): link loss models and host churn. Off by
   /// default; a disabled config is bit-identical to the fault-free
   /// simulator. The world additionally applies MANET_FAULT_* environment

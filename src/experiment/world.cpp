@@ -56,26 +56,6 @@ World::World(const ScenarioConfig& config)
   downAccum_.assign(static_cast<std::size_t>(config_.numHosts),
                     sim::Duration{});
 
-  // Sharded execution (DESIGN.md §15). Like MANET_THREADS this is an
-  // execution mode: resolved here (config wins, then the environment) and
-  // never serialized, so a checkpoint resumes under whatever shard count
-  // the resuming process asks for. The dedicated 0x5A4D fork keeps the
-  // per-shard streams clear of every existing stream.
-  const int shardRequest =
-      config_.shards > 0 ? config_.shards : util::envInt("MANET_SHARDS", 1);
-  MANET_EXPECTS(shardRequest >= 1);
-  if (shardRequest > 1) {
-    const sim::shard::Topology topology(shardRequest, config_.mapMeters(),
-                                        config_.phy.radiusMeters);
-    if (topology.shardCount() > 1) {
-      shards_ = std::make_unique<sim::shard::Coordinator>(
-          topology, config_.phy.minInteractionDelay(),
-          sim::Rng(config_.seed).fork(0x5A4D));
-      channel_.setShardObserver(shards_.get());
-      channel_.setRangeExecutor(shards_.get());
-    }
-  }
-
   const mobility::MapSpec map =
       mobility::MapSpec::square(config_.mapUnits, config_.unitMeters);
   sim::Rng master(config_.seed);
@@ -156,12 +136,9 @@ int World::reachableFrom(net::HostId source) const {
     alive[i] = hosts_[i]->up();
     anyDown |= !alive[i];
   }
-  // In sharded mode the BFS levels fan out across the shard lanes; the
-  // count is identical either way (stats::parallelReachable).
   return stats::reachableCount(channel_.snapshotPositions(),
                                anyDown ? &alive : nullptr,
-                               config_.phy.radiusMeters, source.value(),
-                               shards_.get());
+                               config_.phy.radiusMeters, source.value());
 }
 
 void World::setHostUp(net::HostId id, bool up) {
@@ -274,39 +251,10 @@ void World::beginRun() {
 }
 
 void World::continueUntil(sim::TimePoint until) {
-  if (shards_ == nullptr) {
-    scheduler_.runUntil(until);
-    return;
-  }
-  windowedRunUntil(until);
+  scheduler_.runUntil(until);
 }
 
-void World::runToEnd() {
-  if (shards_ == nullptr) {
-    scheduler_.runUntil(horizon_);
-    return;
-  }
-  windowedRunUntil(horizon_);
-}
-
-void World::windowedRunUntil(sim::TimePoint until) {
-  // runUntil(w); runUntil(until) is byte-identical to runUntil(until)
-  // (scheduler contract: events at exactly the boundary fire in the first
-  // call, the clock parks at the boundary), so slicing the clock into
-  // lookahead windows commits the exact serial event order; the barriers
-  // only exchange cross-shard notices and account them. A continueUntil
-  // boundary is therefore always a valid window boundary — checkpoints
-  // anchor anywhere — though a split run phases its windows differently
-  // than a straight one, which is why engine.shard.* counters are
-  // drift-warn-only in compare_bench.py.
-  sim::TimePoint cursor = scheduler_.now();
-  while (cursor < until) {
-    const sim::TimePoint windowEnd = shards_->beginWindow(cursor, until);
-    scheduler_.runUntil(windowEnd);
-    shards_->endWindow();
-    cursor = windowEnd;
-  }
-}
+void World::runToEnd() { scheduler_.runUntil(horizon_); }
 
 void World::run() {
   beginRun();

@@ -15,7 +15,6 @@
 #include "phy/channel.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/shard/coordinator.hpp"
 #include "stats/metrics.hpp"
 #include "trace/event.hpp"
 #include "traffic/config.hpp"
@@ -135,23 +134,11 @@ class World {
   /// current pool for the world's lifetime, unless pooling is disabled.
   net::PacketPool& packetPool() { return packetPool_; }
 
-  /// The shard coordinator when this world runs sharded (DESIGN.md §15),
-  /// nullptr in serial mode (config.shards/MANET_SHARDS resolved to 1, or
-  /// the map is too narrow for more than one strip).
-  const sim::shard::Coordinator* shardCoordinator() const {
-    return shards_.get();
-  }
-
  private:
   friend struct manet::ckpt::StateAccess;
 
   void scheduleWorkload();
   void scheduleChurn();
-  /// Window loop of the sharded clock (DESIGN.md §15): advances to `until`
-  /// in lookahead-bounded slices with a mailbox barrier between them.
-  /// Byte-identical to scheduler_.runUntil(until) by the runUntil
-  /// composition contract.
-  void windowedRunUntil(sim::TimePoint until);
   std::vector<std::unique_ptr<mobility::MobilityModel>> buildMobility(
       const mobility::MapSpec& map, sim::Rng& master);
 
@@ -187,10 +174,6 @@ class World {
       net::PacketPool::enabled() ? &packetPool_ : nullptr};
   sim::Scheduler scheduler_;
   phy::Channel channel_;
-  /// Sharded-execution coordinator; non-null only when the resolved shard
-  /// count exceeds 1. Declared after channel_ (which holds a raw observer
-  /// pointer but never dereferences it during teardown).
-  std::unique_ptr<sim::shard::Coordinator> shards_;
   stats::MetricsCollector metrics_;
   std::unique_ptr<core::RebroadcastPolicy> policy_;
   /// Policies displaced by overrideScheme(); kept alive because deciders of

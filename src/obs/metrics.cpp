@@ -52,9 +52,6 @@ const char* name(Counter counter) {
       return "engine.alloc.phy.frame.fresh";
     case Counter::kEngineAllocPhyFrameReused:
       return "engine.alloc.phy.frame.reused";
-    case Counter::kShardWindows: return "engine.shard.windows";
-    case Counter::kShardBarrierEvents: return "engine.shard.barrier_events";
-    case Counter::kShardCrossMsgs: return "engine.shard.cross_msgs";
     case Counter::kTrafficOffered: return "traffic.offered";
     case Counter::kTrafficInjected: return "traffic.injected";
     case Counter::kTrafficBlockedHostDown: return "traffic.blocked.host_down";

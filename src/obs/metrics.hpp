@@ -68,15 +68,6 @@ enum class Counter : std::size_t {
   kEngineAllocPacketReused,    // engine.alloc.packet.reused
   kEngineAllocPhyFrameFresh,   // engine.alloc.phy.frame.fresh
   kEngineAllocPhyFrameReused,  // engine.alloc.phy.frame.reused
-  // Sharded-execution accounting (DESIGN.md §15): cadence of the
-  // conservative-lookahead window loop. windows = barriers run;
-  // barrier_events = (transmission, destination shard) mailbox messages
-  // exchanged at barriers; cross_msgs = cross-shard receiver copies those
-  // messages covered. All zero in serial runs (MANET_SHARDS <= 1), which is
-  // why compare_bench.py treats the family as drift-warn-only.
-  kShardWindows,               // engine.shard.windows
-  kShardBarrierEvents,         // engine.shard.barrier_events
-  kShardCrossMsgs,             // engine.shard.cross_msgs
   // Traffic workload accounting (DESIGN.md §12): offered vs completed load.
   // offered = requests the generator scheduled; injected = requests whose
   // source was alive at fire time; blocked = requests lost to a crashed

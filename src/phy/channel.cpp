@@ -7,7 +7,6 @@
 
 #include "obs/metrics.hpp"
 #include "sim/inline_fn.hpp"
-#include "sim/shard/coordinator.hpp"
 #include "util/assert.hpp"
 
 namespace manet::phy {
@@ -18,11 +17,6 @@ namespace {
 /// a few tens of radii across; the cap only guards degenerate geometries
 /// (e.g. one node flung far away) from allocating a huge cell table.
 constexpr int kMaxCellsPerAxis = 256;
-
-/// Below this population the grid rebuild's position pass runs serially even
-/// when a range executor is installed: the fork/join round trip costs more
-/// than evaluating a few hundred position callbacks.
-constexpr std::size_t kParallelRebuildMinNodes = 256;
 
 }  // namespace
 
@@ -110,76 +104,20 @@ void Channel::ensureGrid() const {
   geom::Vec2 lo{0.0, 0.0};
   geom::Vec2 hi{0.0, 0.0};
   bool first = true;
-  if (rangeExecutor_ != nullptr && rangeExecutor_->lanes() > 1 &&
-      n >= kParallelRebuildMinNodes) {
-    // Sharded execution (DESIGN.md §15): the position pass is the dominant
-    // dense-scenario cost, and it parallelizes without touching the
-    // determinism contract — lanes write disjoint grid_.positions slots,
-    // each mobility model is only ever advanced by the lane owning its id
-    // range (the partition is a pure function of the fixed node count), and
-    // min/max are exact lattice folds on coordinates that are never NaN or
-    // -0.0, so the merged bounding box is bit-equal to the serial fold.
-    struct LaneBox {
-      geom::Vec2 lo{};
-      geom::Vec2 hi{};
-      bool any = false;
-    };
-    std::vector<LaneBox> boxes(
-        static_cast<std::size_t>(rangeExecutor_->lanes()));
-    rangeExecutor_->run(n, [&](int lane, std::size_t begin, std::size_t end) {
-      LaneBox box;
-      for (std::size_t id = begin; id < end; ++id) {
-        if (!nodes_[id].attached || !nodes_[id].up) continue;
-        const geom::Vec2 p = nodes_[id].position();
-        grid_.positions[id] = p;
-        if (!box.any) {
-          box.lo = box.hi = p;
-          box.any = true;
-        } else {
-          box.lo.x = std::min(box.lo.x, p.x);
-          box.lo.y = std::min(box.lo.y, p.y);
-          box.hi.x = std::max(box.hi.x, p.x);
-          box.hi.y = std::max(box.hi.y, p.y);
-        }
-      }
-      boxes[static_cast<std::size_t>(lane)] = box;
-    });
-    for (const LaneBox& box : boxes) {
-      if (!box.any) continue;
-      if (first) {
-        lo = box.lo;
-        hi = box.hi;
-        first = false;
-      } else {
-        lo.x = std::min(lo.x, box.lo.x);
-        lo.y = std::min(lo.y, box.lo.y);
-        hi.x = std::max(hi.x, box.hi.x);
-        hi.y = std::max(hi.y, box.hi.y);
-      }
-    }
-    // Rank/sorted-id tables must be ascending over the whole population, so
-    // this stays a (cheap, callback-free) serial pass.
-    for (std::size_t id = 0; id < n; ++id) {
-      if (!nodes_[id].attached || !nodes_[id].up) continue;
-      grid_.rankOf[id] = static_cast<int>(grid_.sortedIds.size());
-      grid_.sortedIds.push_back(net::HostId{static_cast<std::uint32_t>(id)});
-    }
-  } else {
-    for (std::size_t id = 0; id < n; ++id) {
-      if (!nodes_[id].attached || !nodes_[id].up) continue;
-      const geom::Vec2 p = nodes_[id].position();
-      grid_.positions[id] = p;
-      grid_.rankOf[id] = static_cast<int>(grid_.sortedIds.size());
-      grid_.sortedIds.push_back(net::HostId{static_cast<std::uint32_t>(id)});
-      if (first) {
-        lo = hi = p;
-        first = false;
-      } else {
-        lo.x = std::min(lo.x, p.x);
-        lo.y = std::min(lo.y, p.y);
-        hi.x = std::max(hi.x, p.x);
-        hi.y = std::max(hi.y, p.y);
-      }
+  for (std::size_t id = 0; id < n; ++id) {
+    if (!nodes_[id].attached || !nodes_[id].up) continue;
+    const geom::Vec2 p = nodes_[id].position();
+    grid_.positions[id] = p;
+    grid_.rankOf[id] = static_cast<int>(grid_.sortedIds.size());
+    grid_.sortedIds.push_back(net::HostId{static_cast<std::uint32_t>(id)});
+    if (first) {
+      lo = hi = p;
+      first = false;
+    } else {
+      lo.x = std::min(lo.x, p.x);
+      lo.y = std::min(lo.y, p.y);
+      hi.x = std::max(hi.x, p.x);
+      hi.y = std::max(hi.y, p.y);
     }
   }
 
@@ -500,9 +438,6 @@ sim::TimePoint Channel::transmit(net::HostId src, net::PacketPtr packet,
   std::vector<net::HostId> receivers = std::move(scratch_);
   receivers.clear();
   collectInRange(frame.srcPos, src, receivers);
-  if (shardObserver_ != nullptr && !receivers.empty()) {
-    classifyCrossShard(frame.srcPos, end, receivers);
-  }
   const bool instantSense = params_.carrierSenseDelay <= sim::Duration{};
   for (const net::HostId id : receivers) {
     Node& rx = nodes_[id.value()];
@@ -588,45 +523,6 @@ void Channel::endFrame(std::uint32_t slot) {
   air.rx.clear();
   freeAirFrames_.push_back(slot);
   finishTransmission(src, txEpoch);
-}
-
-void Channel::classifyCrossShard(
-    geom::Vec2 srcPos, sim::TimePoint deliveryAt,
-    const std::vector<net::HostId>& receivers) const {
-  // Region classification (DESIGN.md §15): strips are at least one radio
-  // radius wide, so a frame's receivers live in the transmitter's strip or
-  // the two adjacent ones — bucket copies left/right and post one mailbox
-  // notice per neighboring shard that gets any. Positions come from the
-  // grid's epoch cache when it is current (collectInRange just built it);
-  // the fallback callback is idempotent at a fixed timestamp, so consulting
-  // it again never perturbs mobility state.
-  const sim::shard::Topology& topo = shardObserver_->topology();
-  const sim::shard::ShardId home = topo.shardOf(srcPos.x);
-  const bool cached = gridEnabled_ && grid_.valid &&
-                      grid_.builtAt == scheduler_.now() &&
-                      grid_.attachVersion == attachVersion_;
-  std::uint32_t left = 0;
-  std::uint32_t right = 0;
-  for (const net::HostId id : receivers) {
-    const double x = cached ? grid_.positions[id.value()].x
-                            : nodes_[id.value()].position().x;
-    const sim::shard::ShardId dst = topo.shardOf(x);
-    if (dst == home) continue;
-    MANET_ASSERT(topo.adjacent(home, dst));
-    if (dst < home) {
-      ++left;
-    } else {
-      ++right;
-    }
-  }
-  if (left > 0) {
-    shardObserver_->postCross(deliveryAt, home,
-                              sim::shard::ShardId{home.value() - 1}, left);
-  }
-  if (right > 0) {
-    shardObserver_->postCross(deliveryAt, home,
-                              sim::shard::ShardId{home.value() + 1}, right);
-  }
 }
 
 void Channel::finishReception(std::uint32_t slot, std::uint32_t index) {

@@ -46,7 +46,6 @@
 #include "phy/drop.hpp"
 #include "phy/params.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/shard/range_executor.hpp"
 
 #if MANET_AUDIT_ENABLED
 #include "audit/invariants.hpp"
@@ -54,10 +53,6 @@
 
 namespace manet::ckpt {
 struct StateAccess;
-}
-
-namespace manet::sim::shard {
-class Coordinator;
 }
 
 namespace manet::phy {
@@ -182,23 +177,6 @@ class Channel {
   /// yields identical simulations (same candidates, same order).
   void setGridEnabled(bool enabled) { gridEnabled_ = enabled; }
   bool gridEnabled() const { return gridEnabled_; }
-
-  /// Sharded execution (DESIGN.md §15): installs the shard coordinator so
-  /// transmit() classifies each frame's receivers as intra- vs cross-shard
-  /// and posts cross-shard notices to the barrier mailbox. Observational
-  /// only — delivery semantics are unchanged. nullptr detaches.
-  void setShardObserver(sim::shard::Coordinator* coordinator) {
-    shardObserver_ = coordinator;
-  }
-
-  /// Installs a deterministic range executor for the grid rebuild's
-  /// position-evaluation pass (the dominant dense-scenario cost). The
-  /// rebuilt grid is byte-identical with or without an executor: lanes
-  /// write disjoint per-id slots and the bounding-box folds are exact
-  /// (see ensureGrid). nullptr restores the serial pass.
-  void setRangeExecutor(const sim::shard::RangeExecutor* executor) {
-    rangeExecutor_ = executor;
-  }
 
  private:
   friend struct manet::ckpt::StateAccess;
@@ -333,19 +311,11 @@ class Channel {
   /// the exhaustive scan otherwise.
   void collectInRange(geom::Vec2 center, net::HostId exclude,
                       std::vector<net::HostId>& out) const;
-  /// Buckets `receivers` by shard relative to the transmitter's strip and
-  /// posts one mailbox notice per neighboring shard that receives copies
-  /// (DESIGN.md §15). Called from transmit() when a shard observer is set.
-  void classifyCrossShard(geom::Vec2 srcPos, sim::TimePoint deliveryAt,
-                          const std::vector<net::HostId>& receivers) const;
-
   sim::Scheduler& scheduler_;
   PhyParams params_;
   std::vector<Node> nodes_;
   bool collisionsEnabled_ = true;
   bool gridEnabled_ = true;
-  sim::shard::Coordinator* shardObserver_ = nullptr;
-  const sim::shard::RangeExecutor* rangeExecutor_ = nullptr;
   LossFn lossFn_;
   std::uint64_t attachVersion_ = 0;
   mutable Grid grid_;

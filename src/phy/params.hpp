@@ -22,15 +22,6 @@ struct PhyParams {
   /// as RF delays"). Must be far below the shortest frame airtime.
   sim::Duration carrierSenseDelay{5};  // us (within one 20 us slot)
 
-  /// Conservative cross-region lookahead (DESIGN.md §15): minimum
-  /// propagation delay (zero — the unit-disk channel is instantaneous)
-  /// plus the shortest possible TX time, frameAirtime(0) (PLCP preamble +
-  /// header alone). A transmission committed at t cannot complete at any
-  /// receiver — in its own region or a neighboring one — before
-  /// t + minInteractionDelay(), so region clocks may advance this far
-  /// apart before exchanging deliveries at a window barrier.
-  sim::Duration minInteractionDelay() const { return frameAirtime(0); }
-
   /// On-air duration of a frame with `payloadBytes` of MAC payload.
   sim::Duration frameAirtime(std::size_t payloadBytes) const {
     MANET_EXPECTS(bitRateBps > 0.0);

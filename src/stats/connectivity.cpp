@@ -1,19 +1,12 @@
 #include "stats/connectivity.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdint>
-#include <memory>
 #include <queue>
 
 #include "util/assert.hpp"
 
 namespace manet::stats {
 namespace {
-
-/// Below this population the parallel BFS falls back to the serial walk:
-/// one level barely fills a lane.
-constexpr std::size_t kParallelBfsMinNodes = 256;
 
 std::vector<std::size_t> bfs(const std::vector<geom::Vec2>& positions,
                              const std::vector<bool>* alive, double radius,
@@ -49,62 +42,6 @@ std::vector<std::size_t> bfs(const std::vector<geom::Vec2>& positions,
   return bfs(positions, nullptr, radius, source);
 }
 
-/// Level-synchronous parallel BFS (DESIGN.md §15). Each level expands the
-/// whole frontier across the executor's lanes; a node is claimed exactly
-/// once via an atomic exchange. The *set* claimed per level is the set of
-/// unvisited nodes within radius of any frontier node — independent of
-/// which lane wins a claim race — so the reachable count equals the serial
-/// BFS count for every lane count.
-int parallelReachable(const std::vector<geom::Vec2>& positions,
-                      const std::vector<bool>* alive, double radius,
-                      std::size_t source,
-                      const sim::shard::RangeExecutor& executor) {
-  MANET_EXPECTS(source < positions.size());
-  MANET_EXPECTS(radius > 0.0);
-  MANET_EXPECTS(!alive ||
-                (alive->size() == positions.size() && (*alive)[source]));
-  const std::size_t n = positions.size();
-  const double r2 = radius * radius;
-  // 0 = unvisited, 1 = claimed, 2 = dead (never claimable).
-  std::unique_ptr<std::atomic<std::uint8_t>[]> state(
-      new std::atomic<std::uint8_t>[n]);
-  for (std::size_t i = 0; i < n; ++i) {
-    state[i].store(alive != nullptr && !(*alive)[i] ? 2 : 0,
-                   std::memory_order_relaxed);
-  }
-  state[source].store(1, std::memory_order_relaxed);
-
-  const int lanes = executor.lanes();
-  std::vector<std::vector<std::uint32_t>> claimed(
-      static_cast<std::size_t>(lanes));
-  std::vector<std::uint32_t> frontier{static_cast<std::uint32_t>(source)};
-  int reached = 0;
-  while (!frontier.empty()) {
-    executor.run(frontier.size(),
-                 [&](int lane, std::size_t begin, std::size_t end) {
-      std::vector<std::uint32_t>& out =
-          claimed[static_cast<std::size_t>(lane)];
-      for (std::size_t i = begin; i < end; ++i) {
-        const geom::Vec2 u = positions[frontier[i]];
-        for (std::uint32_t v = 0; v < n; ++v) {
-          if (state[v].load(std::memory_order_relaxed) != 0) continue;
-          if (geom::distanceSquared(u, positions[v]) > r2) continue;
-          if (state[v].exchange(1, std::memory_order_relaxed) == 0) {
-            out.push_back(v);
-          }
-        }
-      }
-    });
-    frontier.clear();
-    for (std::vector<std::uint32_t>& out : claimed) {
-      reached += static_cast<int>(out.size());
-      frontier.insert(frontier.end(), out.begin(), out.end());
-      out.clear();
-    }
-  }
-  return reached;
-}
-
 }  // namespace
 
 int reachableCount(const std::vector<geom::Vec2>& positions, double radius,
@@ -113,20 +50,9 @@ int reachableCount(const std::vector<geom::Vec2>& positions, double radius,
 }
 
 int reachableCount(const std::vector<geom::Vec2>& positions,
-                   const std::vector<bool>& alive, double radius,
-                   std::size_t source) {
-  return static_cast<int>(bfs(positions, &alive, radius, source).size());
-}
-
-int reachableCount(const std::vector<geom::Vec2>& positions,
                    const std::vector<bool>* alive, double radius,
-                   std::size_t source,
-                   const sim::shard::RangeExecutor* executor) {
-  if (executor == nullptr || executor->lanes() <= 1 ||
-      positions.size() < kParallelBfsMinNodes) {
-    return static_cast<int>(bfs(positions, alive, radius, source).size());
-  }
-  return parallelReachable(positions, alive, radius, source, *executor);
+                   std::size_t source) {
+  return static_cast<int>(bfs(positions, alive, radius, source).size());
 }
 
 std::vector<std::size_t> reachableSet(const std::vector<geom::Vec2>& positions,

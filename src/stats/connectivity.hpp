@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "geom/vec2.hpp"
-#include "sim/shard/range_executor.hpp"
 
 namespace manet::stats {
 
@@ -17,23 +16,13 @@ namespace manet::stats {
 int reachableCount(const std::vector<geom::Vec2>& positions, double radius,
                    std::size_t source);
 
-/// As above, but hosts whose `alive` flag is false neither relay nor count
-/// toward the result (host churn: crashed hosts are unreachable and cannot
-/// bridge partitions). `alive` must match `positions` in size and
-/// `alive[source]` must be true.
-int reachableCount(const std::vector<geom::Vec2>& positions,
-                   const std::vector<bool>& alive, double radius,
-                   std::size_t source);
-
-/// As above, optionally fanning the per-level frontier expansion across
-/// `executor`'s lanes (level-synchronous BFS with atomic claims). The set
-/// of nodes discovered per level — and therefore the count — is identical
-/// to the serial BFS for any lane count; pass nullptr (or a small
-/// population) to fall back to the serial walk. `alive` may be nullptr.
+/// As above, but when `alive` is non-null, hosts whose flag is false
+/// neither relay nor count toward the result (host churn: crashed hosts are
+/// unreachable and cannot bridge partitions). `alive` must match
+/// `positions` in size and `(*alive)[source]` must be true.
 int reachableCount(const std::vector<geom::Vec2>& positions,
                    const std::vector<bool>* alive, double radius,
-                   std::size_t source,
-                   const sim::shard::RangeExecutor* executor);
+                   std::size_t source);
 
 /// Ids of the hosts reachable from `source` (excluding it), ascending.
 std::vector<std::size_t> reachableSet(const std::vector<geom::Vec2>& positions,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <memory>
@@ -121,6 +122,44 @@ TEST(Scheduler, RunUntilAdvancesClockWhenQueueDrains) {
   Scheduler s;
   s.runUntil(TimePoint{500});
   EXPECT_EQ(s.now(), TimePoint{500});
+}
+
+/// runUntil composes: slicing a run at a fixed stride — with events exactly
+/// on each slice boundary and on the horizon — replays the exact event log
+/// and final clock of one straight runUntil. World::continueUntil and
+/// checkpoint resume rely on this.
+TEST(Scheduler, SlicedRunUntilMatchesAStraightRun) {
+  const Duration stride{192};
+  const TimePoint horizon = kTimeZero + Duration{1000};
+  const std::vector<Duration> offsets = {
+      Duration{0},   Duration{191}, Duration{192},  // exactly on boundary 1
+      Duration{193}, Duration{384},                 // exactly on boundary 2
+      Duration{575}, Duration{1000},                // exactly on the horizon
+  };
+
+  auto record = [&](Scheduler& s, std::vector<TimePoint>& log) {
+    for (const Duration& offset : offsets) {
+      s.schedule(kTimeZero + offset, [&log, &s] { log.push_back(s.now()); });
+    }
+  };
+
+  Scheduler straight;
+  std::vector<TimePoint> straightLog;
+  record(straight, straightLog);
+  straight.runUntil(horizon);
+
+  Scheduler sliced;
+  std::vector<TimePoint> slicedLog;
+  record(sliced, slicedLog);
+  int slices = 0;
+  for (TimePoint cursor = kTimeZero; cursor < horizon; ++slices) {
+    cursor = std::min(cursor + stride, horizon);
+    sliced.runUntil(cursor);
+  }
+
+  EXPECT_EQ(slicedLog, straightLog);
+  EXPECT_EQ(sliced.now(), straight.now());
+  EXPECT_EQ(slices, 6);  // ceil(1000 / 192)
 }
 
 TEST(Scheduler, EventsMayScheduleMoreEvents) {

@@ -18,7 +18,7 @@ import struct
 import sys
 
 MAGIC = b"MCKPT1\n"
-FORMAT_VERSION = 1  # src/ckpt/io.hpp kFormatVersion
+FORMAT_VERSION = 2  # src/ckpt/io.hpp kFormatVersion
 
 FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211

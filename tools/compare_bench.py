@@ -176,16 +176,9 @@ def compare_metrics(base_row: dict, cand_row: dict, label: str,
 #   traffic.*      — workload accounting (DESIGN.md §12): offered/injected/
 #       completed requests and delivered copies. Drift means the generator's
 #       draw sequence or the delivery accounting changed.
-#   engine.shard.* — sharded-execution cadence (DESIGN.md §15): windows
-#       closed, barrier messages, cross-shard copies. Deterministic for a
-#       fixed scenario AND execution mode, but a checkpoint/resume run
-#       phases its windows differently than a straight run (the resume leg
-#       restarts the window loop at the checkpoint anchor), so the family
-#       is warn-only here and excluded from --require-identical entirely.
 TRACKED_COUNTER_FAMILIES = (
     ("engine.alloc.", "allocation discipline changed"),
     ("traffic.", "workload generation or delivery accounting changed"),
-    ("engine.shard.", "shard window cadence changed"),
 )
 
 
@@ -242,16 +235,13 @@ def aggregate_throughput(rows: dict[str, dict]) -> float:
 # --require-identical exclusions: the only report content allowed to differ
 # between a straight run and a checkpoint/resume run of the same scenario on
 # the same machine. Wall-clock fields measure the host, not the simulation;
-# the engine.shard.* counters measure the window loop's phasing, which a
-# resume leg legitimately restarts at the checkpoint anchor (DESIGN.md §15)
-# — every other counter must still match bit for bit.
+# every counter must match bit for bit.
 WALL_ROW_KEYS = ("wallSeconds", "framesPerWallSecond")
 WALL_METRIC_KEYS = ("profile",)
-PHASING_COUNTER_PREFIXES = ("engine.shard.",)
 
 
 def strip_wall_clock(doc: dict) -> dict:
-    """Deep-copies `doc` minus wall-clock/phasing fields and the env echo."""
+    """Deep-copies `doc` minus wall-clock fields and the env echo."""
     out = json.loads(json.dumps(doc))
     env = out.get("environment")
     if isinstance(env, dict):
@@ -269,11 +259,6 @@ def strip_wall_clock(doc: dict) -> dict:
             if isinstance(metrics, dict):
                 for key in WALL_METRIC_KEYS:
                     metrics.pop(key, None)
-                counters = metrics.get("counters")
-                if isinstance(counters, dict):
-                    for name in [n for n in counters
-                                 if n.startswith(PHASING_COUNTER_PREFIXES)]:
-                        counters.pop(name)
     return out
 
 

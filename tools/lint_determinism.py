@@ -84,12 +84,10 @@ WALLCLOCK_ALLOWED = (
     "src/experiment/parallel",
     "src/obs/profile",
 )
-# Files allowed thread-identity logic (H4): the parallel sweep partitioner
-# and the shard coordinator's worker pool (DESIGN.md §15). Both follow the
-# same discipline — lanes are explicit function arguments and results must
-# not depend on which OS thread ran a chunk — but they are the two homes
-# where pool plumbing may legitimately need identity-adjacent calls.
-THREAD_ALLOWED = ("src/experiment/parallel", "src/sim/shard/")
+# Files allowed thread-identity logic (H4): the parallel sweep partitioner,
+# the one home where pool plumbing may legitimately need identity-adjacent
+# calls. Results must not depend on which OS thread ran a chunk.
+THREAD_ALLOWED = ("src/experiment/parallel",)
 # Homes allowed to iterate unordered containers (H2): checkpoint capture
 # (DESIGN.md §14) reads every container once, collect-then-sort by a stable
 # key, so serialized images never depend on hash iteration order. The
@@ -262,6 +260,10 @@ SELF_TEST_CASES: tuple[tuple[str, str, tuple[str, ...]], ...] = (
     ("src/net/h4_thread_id.cpp",
      "auto id = std::this_thread::get_id();\n",
      ("H4 thread-identity",)),
+    # The event engine is single-threaded: no thread-identity exemption.
+    ("src/sim/scheduler.cpp",
+     "auto id = std::this_thread::get_id();\n",
+     ("H4 thread-identity",)),
     ("src/net/h5_ptr_key.cpp", "std::map<Node*, int> byAddress;\n",
      ("H5 pointer-keyed map/set",)),
     ("src/net/h6_distribution.cpp",
@@ -277,8 +279,6 @@ SELF_TEST_CASES: tuple[tuple[str, str, tuple[str, ...]], ...] = (
     ("src/sim/random.cpp",
      "std::mt19937 engine(seed);\nint x = rand();\n", ()),
     ("src/experiment/parallel.cpp",
-     "auto id = std::this_thread::get_id();\n", ()),
-    ("src/sim/shard/coordinator.cpp",
      "auto id = std::this_thread::get_id();\n", ()),
     ("src/ckpt/capture.cpp",
      "std::unordered_map<int, int> table;\n"

@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Tests the `compare_bench.py --require-identical` gate (DESIGN.md §14.3).
+
+Writes pairs of synthetic bench reports to a temporary directory and runs
+the gate on each: reports that differ only in wall-clock fields
+(`wallSeconds`, `framesPerWallSecond`, the metrics `profile` section) must
+pass, and a single counter differing by 1 must fail.
+
+Usage: test_compare_bench.py
+Exit status: 0 every case behaved, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+COMPARE = Path(__file__).resolve().with_name("compare_bench.py")
+
+
+def report() -> dict:
+    row = {
+        "label": "1x1/flooding",
+        "scheme": "flooding",
+        "seed": 42,
+        "re": 0.97,
+        "srb": 0.01,
+        "latencySeconds": 0.05,
+        "hellosPerHostPerSecond": 0,
+        "broadcasts": 5,
+        "offeredBroadcasts": 5,
+        "framesTransmitted": 480,
+        "framesDelivered": 9000,
+        "framesCorrupted": 36000,
+        "simulatedSeconds": 20.5,
+        "wallSeconds": 0.25,
+        "framesPerWallSecond": 1920.0,
+        "metrics": {
+            "counters": {
+                "sim.scheduler.executed": 27000,
+                "engine.alloc.event.slabs": 1,
+                "traffic.completed": 5,
+            },
+            "gauges": {"sim.scheduler.queue_depth_hw": 120},
+            "histograms": {},
+            "profile": {"scenario.run": {"calls": 1, "totalSeconds": 0.24}},
+        },
+    }
+    return {
+        "schema": "manet.bench-report",
+        "schemaVersion": 1,
+        "bench": "synthetic",
+        "environment": {"gitSha": "0", "env": {"REPRO_BROADCASTS": "5"}},
+        "results": [row],
+    }
+
+
+def wall_clock_only(doc: dict) -> None:
+    row = doc["results"][0]
+    row["wallSeconds"] = 0.5
+    row["framesPerWallSecond"] = 960.0
+    row["metrics"]["profile"]["scenario.run"]["totalSeconds"] = 0.49
+
+
+def one_counter(doc: dict) -> None:
+    doc["results"][0]["metrics"]["counters"]["sim.scheduler.executed"] += 1
+
+
+# (name, edit applied to the candidate, expected exit status)
+CASES = (
+    ("wall-clock fields only pass", wall_clock_only, 0),
+    ("one counter off by 1 fails", one_counter, 1),
+)
+
+
+def main() -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="compare_bench_test_") as tmp:
+        base = Path(tmp) / "base.json"
+        base.write_text(json.dumps(report()), encoding="utf-8")
+        for name, edit, expected in CASES:
+            cand_doc = report()
+            edit(cand_doc)
+            cand = Path(tmp) / "cand.json"
+            cand.write_text(json.dumps(cand_doc), encoding="utf-8")
+            proc = subprocess.run(
+                [sys.executable, str(COMPARE), "--require-identical",
+                 str(base), str(cand)],
+                capture_output=True, text=True, check=False)
+            if proc.returncode == expected:
+                print(f"ok   {name}")
+            else:
+                failures += 1
+                print(f"FAIL {name}: exit {proc.returncode}, want {expected}")
+                print(proc.stdout, end="")
+    if failures:
+        print(f"test_compare_bench: {failures} case(s) failed")
+        return 1
+    print(f"test_compare_bench: {len(CASES)} case(s) passed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
