@@ -1,9 +1,11 @@
 #include "ckpt/checkpoint.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -18,19 +20,19 @@
 namespace manet::ckpt {
 
 std::vector<std::uint8_t> capture(const experiment::World& world) {
-  return encodeWorldImage(StateAccess::captureWorld(world));
+  return encodeFingerprint(StateAccess::captureWorld(world));
 }
 
 Resumed resume(const std::vector<std::uint8_t>& blob) {
-  WorldImage stored = decodeWorldImage(blob);
+  WorldFingerprint stored = decodeFingerprint(blob);
   const experiment::ScenarioConfig config = decodeConfig(stored.configBlob);
 
   // Replay must run in the same metrics-collection mode the capture saw, or
-  // the MetricsImage oracle can't match. A standalone resume (no registry on
-  // this thread) of a collection-on checkpoint gets a private registry for
-  // the replay window.
+  // the metrics word can't match. A standalone resume (no registry on this
+  // thread) of a collection-on checkpoint gets a private registry for the
+  // replay window.
   std::unique_ptr<obs::Registry> privateRegistry;
-  if (stored.metrics.hasRegistry && obs::current() == nullptr) {
+  if (stored.hasRegistry && obs::current() == nullptr) {
     privateRegistry = std::make_unique<obs::Registry>();
   }
   obs::ScopedRegistry scope(privateRegistry != nullptr ? privateRegistry.get()
@@ -39,8 +41,8 @@ Resumed resume(const std::vector<std::uint8_t>& blob) {
   auto world = std::make_unique<experiment::World>(config);
   world->beginRun();
   world->continueUntil(stored.anchor);
-  const WorldImage replayed = StateAccess::captureWorld(*world);
-  const std::vector<std::string> diffs = diffWorldImages(stored, replayed);
+  const WorldFingerprint replayed = StateAccess::captureWorld(*world);
+  const std::vector<std::string> diffs = diffFingerprints(stored, replayed);
   if (!diffs.empty()) {
     std::string msg =
         "resume verification failed: replay to the anchor diverged from the "
@@ -53,7 +55,7 @@ Resumed resume(const std::vector<std::uint8_t>& blob) {
   }
   Resumed out;
   out.world = std::move(world);
-  out.image = std::move(stored);
+  out.fingerprint = std::move(stored);
   return out;
 }
 
@@ -67,6 +69,11 @@ void writeBlobFile(const std::string& path,
 }
 
 std::vector<std::uint8_t> readBlobFile(const std::string& path) {
+  // A directory opens as a stream on some platforms and reports size -1.
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) {
+    throw Error("not a regular checkpoint file: " + path);
+  }
   std::ifstream file(path, std::ios::binary | std::ios::ate);
   if (!file) throw Error("cannot open checkpoint file: " + path);
   const std::streamsize size = file.tellg();
@@ -78,28 +85,31 @@ std::vector<std::uint8_t> readBlobFile(const std::string& path) {
 }
 
 AnchorSpec parseAnchorSpec(const std::string& text) {
-  if (text.empty()) throw Error("empty checkpoint anchor spec");
-  AnchorSpec spec;
+  const bool percent = !text.empty() && text.back() == '%';
+  const std::string number = percent ? text.substr(0, text.size() - 1) : text;
+  double value = 0.0;
+  std::size_t used = 0;
   try {
-    std::size_t used = 0;
-    if (text.back() == '%') {
-      spec.fraction = std::stod(text.substr(0, text.size() - 1), &used) /
-                      100.0;
-      if (used != text.size() - 1) throw Error("");
-      if (spec.fraction < 0.0 || spec.fraction > 1.0) {
-        throw Error("checkpoint anchor percentage out of [0, 100]: " + text);
-      }
-    } else {
-      spec.seconds = std::stod(text, &used);
-      if (used != text.size()) throw Error("");
-      if (spec.seconds < 0.0) {
-        throw Error("checkpoint anchor seconds must be >= 0: " + text);
-      }
-    }
-  } catch (const Error&) {
-    throw;
+    value = std::stod(number, &used);
   } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used == 0 || used != number.size()) {
     throw Error("malformed checkpoint anchor (want seconds or N%): " + text);
+  }
+  AnchorSpec spec;
+  if (percent) {
+    if (!(value >= 0.0 && value <= 100.0)) {
+      throw Error("checkpoint anchor percentage out of [0, 100]: " + text);
+    }
+    spec.fraction = value / 100.0;
+  } else {
+    // sim::fromSeconds casts seconds * 1e6 to int64: NaN, infinities and
+    // anything at or past 2^63 microseconds have no TimePoint.
+    if (!(value >= 0.0 && value * 1e6 < 0x1p63)) {
+      throw Error("checkpoint anchor seconds out of range: " + text);
+    }
+    spec.seconds = value;
   }
   return spec;
 }
@@ -164,25 +174,25 @@ experiment::SchemeSpec parseSchemeOverride(const std::string& text) {
   if (text.size() > 2 && text[1] == '=') {
     try {
       const std::string value = text.substr(2);
-      switch (text[0]) {
-        case 'p':
-          return SchemeSpec::probabilistic(std::stod(value));
-        case 'c':
-          return SchemeSpec::counter(std::stoi(value));
-        case 'd':
-          return SchemeSpec::distance(std::stod(value));
-        case 'a':
-          return SchemeSpec::location(std::stod(value));
-        default:
-          break;
+      std::size_t used = 0;
+      if (text[0] == 'c') {
+        const int c = std::stoi(value, &used);
+        if (used == value.size() && c >= 1) return SchemeSpec::counter(c);
+      } else {
+        const double v = std::stod(value, &used);
+        if (used == value.size() && std::isfinite(v) && v >= 0.0) {
+          if (text[0] == 'p' && v <= 1.0) return SchemeSpec::probabilistic(v);
+          if (text[0] == 'd') return SchemeSpec::distance(v);
+          if (text[0] == 'a') return SchemeSpec::location(v);
+        }
       }
     } catch (const std::exception&) {
       // fall through to the unified error below
     }
   }
-  throw Error(
-      "bad MANET_CKPT_SCHEME '" + text +
-      "' (want flooding|nc|ac|al|cluster|p=<prob>|c=<n>|d=<m>|a=<frac>)");
+  throw Error("bad MANET_CKPT_SCHEME '" + text +
+              "' (want flooding|nc|ac|al|cluster|p=<prob in [0,1]>|"
+              "c=<n >= 1>|d=<m >= 0>|a=<frac >= 0>)");
 }
 
 bool configureFromCli(int argc, char** argv, const std::string& benchName) {
@@ -204,15 +214,19 @@ bool configureFromCli(int argc, char** argv, const std::string& benchName) {
   }
 
   if (!resumePath.empty()) {
+    // Parsed before the replay, so a bad spec fails fast.
+    std::optional<experiment::SchemeSpec> tailScheme;
+    if (auto spec = util::envString("MANET_CKPT_SCHEME")) {
+      tailScheme = parseSchemeOverride(*spec);
+    }
     Resumed resumed = resume(readBlobFile(resumePath));
     experiment::World& world = *resumed.world;
     std::printf("resume %s at t=%.3fs of %.3fs\n", resumePath.c_str(),
-                sim::toSeconds(resumed.image.anchor),
-                sim::toSeconds(resumed.image.horizon));
-    if (auto spec = util::envString("MANET_CKPT_SCHEME")) {
-      const experiment::SchemeSpec scheme = parseSchemeOverride(*spec);
-      world.overrideScheme(scheme);
-      std::printf("tail scheme override: %s\n", scheme.name().c_str());
+                sim::toSeconds(resumed.fingerprint.anchor),
+                sim::toSeconds(resumed.fingerprint.horizon));
+    if (tailScheme) {
+      world.overrideScheme(*tailScheme);
+      std::printf("tail scheme override: %s\n", tailScheme->name().c_str());
     }
     world.runToEnd();
     const stats::RunSummary summary = world.metrics().summarize();

@@ -1,72 +1,11 @@
 #include "ckpt/io.hpp"
 
 #include <bit>
-#include <cstring>
-
-#include "ckpt/digest.hpp"
 
 namespace manet::ckpt {
 
 void Writer::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
 double Reader::f64() { return std::bit_cast<double>(u64()); }
-
-std::vector<std::uint8_t> frameContainer(const std::vector<Section>& sections) {
-  Writer w;
-  for (std::size_t i = 0; i < kMagicLen; ++i) {
-    w.u8(static_cast<std::uint8_t>(kMagic[i]));
-  }
-  w.u32(kFormatVersion);
-  for (const Section& s : sections) {
-    if (s.tag.size() != 4) {
-      throw Error("section tag must be 4 bytes, got \"" + s.tag + "\"");
-    }
-    for (char c : s.tag) w.u8(static_cast<std::uint8_t>(c));
-    w.u64(s.payload.size());
-    for (std::uint8_t b : s.payload) w.u8(b);
-    w.u64(fnv1a(s.payload.data(), s.payload.size()));
-  }
-  return w.take();
-}
-
-std::vector<Section> parseContainer(const std::vector<std::uint8_t>& bytes) {
-  Reader r(bytes);
-  if (bytes.size() < kMagicLen + 4) {
-    throw Error("checkpoint too short to hold header (" +
-                std::to_string(bytes.size()) + " bytes)");
-  }
-  for (std::size_t i = 0; i < kMagicLen; ++i) {
-    if (r.u8() != static_cast<std::uint8_t>(kMagic[i])) {
-      throw Error("bad magic: not a .mckpt checkpoint");
-    }
-  }
-  const std::uint32_t version = r.u32();
-  if (version != kFormatVersion) {
-    throw Error("checkpoint format version " + std::to_string(version) +
-                " does not match expected " + std::to_string(kFormatVersion) +
-                "; refusing to guess at the layout");
-  }
-  std::vector<Section> sections;
-  while (!r.atEnd()) {
-    Section s;
-    s.tag.resize(4);
-    for (char& c : s.tag) c = static_cast<char>(r.u8());
-    const std::uint64_t len = r.u64();
-    if (len > r.remaining()) {
-      throw Error("section " + s.tag + " claims " + std::to_string(len) +
-                  " bytes but only " + std::to_string(r.remaining()) +
-                  " remain (truncated?)");
-    }
-    s.payload.resize(static_cast<std::size_t>(len));
-    for (std::uint8_t& b : s.payload) b = r.u8();
-    const std::uint64_t want = r.u64();
-    const std::uint64_t got = fnv1a(s.payload.data(), s.payload.size());
-    if (want != got) {
-      throw Error("section " + s.tag + " digest mismatch (corrupt payload)");
-    }
-    sections.push_back(std::move(s));
-  }
-  return sections;
-}
 
 }  // namespace manet::ckpt

@@ -1,18 +1,6 @@
-// Little-endian binary writer/reader for the .mckpt checkpoint container
-// (DESIGN.md §14). Fixed-width fields only, no varints: the format must be
-// walkable by tools/ckpt_inspect.py with nothing but the tag table.
-//
-// Container layout:
-//   magic   "MCKPT1\n"            (7 bytes)
-//   version u32                   (kFormatVersion; mismatch rejects the file)
-//   sections, each:
-//     tag     4 ASCII bytes       ("CFG0", "SCHD", "HOST", ...)
-//     length  u64                 (payload bytes)
-//     payload length bytes
-//     digest  u64                 (FNV-1a 64 of the payload; bit flips and
-//                                  truncation are detected per section)
-// until end of file. Section order is fixed by the encoder, but the reader
-// indexes by tag so future versions may append sections.
+// Little-endian binary writer/reader behind the .mckpt checkpoint blob and
+// the resolved-config encoding (DESIGN.md §14). Fixed-width fields only, no
+// varints; the blob layout itself is documented in ckpt/fingerprint.hpp.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +14,7 @@ namespace manet::ckpt {
 
 /// Checkpoint format version. Bump on any layout change; resume refuses a
 /// mismatched file rather than guessing (DESIGN.md §14 versioning policy).
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// Leading magic; the trailing newline catches text-mode mangling early.
 inline constexpr char kMagic[] = "MCKPT1\n";
@@ -119,19 +107,5 @@ class Reader {
   std::size_t size_;
   std::size_t pos_ = 0;
 };
-
-/// One decoded container section.
-struct Section {
-  std::string tag;  // 4 ASCII characters
-  std::vector<std::uint8_t> payload;
-};
-
-/// Frames `sections` into a complete container (magic + version + sections
-/// with payload digests).
-std::vector<std::uint8_t> frameContainer(const std::vector<Section>& sections);
-
-/// Parses and verifies a container: magic, version, per-section digests.
-/// Throws Error on any mismatch, truncation, or bit flip.
-std::vector<Section> parseContainer(const std::vector<std::uint8_t>& bytes);
 
 }  // namespace manet::ckpt

@@ -55,61 +55,69 @@ std::uint64_t packetDigest(const net::Packet& p) {
   return d.value();
 }
 
-void addRng(Digest& d, const sim::Rng& rng) {
-  for (std::uint64_t word : StateAccess::rng(rng).s) d.add(word);
+/// Folds a collected (key, word) list in key order: the collect-then-sort
+/// step that keeps a digest independent of hash iteration order.
+void addSorted(Digest& d,
+               std::vector<std::pair<std::uint64_t, std::uint64_t>>& items) {
+  std::sort(items.begin(), items.end());
+  d.add(static_cast<std::uint64_t>(items.size()));
+  for (const auto& [key, word] : items) {
+    d.add(key);
+    d.add(word);
+  }
 }
 
 }  // namespace
 
 // --- Rng ---------------------------------------------------------------
 
-RngImage StateAccess::rng(const sim::Rng& rng) {
-  RngImage image;
-  for (int i = 0; i < 4; ++i) image.s[static_cast<std::size_t>(i)] = rng.s_[i];
-  return image;
+void StateAccess::addRng(Digest& d, const sim::Rng& rng) {
+  for (std::uint64_t word : rng.s_) d.add(word);
 }
 
 // --- scheduler ---------------------------------------------------------
 
-SchedulerImage StateAccess::scheduler(const sim::Scheduler& scheduler) {
-  SchedulerImage image;
-  image.now = scheduler.now_;
-  image.nextSeq = scheduler.nextSeq_;
-  image.liveCount = scheduler.live_;
-  image.slotCount = scheduler.slotCount_;
-  image.pending.reserve(scheduler.heap_.size());
+std::uint64_t StateAccess::schedulerDigest(const sim::Scheduler& scheduler) {
+  Digest d;
+  d.add(scheduler.now_);
+  d.add(scheduler.nextSeq_);
+  d.add(static_cast<std::uint64_t>(scheduler.live_));
+  d.add(static_cast<std::uint32_t>(scheduler.slotCount_));
+  // (at, seq) is the heap's total order; the closures are re-registered by
+  // replay and are not comparable anyway.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> pending;
+  pending.reserve(scheduler.heap_.size());
   for (const auto& entry : scheduler.heap_) {
-    image.pending.push_back(PendingEventImage{entry.at, entry.seq});
+    pending.emplace_back(static_cast<std::uint64_t>(entry.at.ticks()),
+                         entry.seq);
   }
-  std::sort(image.pending.begin(), image.pending.end(),
-            [](const PendingEventImage& a, const PendingEventImage& b) {
-              return a.at < b.at || (a.at == b.at && a.seq < b.seq);
-            });
-  return image;
+  addSorted(d, pending);
+  return d.value();
 }
 
 // --- neighbor table ----------------------------------------------------
 
-NeighborTableImage StateAccess::neighborTable(const net::NeighborTable& table) {
-  NeighborTableImage image;
-  image.entries.reserve(table.entries_.size());
+std::uint64_t StateAccess::neighborTableDigest(
+    const net::NeighborTable& table) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
+  entries.reserve(table.entries_.size());
   for (const auto& [id, entry] : table.entries_) {
-    NeighborEntryImage e;
-    e.id = id.value();
-    e.lastHeard = entry.lastHeard;
-    e.interval = entry.interval;
-    if (entry.neighbors != nullptr) {
-      e.neighbors.reserve(entry.neighbors->size());
-      for (net::HostId n : *entry.neighbors) e.neighbors.push_back(n.value());
+    Digest e;
+    e.add(entry.lastHeard);
+    e.add(entry.interval);
+    // A null advertised list hashes as an empty one.
+    const auto& list = entry.neighbors;
+    e.add(static_cast<std::uint64_t>(list != nullptr ? list->size() : 0));
+    if (list != nullptr) {
+      for (net::HostId n : *list) e.add(n.value());
     }
-    image.entries.push_back(std::move(e));
+    entries.emplace_back(id.value(), e.value());
   }
-  std::sort(image.entries.begin(), image.entries.end(),
-            [](const NeighborEntryImage& a, const NeighborEntryImage& b) {
-              return a.id < b.id;
-            });
-  image.changes.assign(table.changes_.begin(), table.changes_.end());
-  return image;
+  Digest d;
+  addSorted(d, entries);
+  d.add(static_cast<std::uint64_t>(table.changes_.size()));
+  for (sim::TimePoint t : table.changes_) d.add(t);
+  return d.value();
 }
 
 // --- MAC ---------------------------------------------------------------
@@ -223,23 +231,22 @@ std::uint64_t StateAccess::mobilityDigest(
 
 // --- channel -----------------------------------------------------------
 
-ChannelImage StateAccess::channel(const phy::Channel& channel) {
-  ChannelImage image;
-  image.framesTransmitted = channel.framesTransmitted_;
-  image.framesDelivered = channel.framesDelivered_;
-  image.framesCorrupted = channel.framesCorrupted_;
-  image.framesLostToFault = channel.framesLostToFault_;
-  image.framesDroppedHostDown = channel.framesDroppedHostDown_;
-  image.nodes.reserve(channel.nodes_.size());
+std::uint64_t StateAccess::channelDigest(const phy::Channel& channel) {
+  Digest d;
+  d.add(channel.framesTransmitted_);
+  d.add(channel.framesDelivered_);
+  d.add(channel.framesCorrupted_);
+  d.add(channel.framesLostToFault_);
+  d.add(channel.framesDroppedHostDown_);
+  d.add(static_cast<std::uint64_t>(channel.nodes_.size()));
   for (const auto& n : channel.nodes_) {
-    ChannelNodeImage ni;
-    ni.attached = n.attached;
-    ni.up = n.up;
-    ni.transmitting = n.transmitting;
-    ni.busyCount = n.busyCount;
-    ni.epoch = n.epoch;
-    ni.activeRxCount = static_cast<std::uint32_t>(n.activeRx.size());
-    Digest d;
+    d.add(n.attached);
+    d.add(n.up);
+    d.add(n.transmitting);
+    d.add(static_cast<std::int32_t>(n.busyCount));
+    d.add(static_cast<std::uint64_t>(n.epoch));
+    // In-flight frames, including their drop verdicts.
+    d.add(static_cast<std::uint64_t>(n.activeRx.size()));
     for (const auto ref : n.activeRx) {
       const phy::Frame& frame = channel.airFrames_[ref.frame].frame;
       const auto& rec = channel.entry(ref);
@@ -252,41 +259,40 @@ ChannelImage StateAccess::channel(const phy::Channel& channel) {
       d.add(static_cast<std::uint32_t>(rec.reason));
       d.add(rec.orphaned);
     }
-    ni.activeRxDigest = d.value();
-    image.nodes.push_back(ni);
   }
-  return image;
+  return d.value();
 }
 
 // --- fault -------------------------------------------------------------
 
-FaultImage StateAccess::fault(const fault::LossModel* model) {
-  FaultImage image;
-  if (model == nullptr) return image;
+std::uint64_t StateAccess::faultDigest(const fault::LossModel* model) {
+  Digest d;
   if (const auto* iid = dynamic_cast<const fault::IidLoss*>(model)) {
-    image.lossKind = 1;
-    image.lossRng = rng(iid->rng_);
+    d.add(std::uint32_t{1});
+    addRng(d, iid->rng_);
   } else if (const auto* ge =
                  dynamic_cast<const fault::GilbertElliottLoss*>(model)) {
-    image.lossKind = 2;
-    image.lossRng = rng(ge->rng_);
-    image.links.reserve(ge->links_.size());
-    for (const auto& [key, link] : ge->links_) {
-      image.links.push_back(GeLinkImage{key, link.bad, rng(link.rng)});
+    d.add(std::uint32_t{2});
+    addRng(d, ge->rng_);  // parent stream of the per-link chains
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> links;
+    links.reserve(ge->links_.size());
+    for (const auto& [key, link] : ge->links_) {  // key = (src << 32) | dst
+      Digest l;
+      l.add(link.bad);
+      addRng(l, link.rng);
+      links.emplace_back(key, l.value());
     }
-    std::sort(image.links.begin(), image.links.end(),
-              [](const GeLinkImage& a, const GeLinkImage& b) {
-                return a.key < b.key;
-              });
+    addSorted(d, links);
+  } else {
+    d.add(std::uint32_t{0});  // no loss model
   }
-  return image;
+  return d.value();
 }
 
 // --- metrics -----------------------------------------------------------
 
-MetricsImage StateAccess::metrics(const stats::MetricsCollector& collector,
-                                  const obs::Registry* registry) {
-  MetricsImage image;
+std::uint64_t StateAccess::metricsDigest(
+    const stats::MetricsCollector& collector, const obs::Registry* registry) {
   Digest d;
   d.add(static_cast<std::uint64_t>(collector.numHosts_));
   d.add(static_cast<std::uint64_t>(collector.order_.size()));
@@ -323,104 +329,119 @@ MetricsImage StateAccess::metrics(const stats::MetricsCollector& collector,
   }
   d.add(collector.hellosSent_);
   d.add(collector.dataFramesSent_);
-  image.statsDigest = d.value();
-  image.hellosSent = collector.hellosSent_;
-  image.dataFramesSent = collector.dataFramesSent_;
-  image.broadcastsStarted = collector.order_.size();
 
-  image.hasRegistry = registry != nullptr;
+  // Registry content, in enum order: adding a counter changes the word, not
+  // the blob layout.
+  d.add(registry != nullptr);
   if (registry != nullptr) {
     const auto counters = static_cast<std::size_t>(obs::Counter::kCount);
-    image.counters.reserve(counters);
     for (std::size_t i = 0; i < counters; ++i) {
-      image.counters.push_back(
-          registry->counter(static_cast<obs::Counter>(i)));
+      d.add(registry->counter(static_cast<obs::Counter>(i)));
     }
     const auto gauges = static_cast<std::size_t>(obs::Gauge::kCount);
-    image.gauges.reserve(gauges);
     for (std::size_t i = 0; i < gauges; ++i) {
-      image.gauges.push_back(registry->gauge(static_cast<obs::Gauge>(i)));
+      d.add(registry->gauge(static_cast<obs::Gauge>(i)));
     }
-    Digest hd;
     const auto hists = static_cast<std::size_t>(obs::Hist::kCount);
     for (std::size_t i = 0; i < hists; ++i) {
       const stats::Histogram& h =
           registry->histogram(static_cast<obs::Hist>(i));
-      hd.add(h.count());
-      hd.add(h.sum());
-      hd.add(h.min());
-      hd.add(h.max());
+      d.add(h.count());
+      d.add(h.sum());
+      d.add(h.min());
+      d.add(h.max());
       for (std::size_t b = 0; b < stats::Histogram::kBuckets; ++b) {
-        hd.add(h.bucketCount(b));
+        d.add(h.bucketCount(b));
       }
     }
-    image.histDigest = hd.value();
   }
-  return image;
+  return d.value();
 }
 
 // --- host --------------------------------------------------------------
 
-HostImage StateAccess::host(const experiment::Host& host) {
-  HostImage image;
-  image.id = host.id_.value();
-  image.up = host.up_;
-  image.nextSeq = host.nextSeq_.value();
-  image.schemeRng = rng(host.schemeRng_);
-  image.jitterRng = rng(host.jitterRng_);
-  image.macDigest = macDigest(*host.mac_);
-  image.helloDigest = helloDigest(*host.hello_);
-  image.mobilityDigest = mobilityDigest(*host.mobility_);
-  image.table = neighborTable(host.table_);
-  image.broadcasts.reserve(host.states_.size());
-  for (const auto& [bid, state] : host.states_) {
-    BroadcastStateImage b;
-    b.origin = bid.origin.value();
-    b.seq = bid.seq.value();
-    b.phase = static_cast<std::uint8_t>(state.phase);
-    b.jitterPending = state.jitterTimer.pending();
-    b.txId = state.txId;
-    b.hasDecider = state.decider != nullptr;
-    b.deciderDigest = state.decider ? state.decider->stateDigest() : 0;
-    b.hasPacket = state.packet != nullptr;
-    b.packetDigest = state.packet ? packetDigest(*state.packet) : 0;
-    image.broadcasts.push_back(b);
+HostFingerprint StateAccess::host(const experiment::Host& host) {
+  const auto rngWord = [](const sim::Rng& rng) {
+    Digest d;
+    addRng(d, rng);
+    return d.value();
+  };
+  HostFingerprint fp;
+  auto& w = fp.words;
+  {
+    Digest d;
+    d.add(host.id_.value());
+    d.add(host.up_);
+    d.add(host.nextSeq_.value());
+    w[HostFingerprint::kState] = d.value();
   }
-  std::sort(image.broadcasts.begin(), image.broadcasts.end(),
-            [](const BroadcastStateImage& a, const BroadcastStateImage& b) {
-              return a.origin < b.origin ||
-                     (a.origin == b.origin && a.seq < b.seq);
-            });
-  return image;
+  w[HostFingerprint::kSchemeRng] = rngWord(host.schemeRng_);
+  w[HostFingerprint::kJitterRng] = rngWord(host.jitterRng_);
+  w[HostFingerprint::kMac] = macDigest(*host.mac_);
+  w[HostFingerprint::kHello] = helloDigest(*host.hello_);
+  w[HostFingerprint::kMobility] = mobilityDigest(*host.mobility_);
+  w[HostFingerprint::kNeighborTable] = neighborTableDigest(host.table_);
+
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> states;
+  states.reserve(host.states_.size());
+  for (const auto& [bid, state] : host.states_) {
+    Digest b;
+    b.add(static_cast<std::uint32_t>(state.phase));
+    b.add(state.jitterTimer.pending());
+    b.add(state.txId);
+    b.add(state.decider != nullptr);
+    b.add(state.decider ? state.decider->stateDigest() : std::uint64_t{0});
+    b.add(state.packet != nullptr);
+    b.add(state.packet ? packetDigest(*state.packet) : std::uint64_t{0});
+    states.emplace_back(
+        (static_cast<std::uint64_t>(bid.origin.value()) << 32) |
+            bid.seq.value(),
+        b.value());
+  }
+  Digest d;
+  addSorted(d, states);
+  w[HostFingerprint::kBroadcastStates] = d.value();
+  return fp;
 }
 
 // --- world -------------------------------------------------------------
 
-WorldImage StateAccess::captureWorld(const experiment::World& world) {
-  WorldImage image;
-  image.configBlob = encodeConfig(world.config_);
-  image.anchor = world.scheduler_.now();
-  image.horizon = world.horizon_;
-  image.scheduler = scheduler(world.scheduler_);
-  image.channel = channel(world.channel_);
-  image.traffic.workloadRng = rng(world.workloadRng_);
-  image.traffic.schedule.reserve(world.workloadSchedule_.size());
-  for (const traffic::Request& q : world.workloadSchedule_) {
-    image.traffic.schedule.push_back(
-        RequestImage{q.at, q.source.value(), q.seq});
+WorldFingerprint StateAccess::captureWorld(const experiment::World& world) {
+  WorldFingerprint fp;
+  fp.configBlob = encodeConfig(world.config_);
+  fp.anchor = world.scheduler_.now();
+  fp.horizon = world.horizon_;
+  fp.hasRegistry = obs::current() != nullptr;
+  auto& w = fp.words;
+  w[WorldFingerprint::kScheduler] = schedulerDigest(world.scheduler_);
+  w[WorldFingerprint::kChannel] = channelDigest(world.channel_);
+  {
+    // Traffic cursor plus the world's churn/downtime ledgers.
+    Digest d;
+    addRng(d, world.workloadRng_);
+    d.add(static_cast<std::uint64_t>(world.workloadSchedule_.size()));
+    for (const traffic::Request& q : world.workloadSchedule_) {
+      d.add(q.at);
+      d.add(q.source.value());
+      d.add(q.seq);
+    }
+    d.add(static_cast<std::uint64_t>(world.churnTimeline_.size()));
+    for (const fault::ChurnEvent& e : world.churnTimeline_) {
+      d.add(e.node.value());
+      d.add(e.at);
+      d.add(e.up);
+    }
+    d.add(static_cast<std::uint64_t>(world.downSince_.size()));
+    for (sim::TimePoint t : world.downSince_) d.add(t);
+    d.add(static_cast<std::uint64_t>(world.downAccum_.size()));
+    for (sim::Duration t : world.downAccum_) d.add(t);
+    w[WorldFingerprint::kTraffic] = d.value();
   }
-  image.traffic.churn.reserve(world.churnTimeline_.size());
-  for (const fault::ChurnEvent& e : world.churnTimeline_) {
-    image.traffic.churn.push_back(
-        ChurnEventImage{e.node.value(), e.at, e.up});
-  }
-  image.traffic.downSince = world.downSince_;
-  image.traffic.downAccum = world.downAccum_;
-  image.fault = fault(world.lossModel_.get());
-  image.metrics = metrics(world.metrics_, obs::current());
-  image.hosts.reserve(world.hosts_.size());
-  for (const auto& h : world.hosts_) image.hosts.push_back(host(*h));
-  return image;
+  w[WorldFingerprint::kFault] = faultDigest(world.lossModel_.get());
+  w[WorldFingerprint::kMetrics] = metricsDigest(world.metrics_, obs::current());
+  fp.hosts.reserve(world.hosts_.size());
+  for (const auto& h : world.hosts_) fp.hosts.push_back(host(*h));
+  return fp;
 }
 
 // --- thresholds --------------------------------------------------------

@@ -1,20 +1,23 @@
 // The checkpoint subsystem's single privileged window into engine state.
 //
 // Every engine class that carries run state friends this one struct (and
-// nothing else), so all private-member reads used for serialization are
+// nothing else), so all private-member reads used for fingerprinting are
 // grepable in one translation unit. Capture methods read raw fields ONLY —
 // they never call lazily-mutating public queries (MobilityModel::positionAt
 // advances integrators and draws RNG at turn boundaries, NeighborTable
 // queries purge, Channel queries rebuild the grid). A capture therefore
 // perturbs nothing: the captured world's future is byte-identical to a world
 // that was never captured, which is what the resume-equivalence CI gate
-// checks end to end.
+// checks end to end. Each capture folds straight into one ckpt::Digest word;
+// unordered containers are collected and sorted by stable keys first, so a
+// word never depends on hash iteration order.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/image.hpp"
+#include "ckpt/digest.hpp"
+#include "ckpt/fingerprint.hpp"
 
 namespace manet::core {
 class CounterThreshold;
@@ -55,23 +58,23 @@ class MetricsCollector;
 namespace manet::ckpt {
 
 struct StateAccess {
-  // --- capture (side-effect-free raw reads) ---
-  static RngImage rng(const sim::Rng& rng);
-  static SchedulerImage scheduler(const sim::Scheduler& scheduler);
-  static NeighborTableImage neighborTable(const net::NeighborTable& table);
+  // --- capture (side-effect-free raw reads, one digest word each) ---
+  static void addRng(Digest& d, const sim::Rng& rng);
+  static std::uint64_t schedulerDigest(const sim::Scheduler& scheduler);
+  static std::uint64_t neighborTableDigest(const net::NeighborTable& table);
   static std::uint64_t macDigest(const mac::DcfMac& mac);
   static std::uint64_t helloDigest(const net::HelloAgent& hello);
   static std::uint64_t mobilityDigest(const mobility::MobilityModel& model);
   /// Roam-integrator fold shared by RandomRoam and the group model's center
   /// and deviation chains.
   static std::uint64_t roamDigest(const mobility::RandomRoam& roam);
-  static ChannelImage channel(const phy::Channel& channel);
-  static FaultImage fault(const fault::LossModel* model);
-  static MetricsImage metrics(const stats::MetricsCollector& collector,
-                              const obs::Registry* registry);
-  static HostImage host(const experiment::Host& host);
-  /// Snapshot of the whole world at its current scheduler time.
-  static WorldImage captureWorld(const experiment::World& world);
+  static std::uint64_t channelDigest(const phy::Channel& channel);
+  static std::uint64_t faultDigest(const fault::LossModel* model);
+  static std::uint64_t metricsDigest(const stats::MetricsCollector& collector,
+                                     const obs::Registry* registry);
+  static HostFingerprint host(const experiment::Host& host);
+  /// Fingerprint of the whole world at its current scheduler time.
+  static WorldFingerprint captureWorld(const experiment::World& world);
 
   // --- threshold raw access (config serialization; ctors are private) ---
   static const std::vector<int>& counterValues(

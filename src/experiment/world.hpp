@@ -65,13 +65,14 @@ class World {
   /// scheme.
   void overrideScheme(const SchemeSpec& spec);
 
-  /// Serializes the complete world state at the current simulated time to
-  /// `path` (defined in src/ckpt). Throws ckpt::Error on I/O failure.
+  /// Writes a checkpoint of the world at the current simulated time to
+  /// `path` (defined in src/ckpt): the resolved config, the anchor, and a
+  /// fingerprint of every subsystem. Throws ckpt::Error on I/O failure.
   void checkpoint(const std::string& path) const;
 
   /// Rebuilds a world from a checkpoint written by checkpoint(): replays
   /// deterministically to the anchor and verifies the replayed state matches
-  /// the stored image field-for-field (throws ckpt::Error otherwise). The
+  /// the stored fingerprint word for word (throws ckpt::Error otherwise). The
   /// returned world is mid-run: continue it with continueUntil()/runToEnd().
   static std::unique_ptr<World> resume(const std::string& path);
 

@@ -1,6 +1,6 @@
-// Checkpoint/replay subsystem (DESIGN.md §14): container framing, image
-// round-trips, corruption rejection, and the resume-equivalence guarantee
-// that backs the CI gate.
+// Checkpoint/replay subsystem (DESIGN.md §14): blob framing, fingerprint
+// round-trips, corruption rejection, the replay-divergence oracle, and the
+// resume-equivalence guarantee that backs the CI gate.
 #include "ckpt/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "ckpt/config_io.hpp"
-#include "ckpt/image.hpp"
+#include "ckpt/fingerprint.hpp"
 #include "ckpt/io.hpp"
 #include "ckpt/state_access.hpp"
 #include "experiment/runner.hpp"
@@ -25,7 +25,7 @@ using experiment::SchemeSpec;
 using experiment::World;
 
 // A small but fully-featured scenario: HELLO-fed adaptive counter, bursty
-// link loss, and random churn, so a capture exercises every image section.
+// link loss, and random churn, so a capture exercises every fingerprint word.
 ScenarioConfig smallConfig() {
   ScenarioConfig c;
   c.mapUnits = 3;
@@ -87,30 +87,43 @@ TEST(CkptIo, ReaderThrowsOnTruncation) {
   EXPECT_THROW(r.u64(), Error);
 }
 
+// A small hand-built fingerprint: the blob tests below need a valid blob,
+// not a world.
+WorldFingerprint tinyFingerprint() {
+  WorldFingerprint fp;
+  fp.configBlob = {1, 2, 3};
+  fp.anchor = tp(1.5);
+  fp.horizon = tp(3.0);
+  fp.hasRegistry = true;
+  fp.words = {11, 12, 13, 14, 15};
+  fp.hosts.resize(2);
+  fp.hosts[0].words = {1, 2, 3, 4, 5, 6, 7, 8};
+  fp.hosts[1].words[HostFingerprint::kMac] = 0xFFFFFFFFFFFFFFFFull;
+  return fp;
+}
+
 TEST(CkptIo, ContainerRoundTrip) {
-  std::vector<Section> sections;
-  sections.push_back({"ABCD", {1, 2, 3}});
-  sections.push_back({"EFGH", {}});
-  const auto framed = frameContainer(sections);
-  const auto parsed = parseContainer(framed);
-  ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_EQ(parsed[0].tag, "ABCD");
-  EXPECT_EQ(parsed[0].payload, (std::vector<std::uint8_t>{1, 2, 3}));
-  EXPECT_EQ(parsed[1].tag, "EFGH");
-  EXPECT_TRUE(parsed[1].payload.empty());
+  const WorldFingerprint fp = tinyFingerprint();
+  const auto blob = encodeFingerprint(fp);
+  // magic, version, config (u64 length + bytes), anchor, horizon, flag,
+  // world words, host count, host words, checksum: no tags, no sections.
+  EXPECT_EQ(blob.size(), kMagicLen + 4 + (8 + 3) + 8 + 8 + 1 +
+                             8 * WorldFingerprint::kParts + 8 +
+                             2 * 8 * HostFingerprint::kParts + 8);
+  EXPECT_EQ(decodeFingerprint(blob), fp);
 }
 
 TEST(CkptIo, ContainerRejectsBadMagic) {
-  auto framed = frameContainer({{"ABCD", {1}}});
-  framed[0] ^= 0xFF;
-  EXPECT_THROW(parseContainer(framed), Error);
+  auto blob = encodeFingerprint(tinyFingerprint());
+  blob[0] ^= 0xFF;
+  EXPECT_THROW(decodeFingerprint(blob), Error);
 }
 
 TEST(CkptIo, ContainerRejectsVersionMismatch) {
-  auto framed = frameContainer({{"ABCD", {1}}});
-  framed[kMagicLen] ^= 0xFF;  // version u32 sits right after the magic
+  auto blob = encodeFingerprint(tinyFingerprint());
+  blob[kMagicLen] ^= 0xFF;  // version u32 sits right after the magic
   try {
-    parseContainer(framed);
+    decodeFingerprint(blob);
     FAIL() << "version mismatch accepted";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
@@ -118,110 +131,38 @@ TEST(CkptIo, ContainerRejectsVersionMismatch) {
 }
 
 TEST(CkptIo, ContainerDetectsPayloadBitFlip) {
-  auto framed = frameContainer({{"ABCD", {1, 2, 3, 4}}});
-  framed[framed.size() - 9] ^= 0x01;  // last payload byte (digest trails it)
-  EXPECT_THROW(parseContainer(framed), Error);
+  auto blob = encodeFingerprint(tinyFingerprint());
+  blob[blob.size() - 9] ^= 0x01;  // last host word byte (checksum trails it)
+  EXPECT_THROW(decodeFingerprint(blob), Error);
 }
 
 TEST(CkptIo, ContainerDetectsTruncation) {
-  auto framed = frameContainer({{"ABCD", {1, 2, 3, 4}}});
-  framed.resize(framed.size() - 3);
-  EXPECT_THROW(parseContainer(framed), Error);
+  auto blob = encodeFingerprint(tinyFingerprint());
+  blob.resize(blob.size() - 3);
+  EXPECT_THROW(decodeFingerprint(blob), Error);
 }
 
-// ------------------------------------------------------- image round-trips
+// --------------------------------------------------------- fingerprints
 
-TEST(CkptImage, RngRoundTrip) {
-  RngImage v{{1, 0xFFFFFFFFFFFFFFFFull, 3, 4}};
-  Writer w;
-  encode(w, v);
-  Reader r(w.bytes());
-  EXPECT_EQ(decodeRng(r), v);
-}
-
-TEST(CkptImage, SchedulerRoundTrip) {
-  SchedulerImage v;
-  v.now = tp(3.5);
-  v.nextSeq = 99;
-  v.liveCount = 2;
-  v.slotCount = 64;
-  v.pending = {{tp(3.5), 7}, {tp(4.0), 8}};
-  Writer w;
-  encode(w, v);
-  Reader r(w.bytes());
-  EXPECT_EQ(decodeScheduler(r), v);
-}
-
-TEST(CkptImage, NeighborTableRoundTrip) {
-  NeighborTableImage v;
-  v.entries = {{3, tp(1.0), sim::kSecond, {1, 9}},
-               {8, tp(2.0), 2 * sim::kSecond, {}}};
-  v.changes = {tp(0.5), tp(1.5)};
-  Writer w;
-  encode(w, v);
-  Reader r(w.bytes());
-  EXPECT_EQ(decodeNeighborTable(r), v);
-}
-
-TEST(CkptImage, HostRoundTripWithDuplicateState) {
-  HostImage v;
-  v.id = 17;
-  v.up = false;
-  v.nextSeq = 5;
-  v.schemeRng = {{1, 2, 3, 4}};
-  v.jitterRng = {{5, 6, 7, 8}};
-  v.macDigest = 0x1111;
-  v.helloDigest = 0x2222;
-  v.mobilityDigest = 0x3333;
-  v.table.entries = {{2, tp(1.0), sim::kSecond, {17}}};
-  BroadcastStateImage b;
-  b.origin = 4;
-  b.seq = 9;
-  b.phase = 2;
-  b.jitterPending = true;
-  b.txId = 77;
-  b.hasDecider = true;
-  b.deciderDigest = 0xABCD;
-  b.hasPacket = true;
-  b.packetDigest = 0xEF01;
-  v.broadcasts = {b};
-  Writer w;
-  encode(w, v);
-  Reader r(w.bytes());
-  EXPECT_EQ(decodeHost(r), v);
-}
-
-TEST(CkptImage, FaultRoundTripWithGilbertElliottChains) {
-  FaultImage v;
-  v.lossKind = 2;
-  v.lossRng = {{9, 8, 7, 6}};
-  v.links = {{(1ull << 32) | 2, true, {{1, 1, 1, 1}}},
-             {(3ull << 32) | 4, false, {{2, 2, 2, 2}}}};
-  Writer w;
-  encode(w, v);
-  Reader r(w.bytes());
-  EXPECT_EQ(decodeFault(r), v);
-}
-
-TEST(CkptImage, WorldImageContainerRoundTripAndDiff) {
-  // Capture a real mid-run world rather than hand-building every field.
+TEST(CkptFingerprint, CaptureRoundTripAndDiff) {
+  // Capture a real mid-run world rather than hand-building every word.
   World world(smallConfig());
   world.beginRun();
   world.continueUntil(midpointOf(world));
-  const WorldImage image = StateAccess::captureWorld(world);
-  EXPECT_FALSE(image.hosts.empty());
-  EXPECT_FALSE(image.scheduler.pending.empty());
-  EXPECT_EQ(image.fault.lossKind, 2);  // Gilbert-Elliott chains captured
-  EXPECT_FALSE(image.traffic.schedule.empty());
+  const WorldFingerprint fp = StateAccess::captureWorld(world);
+  EXPECT_EQ(fp.hosts.size(), 30u);
+  EXPECT_EQ(fp.anchor, midpointOf(world));
 
-  WorldImage decoded = decodeWorldImage(encodeWorldImage(image));
-  EXPECT_EQ(decoded, image);
-  EXPECT_TRUE(diffWorldImages(image, decoded).empty());
+  WorldFingerprint decoded = decodeFingerprint(encodeFingerprint(fp));
+  EXPECT_EQ(decoded, fp);
+  EXPECT_TRUE(diffFingerprints(fp, decoded).empty());
 
-  decoded.hosts[0].nextSeq ^= 1;
-  decoded.scheduler.nextSeq ^= 1;
-  const auto diffs = diffWorldImages(image, decoded);
-  ASSERT_GE(diffs.size(), 2u);  // one line per mismatched subsystem
+  decoded.hosts[7].words[HostFingerprint::kNeighborTable] ^= 1;
+  decoded.words[WorldFingerprint::kScheduler] ^= 1;
+  const auto diffs = diffFingerprints(fp, decoded);
+  ASSERT_EQ(diffs.size(), 2u);  // one line per mismatched subsystem or host
+  EXPECT_EQ(diffs[0], "scheduler differs");
+  EXPECT_EQ(diffs[1], "host 7: neighborTable differ(s)");
 }
 
 TEST(CkptConfig, ResolvedConfigRoundTripsByteExact) {
@@ -265,11 +206,11 @@ TEST(Ckpt, ResumedTailMatchesStraightThrough) {
 
   Resumed resumed = resume(blob);
   ASSERT_NE(resumed.world, nullptr);
-  EXPECT_EQ(resumed.image.anchor, midpointOf(prefix));
+  EXPECT_EQ(resumed.fingerprint.anchor, midpointOf(prefix));
   resumed.world->runToEnd();
 
-  const auto diffs = diffWorldImages(StateAccess::captureWorld(*resumed.world),
-                                     StateAccess::captureWorld(straight));
+  const auto diffs = diffFingerprints(StateAccess::captureWorld(*resumed.world),
+                                      StateAccess::captureWorld(straight));
   EXPECT_TRUE(diffs.empty()) << diffs.size() << " subsystem(s) diverged, e.g. "
                              << diffs.front();
 }
@@ -297,6 +238,23 @@ TEST(Ckpt, ResumeRejectsVersionMismatch) {
   }
 }
 
+TEST(Ckpt, ResumeRejectsReplayDivergence) {
+  World prefix(smallConfig());
+  prefix.beginRun();
+  prefix.continueUntil(midpointOf(prefix));
+  WorldFingerprint fp = decodeFingerprint(capture(prefix));
+  fp.hosts[3].words[HostFingerprint::kMac] ^= 1;
+  // Re-encoded, so the checksum holds and only the replay oracle can object.
+  try {
+    resume(encodeFingerprint(fp));
+    FAIL() << "diverged replay accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("replay to the anchor diverged"), std::string::npos);
+    EXPECT_NE(what.find("host 3: mac differ(s)"), std::string::npos) << what;
+  }
+}
+
 TEST(Ckpt, WorldCheckpointFileRoundTrip) {
   const std::string path = testing::TempDir() + "/ckpt_roundtrip.mckpt";
   const ScenarioConfig config = smallConfig();
@@ -320,6 +278,7 @@ TEST(Ckpt, WorldCheckpointFileRoundTrip) {
 TEST(Ckpt, ReadBlobFileRejectsMissingAndTruncatedFiles) {
   EXPECT_THROW(readBlobFile(testing::TempDir() + "/no_such_blob.mckpt"),
                Error);
+  EXPECT_THROW(readBlobFile(testing::TempDir()), Error);  // a directory
 
   World prefix(smallConfig());
   prefix.beginRun();
@@ -385,11 +344,11 @@ TEST(Ckpt, SchemeOverrideTailRunsToHorizon) {
   Resumed resumed = resume(blob);
   resumed.world->overrideScheme(SchemeSpec::flooding());
   resumed.world->runToEnd();
-  const WorldImage end = StateAccess::captureWorld(*resumed.world);
+  const WorldFingerprint end = StateAccess::captureWorld(*resumed.world);
   EXPECT_EQ(end.anchor, resumed.world->horizonTime());
   // The tail ran under the new policy without disturbing in-flight
-  // broadcasts; the run still completes every scheduled request.
-  EXPECT_EQ(end.traffic.schedule.size(), 10u);
+  // broadcasts; the run still issues every scheduled request.
+  EXPECT_EQ(resumed.world->metrics().summarize().broadcasts, 10u);
 }
 
 // ---------------------------------------------------------- CLI spec parsing
@@ -408,6 +367,12 @@ TEST(CkptSpec, ParseAnchorSpec) {
   EXPECT_THROW(parseAnchorSpec("abc"), Error);
   EXPECT_THROW(parseAnchorSpec("150%"), Error);
   EXPECT_THROW(parseAnchorSpec("-3"), Error);
+  EXPECT_THROW(parseAnchorSpec("12s"), Error);
+  // Non-finite and beyond-int64-microsecond anchors have no TimePoint.
+  EXPECT_THROW(parseAnchorSpec("inf"), Error);
+  EXPECT_THROW(parseAnchorSpec("1e300"), Error);
+  EXPECT_THROW(parseAnchorSpec("nan"), Error);
+  EXPECT_THROW(parseAnchorSpec("nan%"), Error);
 }
 
 TEST(CkptSpec, ParseSchemeOverride) {
@@ -415,8 +380,22 @@ TEST(CkptSpec, ParseSchemeOverride) {
   EXPECT_EQ(parseSchemeOverride("c=3").name(), SchemeSpec::counter(3).name());
   EXPECT_EQ(parseSchemeOverride("p=0.5").name(),
             SchemeSpec::probabilistic(0.5).name());
+  EXPECT_EQ(parseSchemeOverride("d=0").name(), SchemeSpec::distance(0).name());
+  EXPECT_EQ(parseSchemeOverride("a=0.1").name(),
+            SchemeSpec::location(0.1).name());
   EXPECT_THROW(parseSchemeOverride("bogus"), Error);
   EXPECT_THROW(parseSchemeOverride("c=zero"), Error);
+  // Trailing characters.
+  EXPECT_THROW(parseSchemeOverride("c=3x"), Error);
+  EXPECT_THROW(parseSchemeOverride("p=0.5 "), Error);
+  // Out-of-range values fail here, not after a replayed prefix.
+  EXPECT_THROW(parseSchemeOverride("c=0"), Error);
+  EXPECT_THROW(parseSchemeOverride("p=1.5"), Error);
+  EXPECT_THROW(parseSchemeOverride("p=-0.1"), Error);
+  EXPECT_THROW(parseSchemeOverride("p=nan"), Error);
+  EXPECT_THROW(parseSchemeOverride("d=-1"), Error);
+  EXPECT_THROW(parseSchemeOverride("d=inf"), Error);
+  EXPECT_THROW(parseSchemeOverride("a=nan"), Error);
 }
 
 }  // namespace

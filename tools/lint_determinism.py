@@ -90,7 +90,7 @@ WALLCLOCK_ALLOWED = (
 THREAD_ALLOWED = ("src/experiment/parallel",)
 # Homes allowed to iterate unordered containers (H2): checkpoint capture
 # (DESIGN.md §14) reads every container once, collect-then-sort by a stable
-# key, so serialized images never depend on hash iteration order. The
+# key, so state fingerprints never depend on hash iteration order. The
 # pattern is pervasive there; one home beats NOLINT scattering.
 H2_SORTED_ALLOWED = ("src/ckpt/",)
 
