@@ -3,6 +3,7 @@
 // figure bench depends on.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <vector>
 
 #include "experiment/runner.hpp"
@@ -71,19 +72,40 @@ void BM_IntersectionArea(benchmark::State& state) {
 }
 BENCHMARK(BM_IntersectionArea);
 
-void BM_UncoveredFraction(benchmark::State& state) {
-  const int senders = static_cast<int>(state.range(0));
-  sim::Rng rng(2);
+/// `senders` heard-sender positions: uniform in the receiver's 500 m disk,
+/// the only place a heard sender can be.
+std::vector<geom::Vec2> heardSenders(int senders, sim::Rng& rng) {
   std::vector<geom::Vec2> covered;
   for (int i = 0; i < senders; ++i) {
-    covered.push_back({rng.uniform(-500.0, 500.0), rng.uniform(-500.0, 500.0)});
+    const double d = 500.0 * std::sqrt(rng.uniform());
+    covered.push_back(d * geom::unitVector(rng.uniform(0.0, 2.0 * geom::kPi)));
   }
+  return covered;
+}
+
+void BM_UncoveredFraction(benchmark::State& state) {
+  sim::Rng rng(2);
+  const auto covered = heardSenders(static_cast<int>(state.range(0)), rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         geom::uncoveredFraction({0, 0}, covered, 500.0, rng, 512));
   }
 }
 BENCHMARK(BM_UncoveredFraction)->Arg(1)->Arg(4)->Arg(12);
+
+/// The location schemes' decision at the fixed thresholds A = 0.1871 and
+/// A = 0.0134 (second argument, in units of 1e-4).
+void BM_UncoveredFractionAtLeast(benchmark::State& state) {
+  sim::Rng rng(2);
+  const auto covered = heardSenders(static_cast<int>(state.range(0)), rng);
+  const double threshold = static_cast<double>(state.range(1)) * 1e-4;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(geom::uncoveredFractionAtLeast(
+        {0, 0}, covered, 500.0, threshold, rng, 512));
+  }
+}
+BENCHMARK(BM_UncoveredFractionAtLeast)
+    ->ArgsProduct({{1, 4, 12}, {1871, 134}});
 
 void BM_ConnectivityBfs(benchmark::State& state) {
   const int hosts = static_cast<int>(state.range(0));

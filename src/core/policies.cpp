@@ -118,9 +118,10 @@ class DistanceDecider final : public PacketDecider {
 
 // --------------------------------- location (fixed A / adaptive A(n))
 
-/// Shared machinery: accumulates heard-sender positions and re-estimates the
-/// residual additional coverage; the threshold to compare against is
-/// supplied by the subclass (constant or A(n)).
+/// Shared machinery: accumulates heard-sender positions and decides whether
+/// the residual additional coverage reaches a threshold supplied by the
+/// decider (constant or A(n)). Each decision takes 2 * samples scheme-RNG
+/// draws, however early the verdict settles.
 class CoverageTracker {
  public:
   explicit CoverageTracker(CoverageSampling sampling) : sampling_(sampling) {}
@@ -138,10 +139,12 @@ class CoverageTracker {
     return d.value();
   }
 
-  /// ac: fraction of the host's disk not covered by any heard sender.
-  double additionalCoverage(HostView& host) const {
-    return geom::uncoveredFraction(host.position(), senders_, host.radius(),
-                                   host.rng(), sampling_.samples);
+  /// ac >= threshold, where ac is the sampled fraction of the host's disk
+  /// not covered by any heard sender.
+  bool coverageAtLeast(HostView& host, double threshold) const {
+    return geom::uncoveredFractionAtLeast(host.position(), senders_,
+                                          host.radius(), threshold,
+                                          host.rng(), sampling_.samples);
   }
 
  private:
@@ -157,11 +160,11 @@ class LocationDecider final : public PacketDecider {
     tracker_.addSender(first.fromPos);
   }
   bool shouldProceed(HostView& host) override {
-    return tracker_.additionalCoverage(host) >= threshold_;
+    return tracker_.coverageAtLeast(host, threshold_);
   }
   bool onDuplicate(HostView& host, const Reception& dup) override {
     tracker_.addSender(dup.fromPos);
-    return tracker_.additionalCoverage(host) >= threshold_;
+    return tracker_.coverageAtLeast(host, threshold_);
   }
   std::uint64_t stateDigest() const override { return tracker_.digest(); }
 
@@ -180,13 +183,13 @@ class AdaptiveLocationDecider final : public PacketDecider {
   bool shouldProceed(HostView& host) override {
     const double threshold = fn_(host.neighborCount());
     if (threshold <= 0.0) return true;  // n <= n1 forces the rebroadcast
-    return tracker_.additionalCoverage(host) >= threshold;
+    return tracker_.coverageAtLeast(host, threshold);
   }
   bool onDuplicate(HostView& host, const Reception& dup) override {
     tracker_.addSender(dup.fromPos);
     const double threshold = fn_(host.neighborCount());
     if (threshold <= 0.0) return true;
-    return tracker_.additionalCoverage(host) >= threshold;
+    return tracker_.coverageAtLeast(host, threshold);
   }
   std::uint64_t stateDigest() const override { return tracker_.digest(); }
 

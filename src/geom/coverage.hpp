@@ -1,10 +1,16 @@
 // Monte-Carlo additional-coverage estimation.
 //
 // Two users:
-//  * the location-based schemes, which must compute at runtime the fraction
-//    of a host's disk not already covered by the senders it heard the packet
-//    from (paper §2.3.2 / §3.2), and
-//  * the EAC(k) experiment behind Fig. 1.
+//  * the location-based schemes, which must decide at runtime whether the
+//    fraction of a host's disk not already covered by the senders it heard
+//    the packet from reaches a threshold (paper §2.3.2 / §3.2), and
+//  * the EAC(k) experiment behind Fig. 1, which needs the fraction itself.
+//
+// Both run one sampling loop (DESIGN.md §7.4): a sample within r - dmin of
+// `self`, dmin being the distance to the nearest sender, lies in that
+// sender's disk and is accepted without its trig, and the decision stops
+// sampling once the verdict cannot change. Neither shortcut changes a
+// result or the number of draws taken.
 #pragma once
 
 #include <span>
@@ -18,8 +24,17 @@ namespace manet::geom {
 /// Estimates the fraction (0..1) of the disk of radius `r` centered at `self`
 /// that is NOT covered by the equal-radius disks centered at `covered`.
 /// Uses `samples` uniform points in self's disk; error ~ 1/sqrt(samples).
+/// Always takes 2 * samples draws from `rng`.
 double uncoveredFraction(Vec2 self, std::span<const Vec2> covered, double r,
                          sim::Rng& rng, int samples = 1024);
+
+/// Exactly `uncoveredFraction(self, covered, r, rng, samples) >= threshold`,
+/// leaving `rng` in exactly the same state (2 * samples draws), but skips
+/// the geometry of every sample after the verdict is settled. Any threshold
+/// is accepted: <= 0 is always true and > 1 (or NaN) always false.
+bool uncoveredFractionAtLeast(Vec2 self, std::span<const Vec2> covered,
+                              double r, double threshold, sim::Rng& rng,
+                              int samples = 1024);
 
 /// One trial of the EAC experiment: place `k` senders uniformly at random so
 /// that each could have been heard by a receiver at the origin (i.e. within

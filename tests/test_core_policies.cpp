@@ -245,11 +245,27 @@ TEST(Location, AccumulatedSendersEventuallyInhibit) {
                d->onDuplicate(host, from(5, {0, 0})));
 }
 
+/// True when `after` is `before` advanced by exactly `draws` draws.
+bool advancedBy(sim::Rng before, sim::Rng after, int draws) {
+  for (int i = 0; i < draws; ++i) (void)before.next();
+  for (int i = 0; i < 4; ++i) {
+    if (before.next() != after.next()) return false;
+  }
+  return true;
+}
+
 TEST(Location, ZeroThresholdAlwaysProceeds) {
+  // The verdict settles before the first sample, but the decision still
+  // takes all 2 * 512 draws: checkpoint fingerprints hash the scheme Rng.
   FakeHost host;
   LocationPolicy policy(0.0);
   auto d = policy.makeDecider(host, from(1, {0, 0}));
+  sim::Rng before = host.rng_;
   EXPECT_TRUE(d->shouldProceed(host));
+  EXPECT_TRUE(advancedBy(before, host.rng_, 2 * 512));
+  before = host.rng_;
+  EXPECT_TRUE(d->onDuplicate(host, from(2, {0, 0})));
+  EXPECT_TRUE(advancedBy(before, host.rng_, 2 * 512));
 }
 
 // ------------------------------------------------------ adaptive location
@@ -261,6 +277,17 @@ TEST(AdaptiveLocation, SparseNeighborhoodForcesRelay) {
   auto d = policy.makeDecider(host, from(1, {0, 0}));  // zero new coverage!
   EXPECT_TRUE(d->shouldProceed(host));
   EXPECT_TRUE(d->onDuplicate(host, from(2, {0, 0})));
+}
+
+TEST(AdaptiveLocation, ForcedRelayTakesNoDraws) {
+  FakeHost host;
+  host.nx_ = ids({10, 11, 12});  // n = 3 <= n1: A(n) = 0, no sampling at all
+  AdaptiveLocationPolicy policy(AreaThreshold::suggested());
+  auto d = policy.makeDecider(host, from(1, {100, 0}));
+  const sim::Rng before = host.rng_;
+  EXPECT_TRUE(d->shouldProceed(host));
+  EXPECT_TRUE(d->onDuplicate(host, from(2, {0, 100})));
+  EXPECT_TRUE(advancedBy(before, host.rng_, 0));
 }
 
 TEST(AdaptiveLocation, CrowdedNeighborhoodInhibitsLowCoverage) {
