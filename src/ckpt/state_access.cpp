@@ -41,10 +41,6 @@ std::uint64_t packetDigest(const net::Packet& p) {
   d.add(static_cast<std::uint32_t>(p.hopCount));
   d.add(p.bid.origin.value());
   d.add(p.bid.seq.value());
-  d.add(static_cast<std::uint32_t>(p.appKind));
-  d.add(p.appTarget.value());
-  d.add(static_cast<std::uint64_t>(p.appPath.size()));
-  for (net::HostId id : p.appPath) d.add(id.value());
   // A HELLO without a list hashes as an empty one.
   const auto& hello = p.helloNeighbors;
   d.add(static_cast<std::uint64_t>(hello != nullptr ? hello->size() : 0));

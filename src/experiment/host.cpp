@@ -56,32 +56,16 @@ void Host::onRecover() {
 }
 
 net::BroadcastId Host::originateBroadcast() {
-  return originateBroadcast([](net::Packet&) {});
-}
-
-net::BroadcastId Host::originateBroadcast(
-    const std::function<void(net::Packet&)>& mutate) {
   const net::BroadcastId bid{id_, nextSeq_};
   nextSeq_ = nextSeq_.next();
   MANET_ASSERT(!states_.contains(bid));
   BroadcastState& state = states_[bid];
   state.phase = PacketPhase::kSource;
-  auto packet = net::makePacket();
-  packet->type = net::PacketType::kData;
-  packet->sender = id_;
-  packet->bid = bid;
-  mutate(*packet);
-  state.packet = std::move(packet);
+  state.packet = net::makeDataPacket(bid, id_);
   world_.metrics().onBroadcastStart(bid, id_, now(), world_.reachableFrom(id_));
   emitTrace(trace::EventKind::kBroadcastOriginated, bid);
-  if (app_ != nullptr) app_->onBroadcastOriginated(*this, *state.packet);
   state.txId = mac_->enqueue(state.packet, net::kDataPacketBytes);
   return bid;
-}
-
-mac::DcfMac::TxId Host::sendUnicast(net::HostId dest, net::PacketPtr packet,
-                                    std::size_t bytes) {
-  return mac_->enqueueUnicast(dest, std::move(packet), bytes);
 }
 
 Host::PacketPhase Host::phaseOf(net::BroadcastId bid) const {
@@ -107,12 +91,9 @@ void Host::onReceive(const phy::Frame& frame) {
 
 void Host::handleData(const phy::Frame& frame) {
   const net::Packet& packet = *frame.packet;
-  if (packet.dest != net::kInvalidHost) {
-    // Unicast data is application traffic, not a propagating broadcast: it
-    // bypasses the suppression state machine entirely.
-    if (app_ != nullptr) app_->onUnicastDelivered(*this, packet);
-    return;
-  }
+  // Hosts only ever enqueue broadcasts; unicast data exists only on a bare
+  // DcfMac (examples/ack_storm), never in a World.
+  MANET_ASSERT(packet.dest == net::kInvalidHost);
   const core::Reception rx{packet.sender, frame.srcPos, now()};
   auto it = states_.find(packet.bid);
   if (it == states_.end()) {
@@ -127,17 +108,12 @@ void Host::handleFirstReception(net::BroadcastId bid,
                                 const net::PacketPtr& packet) {
   world_.metrics().onDelivered(bid, id_, now(), packet->hopCount + 1);
   emitTrace(trace::EventKind::kDelivered, bid, rx.from);
-  if (app_ != nullptr) app_->onBroadcastDelivered(*this, *packet);
   BroadcastState& state = states_[bid];
   // Rebroadcast the same payload under the same (origin, seq) identity,
-  // with ourselves as the relaying sender; route requests additionally
-  // accumulate the relay path (DSR-style, the paper's footnote 1).
+  // with ourselves as the relaying sender.
   auto copy = net::makePacket(*packet);
   copy->sender = id_;
   copy->hopCount = static_cast<std::uint16_t>(packet->hopCount + 1);
-  if (copy->appKind == net::Packet::AppKind::kRouteRequest) {
-    copy->appPath.push_back(id_);
-  }
   state.packet = std::move(copy);
   state.decider = world_.policy().makeDecider(*this, rx);
 
@@ -210,7 +186,6 @@ void Host::inhibit(BroadcastState& state, net::BroadcastId bid) {
 
 void Host::onTxStarted(mac::DcfMac::TxId, const net::Packet& packet) {
   if (packet.type != net::PacketType::kData) return;
-  if (packet.dest != net::kInvalidHost) return;  // app unicast, not a flood
   emitTrace(trace::EventKind::kTxStarted, packet.bid);
   auto it = states_.find(packet.bid);
   MANET_ASSERT(it != states_.end());
@@ -230,14 +205,8 @@ void Host::onTxFinished(mac::DcfMac::TxId, const net::Packet& packet) {
     emitTrace(trace::EventKind::kHelloSent, net::BroadcastId{});
     return;
   }
-  if (packet.dest != net::kInvalidHost) return;  // app unicast
   world_.metrics().onFinalized(packet.bid, id_, now());
   emitTrace(trace::EventKind::kTxFinished, packet.bid);
-}
-
-void Host::onUnicastOutcome(mac::DcfMac::TxId, const net::Packet& packet,
-                            bool delivered) {
-  if (app_ != nullptr) app_->onUnicastOutcome(*this, packet, delivered);
 }
 
 void Host::onCorruptedFrame(const phy::Frame& frame, phy::DropReason reason) {
@@ -291,7 +260,5 @@ geom::Vec2 Host::position() const { return mobility_->positionAt(now()); }
 double Host::radius() const { return world_.config().phy.radiusMeters; }
 
 sim::TimePoint Host::now() const { return world_.scheduler().now(); }
-
-sim::Scheduler& Host::scheduler() { return world_.scheduler(); }
 
 }  // namespace manet::experiment

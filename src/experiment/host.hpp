@@ -3,7 +3,6 @@
 // core/policy.hpp); the scheme itself is a PacketDecider.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <unordered_map>
 
@@ -23,36 +22,6 @@ struct StateAccess;
 namespace manet::experiment {
 
 class World;
-class Host;
-
-/// Application layered on top of a host: sees delivered packets and may send
-/// its own traffic through the host. All hooks default to no-ops.
-class HostApp {
- public:
-  virtual ~HostApp() = default;
-  /// An application broadcast arrived (first intact copy at this host).
-  virtual void onBroadcastDelivered(Host& host, const net::Packet& packet) {
-    (void)host;
-    (void)packet;
-  }
-  /// This host originated a broadcast of its own.
-  virtual void onBroadcastOriginated(Host& host, const net::Packet& packet) {
-    (void)host;
-    (void)packet;
-  }
-  /// A unicast data packet addressed to this host arrived.
-  virtual void onUnicastDelivered(Host& host, const net::Packet& packet) {
-    (void)host;
-    (void)packet;
-  }
-  /// Verdict of a unicast this host sent (acknowledged or dropped).
-  virtual void onUnicastOutcome(Host& host, const net::Packet& packet,
-                                bool delivered) {
-    (void)host;
-    (void)packet;
-    (void)delivered;
-  }
-};
 
 class Host final : public mac::DcfMac::Upper, public core::HostView {
  public:
@@ -78,21 +47,6 @@ class Host final : public mac::DcfMac::Upper, public core::HostView {
   /// of the workload). Returns its identity.
   net::BroadcastId originateBroadcast();
 
-  /// Originates a broadcast carrying an application payload; `mutate` may
-  /// fill the app fields of the fresh packet (bid/sender are pre-set).
-  net::BroadcastId originateBroadcast(
-      const std::function<void(net::Packet&)>& mutate);
-
-  /// Sends a unicast data packet (acknowledged/retried by the MAC).
-  mac::DcfMac::TxId sendUnicast(net::HostId dest, net::PacketPtr packet,
-                                std::size_t bytes);
-
-  /// Attaches an application (not owned; may be null to detach).
-  void setApp(HostApp* app) { app_ = app; }
-
-  /// The world's scheduler (for application timers).
-  sim::Scheduler& scheduler();
-
   mobility::MobilityModel& mobility() { return *mobility_; }
   net::NeighborTable& table() { return table_; }
   mac::DcfMac& mac() { return *mac_; }
@@ -108,8 +62,6 @@ class Host final : public mac::DcfMac::Upper, public core::HostView {
   void onReceive(const phy::Frame& frame) override;
   void onCorruptedFrame(const phy::Frame& frame,
                         phy::DropReason reason) override;
-  void onUnicastOutcome(mac::DcfMac::TxId id, const net::Packet& packet,
-                        bool delivered) override;
 
   // --- core::HostView ---
   net::HostId id() const override { return id_; }
@@ -157,7 +109,6 @@ class Host final : public mac::DcfMac::Upper, public core::HostView {
   std::unique_ptr<net::HelloAgent> hello_;
   net::BroadcastSeq nextSeq_{};  // survives crashes: bids stay unique
   bool up_ = true;
-  HostApp* app_ = nullptr;
   std::unordered_map<net::BroadcastId, BroadcastState, net::BroadcastIdHash>
       states_;
 };

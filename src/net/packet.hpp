@@ -48,22 +48,6 @@ struct Packet {
   // --- data broadcast fields ---
   BroadcastId bid{};
 
-  // --- application payload (route discovery and friends) ---
-  enum class AppKind : std::uint8_t {
-    kNone,
-    kRouteRequest,
-    kRouteReply,
-    kRepairRequest,  // reliable-broadcast NACK: "resend me bid"
-    kRepairData,     // reliable-broadcast repair carrying bid's payload
-  };
-  AppKind appKind = AppKind::kNone;
-  /// Route-request target / route-reply consumer.
-  HostId appTarget = kInvalidHost;
-  /// Source route accumulated hop by hop (route requests append each
-  /// relaying host, the way DSR's route_request does — the paper's
-  /// footnote 1 describes exactly this "same or modified packet" pattern).
-  std::vector<HostId> appPath;
-
   // --- HELLO fields ---
   /// The sender's one-hop neighbor set N_h, piggybacked so receivers can
   /// build the two-hop sets N_{x,h} the neighbor-coverage scheme needs.
@@ -91,7 +75,7 @@ inline constexpr std::size_t kCtsBytes = 14;
 /// otherwise. Implemented in net/packet_pool.cpp.
 std::shared_ptr<Packet> makePacket();
 /// Copy flavour: a pooled copy of `proto` (the MAC's stamp-and-forward and
-/// the routing layer's modify-and-relay pattern).
+/// the host's relay copy).
 std::shared_ptr<Packet> makePacket(const Packet& proto);
 
 /// Makes an immutable data-broadcast packet.
