@@ -1,15 +1,15 @@
 // google-benchmark comparison of the channel's spatial-grid range resolution
-// against the exhaustive scan (DESIGN.md §7). Not a paper figure — the
+// against the exhaustive scan (DESIGN.md §7.1). Not a paper figure — the
 // regression guard for the grid path, run at tiny scale by the `perf_smoke`
 // ctest label.
 //
 // The workload mirrors what one simulation epoch pays: mobile hosts whose
 // positions come through the same mobility-model callbacks the real World
-// wires up, time advancing between iterations (so the grid is rebuilt every
-// epoch, never amortized across iterations for free), and neighbor
-// resolution for every host — the per-receiver work transmit() does plus the
-// oracle neighborhood queries the adaptive schemes issue at frame-end
-// timestamps.
+// wires up, time advancing between iterations (so every epoch pays the grid
+// refresh, which calls every position callback, plus any full rebuild a
+// host's escape from its anchor forces), and neighbor resolution for every
+// host — the per-receiver work transmit() does plus the oracle neighborhood
+// queries the adaptive schemes issue at frame-end timestamps.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -74,7 +74,7 @@ void BM_NeighborResolution(benchmark::State& state, bool grid) {
   std::vector<net::HostId> receivers;  // reused like transmit()'s scratch
   for (auto _ : state) {
     // 1 ms epochs: the spacing of back-to-back frames during a storm, so
-    // per-epoch costs (mobility integration, grid rebuild) weigh as they
+    // per-epoch costs (mobility integration, grid refresh) weigh as they
     // do in a real run.
     mc.advance(1 * sim::kMillisecond);
     std::size_t neighbors = 0;
@@ -125,8 +125,9 @@ BENCHMARK(BM_OracleNeighborCountGrid)->Args({100, 1})->Args({100, 5});
 BENCHMARK(BM_OracleNeighborCountExhaustive)->Args({100, 1})->Args({100, 5});
 
 /// Floor probe: one epoch advance + a single query. Grid-on pays mobility
-/// integration + the full rebuild here; the difference to the 100-query
-/// benchmarks above is the pure per-query cost.
+/// integration + the in-place grid refresh here (and, rarely, a full
+/// rebuild); the difference to the 100-query benchmarks above is the pure
+/// per-query cost.
 void BM_EpochFloor(benchmark::State& state, bool grid) {
   MobileChannel mc(100, 1, grid);
   for (auto _ : state) {

@@ -9,6 +9,7 @@
 #include "experiment/runner.hpp"
 #include "geom/circle.hpp"
 #include "geom/coverage.hpp"
+#include "phy/channel.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 #include "stats/connectivity.hpp"
@@ -118,7 +119,32 @@ void BM_ConnectivityBfs(benchmark::State& state) {
     benchmark::DoNotOptimize(stats::reachableCount(pos, 500.0, 0));
   }
 }
-BENCHMARK(BM_ConnectivityBfs)->Arg(100)->Arg(400);
+BENCHMARK(BM_ConnectivityBfs)->Arg(100)->Arg(400)->Arg(2000);
+
+class NullListener : public phy::Channel::Listener {
+ public:
+  void onFrameReceived(const phy::Frame&, phy::DropReason) override {}
+};
+
+/// The simulator's RE denominator: Channel::reachableCount, the same BFS on
+/// the channel's grid, over the hosts BM_ConnectivityBfs places. Time does
+/// not advance, so this is the BFS alone, without the per-epoch refresh.
+void BM_ChannelReachable(benchmark::State& state) {
+  const int hosts = static_cast<int>(state.range(0));
+  sim::Rng rng(3);
+  sim::Scheduler scheduler;
+  phy::Channel channel(scheduler, phy::PhyParams{});
+  NullListener listener;
+  for (int i = 0; i < hosts; ++i) {
+    const geom::Vec2 p{rng.uniform(0.0, 2500.0), rng.uniform(0.0, 2500.0)};
+    channel.attach(net::HostId{static_cast<std::uint32_t>(i)}, &listener,
+                   [p] { return p; });
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(channel.reachableCount(net::HostId{0}));
+  }
+}
+BENCHMARK(BM_ChannelReachable)->Arg(100)->Arg(400)->Arg(2000);
 
 void BM_FullScenario(benchmark::State& state) {
   // End-to-end cost of one broadcast on a mid-density map (the unit every

@@ -6,7 +6,6 @@
 #include "mobility/random_roam.hpp"
 #include "mobility/waypoint.hpp"
 #include "obs/metrics.hpp"
-#include "stats/connectivity.hpp"
 #include "traffic/generator.hpp"
 #include "util/assert.hpp"
 #include "util/env.hpp"
@@ -128,17 +127,7 @@ void World::startAgents() {
 }
 
 int World::reachableFrom(net::HostId source) const {
-  // Crashed hosts sit at Vec2{} in the snapshot; mask them out of the BFS
-  // whenever any host is actually down (churn config or manual setHostUp).
-  bool anyDown = false;
-  std::vector<bool> alive(hosts_.size());
-  for (std::size_t i = 0; i < hosts_.size(); ++i) {
-    alive[i] = hosts_[i]->up();
-    anyDown |= !alive[i];
-  }
-  return stats::reachableCount(channel_.snapshotPositions(),
-                               anyDown ? &alive : nullptr,
-                               config_.phy.radiusMeters, source.value());
+  return static_cast<int>(channel_.reachableCount(source));
 }
 
 void World::setHostUp(net::HostId id, bool up) {

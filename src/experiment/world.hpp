@@ -89,8 +89,9 @@ class World {
   Host& host(net::HostId id) { return *hosts_[id.value()]; }
   std::size_t hostCount() const { return hosts_.size(); }
 
-  /// e for a broadcast starting now at `source` (unit-disk BFS snapshot).
-  /// Crashed hosts neither count nor relay.
+  /// e for a broadcast starting now at `source`: Channel::reachableCount,
+  /// a unit-disk BFS on the channel's grid. Crashed hosts neither count nor
+  /// relay.
   int reachableFrom(net::HostId source) const;
 
   // --- fault injection (DESIGN.md §8) ---

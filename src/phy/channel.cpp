@@ -18,6 +18,16 @@ namespace {
 /// (e.g. one node flung far away) from allocating a huge cell table.
 constexpr int kMaxCellsPerAxis = 256;
 
+/// Grid slack: cells are r + skin wide, so a node may drift up to a skin
+/// from its anchor before range queries could miss it. r/16 keeps full
+/// rebuilds rare at vehicular speeds while padding the cells only ~6%.
+constexpr double kSkinFraction = 1.0 / 16.0;
+
+/// A refresh forces a full rebuild once a node is farther than this share
+/// of the skin from its anchor; the 1% slack absorbs the rounding of the
+/// distance test and of the padded cell boxes.
+constexpr double kEscapeFraction = 0.99;
+
 }  // namespace
 
 Channel::Channel(sim::Scheduler& scheduler, PhyParams params)
@@ -88,28 +98,69 @@ bool Channel::isTransmitting(net::HostId id) const {
 }
 
 void Channel::ensureGrid() const {
-  if (grid_.valid && grid_.builtAt == scheduler_.now() &&
-      grid_.attachVersion == attachVersion_) {
+  if (grid_.valid && grid_.attachVersion == attachVersion_) {
+    if (grid_.builtAt == scheduler_.now()) return;
+    grid_.builtAt = scheduler_.now();
+    if (!refreshGrid()) rebuildCells();
     return;
   }
   const std::size_t n = nodes_.size();
   grid_.positions.resize(n);
-  grid_.cellOf.assign(n, -1);
   grid_.sortedIds.clear();
   grid_.rankOf.assign(n, -1);
 
   // Pay each position callback exactly once per epoch; every query this
   // epoch reads the cached coordinates. Churned-down nodes are invisible:
   // they get no rank, no cell, and no cached position.
+  for (std::size_t id = 0; id < n; ++id) {
+    if (!nodes_[id].attached || !nodes_[id].up) continue;
+    grid_.positions[id] = nodes_[id].position();
+    grid_.rankOf[id] = static_cast<int>(grid_.sortedIds.size());
+    grid_.sortedIds.push_back(net::HostId{static_cast<std::uint32_t>(id)});
+  }
+  grid_.valid = true;
+  grid_.builtAt = scheduler_.now();
+  grid_.attachVersion = attachVersion_;
+  rebuildCells();
+}
+
+bool Channel::refreshGrid() const {
+  // Same callbacks in the same order as a full rebuild (the on-air set is
+  // unchanged since it), so trajectories cannot tell the two apart.
+  const double skin = kSkinFraction * params_.radiusMeters;
+  const double escape2 = kEscapeFraction * kEscapeFraction * skin * skin;
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  geom::Vec2 lo{inf, inf};
+  geom::Vec2 hi{-inf, -inf};
+  bool anchored = true;
+  for (const net::HostId id : grid_.sortedIds) {
+    const geom::Vec2 p = nodes_[id.value()].position();
+    grid_.positions[id.value()] = p;
+    const auto slot = static_cast<std::size_t>(grid_.slotOf[id.value()]);
+    grid_.cellX[slot] = p.x;
+    grid_.cellY[slot] = p.y;
+    lo.x = std::min(lo.x, p.x);
+    lo.y = std::min(lo.y, p.y);
+    hi.x = std::max(hi.x, p.x);
+    hi.y = std::max(hi.y, p.y);
+    const double dx = p.x - grid_.anchorX[slot];
+    const double dy = p.y - grid_.anchorY[slot];
+    if (dx * dx + dy * dy > escape2) anchored = false;
+  }
+  if (!grid_.sortedIds.empty()) {
+    grid_.bboxMin = lo;
+    grid_.bboxMax = hi;
+  }
+  return anchored;
+}
+
+void Channel::rebuildCells() const {
+  const std::size_t n = nodes_.size();
   geom::Vec2 lo{0.0, 0.0};
   geom::Vec2 hi{0.0, 0.0};
   bool first = true;
-  for (std::size_t id = 0; id < n; ++id) {
-    if (!nodes_[id].attached || !nodes_[id].up) continue;
-    const geom::Vec2 p = nodes_[id].position();
-    grid_.positions[id] = p;
-    grid_.rankOf[id] = static_cast<int>(grid_.sortedIds.size());
-    grid_.sortedIds.push_back(net::HostId{static_cast<std::uint32_t>(id)});
+  for (const net::HostId id : grid_.sortedIds) {
+    const geom::Vec2 p = grid_.positions[id.value()];
     if (first) {
       lo = hi = p;
       first = false;
@@ -122,8 +173,10 @@ void Channel::ensureGrid() const {
   }
 
   grid_.origin = lo;
+  grid_.bboxMin = lo;
   grid_.bboxMax = hi;
-  double cell = params_.radiusMeters;
+  const double skin = kSkinFraction * params_.radiusMeters;
+  double cell = params_.radiusMeters + skin;
   int cols = first ? 1 : static_cast<int>((hi.x - lo.x) / cell) + 1;
   int rows = first ? 1 : static_cast<int>((hi.y - lo.y) / cell) + 1;
   if (cols > kMaxCellsPerAxis || rows > kMaxCellsPerAxis) {
@@ -140,14 +193,15 @@ void Channel::ensureGrid() const {
   // list ascending, which the queries rely on for deterministic order.
   const std::size_t cells =
       static_cast<std::size_t>(cols) * static_cast<std::size_t>(rows);
+  grid_.cellOf.assign(n, -1);
+  grid_.slotOf.assign(n, -1);
   grid_.cellStart.assign(cells + 1, 0);
-  for (std::size_t id = 0; id < n; ++id) {
-    if (!nodes_[id].attached || !nodes_[id].up) continue;
-    const geom::Vec2 p = grid_.positions[id];
+  for (const net::HostId id : grid_.sortedIds) {
+    const geom::Vec2 p = grid_.positions[id.value()];
     const int cx = std::min(cols - 1, static_cast<int>((p.x - lo.x) / cell));
     const int cy = std::min(rows - 1, static_cast<int>((p.y - lo.y) / cell));
     const int c = cy * cols + cx;
-    grid_.cellOf[id] = c;
+    grid_.cellOf[id.value()] = c;
     ++grid_.cellStart[static_cast<std::size_t>(c) + 1];
   }
   for (std::size_t c = 1; c < grid_.cellStart.size(); ++c) {
@@ -157,6 +211,8 @@ void Channel::ensureGrid() const {
   grid_.cellNodes.resize(occupied);
   grid_.cellX.resize(occupied);
   grid_.cellY.resize(occupied);
+  grid_.anchorX.resize(occupied);
+  grid_.anchorY.resize(occupied);
   constexpr double inf = std::numeric_limits<double>::infinity();
   grid_.cellMinX.assign(cells, inf);
   grid_.cellMaxX.assign(cells, -inf);
@@ -164,24 +220,20 @@ void Channel::ensureGrid() const {
   grid_.cellMaxY.assign(cells, -inf);
   std::vector<int>& fill = grid_.fill;
   fill.assign(grid_.cellStart.begin(), grid_.cellStart.end() - 1);
-  for (std::size_t id = 0; id < n; ++id) {
-    const int c = grid_.cellOf[id];
-    if (c < 0) continue;
-    const auto cc = static_cast<std::size_t>(c);
-    const auto slot = static_cast<std::size_t>(fill[cc]++);
-    const geom::Vec2 p = grid_.positions[id];
-    grid_.cellNodes[slot] = net::HostId{static_cast<std::uint32_t>(id)};
-    grid_.cellX[slot] = p.x;
-    grid_.cellY[slot] = p.y;
-    grid_.cellMinX[cc] = std::min(grid_.cellMinX[cc], p.x);
-    grid_.cellMaxX[cc] = std::max(grid_.cellMaxX[cc], p.x);
-    grid_.cellMinY[cc] = std::min(grid_.cellMinY[cc], p.y);
-    grid_.cellMaxY[cc] = std::max(grid_.cellMaxY[cc], p.y);
+  for (const net::HostId id : grid_.sortedIds) {
+    const auto cc = static_cast<std::size_t>(grid_.cellOf[id.value()]);
+    const int slot = fill[cc]++;
+    const auto s = static_cast<std::size_t>(slot);
+    const geom::Vec2 p = grid_.positions[id.value()];
+    grid_.slotOf[id.value()] = slot;
+    grid_.cellNodes[s] = id;
+    grid_.cellX[s] = grid_.anchorX[s] = p.x;
+    grid_.cellY[s] = grid_.anchorY[s] = p.y;
+    grid_.cellMinX[cc] = std::min(grid_.cellMinX[cc], p.x - skin);
+    grid_.cellMaxX[cc] = std::max(grid_.cellMaxX[cc], p.x + skin);
+    grid_.cellMinY[cc] = std::min(grid_.cellMinY[cc], p.y - skin);
+    grid_.cellMaxY[cc] = std::max(grid_.cellMaxY[cc], p.y + skin);
   }
-
-  grid_.valid = true;
-  grid_.builtAt = scheduler_.now();
-  grid_.attachVersion = attachVersion_;
 
   obs::add(obs::Counter::kGridRebuilds);
   if (obs::current() != nullptr) {
@@ -214,36 +266,31 @@ void Channel::collectInRange(geom::Vec2 center, net::HostId exclude,
   // When the whole population's bounding box lies inside the query disk —
   // routine on dense single-cell maps — every other node is in range and
   // the pre-sorted id list can be spliced around `exclude` directly.
-  {
-    const double fx =
-        std::max(center.x - grid_.origin.x, grid_.bboxMax.x - center.x);
-    const double fy =
-        std::max(center.y - grid_.origin.y, grid_.bboxMax.y - center.y);
-    if (fx * fx + fy * fy <= r2) {
-      obs::add(obs::Counter::kGridBboxFastPath);
-      const net::HostId* b = grid_.sortedIds.data();
-      const std::size_t total = grid_.sortedIds.size();
-      const bool excluded = exclude.value() < grid_.rankOf.size() &&
-                            grid_.rankOf[exclude.value()] >= 0;
-      const std::size_t k =
-          excluded ? static_cast<std::size_t>(grid_.rankOf[exclude.value()])
-                   : total;
-      const std::size_t at = out.size();
-      out.resize(at + total - (excluded ? 1 : 0));
-      net::HostId* w = out.data() + at;
-      std::copy(b, b + k, w);
-      std::copy(b + k + (excluded ? 1 : 0), b + total, w + k);
-      return;
-    }
+  if (bboxCovered(center, r2)) {
+    obs::add(obs::Counter::kGridBboxFastPath);
+    const net::HostId* b = grid_.sortedIds.data();
+    const std::size_t total = grid_.sortedIds.size();
+    const bool excluded = exclude.value() < grid_.rankOf.size() &&
+                          grid_.rankOf[exclude.value()] >= 0;
+    const std::size_t k =
+        excluded ? static_cast<std::size_t>(grid_.rankOf[exclude.value()])
+                 : total;
+    const std::size_t at = out.size();
+    out.resize(at + total - (excluded ? 1 : 0));
+    net::HostId* w = out.data() + at;
+    std::copy(b, b + k, w);
+    std::copy(b + k + (excluded ? 1 : 0), b + total, w + k);
+    return;
   }
-  // Cell size >= radius, so a disk centered anywhere inside cell (ccx,ccy)
-  // is contained in the 3x3 neighborhood. Single pass over those cells,
-  // sized to the attached-population upper bound up front. Pointers are
-  // hoisted so stores into `out` can't force reloads through `grid_`. A
-  // cell whose occupant bounding box lies inside the disk is bulk-copied
-  // (splicing out `exclude`); otherwise branchless compaction over the
-  // contiguous coordinate arrays — always store the candidate id, advance
-  // only when it qualifies.
+  // Cell size >= radius + skin and no node is a skin from its anchor, so a
+  // disk centered anywhere inside cell (ccx,ccy) only holds occupants of
+  // its 3x3 neighborhood. Single pass over those cells, sized to the
+  // attached-population upper bound up front. Pointers are hoisted so
+  // stores into `out` can't force reloads through `grid_`. A cell whose
+  // padded occupant box lies inside the disk is bulk-copied (splicing out
+  // `exclude`); otherwise branchless compaction over the contiguous
+  // coordinate arrays — always store the candidate id, advance only when
+  // it qualifies.
   const std::size_t before = out.size();
   out.resize(before + grid_.sortedIds.size());
   const double* xs = grid_.cellX.data();
@@ -306,15 +353,9 @@ std::size_t Channel::inRangeCount(net::HostId id) const {
   MANET_EXPECTS(id.value() < grid_.rankOf.size() &&
                 grid_.rankOf[id.value()] >= 0);
   const geom::Vec2 center = grid_.positions[id.value()];
-  {
-    const double fx =
-        std::max(center.x - grid_.origin.x, grid_.bboxMax.x - center.x);
-    const double fy =
-        std::max(center.y - grid_.origin.y, grid_.bboxMax.y - center.y);
-    if (fx * fx + fy * fy <= r2) {
-      obs::add(obs::Counter::kGridBboxFastPath);
-      return grid_.sortedIds.size() - 1;
-    }
+  if (bboxCovered(center, r2)) {
+    obs::add(obs::Counter::kGridBboxFastPath);
+    return grid_.sortedIds.size() - 1;
   }
   // Fully covered cells contribute their occupancy outright; otherwise a
   // branch-free scan over the contiguous coordinate arrays. `id` itself is
@@ -361,7 +402,7 @@ void Channel::nodesInRange(net::HostId id,
 
 std::vector<geom::Vec2> Channel::snapshotPositions() const {
   // Unattached and churned-down nodes report Vec2{}; callers that mix down
-  // nodes into geometric queries must mask them out (World::reachableFrom).
+  // nodes into geometric queries must mask them out.
   if (gridEnabled_) {
     ensureGrid();
     std::vector<geom::Vec2> out = grid_.positions;
@@ -375,6 +416,89 @@ std::vector<geom::Vec2> Channel::snapshotPositions() const {
     if (nodes_[i].attached && nodes_[i].up) out[i] = nodes_[i].position();
   }
   return out;
+}
+
+std::size_t Channel::reachableCount(net::HostId source) const {
+  const double r2 = params_.radiusMeters * params_.radiusMeters;
+  if (!gridEnabled_) {
+    obs::add(obs::Counter::kGridFallbackQueries);
+    MANET_EXPECTS(node(source).up);
+    // One callback per on-air node, as a grid epoch pays, then an O(N^2)
+    // BFS over the snapshot. `ids` doubles as the queue: [0, head) is done.
+    std::vector<geom::Vec2> pos(nodes_.size());
+    std::vector<std::uint8_t> unseen(nodes_.size(), 0);
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      if (!nodes_[i].attached || !nodes_[i].up) continue;
+      pos[i] = nodes_[i].position();
+      unseen[i] = 1;
+    }
+    std::vector<std::size_t> ids{source.value()};
+    unseen[source.value()] = 0;
+    for (std::size_t head = 0; head < ids.size(); ++head) {
+      const geom::Vec2 u = pos[ids[head]];
+      for (std::size_t v = 0; v < nodes_.size(); ++v) {
+        if (unseen[v] != 0 && geom::distanceSquared(u, pos[v]) <= r2) {
+          unseen[v] = 0;
+          ids.push_back(v);
+        }
+      }
+    }
+    return ids.size() - 1;
+  }
+
+  ensureGrid();
+  MANET_EXPECTS(source.value() < grid_.rankOf.size() &&
+                grid_.rankOf[source.value()] >= 0);
+  const std::size_t total = grid_.sortedIds.size();
+  if (bboxCovered(grid_.positions[source.value()], r2)) {
+    obs::add(obs::Counter::kGridQueries);
+    obs::add(obs::Counter::kGridBboxFastPath);
+    return total - 1;
+  }
+  // BFS over CSR slots: expanding a node is one 3x3 neighborhood query.
+  // Marks live in `reached`; `unreached` counts each cell's unmarked
+  // occupants so exhausted cells are skipped without touching them.
+  std::vector<std::uint8_t>& reached = grid_.reached;
+  std::vector<int>& queue = grid_.frontier;
+  std::vector<int>& unreached = grid_.unreached;
+  reached.assign(total, 0);
+  unreached.resize(grid_.cellStart.size() - 1);
+  for (std::size_t c = 0; c + 1 < grid_.cellStart.size(); ++c) {
+    unreached[c] = grid_.cellStart[c + 1] - grid_.cellStart[c];
+  }
+  queue.clear();
+  const int start = grid_.slotOf[source.value()];
+  reached[static_cast<std::size_t>(start)] = 1;
+  --unreached[static_cast<std::size_t>(grid_.cellOf[source.value()])];
+  queue.push_back(start);
+  const double* xs = grid_.cellX.data();
+  const double* ys = grid_.cellY.data();
+  std::uint64_t covered = 0;
+  std::uint64_t scanned = 0;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const auto u = static_cast<std::size_t>(queue[head]);
+    const geom::Vec2 center{xs[u], ys[u]};
+    forEachNeighborCell(center, [&](std::size_t c, int lo, int hi) {
+      if (unreached[c] == 0) return;
+      const bool all = cellFullyCovered(c, center, r2);
+      ++(all ? covered : scanned);
+      for (int i = lo; i < hi; ++i) {
+        const auto v = static_cast<std::size_t>(i);
+        if (reached[v] != 0) continue;
+        const double dx = xs[v] - center.x;
+        const double dy = ys[v] - center.y;
+        if (all || dx * dx + dy * dy <= r2) {
+          reached[v] = 1;
+          --unreached[c];
+          queue.push_back(i);
+        }
+      }
+    });
+  }
+  obs::add(obs::Counter::kGridQueries, queue.size());
+  obs::add(obs::Counter::kGridCellsCovered, covered);
+  obs::add(obs::Counter::kGridCellsScanned, scanned);
+  return queue.size() - 1;
 }
 
 sim::TimePoint Channel::transmit(net::HostId src, net::PacketPtr packet,

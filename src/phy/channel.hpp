@@ -15,13 +15,16 @@
 // The channel is also the position oracle: it owns the position callbacks
 // and exposes range queries used by the world's connectivity snapshots.
 //
-// Range resolution (DESIGN.md §7): queries go through a uniform spatial grid
-// (cell size = radio radius) rebuilt lazily once per simulation-time epoch,
-// so `transmit`/`nodesInRange` only examine the 3x3 cell neighborhood and
-// pay the position callbacks once per node per epoch instead of once per
-// query. `setGridEnabled(false)` restores the exhaustive O(N) scan; both
-// paths visit candidates in ascending node id, so a run is bit-identical
-// under either.
+// Range resolution (DESIGN.md §7.1): queries go through an anchored uniform
+// grid (cell size = radio radius + skin). Each node's cell is fixed by its
+// anchor, the position it had at the last full rebuild; every new
+// simulation-time epoch only refreshes the cached coordinates in place, and
+// the cells are rebuilt when a node strays almost a skin from its anchor or
+// the on-air population changes. So `transmit`/`nodesInRange` examine only
+// the 3x3 cell neighborhood and pay the position callbacks once per node per
+// epoch instead of once per query. `setGridEnabled(false)` restores the
+// exhaustive O(N) scan; both paths visit candidates in ascending node id, so
+// a run is bit-identical under either.
 //
 // Frame-centric reception (DESIGN.md §11.6): one transmitted frame is one
 // pooled air-frame record holding the Frame once plus a per-receiver entry
@@ -152,6 +155,12 @@ class Channel {
   /// Positions of all attached nodes, indexed by node id.
   std::vector<geom::Vec2> snapshotPositions() const;
 
+  /// Number of on-air nodes reachable from `source` over links of length <=
+  /// `radiusMeters`, directly or over any number of hops, excluding
+  /// `source`: RE's denominator `e` (paper, footnote 2). Churned-down nodes
+  /// neither count nor relay. `source` must be on the air.
+  std::size_t reachableCount(net::HostId source) const;
+
   std::size_t nodeCount() const { return nodes_.size(); }
   const PhyParams& params() const { return params_; }
 
@@ -217,37 +226,53 @@ class Channel {
     std::vector<RxRef> activeRx;  // in arrival order
   };
 
-  /// Uniform-cell spatial index over the attached nodes' positions, cached
-  /// for one simulation-time epoch (positions are pure functions of time, so
-  /// within one timestamp the index is exact). CSR layout: `cellNodes` holds
-  /// node ids grouped by cell, `cellStart[c]..cellStart[c+1]` delimits cell
-  /// c; `cellX`/`cellY` mirror the occupants' coordinates so the range scan
-  /// runs over contiguous doubles instead of chasing position callbacks.
+  /// Anchored uniform-cell spatial index over the on-air nodes' positions.
+  /// A full rebuild buckets every node by its current position, which
+  /// becomes its anchor, into cells of size r + skin. At each later epoch
+  /// the index is refreshed, not rebuilt: every node's position callback
+  /// runs once (ascending id), and the result overwrites the node's cached
+  /// coordinates in its CSR slot. Cell membership keeps following the
+  /// anchors until some node moves farther than kEscapeFraction * skin from
+  /// its anchor, or a node attaches or churns; then the cells are rebuilt.
+  /// While every node stays within a skin of its anchor, a disk of radius r
+  /// still lies inside the 3x3 neighborhood of its center's cell. CSR
+  /// layout: `cellNodes` holds node ids grouped by cell, ascending within a
+  /// cell; `cellStart[c]..cellStart[c+1]` delimits cell c; `cellX`/`cellY`
+  /// hold the occupants' current coordinates, so the range scan runs over
+  /// contiguous doubles instead of chasing position callbacks.
   struct Grid {
     bool valid = false;
-    sim::TimePoint builtAt = sim::kNever;
+    sim::TimePoint builtAt = sim::kNever;  // epoch of the cached positions
     std::uint64_t attachVersion = 0;
     double cellSize = 0.0;
-    geom::Vec2 origin{};                // == population bbox min corner
-    geom::Vec2 bboxMax{};               // population bbox max corner
+    geom::Vec2 origin{};                // anchor bbox min corner: cell (0,0)
+    geom::Vec2 bboxMin{};               // current population bbox
+    geom::Vec2 bboxMax{};
     int cols = 0;
     int rows = 0;
-    std::vector<net::HostId> sortedIds;  // attached ids, ascending
+    std::vector<net::HostId> sortedIds;  // on-air ids, ascending
     std::vector<int> rankOf;            // id -> index in sortedIds (-1: none)
     std::vector<geom::Vec2> positions;  // per node id, cached this epoch
-    std::vector<int> cellOf;            // per node id (-1 = not attached)
+    std::vector<int> cellOf;            // per node id (-1 = not on the air)
+    std::vector<int> slotOf;            // per node id: index into cellNodes
     std::vector<int> cellStart;         // cols*rows + 1 offsets
     std::vector<net::HostId> cellNodes;
     std::vector<double> cellX;          // parallel to cellNodes
     std::vector<double> cellY;
-    // Tight bounding box of each cell's occupants (+inf/-inf when empty).
-    // When the whole box lies inside a query disk every occupant is in
-    // range and the per-node distance scan can be skipped.
+    std::vector<double> anchorX;        // parallel to cellNodes
+    std::vector<double> anchorY;
+    // Bounding box of each cell's occupant anchors, grown by the skin
+    // (+inf/-inf when empty), so it holds every occupant's current
+    // position. When the whole box lies inside a query disk every occupant
+    // is in range and the per-node distance scan can be skipped.
     std::vector<double> cellMinX;
     std::vector<double> cellMaxX;
     std::vector<double> cellMinY;
     std::vector<double> cellMaxY;
     std::vector<int> fill;              // rebuild scratch: next slot per cell
+    std::vector<std::uint8_t> reached;  // reachableCount scratch, per slot
+    std::vector<int> frontier;          // reachableCount scratch: BFS queue
+    std::vector<int> unreached;         // reachableCount scratch, per cell
   };
 
   Node& node(net::HostId id);
@@ -273,12 +298,18 @@ class Channel {
     if (rec.reason == DropReason::kNone) rec.reason = reason;
   }
 
-  /// Rebuilds the grid if it is stale for the current epoch (time advanced
-  /// or a node attached since the last build).
+  /// Brings the grid up to the current epoch: nothing when it is current,
+  /// a refresh when only time advanced, a full rebuild when a node attached
+  /// or churned since, or when the refresh finds a node off its anchor.
   void ensureGrid() const;
+  /// Samples every on-air node's position, in ascending id, into the cache
+  /// and its CSR slot. Returns false when some node escaped its anchor.
+  bool refreshGrid() const;
+  /// Re-buckets the cached positions into cells; they become the anchors.
+  void rebuildCells() const;
   /// Invokes fn(c, lo, hi) with the index and CSR occupant range of every
-  /// cell in the 3x3 neighborhood of the cell containing `center`. Requires
-  /// a current grid (call ensureGrid() first).
+  /// cell in the 3x3 neighborhood of the cell containing `center` (clamped
+  /// to the grid). Requires a current grid (call ensureGrid() first).
   template <typename Fn>
   void forEachNeighborCell(geom::Vec2 center, Fn&& fn) const {
     const int ccx = std::clamp(
@@ -297,13 +328,22 @@ class Channel {
     }
   }
   /// True when every occupant of cell `c` is within `radiusMeters` of
-  /// `center` (the cell's occupant bounding box lies inside the disk), so
+  /// `center` (the cell's skin-padded anchor box lies inside the disk), so
   /// the whole cell qualifies without per-node distance checks.
   bool cellFullyCovered(std::size_t c, geom::Vec2 center, double r2) const {
     const double fx = std::max(center.x - grid_.cellMinX[c],
                                grid_.cellMaxX[c] - center.x);
     const double fy = std::max(center.y - grid_.cellMinY[c],
                                grid_.cellMaxY[c] - center.y);
+    return fx * fx + fy * fy <= r2;
+  }
+  /// True when the current population bounding box lies inside the disk of
+  /// radius sqrt(r2) around `center`: every on-air node is in range.
+  bool bboxCovered(geom::Vec2 center, double r2) const {
+    const double fx =
+        std::max(center.x - grid_.bboxMin.x, grid_.bboxMax.x - center.x);
+    const double fy =
+        std::max(center.y - grid_.bboxMin.y, grid_.bboxMax.y - center.y);
     return fx * fx + fy * fy <= r2;
   }
   /// Appends all attached ids within `radiusMeters` of `center` (except

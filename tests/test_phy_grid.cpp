@@ -1,9 +1,11 @@
-// Differential tests for the channel's spatial grid index: under mobility,
-// across densities, the grid-backed range queries and transmit delivery sets
-// must match the exhaustive-scan fallback exactly (DESIGN.md §7).
+// Differential tests for the channel's anchored spatial grid index: under
+// mobility, across densities, the grid-backed range queries, reachability
+// counts and transmit delivery sets must match the exhaustive-scan fallback
+// exactly (DESIGN.md §7.1).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -11,9 +13,11 @@
 #include "mobility/map.hpp"
 #include "mobility/random_roam.hpp"
 #include "net/packet.hpp"
+#include "obs/metrics.hpp"
 #include "phy/channel.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
+#include "stats/connectivity.hpp"
 
 namespace manet::phy {
 namespace {
@@ -189,6 +193,265 @@ TEST(PhyGrid, AttachInvalidatesCachedGrid) {
   const auto inRange = channel.nodesInRange(a);
   ASSERT_EQ(inRange.size(), 1u);
   EXPECT_EQ(inRange[0], b);
+}
+
+/// Why the grid must keep the callback cadence of the exhaustive scan: a
+/// RandomRoam position depends on how often it was queried, not just on
+/// the time (it integrates position += v*dt once per query).
+TEST(PhyGrid, RoamPositionDependsOnQueryCadence) {
+  const mobility::MapSpec map = mobility::MapSpec::square(5);
+  mobility::RoamParams roam;
+  roam.maxSpeedMps = mobility::kmhToMps(50.0);
+  int differ = 0;
+  constexpr int kSeeds = 100;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    sim::Rng rng(static_cast<std::uint64_t>(seed));
+    const geom::Vec2 start = map.uniformPoint(rng);
+    mobility::RandomRoam often(map, start, roam, rng.fork(1));
+    mobility::RandomRoam once(map, start, roam, rng.fork(1));
+    for (int ms = 1; ms < 1000; ++ms) {
+      often.positionAt(sim::TimePoint{} + ms * sim::kMillisecond);
+    }
+    const sim::TimePoint end = sim::TimePoint{} + sim::kSecond;
+    differ += often.positionAt(end) != once.positionAt(end) ? 1 : 0;
+  }
+  EXPECT_EQ(differ, kSeeds);
+}
+
+/// Position callbacks are not pure functions of time (RandomRoam integrates
+/// once per query), so the grid's contract is on when it calls them: each
+/// on-air node exactly once per epoch in which a range query runs, in
+/// ascending id, whether that epoch refreshes or rebuilds the index; never
+/// for a down node, never in an epoch without a query. (An attach or churn
+/// inside an already-queried epoch samples the on-air nodes once more at
+/// the same time, which every mobility model answers unchanged.)
+TEST(PhyGrid, EachOnAirNodeIsEvaluatedOncePerQueriedEpoch) {
+  sim::Scheduler scheduler;
+  Channel channel(scheduler, PhyParams{});
+  constexpr int kNodes = 6;
+  std::vector<int> calls(kNodes, 0);
+  std::vector<std::uint32_t> order;
+  Sink sink;
+  for (std::uint32_t i = 0; i < kNodes; ++i) {
+    channel.attach(HostId{i}, &sink, [&, i] {
+      ++calls[i];
+      order.push_back(i);
+      // 1 m/s along x: refreshes at 1 ms steps, an escape after ~31 s.
+      const double t = sim::toSeconds(scheduler.now());
+      return geom::Vec2{300.0 * i + t, 0.0};
+    });
+  }
+  auto advance = [&](sim::Duration dt) {
+    scheduler.schedule(scheduler.now() + dt, [] {});
+    scheduler.runAll();
+  };
+  auto queryEpoch = [&] {
+    for (std::uint32_t i = 0; i < kNodes; ++i) {
+      if (!channel.nodeUp(HostId{i})) continue;
+      channel.nodesInRange(HostId{i});
+      channel.inRangeCount(HostId{i});
+      channel.reachableCount(HostId{i});
+    }
+    channel.snapshotPositions();
+  };
+  obs::Registry registry;
+  obs::ScopedRegistry scope(&registry);
+
+  std::vector<int> expected(kNodes, 0);
+  std::vector<std::uint32_t> ascending;
+  auto expectOnce = [&](const std::vector<bool>& up) {
+    ascending.clear();
+    for (std::uint32_t i = 0; i < kNodes; ++i) {
+      if (up[i]) {
+        ++expected[i];
+        ascending.push_back(i);
+      }
+    }
+    EXPECT_EQ(calls, expected);
+    EXPECT_EQ(order, ascending);
+    order.clear();
+  };
+  const std::vector<bool> allUp(kNodes, true);
+
+  queryEpoch();  // first epoch: full rebuild
+  expectOnce(allUp);
+  advance(sim::kMillisecond);
+  queryEpoch();  // refresh
+  expectOnce(allUp);
+  EXPECT_EQ(registry.counter(obs::Counter::kGridRebuilds), 1u);
+
+  advance(sim::kMillisecond);  // an epoch with no query pays nothing
+  EXPECT_EQ(calls, expected);
+  advance(40 * sim::kSecond);
+  queryEpoch();  // every node escaped its anchor: refresh, then rebuild
+  expectOnce(allUp);
+  EXPECT_EQ(registry.counter(obs::Counter::kGridRebuilds), 2u);
+
+  advance(sim::kMillisecond);
+  channel.setNodeUp(HostId{2}, false);  // churn: rebuild without node 2
+  std::vector<bool> up = allUp;
+  up[2] = false;
+  queryEpoch();
+  expectOnce(up);
+  EXPECT_EQ(registry.counter(obs::Counter::kGridRebuilds), 3u);
+  advance(sim::kMillisecond);
+  queryEpoch();
+  expectOnce(up);
+  EXPECT_EQ(registry.counter(obs::Counter::kGridRebuilds), 3u);
+}
+
+/// Two channels over the same scripted positions, one on the grid and one
+/// on the exhaustive scan, stepped through epochs that put a drifting node
+/// just inside and just past the anchor escape margin and at exactly the
+/// radio radius from a query centre. Every query and every delivery must
+/// agree, across several forced full rebuilds.
+TEST(PhyGridDifferential, AnchoredGridMatchesExhaustiveAtTheSkinEdges) {
+  const PhyParams params;
+  const double r = params.radiusMeters;
+  const double skin = r / 16.0;
+  constexpr std::uint32_t kNodes = 6;
+  constexpr std::uint32_t kDrifter = 1;
+  // Node 0 is the query centre at the origin; 1 drifts; 2..5 stand still
+  // and stretch the grid over several cells in both axes.
+  std::vector<geom::Vec2> script(kNodes);
+  script[0] = {0.0, 0.0};
+  script[2] = {-2.0 * r, -1.5 * r};
+  script[3] = {3.0 * r, 2.0 * r};
+  script[4] = {r + 1.0, r};
+  script[5] = {-r, 0.5 * r};
+
+  struct Side {
+    explicit Side(bool grid, const PhyParams& params)
+        : channel(scheduler, params) {
+      channel.setGridEnabled(grid);
+    }
+    sim::Scheduler scheduler;
+    Channel channel;
+    std::vector<std::unique_ptr<Sink>> sinks;
+  };
+  Side grid(true, params);
+  Side scan(false, params);
+  for (Side* side : {&grid, &scan}) {
+    for (std::uint32_t i = 0; i < kNodes; ++i) {
+      side->sinks.push_back(std::make_unique<Sink>());
+      side->channel.attach(HostId{i}, side->sinks.back().get(),
+                           [&script, i] { return script[i]; });
+    }
+  }
+
+  // Drifter offsets from its first anchor at x = r + 30 on the centre's
+  // axis, then the same around a diagonal cell corner.
+  const double a = r + 30.0;
+  // Comments name the grid's response; "rebuild" steps move the anchor.
+  const std::vector<geom::Vec2> path = {
+      {a, 0.0},                           // first build
+      {a - 0.98 * skin, 0.0},             // refresh; now in range
+      {r, 0.0},                           // refresh; exactly r
+      {a - skin, 0.0},                    // past the margin: rebuild
+      {r, 0.0},                           // refresh; exactly r
+      {std::nextafter(r, 2.0 * r), 0.0},  // refresh; one ulp out of range
+      {a - 1.98 * skin, 0.0},             // refresh
+      {a, 0.0},                           // past the margin: rebuild
+      {0.0, -r},                          // far jump: rebuild; exactly r
+      {0.0, -r - 0.98 * skin},            // refresh
+      {0.0, -r + 0.5 * skin},             // refresh
+      {r * 0.6, r * 0.8},                 // rebuild; exactly r (3-4-5)
+      {r * 0.6 + 0.98 * skin, r * 0.8},   // refresh
+      {r * 0.6 + 1.5 * skin, r * 0.8},    // past the margin: rebuild
+      {r * 0.6, r * 0.8},                 // past the margin: rebuild
+  };
+  constexpr std::uint64_t kRebuilds = 7;
+
+  obs::Registry registry;
+  obs::ScopedRegistry scope(&registry);
+  std::uint32_t step = 0;
+  for (const geom::Vec2 p : path) {
+    script[kDrifter] = p;
+    for (Side* side : {&grid, &scan}) {
+      side->scheduler.schedule(side->scheduler.now() + sim::kMillisecond,
+                               [] {});
+      side->scheduler.runAll();
+    }
+    for (std::uint32_t i = 0; i < kNodes; ++i) {
+      const HostId id{i};
+      ASSERT_EQ(grid.channel.nodesInRange(id), scan.channel.nodesInRange(id))
+          << "step " << step << " node " << i;
+      ASSERT_EQ(grid.channel.inRangeCount(id), scan.channel.inRangeCount(id))
+          << "step " << step << " node " << i;
+      ASSERT_EQ(grid.channel.reachableCount(id),
+                scan.channel.reachableCount(id))
+          << "step " << step << " node " << i;
+    }
+    // Each side transmits from the centre and from the drifter.
+    for (const std::uint32_t src : {0u, kDrifter}) {
+      for (Side* side : {&grid, &scan}) {
+        side->channel.transmit(
+            HostId{src},
+            net::makeDataPacket({HostId{src}, net::BroadcastSeq{step}},
+                                HostId{src}),
+            280);
+        side->scheduler.runAll();
+      }
+    }
+    ++step;
+  }
+  // The exhaustive side never builds; the grid side rebuilt at the first
+  // step and at every escape along the path, and refreshed otherwise.
+  EXPECT_EQ(registry.counter(obs::Counter::kGridRebuilds), kRebuilds);
+  EXPECT_EQ(grid.channel.framesDelivered(), scan.channel.framesDelivered());
+  EXPECT_EQ(grid.channel.framesCorrupted(), scan.channel.framesCorrupted());
+  for (std::uint32_t i = 0; i < kNodes; ++i) {
+    ASSERT_EQ(grid.sinks[i]->receptions, scan.sinks[i]->receptions)
+        << "node " << i;
+  }
+}
+
+/// Channel::reachableCount (the RE denominator) against the reference BFS
+/// in stats::reachableCount over the on-air nodes' snapshot, on the grid and
+/// on the exhaustive scan, with and without churned-down hosts.
+TEST(PhyGridDifferential, ReachableCountMatchesSnapshotBfs) {
+  for (const int mapUnits : {1, 5, 11}) {
+    for (const int hosts : {100, 400}) {
+      MobileFixture fx(hosts, mapUnits, 40 + mapUnits);
+      const double radius = fx.channel->params().radiusMeters;
+      for (int epoch = 0; epoch < 4; ++epoch) {
+        fx.advance(700 * sim::kMillisecond);
+        if (epoch == 2) {
+          // Crash every fifth host: they neither count nor relay.
+          for (int i = 3; i < hosts; i += 5) {
+            fx.channel->setNodeUp(HostId{static_cast<std::uint32_t>(i)},
+                                  false);
+          }
+        }
+        fx.channel->setGridEnabled(true);
+        const auto snapshot = fx.channel->snapshotPositions();
+        std::vector<geom::Vec2> onAir;
+        std::vector<int> index(static_cast<std::size_t>(hosts), -1);
+        for (int i = 0; i < hosts; ++i) {
+          if (!fx.channel->nodeUp(HostId{static_cast<std::uint32_t>(i)})) {
+            continue;
+          }
+          index[static_cast<std::size_t>(i)] = static_cast<int>(onAir.size());
+          onAir.push_back(snapshot[static_cast<std::size_t>(i)]);
+        }
+        for (int i = 0; i < hosts; i += 7) {
+          const HostId id{static_cast<std::uint32_t>(i)};
+          if (!fx.channel->nodeUp(id)) continue;
+          const auto expected = static_cast<std::size_t>(stats::reachableCount(
+              onAir, radius,
+              static_cast<std::size_t>(index[static_cast<std::size_t>(i)])));
+          fx.channel->setGridEnabled(true);
+          ASSERT_EQ(fx.channel->reachableCount(id), expected)
+              << "map " << mapUnits << " hosts " << hosts << " epoch "
+              << epoch << " node " << i;
+          fx.channel->setGridEnabled(false);
+          ASSERT_EQ(fx.channel->reachableCount(id), expected)
+              << "map " << mapUnits << " hosts " << hosts << " epoch "
+              << epoch << " node " << i << " (exhaustive)";
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
