@@ -101,7 +101,7 @@ void BM_SchedulerChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerChurn)->Arg(8)->Arg(50);
 
-/// Packet churn in the control-frame pattern: allocate, stamp, drop. With
+/// Packet churn in the HELLO/data pattern: allocate, fill, drop. With
 /// the arena (range argument 1) steady-state traffic recycles one block;
 /// without it (0) every packet is a fresh make_shared.
 void BM_PacketChurn(benchmark::State& state) {
@@ -115,9 +115,9 @@ void BM_PacketChurn(benchmark::State& state) {
   const std::uint64_t allocsBefore = gHeapAllocs.load();
   for (auto _ : state) {
     auto p = net::makePacket();
-    p->type = net::PacketType::kAck;
+    p->type = net::PacketType::kData;
     p->sender = net::HostId{1};
-    p->dest = net::HostId{2};
+    p->hopCount = 2;
     benchmark::DoNotOptimize(p);
   }
   const auto items = static_cast<double>(state.iterations());

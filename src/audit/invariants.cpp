@@ -119,36 +119,23 @@ void ChannelAudit::atTeardown(std::uint64_t inFlight, sim::TimePoint at) {
 
 // --- DcfAudit ---------------------------------------------------------------
 
-void DcfAudit::onAirTransition(Air to, sim::TimePoint at) {
-  if (to != Air::kNone && air_ != Air::kNone) {
+void DcfAudit::onTxStart(sim::TimePoint at) {
+  if (onAir_) {
     report({"mac.onair-overlap", at, self_,
-            "frame kind " + std::to_string(static_cast<int>(to)) +
-                " started while kind " +
-                std::to_string(static_cast<int>(air_)) + " was on air"});
-  } else if (to == Air::kNone && air_ == Air::kNone) {
+            "frame started while another was on air"});
+  }
+  onAir_ = true;
+}
+
+void DcfAudit::onTxEnd(sim::TimePoint at) {
+  if (!onAir_) {
     report({"mac.onair-underflow", at, self_,
             "transmission ended with nothing on air"});
   }
-  air_ = to;
+  onAir_ = false;
 }
 
-void DcfAudit::onExchangeTransition(Exchange to, sim::TimePoint at) {
-  // Legal steps: kNone -> kAwaitCts (RTS sent), kNone -> kAwaitAck (DATA
-  // sent), anything -> kNone (response arrived, timeout, or abort). Awaiting
-  // two responses at once is not a state the DCF has.
-  if (to != Exchange::kNone && exchange_ != Exchange::kNone) {
-    report({"mac.exchange-illegal", at, self_,
-            "entered wait " + std::to_string(static_cast<int>(to)) +
-                " while already in wait " +
-                std::to_string(static_cast<int>(exchange_))});
-  }
-  exchange_ = to;
-}
-
-void DcfAudit::onReset() {
-  air_ = Air::kNone;
-  exchange_ = Exchange::kNone;
-}
+void DcfAudit::onReset() { onAir_ = false; }
 
 // --- NeighborAudit ----------------------------------------------------------
 

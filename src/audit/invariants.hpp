@@ -19,7 +19,6 @@
 //   channel.teardown-balance     begin/end/flush ledger broken at teardown
 //   mac.onair-overlap            a frame started while another was on air
 //   mac.onair-underflow          a frame ended with nothing on air
-//   mac.exchange-illegal         RTS/CTS/ACK exchange step out of order
 //   neighbor.purge-order         purge called with a time going backwards
 //   neighbor.premature-expiry    entry expired before its deadline
 //   churn.crash-reset-incomplete host state survived a crash reset
@@ -90,32 +89,24 @@ class ChannelAudit {
   std::uint64_t flushes_ = 0;
 };
 
-/// DCF state-machine legality. Mirrors what the station has on the air and
-/// which exchange step it awaits; any transition outside the 802.11 DCF
-/// diagram is a violation.
+/// DCF on-air legality: a station transmits at most one frame at a time and
+/// ends only a frame it started.
 class DcfAudit {
  public:
-  enum class Air { kNone, kBroadcast, kData, kRts, kCts, kAck };
-  enum class Exchange { kNone, kAwaitCts, kAwaitAck };
-
   explicit DcfAudit(net::HostId self = net::kInvalidHost) : self_(self) {}
 
-  /// A frame of kind `to` starts transmitting (to != kNone), or the frame on
-  /// the air ends (to == kNone).
-  void onAirTransition(Air to, sim::TimePoint at);
-  /// The initiator starts awaiting `to` (kAwaitCts after RTS, kAwaitAck
-  /// after DATA), or resolves the wait (kNone).
-  void onExchangeTransition(Exchange to, sim::TimePoint at);
-  /// Crash reset: forces both machines to idle; always legal.
+  /// A frame starts transmitting.
+  void onTxStart(sim::TimePoint at);
+  /// The frame on the air ends.
+  void onTxEnd(sim::TimePoint at);
+  /// Crash reset: forces the station idle; always legal.
   void onReset();
 
-  Air air() const { return air_; }
-  Exchange exchange() const { return exchange_; }
+  bool onAir() const { return onAir_; }
 
  private:
   net::HostId self_;
-  Air air_ = Air::kNone;
-  Exchange exchange_ = Exchange::kNone;
+  bool onAir_ = false;
 };
 
 /// Neighbor-table expiry ordering: purges observe non-decreasing time and

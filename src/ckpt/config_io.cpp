@@ -135,13 +135,8 @@ std::vector<std::uint8_t> encodeConfig(const ScenarioConfig& c) {
   w.duration(c.phy.plcpHeader);
   w.duration(c.phy.carrierSenseDelay);
   w.duration(c.mac.slot);
-  w.duration(c.mac.sifs);
   w.duration(c.mac.difs);
   w.i64(c.mac.cwBroadcast);
-  w.i64(c.mac.cwMin);
-  w.i64(c.mac.cwMax);
-  w.i64(c.mac.retryLimit);
-  w.u64(c.mac.rtsThresholdBytes);
   w.i64(c.jitterSlots);
   w.boolean(c.collisions);
   w.boolean(c.channelGrid);
@@ -221,13 +216,8 @@ experiment::ScenarioConfig decodeConfig(const std::vector<std::uint8_t>& b) {
   c.phy.plcpHeader = r.duration();
   c.phy.carrierSenseDelay = r.duration();
   c.mac.slot = r.duration();
-  c.mac.sifs = r.duration();
   c.mac.difs = r.duration();
   c.mac.cwBroadcast = static_cast<int>(r.i64());
-  c.mac.cwMin = static_cast<int>(r.i64());
-  c.mac.cwMax = static_cast<int>(r.i64());
-  c.mac.retryLimit = static_cast<int>(r.i64());
-  c.mac.rtsThresholdBytes = static_cast<std::size_t>(r.u64());
   c.jitterSlots = static_cast<int>(r.i64());
   c.collisions = r.boolean();
   c.channelGrid = r.boolean();

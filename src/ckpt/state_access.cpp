@@ -35,9 +35,6 @@ std::uint64_t packetDigest(const net::Packet& p) {
   Digest d;
   d.add(static_cast<std::uint32_t>(p.type));
   d.add(p.sender.value());
-  d.add(p.dest.value());
-  d.add(static_cast<std::uint32_t>(p.macSeq));
-  d.add(p.navDuration);
   d.add(static_cast<std::uint32_t>(p.hopCount));
   d.add(p.bid.origin.value());
   d.add(p.bid.seq.value());
@@ -125,45 +122,17 @@ std::uint64_t StateAccess::macDigest(const mac::DcfMac& mac) {
     d.add(p.id);
     d.add(p.packet ? packetDigest(*p.packet) : std::uint64_t{0});
     d.add(static_cast<std::uint64_t>(p.bytes));
-    d.add(p.dest.value());
-    d.add(static_cast<std::int32_t>(p.retries));
-    d.add(static_cast<std::int32_t>(p.cw));
   }
   d.add(mac.nextTxId_);
-  d.add(static_cast<std::uint32_t>(mac.nextMacSeq_));
   d.add(mac.transmitting_);
-  d.add(static_cast<std::uint32_t>(mac.onAir_));
   d.add(mac.onAirId_);
   d.add(mac.onAirPacket_ ? packetDigest(*mac.onAirPacket_) : std::uint64_t{0});
   d.add(mac.mediumBusy_);
   d.add(mac.idleSince_);
   d.add(static_cast<std::int32_t>(mac.backoffRemaining_));
   d.add(mac.timer_.pending());
-  d.add(mac.hasCurrent_);
-  if (mac.hasCurrent_) {
-    d.add(mac.current_.id);
-    d.add(mac.current_.packet ? packetDigest(*mac.current_.packet) : std::uint64_t{0});
-    d.add(static_cast<std::uint64_t>(mac.current_.bytes));
-    d.add(mac.current_.dest.value());
-    d.add(static_cast<std::int32_t>(mac.current_.retries));
-    d.add(static_cast<std::int32_t>(mac.current_.cw));
-  }
-  d.add(static_cast<std::uint32_t>(mac.exchange_));
-  d.add(mac.exchangeTimer_.pending());
-  d.add(mac.responsePending_);
-  d.add(mac.responseTimer_.pending());
-  d.add(mac.navUntil_);
-  d.add(mac.navTimer_.pending());
-  std::vector<std::uint64_t> seen(mac.seenUnicast_.begin(),
-                                  mac.seenUnicast_.end());
-  std::sort(seen.begin(), seen.end());
-  d.add(static_cast<std::uint64_t>(seen.size()));
-  for (std::uint64_t key : seen) d.add(key);
   d.add(mac.framesSent_);
   d.add(mac.framesDroppedCorrupt_);
-  d.add(mac.unicastRetries_);
-  d.add(mac.unicastDrops_);
-  d.add(mac.acksSent_);
   addRng(d, mac.rng_);
   return d.value();
 }

@@ -82,18 +82,11 @@ void Host::onReceive(const phy::Frame& frame) {
     case net::PacketType::kData:
       handleData(frame);
       return;
-    case net::PacketType::kRts:
-    case net::PacketType::kCts:
-    case net::PacketType::kAck:
-      return;  // control frames are consumed by the MAC, never surfaced
   }
 }
 
 void Host::handleData(const phy::Frame& frame) {
   const net::Packet& packet = *frame.packet;
-  // Hosts only ever enqueue broadcasts; unicast data exists only on a bare
-  // DcfMac (examples/ack_storm), never in a World.
-  MANET_ASSERT(packet.dest == net::kInvalidHost);
   const core::Reception rx{packet.sender, frame.srcPos, now()};
   auto it = states_.find(packet.bid);
   if (it == states_.end()) {

@@ -1,8 +1,6 @@
-// IEEE 802.11 DCF.
-//
-// Broadcast path (what the paper's schemes ride on, §2.1/§2.2.3/§4):
-//  * CSMA/CA with slotted backoff; DSSS timing (slot 20 us, SIFS 10 us,
-//    DIFS 50 us).
+// IEEE 802.11 DCF, broadcast path only — what the paper's schemes ride on
+// (§2.1/§2.2.3/§4):
+//  * CSMA/CA with slotted backoff; DSSS timing (slot 20 us, DIFS 50 us).
 //  * Broadcast frames are never acknowledged, never retransmitted, and use
 //    no RTS/CTS, so their contention window stays at the DSSS minimum (31).
 //  * If the medium has been idle for >= DIFS and no backoff is owed, a frame
@@ -15,18 +13,6 @@
 //    the medium has again been idle for DIFS. Corrupted frames still hold
 //    the medium busy; the MAC drops them on FCS failure.
 //
-// Unicast path (the rest of the DCF, §4's "backoff window 31~1023"):
-//  * DATA -> SIFS -> ACK; missing ACK triggers retransmission with binary
-//    exponential contention-window escalation (31 -> 63 -> ... -> 1023) up
-//    to a retry limit, after which the frame is dropped and reported.
-//  * Optional RTS/CTS handshake for frames above `rtsThresholdBytes`
-//    (RTS -> SIFS -> CTS -> SIFS -> DATA -> SIFS -> ACK); overheard RTS/
-//    CTS/DATA duration fields set the NAV (virtual carrier sense), which
-//    defers hidden terminals that physical sensing cannot.
-//  * Receivers answer RTS with CTS and DATA with ACK one SIFS after
-//    reception, and filter duplicate (sender, macSeq) deliveries caused by
-//    ACK loss.
-//
 // The upper layer is told the moment its frame actually starts transmitting
 // (`onTxStarted`) — the "wait until the transmission actually starts" point
 // in the paper's scheme steps S2/S3 — and may cancel a queued frame any
@@ -35,7 +21,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_set>
 
 #include "audit/audit.hpp"
 #include "net/packet.hpp"
@@ -55,15 +40,8 @@ namespace manet::mac {
 
 struct MacParams {
   sim::Duration slot{20};   // us
-  sim::Duration sifs{10};   // us
   sim::Duration difs{50};   // us
   int cwBroadcast = 31;  // contention window for broadcast frames
-  int cwMin = 31;        // unicast initial contention window
-  int cwMax = 1023;      // unicast contention-window ceiling (§4)
-  int retryLimit = 7;    // unicast retransmission attempts before drop
-  /// Unicast frames strictly larger than this use RTS/CTS. SIZE_MAX
-  /// disables the handshake entirely; 0 forces it for every unicast frame.
-  std::size_t rtsThresholdBytes = SIZE_MAX;
 };
 
 class DcfMac final : public phy::Channel::Listener {
@@ -77,14 +55,10 @@ class DcfMac final : public phy::Channel::Listener {
    public:
     virtual ~Upper() = default;
     /// The frame with this TxId just hit the air (no longer cancellable).
-    /// For an RTS/CTS exchange this fires when the DATA frame starts.
     virtual void onTxStarted(TxId id, const net::Packet& packet) = 0;
-    /// The frame finished transmitting (broadcast) or its exchange ended
-    /// (unicast; see onUnicastOutcome for the verdict).
+    /// The frame finished transmitting.
     virtual void onTxFinished(TxId id, const net::Packet& packet) = 0;
     /// An intact frame arrived (corrupted frames are dropped by the MAC).
-    /// Control frames (RTS/CTS/ACK) are consumed by the MAC; only data and
-    /// hello frames are delivered.
     virtual void onReceive(const phy::Frame& frame) = 0;
     /// A frame arrived but failed its FCS; `reason` says why (collision,
     /// half-duplex loss, or injected fault loss).
@@ -92,14 +66,6 @@ class DcfMac final : public phy::Channel::Listener {
                                   phy::DropReason reason) {
       (void)frame;
       (void)reason;
-    }
-    /// Final verdict of a unicast transmission: acknowledged or dropped
-    /// after the retry limit.
-    virtual void onUnicastOutcome(TxId id, const net::Packet& packet,
-                                  bool delivered) {
-      (void)id;
-      (void)packet;
-      (void)delivered;
     }
   };
 
@@ -115,27 +81,18 @@ class DcfMac final : public phy::Channel::Listener {
   /// Queues a broadcast frame; FIFO order. Returns its TxId.
   TxId enqueue(net::PacketPtr packet, std::size_t bytes);
 
-  /// Queues a unicast frame to `dest` (acknowledged, retried, and RTS/CTS-
-  /// protected per MacParams). The packet's dest/macSeq/duration fields are
-  /// managed by the MAC.
-  TxId enqueueUnicast(net::HostId dest, net::PacketPtr packet,
-                      std::size_t bytes);
-
   /// Removes a queued frame. Returns true if it was still waiting; false if
   /// it already started transmitting (or already left the queue).
   bool cancel(TxId id);
 
   /// Crash reset (host churn, DESIGN.md §8): drops every queued frame and
-  /// in-flight exchange without upper-layer callbacks, cancels all timers,
-  /// and forgets backoff, NAV, and duplicate-filter state — the station
-  /// reboots with a cold MAC. Statistics counters are preserved.
+  /// the one on the air without upper-layer callbacks, cancels the timer,
+  /// and forgets backoff state — the station reboots with a cold MAC.
+  /// Statistics counters are preserved.
   void reset();
 
-  /// True when nothing is queued, on the air, or mid-exchange.
-  bool quiescent() const {
-    return queue_.empty() && !transmitting_ && exchange_ == Exchange::kNone &&
-           !responsePending_;
-  }
+  /// True when nothing is queued or on the air.
+  bool quiescent() const { return queue_.empty() && !transmitting_; }
 
   std::size_t queueDepth() const { return queue_.size(); }
   net::HostId self() const { return self_; }
@@ -143,9 +100,6 @@ class DcfMac final : public phy::Channel::Listener {
   // --- statistics ---
   std::uint64_t framesSent() const { return framesSent_; }
   std::uint64_t framesDroppedCorrupt() const { return framesDroppedCorrupt_; }
-  std::uint64_t unicastRetries() const { return unicastRetries_; }
-  std::uint64_t unicastDrops() const { return unicastDrops_; }
-  std::uint64_t acksSent() const { return acksSent_; }
 
   // --- phy::Channel::Listener ---
   void onMediumBusy() override;
@@ -156,42 +110,19 @@ class DcfMac final : public phy::Channel::Listener {
 
  private:
   friend struct manet::ckpt::StateAccess;
-  /// What this station itself currently has on the air.
-  enum class OnAir { kNone, kBroadcast, kData, kRts, kCts, kAck };
-  /// Outstanding exchange step we are waiting on as the initiator.
-  enum class Exchange { kNone, kAwaitCts, kAwaitAck };
 
   struct Pending {
     TxId id;
     net::PacketPtr packet;
     std::size_t bytes;
-    net::HostId dest = net::kInvalidHost;  // kInvalidHost: broadcast
-    int retries = 0;
-    int cw = 0;  // unicast contention window (escalates on retry)
   };
 
-  bool isUnicast(const Pending& p) const {
-    return p.dest != net::kInvalidHost;
-  }
-  bool usesRts(const Pending& p) const {
-    return isUnicast(p) && p.bytes > params_.rtsThresholdBytes;
-  }
-  bool virtualOrPhysicalBusy() const;
-
+  /// Draws a backoff from [0, cwBroadcast] and records the draw.
+  int drawBackoff();
   /// Re-evaluates what the station should be doing now that state changed.
   void reschedule();
   void startTransmission();
   void ensureBackoffIfBusy();
-
-  // Unicast machinery.
-  void beginDataTransmission();
-  void armExchangeTimer(Exchange phase);
-  void onExchangeTimeout();
-  void retryCurrent();
-  void finishCurrent(bool delivered);
-  void scheduleResponse(net::PacketPtr response, std::size_t bytes);
-  void applyNav(const net::Packet& packet, sim::TimePoint frameEnd);
-  sim::Duration controlAirtime(std::size_t bytes) const;
 
   sim::Scheduler& scheduler_;
   phy::Channel& channel_;
@@ -202,10 +133,8 @@ class DcfMac final : public phy::Channel::Listener {
 
   std::deque<Pending> queue_;
   TxId nextTxId_ = 1;
-  std::uint16_t nextMacSeq_ = 1;
 
   bool transmitting_ = false;
-  OnAir onAir_ = OnAir::kNone;
   TxId onAirId_ = kInvalidTx;
   net::PacketPtr onAirPacket_;
 
@@ -214,31 +143,11 @@ class DcfMac final : public phy::Channel::Listener {
   int backoffRemaining_ = -1;  // -1: no backoff owed
   sim::Scheduler::Handle timer_;
 
-  // Unicast initiator state: the frame whose exchange is in flight.
-  bool hasCurrent_ = false;
-  Pending current_;
-  Exchange exchange_ = Exchange::kNone;
-  sim::Scheduler::Handle exchangeTimer_;
-
-  // Responder state: a CTS/ACK (or post-CTS DATA) due one SIFS from now.
-  bool responsePending_ = false;
-  sim::Scheduler::Handle responseTimer_;
-
-  // Virtual carrier sense.
-  sim::TimePoint navUntil_{};
-  sim::Scheduler::Handle navTimer_;
-
-  // Duplicate filtering of retransmitted unicast data.
-  std::unordered_set<std::uint64_t> seenUnicast_;
-
   std::uint64_t framesSent_ = 0;
   std::uint64_t framesDroppedCorrupt_ = 0;
-  std::uint64_t unicastRetries_ = 0;
-  std::uint64_t unicastDrops_ = 0;
-  std::uint64_t acksSent_ = 0;
 
 #if MANET_AUDIT_ENABLED
-  /// Mirrors the on-air/exchange machines and flags illegal transitions.
+  /// Mirrors the on-air machine and flags illegal transitions.
   audit::DcfAudit audit_;
 #endif
 };

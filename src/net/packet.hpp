@@ -14,9 +14,6 @@ namespace manet::net {
 enum class PacketType {
   kData,   // an application broadcast being propagated
   kHello,  // periodic neighbor-discovery beacon
-  kRts,    // 802.11 control: request to send (unicast path only)
-  kCts,    // 802.11 control: clear to send
-  kAck,    // 802.11 control: data acknowledgment
 };
 
 /// An advertised one-hop neighbor set: built once per HELLO by the sender
@@ -27,19 +24,6 @@ using NeighborList = std::shared_ptr<const std::vector<HostId>>;
 struct Packet {
   PacketType type = PacketType::kData;
   HostId sender = kInvalidHost;  // the (re)transmitting host
-
-  /// Unicast destination; kInvalidHost means broadcast. Broadcast frames
-  /// are never acknowledged (§2.1); unicast frames get the full DCF
-  /// treatment (ACK, retries, optional RTS/CTS).
-  HostId dest = kInvalidHost;
-
-  /// MAC-level sequence number for unicast duplicate filtering across
-  /// retransmissions.
-  std::uint16_t macSeq = 0;
-
-  /// 802.11 Duration field: how long the medium will stay reserved after
-  /// this frame (NAV). Zero on broadcast frames.
-  sim::Duration navDuration{};
 
   /// Hops travelled from the broadcast origin (0 on the source's own
   /// transmission; each relay increments it).
@@ -58,24 +42,20 @@ struct Packet {
   /// entry correctly (§4.3).
   sim::Duration helloInterval{};
 };
+// Sets the packet arena's block size (DESIGN.md §11.4); grow it on purpose.
+static_assert(sizeof(Packet) == 48);
 
 using PacketPtr = std::shared_ptr<const Packet>;
 
 /// The paper's broadcast payload size (§4): 280 bytes.
 inline constexpr std::size_t kDataPacketBytes = 280;
 
-/// 802.11 control-frame sizes (bytes on the air, before PLCP).
-inline constexpr std::size_t kAckBytes = 14;
-inline constexpr std::size_t kRtsBytes = 20;
-inline constexpr std::size_t kCtsBytes = 14;
-
 /// Allocates a mutable packet for the caller to fill, drawn from the
 /// thread's current PacketPool when one is installed (each World installs
 /// its own for its lifetime, DESIGN.md §11) and from the plain heap
 /// otherwise. Implemented in net/packet_pool.cpp.
 std::shared_ptr<Packet> makePacket();
-/// Copy flavour: a pooled copy of `proto` (the MAC's stamp-and-forward and
-/// the host's relay copy).
+/// Copy flavour: a pooled copy of `proto` (the host's relay copy).
 std::shared_ptr<Packet> makePacket(const Packet& proto);
 
 /// Makes an immutable data-broadcast packet.

@@ -38,7 +38,7 @@ class PacketPool {
   std::shared_ptr<Packet> make() {
     return std::allocate_shared<Packet>(Alloc<Packet>{state_});
   }
-  /// Copy-construction flavour, for the MAC's stamped-copy pattern.
+  /// Copy-construction flavour, for the host's relay copy.
   std::shared_ptr<Packet> make(const Packet& proto) {
     return std::allocate_shared<Packet>(Alloc<Packet>{state_}, proto);
   }

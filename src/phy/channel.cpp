@@ -524,28 +524,8 @@ sim::TimePoint Channel::transmit(net::HostId src, net::PacketPtr packet,
   air.txEpoch = tx.epoch;
   ++framesTransmitted_;
   obs::add(obs::Counter::kChannelTx);
-  if (obs::current() != nullptr) {
-    const auto airtime =
-        static_cast<std::uint64_t>((end - start).ticks());  // NOLINT-units(airtime counters aggregate raw microseconds)
-    switch (frame.packet->type) {
-      case net::PacketType::kRts:
-      case net::PacketType::kCts:
-        obs::add(obs::Counter::kAirtimeRtsCtsUs, airtime);
-        break;
-      case net::PacketType::kAck:
-        obs::add(obs::Counter::kAirtimeAckUs, airtime);
-        break;
-      case net::PacketType::kData:
-        if (frame.packet->dest != net::kInvalidHost) {
-          obs::add(obs::Counter::kAirtimeDataUs, airtime);
-          break;
-        }
-        [[fallthrough]];
-      case net::PacketType::kHello:
-        obs::add(obs::Counter::kAirtimeBroadcastUs, airtime);
-        break;
-    }
-  }
+  obs::add(obs::Counter::kAirtimeBroadcastUs,
+           static_cast<std::uint64_t>((end - start).ticks()));  // NOLINT-units(airtime counters aggregate raw microseconds)
 
   // The transmitter occupies its own medium and — being half-duplex —
   // garbles anything it was in the middle of receiving.

@@ -25,9 +25,9 @@ namespace manet::sim {
 /// Move-only `void()` callable with inline storage for small captures.
 class InlineFn {
  public:
-  /// Sized for the engine's largest hot-path capture (this + PacketPtr +
-  /// a couple of scalars) with headroom; growing a capture past this is a
-  /// perf regression the engine.alloc.callback.heap counter makes visible.
+  /// Sized with headroom over the engine's hot-path captures (at most
+  /// `this` plus an id today); growing a capture past this is a perf
+  /// regression the engine.alloc.callback.heap counter makes visible.
   static constexpr std::size_t kInlineCapacity = 48;
 
   InlineFn() = default;

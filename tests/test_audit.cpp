@@ -189,29 +189,22 @@ TEST(ChannelAuditTest, TeardownMidFrameIsLegal) {
 
 // --- DCF MAC ----------------------------------------------------------------
 
-TEST(DcfAuditTest, LegalBroadcastAndUnicastFlowIsSilent) {
+TEST(DcfAuditTest, LegalBroadcastFlowIsSilent) {
   ScopedCountingSink sink;
   DcfAudit audit(N(7));
-  // Broadcast: one frame on the air, then idle.
-  audit.onAirTransition(DcfAudit::Air::kBroadcast, T(10));
-  audit.onAirTransition(DcfAudit::Air::kNone, T(20));
-  // Unicast initiator: RTS -> await CTS -> DATA -> await ACK -> done.
-  audit.onAirTransition(DcfAudit::Air::kRts, T(30));
-  audit.onAirTransition(DcfAudit::Air::kNone, T(35));
-  audit.onExchangeTransition(DcfAudit::Exchange::kAwaitCts, T(35));
-  audit.onExchangeTransition(DcfAudit::Exchange::kNone, T(40));
-  audit.onAirTransition(DcfAudit::Air::kData, T(41));
-  audit.onAirTransition(DcfAudit::Air::kNone, T(50));
-  audit.onExchangeTransition(DcfAudit::Exchange::kAwaitAck, T(50));
-  audit.onExchangeTransition(DcfAudit::Exchange::kNone, T(55));
+  // Back-to-back broadcasts: one frame on the air at a time.
+  audit.onTxStart(T(10));
+  audit.onTxEnd(T(20));
+  audit.onTxStart(T(30));
+  audit.onTxEnd(T(35));
   EXPECT_EQ(sink.count(), 0u);
 }
 
 TEST(DcfAuditTest, OverlappingTransmissionsFire) {
   ScopedCountingSink sink;
   DcfAudit audit(N(7));
-  audit.onAirTransition(DcfAudit::Air::kBroadcast, T(10));
-  audit.onAirTransition(DcfAudit::Air::kRts, T(12));
+  audit.onTxStart(T(10));
+  audit.onTxStart(T(12));
   ASSERT_EQ(sink.count(), 1u);
   EXPECT_STREQ(sink.last().invariant, "mac.onair-overlap");
   EXPECT_EQ(sink.last().node, N(7));
@@ -220,31 +213,20 @@ TEST(DcfAuditTest, OverlappingTransmissionsFire) {
 TEST(DcfAuditTest, EndWithNothingOnAirFires) {
   ScopedCountingSink sink;
   DcfAudit audit(N(7));
-  audit.onAirTransition(DcfAudit::Air::kNone, T(10));
+  audit.onTxEnd(T(10));
   ASSERT_EQ(sink.count(), 1u);
   EXPECT_STREQ(sink.last().invariant, "mac.onair-underflow");
-}
-
-TEST(DcfAuditTest, NestedExchangeWaitFires) {
-  ScopedCountingSink sink;
-  DcfAudit audit(N(7));
-  audit.onExchangeTransition(DcfAudit::Exchange::kAwaitCts, T(10));
-  audit.onExchangeTransition(DcfAudit::Exchange::kAwaitAck, T(12));
-  ASSERT_EQ(sink.count(), 1u);
-  EXPECT_STREQ(sink.last().invariant, "mac.exchange-illegal");
 }
 
 TEST(DcfAuditTest, ResetForcesIdleLegally) {
   ScopedCountingSink sink;
   DcfAudit audit(N(7));
-  audit.onAirTransition(DcfAudit::Air::kData, T(10));
-  audit.onExchangeTransition(DcfAudit::Exchange::kAwaitAck, T(10));
-  audit.onReset();  // crash mid-exchange: both machines forced idle
-  audit.onAirTransition(DcfAudit::Air::kBroadcast, T(20));
-  audit.onAirTransition(DcfAudit::Air::kNone, T(25));
+  audit.onTxStart(T(10));
+  audit.onReset();  // crash mid-frame: the station is forced idle
+  audit.onTxStart(T(20));
+  audit.onTxEnd(T(25));
   EXPECT_EQ(sink.count(), 0u);
-  EXPECT_EQ(audit.air(), DcfAudit::Air::kNone);
-  EXPECT_EQ(audit.exchange(), DcfAudit::Exchange::kNone);
+  EXPECT_FALSE(audit.onAir());
 }
 
 // --- neighbor table ---------------------------------------------------------

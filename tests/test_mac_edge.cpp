@@ -1,5 +1,5 @@
 // MAC edge cases beyond the core conformance tests: cancellation timing,
-// mixed hello/data/unicast queues, zero carrier-sense delay, saturation.
+// mixed hello/data queues, zero carrier-sense delay, saturation.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -23,37 +23,26 @@ net::PacketPtr dataPacket(std::uint32_t sender, std::uint32_t seq = 0) {
 
 class CountingUpper : public DcfMac::Upper {
  public:
-  explicit CountingUpper(sim::Scheduler& s) : scheduler_(s) {}
   void onTxStarted(DcfMac::TxId, const net::Packet&) override { ++starts; }
-  void onTxFinished(DcfMac::TxId, const net::Packet&) override {
-    ++finishes;
-    lastFinish = scheduler_.now();
-  }
-  void onReceive(const phy::Frame&) override { ++receptions; }
-  void onUnicastOutcome(DcfMac::TxId, const net::Packet&,
-                        bool delivered) override {
-    outcomes.push_back(delivered);
+  void onTxFinished(DcfMac::TxId, const net::Packet&) override { ++finishes; }
+  void onReceive(const phy::Frame& frame) override {
+    received.push_back(frame.packet->type);
   }
   int starts = 0;
   int finishes = 0;
-  int receptions = 0;
-  sim::TimePoint lastFinish{};
-  std::vector<bool> outcomes;
-
- private:
-  sim::Scheduler& scheduler_;
+  std::vector<net::PacketType> received;
 };
 
 struct Rig {
   explicit Rig(phy::PhyParams phyParams = {})
       : channel(scheduler, phyParams) {}
 
-  DcfMac& add(geom::Vec2 pos, std::uint64_t seed = 1, MacParams params = {}) {
+  DcfMac& add(geom::Vec2 pos, std::uint64_t seed = 1) {
     const HostId id{static_cast<std::uint32_t>(macs.size())};
-    uppers.push_back(std::make_unique<CountingUpper>(scheduler));
+    uppers.push_back(std::make_unique<CountingUpper>());
     macs.push_back(std::make_unique<DcfMac>(
         scheduler, channel, id, [pos] { return pos; }, sim::Rng(seed),
-        params, uppers.back().get()));
+        MacParams{}, uppers.back().get()));
     return *macs.back();
   }
 
@@ -90,7 +79,7 @@ TEST(MacEdge, ZeroCarrierSenseDelaySerializesSameInstantDecisions) {
   b.enqueue(dataPacket(1), 280);  // same instant; with zero delay b defers
   rig.scheduler.runAll();
   // Both frames decoded intact at the third station: no collision.
-  EXPECT_EQ(rig.uppers[2]->receptions, 2);
+  EXPECT_EQ(rig.uppers[2]->received.size(), 2u);
   EXPECT_EQ(rig.macs[2]->framesDroppedCorrupt(), 0u);
 }
 
@@ -103,7 +92,7 @@ TEST(MacEdge, DefaultSenseDelayMakesSameInstantDecisionsCollide) {
   a.enqueue(dataPacket(0), 280);
   b.enqueue(dataPacket(1), 280);  // b cannot sense a's 0-us-old carrier
   rig.scheduler.runAll();
-  EXPECT_EQ(rig.uppers[2]->receptions, 0);
+  EXPECT_EQ(rig.uppers[2]->received.size(), 0u);
   EXPECT_EQ(rig.macs[2]->framesDroppedCorrupt(), 2u);
 }
 
@@ -116,11 +105,11 @@ TEST(MacEdge, SaturatedQueueDrainsCompletely) {
   rig.scheduler.runAll();
   EXPECT_EQ(rig.uppers[0]->starts, 20);
   EXPECT_EQ(rig.uppers[0]->finishes, 20);
-  EXPECT_EQ(rig.uppers[1]->receptions, 20);
+  EXPECT_EQ(rig.uppers[1]->received.size(), 20u);
   EXPECT_TRUE(a.quiescent());
 }
 
-TEST(MacEdge, MixedBroadcastUnicastHelloQueue) {
+TEST(MacEdge, MixedDataHelloQueue) {
   Rig rig;
   DcfMac& a = rig.add({0, 0}, 1);
   rig.add({100, 0}, 2);
@@ -128,45 +117,15 @@ TEST(MacEdge, MixedBroadcastUnicastHelloQueue) {
   auto hello = std::make_shared<net::Packet>();
   hello->type = net::PacketType::kHello;
   hello->sender = HostId{0};
+  a.enqueue(dataPacket(0, 1), 280);
   a.enqueue(hello, 24);
-  a.enqueueUnicast(HostId{1}, dataPacket(0, 1), 280);
   a.enqueue(dataPacket(0, 2), 280);
   rig.scheduler.runAll();
-  // All three delivered: hello + unicast data + broadcast data.
-  EXPECT_EQ(rig.uppers[1]->receptions, 3);
-  ASSERT_EQ(rig.uppers[0]->outcomes.size(), 1u);
-  EXPECT_TRUE(rig.uppers[0]->outcomes[0]);
-  EXPECT_TRUE(a.quiescent());
-}
-
-TEST(MacEdge, UnicastRetryPreemptsLaterQueueEntries) {
-  // The retried frame goes back to the FRONT of the queue (802.11 retries
-  // the same MPDU before serving new traffic).
-  Rig rig;
-  MacParams params;
-  params.retryLimit = 1;
-  DcfMac& a = rig.add({0, 0}, 1, params);
-  rig.add({100, 0}, 2, params);
-  rig.scheduler.runUntil(sim::TimePoint{10'000});
-  a.enqueueUnicast(HostId{42}, dataPacket(0, 1), 280);  // dest 42 doesn't exist
-  a.enqueue(dataPacket(0, 2), 280);             // broadcast behind it
-  rig.scheduler.runAll();
-  // Unicast failed after its retry; the broadcast still went out after.
-  ASSERT_EQ(rig.uppers[0]->outcomes.size(), 1u);
-  EXPECT_FALSE(rig.uppers[0]->outcomes[0]);
-  EXPECT_EQ(rig.uppers[1]->receptions, 1);  // only the broadcast
-  EXPECT_TRUE(a.quiescent());
-}
-
-TEST(MacEdge, QuiescentReflectsExchangeState) {
-  Rig rig;
-  DcfMac& a = rig.add({0, 0}, 1);
-  rig.add({100, 0}, 2);
-  rig.scheduler.runUntil(sim::TimePoint{10'000});
-  a.enqueueUnicast(HostId{1}, dataPacket(0), 280);
-  EXPECT_FALSE(a.quiescent());          // queued
-  rig.scheduler.runUntil(sim::TimePoint{11'000});       // DATA on the air / awaiting ACK
-  rig.scheduler.runAll();
+  // HELLOs and data share one FIFO: all three arrive in queue order.
+  const std::vector<net::PacketType> expected{
+      net::PacketType::kData, net::PacketType::kHello, net::PacketType::kData};
+  EXPECT_EQ(rig.uppers[1]->received, expected);
+  EXPECT_EQ(rig.uppers[0]->finishes, 3);
   EXPECT_TRUE(a.quiescent());
 }
 

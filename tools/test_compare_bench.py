@@ -4,7 +4,8 @@
 Writes pairs of synthetic bench reports to a temporary directory and runs
 the gate on each: reports that differ only in wall-clock fields
 (`wallSeconds`, `framesPerWallSecond`, the metrics `profile` section) must
-pass, and a single counter differing by 1 must fail.
+pass; a single counter differing by 1, a counter the candidate no longer
+has, and a differing `schemaVersion` must each fail.
 
 Usage: test_compare_bench.py
 Exit status: 0 every case behaved, 1 otherwise.
@@ -51,7 +52,7 @@ def report() -> dict:
     }
     return {
         "schema": "manet.bench-report",
-        "schemaVersion": 1,
+        "schemaVersion": 2,
         "bench": "synthetic",
         "environment": {"gitSha": "0", "env": {"REPRO_BROADCASTS": "5"}},
         "results": [row],
@@ -69,10 +70,20 @@ def one_counter(doc: dict) -> None:
     doc["results"][0]["metrics"]["counters"]["sim.scheduler.executed"] += 1
 
 
+def counter_dropped(doc: dict) -> None:
+    del doc["results"][0]["metrics"]["counters"]["traffic.completed"]
+
+
+def schema_bumped(doc: dict) -> None:
+    doc["schemaVersion"] += 1
+
+
 # (name, edit applied to the candidate, expected exit status)
 CASES = (
     ("wall-clock fields only pass", wall_clock_only, 0),
     ("one counter off by 1 fails", one_counter, 1),
+    ("baseline-only counter key fails", counter_dropped, 1),
+    ("schemaVersion mismatch fails", schema_bumped, 1),
 )
 
 
