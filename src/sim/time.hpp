@@ -1,7 +1,7 @@
 // Simulation time, as two strong types (DESIGN.md §13).
 //
 // All MAC/PHY constants in IEEE 802.11 DSSS are integral microseconds (slot
-// 20 us, SIFS 10 us, DIFS 50 us, PLCP preamble 144 us), so time is signed
+// 20 us, DIFS 50 us, PLCP preamble 144 us), so time is signed
 // 64-bit microsecond ticks: exact arithmetic, no floating-point drift over a
 // multi-hour simulated run.
 //
