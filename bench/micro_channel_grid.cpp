@@ -4,17 +4,18 @@
 // ctest label.
 //
 // The workload mirrors what one simulation epoch pays: mobile hosts whose
-// positions come through the same mobility-model callbacks the real World
-// wires up, time advancing between iterations (so every epoch pays the grid
-// refresh, which calls every position callback, plus any full rebuild a
-// host's escape from its anchor forces), and neighbor resolution for every
-// host — the per-receiver work transmit() does plus the oracle neighborhood
-// queries the adaptive schemes issue at frame-end timestamps.
+// positions come from the same ModelPositions source the real World wires
+// up, time advancing between iterations (so every epoch pays the grid
+// refresh, which evaluates every host's mobility model once, plus any full
+// rebuild a host's escape from its anchor forces), and neighbor resolution
+// for every host — the per-receiver work transmit() does plus the oracle
+// neighborhood queries the adaptive schemes issue at frame-end timestamps.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <vector>
 
+#include "experiment/model_positions.hpp"
 #include "experiment/runner.hpp"
 #include "mobility/map.hpp"
 #include "mobility/random_roam.hpp"
@@ -32,14 +33,14 @@ class NullListener : public phy::Channel::Listener {
   void onFrameReceived(const phy::Frame&, phy::DropReason) override {}
 };
 
-/// A channel populated like a World: one RandomRoam model per host, position
-/// callbacks evaluated at the scheduler's current time.
+/// A channel populated like a World: one RandomRoam model per host, read
+/// through a ModelPositions source at the scheduler's current time.
 struct MobileChannel {
   MobileChannel(int hosts, int mapUnits, bool grid) {
     const mobility::MapSpec map = mobility::MapSpec::square(mapUnits);
     sim::Rng master(7);
     phy::PhyParams params;
-    channel = std::make_unique<phy::Channel>(scheduler, params);
+    channel = std::make_unique<phy::Channel>(scheduler, params, positions);
     channel->setGridEnabled(grid);
     for (int i = 0; i < hosts; ++i) {
       sim::Rng rng = master.fork(0xA000 + static_cast<std::uint64_t>(i));
@@ -47,9 +48,8 @@ struct MobileChannel {
       roam.maxSpeedMps = mobility::kmhToMps(10.0 * mapUnits);
       models.push_back(std::make_unique<mobility::RandomRoam>(
           map, map.uniformPoint(rng), roam, rng.fork(0xA0)));
-      mobility::MobilityModel* model = models.back().get();
-      channel->attach(net::HostId{static_cast<std::uint32_t>(i)}, &listener,
-                      [this, model] { return model->positionAt(scheduler.now()); });
+      positions.add(*models.back());
+      channel->attach(net::HostId{static_cast<std::uint32_t>(i)}, &listener);
     }
   }
 
@@ -61,6 +61,7 @@ struct MobileChannel {
 
   sim::Scheduler scheduler;
   NullListener listener;
+  experiment::ModelPositions positions{scheduler};
   std::unique_ptr<phy::Channel> channel;
   std::vector<std::unique_ptr<mobility::MobilityModel>> models;
 };

@@ -22,10 +22,10 @@ Host::Host(World& world, net::HostId id,
       jitterRng_(rng.fork(2)) {
   MANET_EXPECTS(mobility_ != nullptr);
   auto& scheduler = world_.scheduler();
-  mac_ = std::make_unique<mac::DcfMac>(
-      scheduler, world_.channel(), id_,
-      [this, &scheduler] { return mobility_->positionAt(scheduler.now()); },
-      rng.fork(3), world_.config().mac, this);
+  // No position callback: the world's ModelPositions positions this node.
+  mac_ = std::make_unique<mac::DcfMac>(scheduler, world_.channel(), id_,
+                                       nullptr, rng.fork(3),
+                                       world_.config().mac, this);
   hello_ = std::make_unique<net::HelloAgent>(scheduler, *mac_, table_,
                                              world_.config().hello,
                                              rng.fork(4));
@@ -221,7 +221,9 @@ void Host::emitTrace(trace::EventKind kind, net::BroadcastId bid,
   event.node = id_;
   event.bid = bid;
   event.from = from;
-  event.position = position();
+  // A peek, not position(): querying the model would advance its
+  // integrator at a time the untraced run never asks for.
+  event.position = mobility_->peekPositionAt(now());
   event.drop = drop;
   sink->onEvent(event);
 }

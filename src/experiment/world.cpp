@@ -32,7 +32,7 @@ void World::AuditBridge::onViolation(const audit::Violation& violation) {
 
 World::World(const ScenarioConfig& config)
     : config_(config.resolved()),
-      channel_(scheduler_, config_.phy),
+      channel_(scheduler_, config_.phy, positions_),
       metrics_(static_cast<std::size_t>(config_.numHosts)),
       policy_(config_.scheme.build()),
       workloadRng_(sim::Rng(config_.seed).fork(0xF00D)) {
@@ -67,6 +67,7 @@ World::World(const ScenarioConfig& config)
     hosts_.push_back(std::make_unique<Host>(
         *this, net::HostId{static_cast<std::uint32_t>(i)},
         std::move(models[static_cast<std::size_t>(i)]), hostRng.fork(0xB0)));
+    positions_.add(hosts_.back()->mobility());
   }
 }
 
@@ -147,7 +148,7 @@ void World::setHostUp(net::HostId id, bool up) {
   event.kind = up ? trace::EventKind::kHostUp : trace::EventKind::kHostDown;
   event.at = scheduler_.now();
   event.node = id;
-  event.position = host.mobility().positionAt(scheduler_.now());
+  event.position = host.mobility().peekPositionAt(scheduler_.now());
   traceSink_->onEvent(event);
   for (const phy::Frame& frame : flushed) {
     trace::Event dropEvent;

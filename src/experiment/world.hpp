@@ -7,6 +7,7 @@
 
 #include "audit/audit.hpp"
 #include "experiment/host.hpp"
+#include "experiment/model_positions.hpp"
 #include "experiment/scenario.hpp"
 #include "fault/churn.hpp"
 #include "fault/loss.hpp"
@@ -175,6 +176,8 @@ class World {
   net::PacketPool::Scope packetScope_{
       net::PacketPool::enabled() ? &packetPool_ : nullptr};
   sim::Scheduler scheduler_;
+  /// The channel's position source: every host's mobility model, by id.
+  ModelPositions positions_{scheduler_};
   phy::Channel channel_;
   stats::MetricsCollector metrics_;
   std::unique_ptr<core::RebroadcastPolicy> policy_;

@@ -22,7 +22,11 @@ DcfMac::DcfMac(sim::Scheduler& scheduler, phy::Channel& channel,
   MANET_EXPECTS(params_.difs >= sim::Duration{});
   MANET_EXPECTS(params_.cwBroadcast >= 0);
   MANET_AUDIT_HOOK(audit_ = audit::DcfAudit(self_));
-  channel_.attach(self_, this, std::move(position));
+  if (position) {
+    channel_.attach(self_, this, std::move(position));
+  } else {
+    channel_.attach(self_, this);
+  }
 }
 
 int DcfMac::drawBackoff() {

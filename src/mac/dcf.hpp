@@ -70,7 +70,8 @@ class DcfMac final : public phy::Channel::Listener {
   };
 
   /// Constructs the MAC and attaches it to `channel` as node `self` with the
-  /// given position callback.
+  /// given position callback, or, when `position` is empty, positioned by
+  /// the channel's PositionSource.
   DcfMac(sim::Scheduler& scheduler, phy::Channel& channel, net::HostId self,
          phy::Channel::PositionFn position, sim::Rng rng, MacParams params,
          Upper* upper);

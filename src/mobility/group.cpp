@@ -36,13 +36,24 @@ GroupMember::GroupMember(std::shared_ptr<GroupCenter> center,
 }
 
 geom::Vec2 GroupMember::positionAt(sim::TimePoint t) {
-  const geom::Vec2 center = center_->positionAt(t);
-  const double span = center_->params().spanMeters;
+  return place(*center_, deviation_, t);
+}
+
+geom::Vec2 GroupMember::peekPositionAt(sim::TimePoint t) const {
+  GroupCenter center = *center_;
+  RandomRoam deviation = deviation_;
+  return place(center, deviation, t);
+}
+
+geom::Vec2 GroupMember::place(GroupCenter& center, RandomRoam& deviation,
+                              sim::TimePoint t) const {
+  const geom::Vec2 c = center.positionAt(t);
+  const double span = center.params().spanMeters;
   geom::Vec2 dev{0.0, 0.0};
   if (span > 0.0) {
-    dev = deviation_.positionAt(t) - geom::Vec2{span, span};
+    dev = deviation.positionAt(t) - geom::Vec2{span, span};
   }
-  return center_->map().clamp(center + offset_ + dev);
+  return center.map().clamp(c + offset_ + dev);
 }
 
 std::vector<std::unique_ptr<MobilityModel>> makeGroup(

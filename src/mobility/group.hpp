@@ -58,9 +58,16 @@ class GroupMember final : public MobilityModel {
               sim::Rng rng);
 
   geom::Vec2 positionAt(sim::TimePoint t) override;
+  /// Evaluates copies of the deviation and of the shared center, which
+  /// the other members' positions also depend on.
+  geom::Vec2 peekPositionAt(sim::TimePoint t) const override;
 
  private:
   friend struct manet::ckpt::StateAccess;
+  /// Center + offset + deviation at `t`, advancing the given models.
+  geom::Vec2 place(GroupCenter& center, RandomRoam& deviation,
+                   sim::TimePoint t) const;
+
   std::shared_ptr<GroupCenter> center_;
   geom::Vec2 offset_;
   RandomRoam deviation_;  // roams a small local box centered at the offset

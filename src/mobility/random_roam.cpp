@@ -51,6 +51,19 @@ void RandomRoam::advance(sim::Duration dt) {
 
 geom::Vec2 RandomRoam::positionAt(sim::TimePoint t) {
   MANET_EXPECTS(t >= lastQuery_);
+  if (t < turnEnd_ && t > lastQuery_) {
+    // In-turn fast path: a step that lands on the map (of positive size)
+    // is left unchanged by reflect and clamp, so skip them. Same bits as
+    // advance(); an off-map step falls through and takes it.
+    const geom::Vec2 p =
+        position_ + velocity_ * sim::toSeconds(t - lastQuery_);
+    if (p.x >= 0.0 && p.x <= map_.width && p.y >= 0.0 &&
+        p.y <= map_.height && map_.width > 0.0 && map_.height > 0.0) {
+      position_ = p;
+      lastQuery_ = t;
+      return p;
+    }
+  }
   while (t >= turnEnd_) {
     advance(turnEnd_ - lastQuery_);
     lastQuery_ = turnEnd_;

@@ -30,6 +30,10 @@ class RandomRoam final : public MobilityModel {
   RandomRoam(MapSpec map, geom::Vec2 start, RoamParams params, sim::Rng rng);
 
   geom::Vec2 positionAt(sim::TimePoint t) override;
+  geom::Vec2 peekPositionAt(sim::TimePoint t) const override {
+    RandomRoam copy = *this;
+    return copy.positionAt(t);
+  }
 
   /// Velocity of the current turn, in m/s (introspection for tests).
   geom::Vec2 currentVelocity() const { return velocity_; }

@@ -26,6 +26,10 @@ class RandomWaypoint final : public MobilityModel {
                  sim::Rng rng);
 
   geom::Vec2 positionAt(sim::TimePoint t) override;
+  geom::Vec2 peekPositionAt(sim::TimePoint t) const override {
+    RandomWaypoint copy = *this;
+    return copy.positionAt(t);
+  }
 
  private:
   friend struct manet::ckpt::StateAccess;

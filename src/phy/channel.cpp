@@ -31,7 +31,17 @@ constexpr double kEscapeFraction = 0.99;
 }  // namespace
 
 Channel::Channel(sim::Scheduler& scheduler, PhyParams params)
-    : scheduler_(scheduler), params_(params) {
+    : Channel(scheduler, params, nullptr) {}
+
+Channel::Channel(sim::Scheduler& scheduler, PhyParams params,
+                 PositionSource& source)
+    : Channel(scheduler, params, &source) {}
+
+Channel::Channel(sim::Scheduler& scheduler, PhyParams params,
+                 PositionSource* source)
+    : scheduler_(scheduler),
+      params_(params),
+      source_(source != nullptr ? source : &callbacks_) {
   MANET_EXPECTS(params_.radiusMeters > 0.0);
   // A frame's carrier-sense batch must fire strictly before its end batch
   // (DESIGN.md §11.6): energy is sensed before the shortest frame ends.
@@ -48,14 +58,29 @@ Channel::~Channel() {
   });
 }
 
+void Channel::CallbackPositions::set(net::HostId id, PositionFn fn) {
+  if (id.value() >= fns_.size()) fns_.resize(id.value() + 1);
+  fns_[id.value()] = std::move(fn);
+}
+
 void Channel::attach(net::HostId id, Listener* listener, PositionFn position) {
-  MANET_EXPECTS(listener != nullptr);
+  MANET_EXPECTS(source_ == &callbacks_);
   MANET_EXPECTS(position != nullptr);
+  addNode(id, listener);
+  callbacks_.set(id, std::move(position));
+}
+
+void Channel::attach(net::HostId id, Listener* listener) {
+  MANET_EXPECTS(source_ != &callbacks_);
+  addNode(id, listener);
+}
+
+void Channel::addNode(net::HostId id, Listener* listener) {
+  MANET_EXPECTS(listener != nullptr);
   if (id.value() >= nodes_.size()) nodes_.resize(id.value() + 1);
   Node& n = nodes_[id.value()];
   MANET_EXPECTS(!n.attached);
   n.listener = listener;
-  n.position = std::move(position);
   n.attached = true;
   ++attachVersion_;
 }
@@ -86,7 +111,8 @@ void Channel::lowerBusy(Node& n) {
 }
 
 geom::Vec2 Channel::positionOf(net::HostId id) const {
-  return node(id).position();
+  node(id);  // asserts attachment
+  return source_->positionOf(id);
 }
 
 bool Channel::carrierBusy(net::HostId id) const {
@@ -109,15 +135,15 @@ void Channel::ensureGrid() const {
   grid_.sortedIds.clear();
   grid_.rankOf.assign(n, -1);
 
-  // Pay each position callback exactly once per epoch; every query this
+  // Ask for each on-air position exactly once per epoch; every query this
   // epoch reads the cached coordinates. Churned-down nodes are invisible:
   // they get no rank, no cell, and no cached position.
   for (std::size_t id = 0; id < n; ++id) {
     if (!nodes_[id].attached || !nodes_[id].up) continue;
-    grid_.positions[id] = nodes_[id].position();
     grid_.rankOf[id] = static_cast<int>(grid_.sortedIds.size());
     grid_.sortedIds.push_back(net::HostId{static_cast<std::uint32_t>(id)});
   }
+  source_->positionsOf(grid_.sortedIds, grid_.positions);
   grid_.valid = true;
   grid_.builtAt = scheduler_.now();
   grid_.attachVersion = attachVersion_;
@@ -125,33 +151,42 @@ void Channel::ensureGrid() const {
 }
 
 bool Channel::refreshGrid() const {
-  // Same callbacks in the same order as a full rebuild (the on-air set is
-  // unchanged since it), so trajectories cannot tell the two apart.
+  // Pass 1: the same evaluations in the same order as a full rebuild (the
+  // on-air set is unchanged since it), so trajectories cannot tell the two
+  // apart.
+  source_->positionsOf(grid_.sortedIds, grid_.positions);
+  // Pass 2, in slot order: copy each position into the CSR coordinate
+  // arrays, test it against its anchor, and grow the bounding box.
   const double skin = kSkinFraction * params_.radiusMeters;
   const double escape2 = kEscapeFraction * kEscapeFraction * skin * skin;
   constexpr double inf = std::numeric_limits<double>::infinity();
   geom::Vec2 lo{inf, inf};
   geom::Vec2 hi{-inf, -inf};
-  bool anchored = true;
-  for (const net::HostId id : grid_.sortedIds) {
-    const geom::Vec2 p = nodes_[id.value()].position();
-    grid_.positions[id.value()] = p;
-    const auto slot = static_cast<std::size_t>(grid_.slotOf[id.value()]);
-    grid_.cellX[slot] = p.x;
-    grid_.cellY[slot] = p.y;
+  bool escaped = false;
+  const std::size_t slots = grid_.cellNodes.size();
+  const net::HostId* ids = grid_.cellNodes.data();
+  const geom::Vec2* positions = grid_.positions.data();
+  const double* ax = grid_.anchorX.data();
+  const double* ay = grid_.anchorY.data();
+  double* xs = grid_.cellX.data();
+  double* ys = grid_.cellY.data();
+  for (std::size_t s = 0; s < slots; ++s) {
+    const geom::Vec2 p = positions[ids[s].value()];
+    xs[s] = p.x;
+    ys[s] = p.y;
     lo.x = std::min(lo.x, p.x);
     lo.y = std::min(lo.y, p.y);
     hi.x = std::max(hi.x, p.x);
     hi.y = std::max(hi.y, p.y);
-    const double dx = p.x - grid_.anchorX[slot];
-    const double dy = p.y - grid_.anchorY[slot];
-    if (dx * dx + dy * dy > escape2) anchored = false;
+    const double dx = p.x - ax[s];
+    const double dy = p.y - ay[s];
+    escaped |= dx * dx + dy * dy > escape2;
   }
-  if (!grid_.sortedIds.empty()) {
+  if (slots > 0) {
     grid_.bboxMin = lo;
     grid_.bboxMax = hi;
   }
-  return anchored;
+  return !escaped;
 }
 
 void Channel::rebuildCells() const {
@@ -254,7 +289,7 @@ void Channel::collectInRange(geom::Vec2 center, net::HostId exclude,
     for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
       const net::HostId id{i};
       if (id == exclude || !nodes_[i].attached || !nodes_[i].up) continue;
-      if (geom::distanceSquared(center, nodes_[i].position()) <= r2) {
+      if (geom::distanceSquared(center, source_->positionOf(id)) <= r2) {
         out.push_back(id);
       }
     }
@@ -335,14 +370,16 @@ std::size_t Channel::inRangeCount(net::HostId id) const {
   const double r2 = params_.radiusMeters * params_.radiusMeters;
   if (!gridEnabled_) {
     obs::add(obs::Counter::kGridFallbackQueries);
-    const geom::Vec2 center = node(id).position();  // asserts attachment
+    const geom::Vec2 center = positionOf(id);
     std::size_t count = 0;
     for (std::uint32_t other = 0; other < nodes_.size(); ++other) {
       if (net::HostId{other} == id || !nodes_[other].attached ||
           !nodes_[other].up) {
         continue;
       }
-      if (geom::distanceSquared(center, nodes_[other].position()) <= r2) {
+      if (geom::distanceSquared(center,
+                                source_->positionOf(net::HostId{other})) <=
+          r2) {
         ++count;
       }
     }
@@ -396,7 +433,7 @@ void Channel::nodesInRange(net::HostId id,
                   grid_.rankOf[id.value()] >= 0);
     collectInRange(grid_.positions[id.value()], id, out);
   } else {
-    collectInRange(node(id).position(), id, out);
+    collectInRange(positionOf(id), id, out);
   }
 }
 
@@ -412,8 +449,10 @@ std::vector<geom::Vec2> Channel::snapshotPositions() const {
     return out;
   }
   std::vector<geom::Vec2> out(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].attached && nodes_[i].up) out[i] = nodes_[i].position();
+  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
+    if (nodes_[i].attached && nodes_[i].up) {
+      out[i] = source_->positionOf(net::HostId{i});
+    }
   }
   return out;
 }
@@ -423,13 +462,13 @@ std::size_t Channel::reachableCount(net::HostId source) const {
   if (!gridEnabled_) {
     obs::add(obs::Counter::kGridFallbackQueries);
     MANET_EXPECTS(node(source).up);
-    // One callback per on-air node, as a grid epoch pays, then an O(N^2)
+    // One position per on-air node, as a grid epoch pays, then an O(N^2)
     // BFS over the snapshot. `ids` doubles as the queue: [0, head) is done.
     std::vector<geom::Vec2> pos(nodes_.size());
     std::vector<std::uint8_t> unseen(nodes_.size(), 0);
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
       if (!nodes_[i].attached || !nodes_[i].up) continue;
-      pos[i] = nodes_[i].position();
+      pos[i] = source_->positionOf(net::HostId{i});
       unseen[i] = 1;
     }
     std::vector<std::size_t> ids{source.value()};
@@ -516,7 +555,7 @@ sim::TimePoint Channel::transmit(net::HostId src, net::PacketPtr packet,
   AirFrame& air = airFrames_[slot];
   Frame& frame = air.frame;
   frame.src = src;
-  frame.srcPos = tx.position();
+  frame.srcPos = source_->positionOf(src);
   frame.bytes = bytes;
   frame.packet = std::move(packet);
   frame.txStart = start;

@@ -12,8 +12,9 @@
 //    transmission senses an idle medium and may transmit into a common
 //    receiver.
 //
-// The channel is also the position oracle: it owns the position callbacks
-// and exposes range queries used by the world's connectivity snapshots.
+// The channel is also the position oracle: it reads node positions from one
+// PositionSource and exposes range queries used by the world's connectivity
+// snapshots.
 //
 // Range resolution (DESIGN.md §7.1): queries go through an anchored uniform
 // grid (cell size = radio radius + skin). Each node's cell is fixed by its
@@ -21,10 +22,10 @@
 // simulation-time epoch only refreshes the cached coordinates in place, and
 // the cells are rebuilt when a node strays almost a skin from its anchor or
 // the on-air population changes. So `transmit`/`nodesInRange` examine only
-// the 3x3 cell neighborhood and pay the position callbacks once per node per
-// epoch instead of once per query. `setGridEnabled(false)` restores the
-// exhaustive O(N) scan; both paths visit candidates in ascending node id, so
-// a run is bit-identical under either.
+// the 3x3 cell neighborhood and pay one batch position call per epoch
+// instead of one position per node per query. `setGridEnabled(false)`
+// restores the exhaustive O(N) scan; both paths visit candidates in
+// ascending node id, so a run is bit-identical under either.
 //
 // Frame-centric reception (DESIGN.md §11.6): one transmitted frame is one
 // pooled air-frame record holding the Frame once plus a per-receiver entry
@@ -41,6 +42,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "audit/audit.hpp"
@@ -72,6 +74,24 @@ struct Frame {
   sim::TimePoint txEnd{};
 };
 
+/// Where a Channel reads node positions (DESIGN.md §7.1). Positions need
+/// not be pure functions of time (RandomRoam integrates once per query), so
+/// the channel fixes when it asks. The grid makes one positionsOf() call
+/// per epoch in which a range query runs, over the on-air ids in ascending
+/// order. positionOf() serves single reads: Channel::positionOf, a
+/// transmitter's own position and the exhaustive scan. Every mobility model
+/// answers a repeat query at the same time unchanged.
+class PositionSource {
+ public:
+  virtual ~PositionSource() = default;
+  /// Current position of node `id`.
+  virtual geom::Vec2 positionOf(net::HostId id) = 0;
+  /// Current position of every node in `ids` (ascending), evaluated in that
+  /// order and written to the id-indexed `out[id]`.
+  virtual void positionsOf(std::span<const net::HostId> ids,
+                           std::span<geom::Vec2> out) = 0;
+};
+
 class Channel {
  public:
   /// Callbacks into the MAC of one attached node. All calls are synchronous
@@ -100,12 +120,24 @@ class Channel {
   /// arrives with a failed FCS, reason kFaultLoss. Unset = lossless.
   using LossFn = std::function<bool(net::HostId src, net::HostId dst)>;
 
+  /// A channel whose nodes bring their own position callbacks, given to
+  /// attach(id, listener, position).
   Channel(sim::Scheduler& scheduler, PhyParams params);
+  /// A channel that reads every node's position from `source`, which must
+  /// outlive it; nodes join with attach(id, listener).
+  Channel(sim::Scheduler& scheduler, PhyParams params,
+          PositionSource& source);
   /// Audited builds verify the begin/end/flush reception ledger here.
   ~Channel();
+  Channel(const Channel&) = delete;
+  Channel& operator=(const Channel&) = delete;
 
-  /// Registers a node. `id` values must be dense (0..N-1) and unique.
+  /// Registers a node whose position is `position()`. Only on a channel
+  /// built without a PositionSource. `id` values must be dense (0..N-1) and
+  /// unique.
   void attach(net::HostId id, Listener* listener, PositionFn position);
+  /// Registers a node positioned by the channel's PositionSource.
+  void attach(net::HostId id, Listener* listener);
 
   /// Installs (or clears, with nullptr) the link-impairment hook. Receivers
   /// are consulted in ascending id order, so a model drawing from its own
@@ -213,9 +245,24 @@ class Channel {
     std::uint32_t index = 0;
     bool operator==(const RxRef&) const = default;
   };
+  /// The PositionSource behind attach(id, listener, position): one
+  /// callback per node.
+  class CallbackPositions final : public PositionSource {
+   public:
+    void set(net::HostId id, PositionFn fn);
+    geom::Vec2 positionOf(net::HostId id) override {
+      return fns_[id.value()]();
+    }
+    void positionsOf(std::span<const net::HostId> ids,
+                     std::span<geom::Vec2> out) override {
+      for (const net::HostId id : ids) out[id.value()] = fns_[id.value()]();
+    }
+
+   private:
+    std::vector<PositionFn> fns_;
+  };
   struct Node {
     Listener* listener = nullptr;
-    PositionFn position;
     bool attached = false;
     bool up = true;     // false while churned down (attached but off-air)
     bool transmitting = false;
@@ -229,17 +276,18 @@ class Channel {
   /// Anchored uniform-cell spatial index over the on-air nodes' positions.
   /// A full rebuild buckets every node by its current position, which
   /// becomes its anchor, into cells of size r + skin. At each later epoch
-  /// the index is refreshed, not rebuilt: every node's position callback
-  /// runs once (ascending id), and the result overwrites the node's cached
-  /// coordinates in its CSR slot. Cell membership keeps following the
-  /// anchors until some node moves farther than kEscapeFraction * skin from
-  /// its anchor, or a node attaches or churns; then the cells are rebuilt.
+  /// the index is refreshed, not rebuilt: one batch call to the position
+  /// source fills `positions` (ascending id), then one pass in slot order
+  /// overwrites each node's cached coordinates in its CSR slot. Cell
+  /// membership keeps following the anchors until some node moves farther
+  /// than kEscapeFraction * skin from its anchor, or a node attaches or
+  /// churns; then the cells are rebuilt.
   /// While every node stays within a skin of its anchor, a disk of radius r
   /// still lies inside the 3x3 neighborhood of its center's cell. CSR
   /// layout: `cellNodes` holds node ids grouped by cell, ascending within a
   /// cell; `cellStart[c]..cellStart[c+1]` delimits cell c; `cellX`/`cellY`
   /// hold the occupants' current coordinates, so the range scan runs over
-  /// contiguous doubles instead of chasing position callbacks.
+  /// contiguous doubles instead of asking the position source.
   struct Grid {
     bool valid = false;
     sim::TimePoint builtAt = sim::kNever;  // epoch of the cached positions
@@ -302,8 +350,9 @@ class Channel {
   /// a refresh when only time advanced, a full rebuild when a node attached
   /// or churned since, or when the refresh finds a node off its anchor.
   void ensureGrid() const;
-  /// Samples every on-air node's position, in ascending id, into the cache
-  /// and its CSR slot. Returns false when some node escaped its anchor.
+  /// Samples every on-air node's position, in ascending id, into the cache,
+  /// then copies each into its CSR slot. Returns false when some node
+  /// escaped its anchor.
   bool refreshGrid() const;
   /// Re-buckets the cached positions into cells; they become the anchors.
   void rebuildCells() const;
@@ -351,8 +400,16 @@ class Channel {
   /// the exhaustive scan otherwise.
   void collectInRange(geom::Vec2 center, net::HostId exclude,
                       std::vector<net::HostId>& out) const;
+  /// Both public constructors; a null `source` selects `callbacks_`.
+  Channel(sim::Scheduler& scheduler, PhyParams params,
+          PositionSource* source);
+  /// Shared body of both attach() overloads.
+  void addNode(net::HostId id, Listener* listener);
   sim::Scheduler& scheduler_;
   PhyParams params_;
+  CallbackPositions callbacks_;
+  /// `&callbacks_`, or the PositionSource the channel was built over.
+  PositionSource* source_;
   std::vector<Node> nodes_;
   bool collisionsEnabled_ = true;
   bool gridEnabled_ = true;

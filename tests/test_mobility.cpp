@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
+#include "geom/circle.hpp"
 #include "mobility/map.hpp"
 #include "mobility/model.hpp"
 #include "mobility/random_roam.hpp"
@@ -148,6 +153,166 @@ TEST(RandomRoam, TurnDurationsWithinConfiguredRange) {
     }
   }
   EXPECT_GT(changes, 20);  // ~40 turns expected in 60 s
+}
+
+/// RandomRoam's integrator as it stood before the in-turn fast path: every
+/// step goes through reflect and clamp. The bit-exact reference for
+/// RandomRoam::positionAt. Also counts reflections per edge (x = 0, x = W,
+/// y = 0, y = H) and the steps whose raw coordinate was -0.0 on a
+/// zero-length axis, so the tests can show they reach every case.
+class ReferenceRoam {
+ public:
+  ReferenceRoam(MapSpec map, Vec2 start, RoamParams params, sim::Rng rng)
+      : map_(map), params_(params), rng_(rng), position_(map.clamp(start)) {
+    beginTurn();
+  }
+
+  Vec2 positionAt(sim::TimePoint t) {
+    while (t >= turnEnd_) {
+      advance(turnEnd_ - lastQuery_);
+      lastQuery_ = turnEnd_;
+      beginTurn();
+    }
+    advance(t - lastQuery_);
+    lastQuery_ = t;
+    return position_;
+  }
+
+  sim::TimePoint turnEnd() const { return turnEnd_; }
+
+  int reflections[4] = {};
+  int negativeZeroSteps = 0;
+
+ private:
+  void beginTurn() {
+    const double direction = rng_.uniform(0.0, 2.0 * geom::kPi);
+    const double speed = rng_.uniform(0.0, params_.maxSpeedMps);
+    velocity_ = speed * geom::unitVector(direction);
+    turnEnd_ = lastQuery_ + rng_.uniformDuration(params_.minTurnDuration,
+                                                 params_.maxTurnDuration);
+  }
+
+  double reflect(double value, double limit, double& velocity, int edge) {
+    if (limit <= 0.0) {
+      negativeZeroSteps += (value == 0.0 && std::signbit(value)) ? 1 : 0;
+      return 0.0;
+    }
+    while (value < 0.0 || value > limit) {
+      if (value < 0.0) {
+        ++reflections[edge];
+        value = -value;
+        velocity = -velocity;
+      } else {
+        ++reflections[edge + 1];
+        value = 2.0 * limit - value;
+        velocity = -velocity;
+      }
+    }
+    return value;
+  }
+
+  void advance(sim::Duration dt) {
+    if (dt <= sim::Duration{}) return;
+    const double seconds = sim::toSeconds(dt);
+    Vec2 p = position_ + velocity_ * seconds;
+    p.x = reflect(p.x, map_.width, velocity_.x, 0);
+    p.y = reflect(p.y, map_.height, velocity_.y, 2);
+    position_ = map_.clamp(p);
+  }
+
+  MapSpec map_;
+  RoamParams params_;
+  sim::Rng rng_;
+  Vec2 position_;
+  Vec2 velocity_{0.0, 0.0};
+  sim::TimePoint turnEnd_{};
+  sim::TimePoint lastQuery_{};
+};
+
+/// Bitwise equality: tells +0.0 from -0.0, unlike operator==.
+bool sameBits(Vec2 a, Vec2 b) {
+  return std::bit_cast<std::uint64_t>(a.x) ==
+             std::bit_cast<std::uint64_t>(b.x) &&
+         std::bit_cast<std::uint64_t>(a.y) == std::bit_cast<std::uint64_t>(b.y);
+}
+
+/// Queries `roam` and `ref` side by side at a random cadence: mostly short
+/// steps, some long ones across several turns, repeats of the same time,
+/// and steps landing exactly on, just before and just after a turn end.
+/// Returns the number of queries whose bits differ.
+int mismatchesAtRandomCadence(RandomRoam& roam, ReferenceRoam& ref,
+                              sim::Rng& cadence, int queries) {
+  int mismatches = 0;
+  sim::TimePoint t = sim::kTimeZero;
+  for (int q = 0; q < queries; ++q) {
+    const auto pick = cadence.uniformInt(0, 9);
+    if (pick == 0) {
+      t = ref.turnEnd() + sim::Duration{cadence.uniformInt(-1, 1)};
+    } else if (pick == 1) {
+      t += cadence.uniformDuration(sim::kSecond, 5 * sim::kSecond);
+    } else if (pick > 2) {  // pick == 2 repeats the same time
+      t += cadence.uniformDuration(sim::kMicrosecond, 50 * sim::kMillisecond);
+    }
+    const Vec2 got = roam.positionAt(t);
+    const Vec2 want = ref.positionAt(t);
+    mismatches += sameBits(got, want) ? 0 : 1;
+  }
+  return mismatches;
+}
+
+TEST(RandomRoam, FastPathMatchesReflectAndClampBitForBit) {
+  RoamParams params;
+  params.maxSpeedMps = 150.0;  // many wall hits on small maps
+  params.minTurnDuration = 100 * sim::kMillisecond;
+  params.maxTurnDuration = 2 * kSecond;
+  int reflections[4] = {};
+  for (const MapSpec map : {MapSpec::square(1), MapSpec{1500.0, 400.0}}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      sim::Rng rng(seed);
+      const Vec2 start = map.uniformPoint(rng);
+      RandomRoam roam(map, start, params, rng.fork(1));
+      ReferenceRoam ref(map, start, params, rng.fork(1));
+      sim::Rng cadence = rng.fork(2);
+      EXPECT_EQ(mismatchesAtRandomCadence(roam, ref, cadence, 2000), 0)
+          << "map " << map.width << "x" << map.height << " seed " << seed;
+      for (int edge = 0; edge < 4; ++edge) {
+        reflections[edge] += ref.reflections[edge];
+      }
+    }
+  }
+  for (int edge = 0; edge < 4; ++edge) {
+    EXPECT_GT(reflections[edge], 0) << "edge " << edge;
+  }
+}
+
+/// Signed zeros, from hosts that start at (-0.0, -0.0). On a zero-length
+/// axis reflect() returns +0.0 for any coordinate, while a bare range check
+/// would let a -0.0 step through (-0.0 >= 0.0 holds); zero speed produces
+/// exactly that step. On a map of positive size, a repeat query at the same
+/// time must not touch the position: -0.0 + 0.0 * v may be +0.0.
+TEST(RandomRoam, FastPathMatchesReferenceOnSignedZeros) {
+  int negativeZeroSteps = 0;
+  for (const MapSpec map : {MapSpec{0.0, 500.0}, MapSpec{500.0, 0.0},
+                            MapSpec{0.0, 0.0}, MapSpec{500.0, 500.0}}) {
+    for (const double maxSpeed : {0.0, 20.0}) {
+      RoamParams params;
+      params.maxSpeedMps = maxSpeed;
+      params.minTurnDuration = 100 * sim::kMillisecond;
+      params.maxTurnDuration = kSecond;
+      for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        sim::Rng rng(seed);
+        const Vec2 start{-0.0, -0.0};
+        RandomRoam roam(map, start, params, rng.fork(1));
+        ReferenceRoam ref(map, start, params, rng.fork(1));
+        sim::Rng cadence = rng.fork(2);
+        EXPECT_EQ(mismatchesAtRandomCadence(roam, ref, cadence, 300), 0)
+            << "map " << map.width << "x" << map.height << " speed "
+            << maxSpeed << " seed " << seed;
+        negativeZeroSteps += ref.negativeZeroSteps;
+      }
+    }
+  }
+  EXPECT_GT(negativeZeroSteps, 0);
 }
 
 TEST(Waypoint, StaysWithinMapAndReachesDestinations) {

@@ -7,8 +7,10 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "experiment/model_positions.hpp"
 #include "experiment/runner.hpp"
 #include "mobility/map.hpp"
 #include "mobility/random_roam.hpp"
@@ -38,13 +40,13 @@ class Sink : public Channel::Listener {
   std::vector<Rx> receptions;
 };
 
-/// A channel full of random-roaming hosts whose position callbacks read the
-/// scheduler clock — the same wiring the real World uses.
+/// A channel full of random-roaming hosts positioned by a ModelPositions
+/// source at the scheduler clock — the same wiring the real World uses.
 struct MobileFixture {
   MobileFixture(int hosts, int mapUnits, std::uint64_t seed) {
     const mobility::MapSpec map = mobility::MapSpec::square(mapUnits);
     sim::Rng master(seed);
-    channel = std::make_unique<Channel>(scheduler, PhyParams{});
+    channel = std::make_unique<Channel>(scheduler, PhyParams{}, positions);
     for (int i = 0; i < hosts; ++i) {
       sim::Rng rng = master.fork(0xA000 + static_cast<std::uint64_t>(i));
       mobility::RoamParams roam;
@@ -54,10 +56,9 @@ struct MobileFixture {
       models.push_back(std::make_unique<mobility::RandomRoam>(
           map, map.uniformPoint(rng), roam, rng.fork(0xA0)));
       sinks.push_back(std::make_unique<Sink>());
-      mobility::MobilityModel* model = models.back().get();
-      channel->attach(
-          HostId{static_cast<std::uint32_t>(i)}, sinks.back().get(),
-          [this, model] { return model->positionAt(scheduler.now()); });
+      positions.add(*models.back());
+      channel->attach(HostId{static_cast<std::uint32_t>(i)},
+                      sinks.back().get());
     }
   }
 
@@ -67,6 +68,7 @@ struct MobileFixture {
   }
 
   sim::Scheduler scheduler;
+  experiment::ModelPositions positions{scheduler};
   std::unique_ptr<Channel> channel;
   std::vector<std::unique_ptr<mobility::MobilityModel>> models;
   std::vector<std::unique_ptr<Sink>> sinks;
@@ -218,86 +220,129 @@ TEST(PhyGrid, RoamPositionDependsOnQueryCadence) {
   EXPECT_EQ(differ, kSeeds);
 }
 
-/// Position callbacks are not pure functions of time (RandomRoam integrates
-/// once per query), so the grid's contract is on when it calls them: each
-/// on-air node exactly once per epoch in which a range query runs, in
-/// ascending id, whether that epoch refreshes or rebuilds the index; never
-/// for a down node, never in an epoch without a query. (An attach or churn
-/// inside an already-queried epoch samples the on-air nodes once more at
-/// the same time, which every mobility model answers unchanged.)
-TEST(PhyGrid, EachOnAirNodeIsEvaluatedOncePerQueriedEpoch) {
-  sim::Scheduler scheduler;
-  Channel channel(scheduler, PhyParams{});
-  constexpr int kNodes = 6;
-  std::vector<int> calls(kNodes, 0);
+/// What one cadence run saw: node ids in the order their positions were
+/// evaluated, and how the channel asked for them.
+struct Evaluations {
   std::vector<std::uint32_t> order;
-  Sink sink;
-  for (std::uint32_t i = 0; i < kNodes; ++i) {
-    channel.attach(HostId{i}, &sink, [&, i] {
-      ++calls[i];
-      order.push_back(i);
-      // 1 m/s along x: refreshes at 1 ms steps, an escape after ~31 s.
-      const double t = sim::toSeconds(scheduler.now());
-      return geom::Vec2{300.0 * i + t, 0.0};
-    });
-  }
-  auto advance = [&](sim::Duration dt) {
-    scheduler.schedule(scheduler.now() + dt, [] {});
-    scheduler.runAll();
-  };
-  auto queryEpoch = [&] {
-    for (std::uint32_t i = 0; i < kNodes; ++i) {
-      if (!channel.nodeUp(HostId{i})) continue;
-      channel.nodesInRange(HostId{i});
-      channel.inRangeCount(HostId{i});
-      channel.reachableCount(HostId{i});
-    }
-    channel.snapshotPositions();
-  };
-  obs::Registry registry;
-  obs::ScopedRegistry scope(&registry);
+  int batchCalls = 0;
+  int singleCalls = 0;
+};
 
-  std::vector<int> expected(kNodes, 0);
-  std::vector<std::uint32_t> ascending;
-  auto expectOnce = [&](const std::vector<bool>& up) {
-    ascending.clear();
+/// Scripted motion for the cadence test: node i sits 300 m from node i-1
+/// and moves 1 m/s along x, so 1 ms steps refresh and ~31 s escape.
+geom::Vec2 cadencePosition(std::uint32_t i, const sim::Scheduler& scheduler) {
+  return geom::Vec2{300.0 * i + sim::toSeconds(scheduler.now()), 0.0};
+}
+
+/// A batch position source that records every call into `seen`.
+class RecordingSource final : public PositionSource {
+ public:
+  RecordingSource(const sim::Scheduler& scheduler, Evaluations& seen)
+      : scheduler_(scheduler), seen_(seen) {}
+  geom::Vec2 positionOf(HostId id) override {
+    ++seen_.singleCalls;
+    return cadencePosition(id.value(), scheduler_);
+  }
+  void positionsOf(std::span<const HostId> ids,
+                   std::span<geom::Vec2> out) override {
+    ++seen_.batchCalls;
+    for (const HostId id : ids) {
+      seen_.order.push_back(id.value());
+      out[id.value()] = cadencePosition(id.value(), scheduler_);
+    }
+  }
+
+ private:
+  const sim::Scheduler& scheduler_;
+  Evaluations& seen_;
+};
+
+/// Positions are not pure functions of time (RandomRoam integrates once per
+/// query), so the grid's contract is on when it asks for them: each on-air
+/// node exactly once per epoch in which a range query runs, in ascending
+/// id, whether that epoch refreshes or rebuilds the index; never for a down
+/// node, never in an epoch without a query. (An attach or churn inside an
+/// already-queried epoch samples the on-air nodes once more at the same
+/// time, which every mobility model answers unchanged.) Checked for both
+/// ways of supplying positions: per-node callbacks, and a PositionSource,
+/// which must then see exactly one batch call per queried epoch.
+TEST(PhyGrid, EachOnAirNodeIsEvaluatedOncePerQueriedEpoch) {
+  constexpr std::uint32_t kNodes = 6;
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "batch source" : "per-node callbacks");
+    sim::Scheduler scheduler;
+    Evaluations seen;
+    RecordingSource source(scheduler, seen);
+    std::unique_ptr<Channel> owned =
+        batched ? std::make_unique<Channel>(scheduler, PhyParams{}, source)
+                : std::make_unique<Channel>(scheduler, PhyParams{});
+    Channel& channel = *owned;
+    Sink sink;
     for (std::uint32_t i = 0; i < kNodes; ++i) {
-      if (up[i]) {
-        ++expected[i];
-        ascending.push_back(i);
+      if (batched) {
+        channel.attach(HostId{i}, &sink);
+      } else {
+        channel.attach(HostId{i}, &sink, [&, i] {
+          seen.order.push_back(i);
+          return cadencePosition(i, scheduler);
+        });
       }
     }
-    EXPECT_EQ(calls, expected);
-    EXPECT_EQ(order, ascending);
-    order.clear();
-  };
-  const std::vector<bool> allUp(kNodes, true);
+    auto advance = [&](sim::Duration dt) {
+      scheduler.schedule(scheduler.now() + dt, [] {});
+      scheduler.runAll();
+    };
+    auto queryEpoch = [&] {
+      for (std::uint32_t i = 0; i < kNodes; ++i) {
+        if (!channel.nodeUp(HostId{i})) continue;
+        channel.nodesInRange(HostId{i});
+        channel.inRangeCount(HostId{i});
+        channel.reachableCount(HostId{i});
+      }
+      channel.snapshotPositions();
+    };
+    obs::Registry registry;
+    obs::ScopedRegistry scope(&registry);
 
-  queryEpoch();  // first epoch: full rebuild
-  expectOnce(allUp);
-  advance(sim::kMillisecond);
-  queryEpoch();  // refresh
-  expectOnce(allUp);
-  EXPECT_EQ(registry.counter(obs::Counter::kGridRebuilds), 1u);
+    auto expectOnce = [&](const std::vector<bool>& up) {
+      std::vector<std::uint32_t> ascending;
+      for (std::uint32_t i = 0; i < kNodes; ++i) {
+        if (up[i]) ascending.push_back(i);
+      }
+      EXPECT_EQ(seen.order, ascending);
+      EXPECT_EQ(seen.batchCalls, batched ? 1 : 0);
+      EXPECT_EQ(seen.singleCalls, 0);
+      seen = Evaluations{};
+    };
+    const std::vector<bool> allUp(kNodes, true);
 
-  advance(sim::kMillisecond);  // an epoch with no query pays nothing
-  EXPECT_EQ(calls, expected);
-  advance(40 * sim::kSecond);
-  queryEpoch();  // every node escaped its anchor: refresh, then rebuild
-  expectOnce(allUp);
-  EXPECT_EQ(registry.counter(obs::Counter::kGridRebuilds), 2u);
+    queryEpoch();  // first epoch: full rebuild
+    expectOnce(allUp);
+    advance(sim::kMillisecond);
+    queryEpoch();  // refresh
+    expectOnce(allUp);
+    EXPECT_EQ(registry.counter(obs::Counter::kGridRebuilds), 1u);
 
-  advance(sim::kMillisecond);
-  channel.setNodeUp(HostId{2}, false);  // churn: rebuild without node 2
-  std::vector<bool> up = allUp;
-  up[2] = false;
-  queryEpoch();
-  expectOnce(up);
-  EXPECT_EQ(registry.counter(obs::Counter::kGridRebuilds), 3u);
-  advance(sim::kMillisecond);
-  queryEpoch();
-  expectOnce(up);
-  EXPECT_EQ(registry.counter(obs::Counter::kGridRebuilds), 3u);
+    advance(sim::kMillisecond);  // an epoch with no query pays nothing
+    EXPECT_TRUE(seen.order.empty());
+    EXPECT_EQ(seen.batchCalls, 0);
+    advance(40 * sim::kSecond);
+    queryEpoch();  // every node escaped its anchor: refresh, then rebuild
+    expectOnce(allUp);
+    EXPECT_EQ(registry.counter(obs::Counter::kGridRebuilds), 2u);
+
+    advance(sim::kMillisecond);
+    channel.setNodeUp(HostId{2}, false);  // churn: rebuild without node 2
+    std::vector<bool> up = allUp;
+    up[2] = false;
+    queryEpoch();
+    expectOnce(up);
+    EXPECT_EQ(registry.counter(obs::Counter::kGridRebuilds), 3u);
+    advance(sim::kMillisecond);
+    queryEpoch();
+    expectOnce(up);
+    EXPECT_EQ(registry.counter(obs::Counter::kGridRebuilds), 3u);
+  }
 }
 
 /// Two channels over the same scripted positions, one on the grid and one

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "experiment/runner.hpp"
 #include "experiment/world.hpp"
@@ -245,26 +246,51 @@ TEST(TraceIntegration, FullRunEmitsConsistentEvents) {
 }
 
 TEST(TraceIntegration, TracingDoesNotPerturbTheRun) {
-  experiment::ScenarioConfig config;
-  config.mapUnits = 5;
-  config.numHosts = 40;
-  config.numBroadcasts = 8;
-  config.scheme = experiment::SchemeSpec::adaptiveLocation();
-  config.seed = 13;
+  experiment::ScenarioConfig roam;
+  roam.mapUnits = 5;
+  roam.numHosts = 40;
+  roam.numBroadcasts = 8;
+  roam.scheme = experiment::SchemeSpec::adaptiveLocation();
+  roam.seed = 13;
+  // Group members share a roaming center, and churn traces kHostDown/Up
+  // events from World::setHostUp.
+  experiment::ScenarioConfig group = roam;
+  group.mobility = experiment::ScenarioConfig::Mobility::kGroup;
+  group.groupSize = 5;
+  group.fault.churn = true;
+  group.fault.meanUpTime = 2 * sim::kSecond;
+  group.fault.meanDownTime = 1 * sim::kSecond;
 
-  experiment::World plain(config);
-  plain.run();
+  for (const experiment::ScenarioConfig& config : {roam, group}) {
+    SCOPED_TRACE(config.fault.churn ? "group + churn" : "random roam");
+    experiment::World plain(config);
+    plain.run();
 
-  Recorder recorder;
-  experiment::World traced(config);
-  traced.setTraceSink(&recorder);
-  traced.run();
+    Recorder recorder;
+    experiment::World traced(config);
+    traced.setTraceSink(&recorder);
+    traced.run();
 
-  EXPECT_EQ(plain.channel().framesTransmitted(),
-            traced.channel().framesTransmitted());
-  EXPECT_DOUBLE_EQ(plain.metrics().summarize().meanRe,
-                   traced.metrics().summarize().meanRe);
-  EXPECT_GT(recorder.totalSeen(), 0u);
+    EXPECT_EQ(plain.channel().framesTransmitted(),
+              traced.channel().framesTransmitted());
+    EXPECT_DOUBLE_EQ(plain.metrics().summarize().meanRe,
+                     traced.metrics().summarize().meanRe);
+    EXPECT_GT(recorder.totalSeen(), 0u);
+    if (config.fault.churn) {
+      EXPECT_GT(recorder.countOf(EventKind::kHostDown), 0u);
+    }
+    // Trajectories too, to the bit: reading a position for a trace event
+    // must not advance a mobility model's integrator.
+    const std::vector<geom::Vec2> plainEnd =
+        plain.channel().snapshotPositions();
+    const std::vector<geom::Vec2> tracedEnd =
+        traced.channel().snapshotPositions();
+    ASSERT_EQ(plainEnd.size(), tracedEnd.size());
+    for (std::size_t i = 0; i < plainEnd.size(); ++i) {
+      EXPECT_EQ(plainEnd[i].x, tracedEnd[i].x) << "host " << i;
+      EXPECT_EQ(plainEnd[i].y, tracedEnd[i].y) << "host " << i;
+    }
+  }
 }
 
 TEST(TraceIntegration, TimelineMatchesMetricsPerBroadcast) {
