@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "ckpt/checkpoint.hpp"
 #include "experiment/bench_util.hpp"
 #include "experiment/runner.hpp"
 #include "obs/metrics.hpp"
@@ -51,12 +50,6 @@ class Report {
       }
     }
     if (enabled()) obs::forceCollection(true);
-    // Checkpoint/replay wiring (DESIGN.md §14): --resume-from runs a
-    // checkpointed tail and exits; --checkpoint-at (or MANET_CKPT_AT)
-    // routes every scenario through a capture/resume cycle whose tables
-    // and report are byte-identical to the straight-through run — the CI
-    // resume-equivalence gate diffs the two.
-    ckpt::configureFromCli(argc, argv, name_);
   }
 
   Report(const Report&) = delete;

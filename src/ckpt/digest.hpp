@@ -1,13 +1,13 @@
-// Streaming FNV-1a 64-bit digest used by the checkpoint subsystem
-// (DESIGN.md §14): section payload checksums in the .mckpt container, and
-// compressed fingerprints of engine state that is verified-by-replay rather
-// than serialized field-by-field (MAC machines, decider state, mobility
-// integrators). Deterministic, platform-independent: every add() folds an
-// explicit little-endian byte expansion, never raw object memory, so padding
-// and endianness cannot leak in.
+// Streaming FNV-1a 64-bit digest behind every state fingerprint
+// (DESIGN.md §14): each engine subsystem and host component folds its raw
+// state into one word (MAC machines, decider state, mobility integrators),
+// and the output digests of bench/perf hash simulation results with it.
+// Deterministic, platform-independent: every add() folds an explicit
+// little-endian byte expansion, never raw object memory, so padding and
+// endianness cannot leak in.
 //
-// src/ckpt/ is a sanctioned serialization home (tools/manet_lint.py U3):
-// time values are folded as their raw microsecond tick counts.
+// src/ckpt/ is a sanctioned raw-tick home (tools/manet_lint.py U3): time
+// values are folded as their raw microsecond tick counts.
 #pragma once
 
 #include <bit>
@@ -50,12 +50,5 @@ class Digest {
  private:
   std::uint64_t state_ = kOffset;
 };
-
-/// One-shot digest of a byte range (the section checksums).
-inline std::uint64_t fnv1a(const void* data, std::size_t n) {
-  Digest d;
-  d.addBytes(data, n);
-  return d.value();
-}
 
 }  // namespace manet::ckpt

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "ckpt/config_io.hpp"
 #include "ckpt/digest.hpp"
-#include "core/threshold.hpp"
 #include "experiment/host.hpp"
 #include "experiment/world.hpp"
 #include "fault/loss.hpp"
@@ -373,10 +371,6 @@ HostFingerprint StateAccess::host(const experiment::Host& host) {
 
 WorldFingerprint StateAccess::captureWorld(const experiment::World& world) {
   WorldFingerprint fp;
-  fp.configBlob = encodeConfig(world.config_);
-  fp.anchor = world.scheduler_.now();
-  fp.horizon = world.horizon_;
-  fp.hasRegistry = obs::current() != nullptr;
   auto& w = fp.words;
   w[WorldFingerprint::kScheduler] = schedulerDigest(world.scheduler_);
   w[WorldFingerprint::kChannel] = channelDigest(world.channel_);
@@ -407,31 +401,6 @@ WorldFingerprint StateAccess::captureWorld(const experiment::World& world) {
   fp.hosts.reserve(world.hosts_.size());
   for (const auto& h : world.hosts_) fp.hosts.push_back(host(*h));
   return fp;
-}
-
-// --- thresholds --------------------------------------------------------
-
-const std::vector<int>& StateAccess::counterValues(
-    const core::CounterThreshold& fn) {
-  return fn.values_;
-}
-
-core::CounterThreshold StateAccess::makeCounterThreshold(
-    std::vector<int> values) {
-  return core::CounterThreshold(std::move(values));
-}
-
-void StateAccess::areaFields(const core::AreaThreshold& fn, double& low,
-                             double& high, int& n1, int& n2) {
-  low = fn.low_;
-  high = fn.high_;
-  n1 = fn.n1_;
-  n2 = fn.n2_;
-}
-
-core::AreaThreshold StateAccess::makeAreaThreshold(double low, double high,
-                                                   int n1, int n2) {
-  return core::AreaThreshold(low, high, n1, n2);
 }
 
 }  // namespace manet::ckpt

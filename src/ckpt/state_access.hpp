@@ -1,4 +1,4 @@
-// The checkpoint subsystem's single privileged window into engine state.
+// The single privileged window into engine state for fingerprints.
 //
 // Every engine class that carries run state friends this one struct (and
 // nothing else), so all private-member reads used for fingerprinting are
@@ -7,22 +7,17 @@
 // advances integrators and draws RNG at turn boundaries, NeighborTable
 // queries purge, Channel queries rebuild the grid). A capture therefore
 // perturbs nothing: the captured world's future is byte-identical to a world
-// that was never captured, which is what the resume-equivalence CI gate
-// checks end to end. Each capture folds straight into one ckpt::Digest word;
+// that was never captured, which tests/test_ckpt.cpp checks under every
+// mobility model. Each capture folds straight into one ckpt::Digest word;
 // unordered containers are collected and sorted by stable keys first, so a
 // word never depends on hash iteration order.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "ckpt/digest.hpp"
 #include "ckpt/fingerprint.hpp"
 
-namespace manet::core {
-class CounterThreshold;
-class AreaThreshold;
-}  // namespace manet::core
 namespace manet::experiment {
 class Host;
 class World;
@@ -75,15 +70,6 @@ struct StateAccess {
   static HostFingerprint host(const experiment::Host& host);
   /// Fingerprint of the whole world at its current scheduler time.
   static WorldFingerprint captureWorld(const experiment::World& world);
-
-  // --- threshold raw access (config serialization; ctors are private) ---
-  static const std::vector<int>& counterValues(
-      const core::CounterThreshold& fn);
-  static core::CounterThreshold makeCounterThreshold(std::vector<int> values);
-  static void areaFields(const core::AreaThreshold& fn, double& low,
-                         double& high, int& n1, int& n2);
-  static core::AreaThreshold makeAreaThreshold(double low, double high, int n1,
-                                               int n2);
 };
 
 }  // namespace manet::ckpt

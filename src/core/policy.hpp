@@ -89,8 +89,8 @@ class PacketDecider {
   virtual bool onDuplicate(HostView& host, const Reception& dup) = 0;
 
   /// FNV-1a fold of the decider's mutable scheme state (counter values,
-  /// minimum distances, heard-sender sets, ...), for checkpoint equality
-  /// oracles (DESIGN.md §14). Stateless deciders keep the default 0.
+  /// minimum distances, heard-sender sets, ...), folded into the host's
+  /// state fingerprint (DESIGN.md §14). Stateless deciders keep the default 0.
   virtual std::uint64_t stateDigest() const { return 0; }
 };
 

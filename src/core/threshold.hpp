@@ -7,10 +7,6 @@
 #include <string_view>
 #include <vector>
 
-namespace manet::ckpt {
-struct StateAccess;
-}
-
 namespace manet::core {
 
 /// Decay shapes between n1 and n2 tested in Fig. 5d.
@@ -54,7 +50,6 @@ class CounterThreshold {
                          const CounterThreshold&) = default;
 
  private:
-  friend struct manet::ckpt::StateAccess;
   explicit CounterThreshold(std::vector<int> values);
   std::vector<int> values_;  // values_[i] = C(i+1); last repeats
 };
@@ -81,7 +76,6 @@ class AreaThreshold {
   friend bool operator==(const AreaThreshold&, const AreaThreshold&) = default;
 
  private:
-  friend struct manet::ckpt::StateAccess;
   AreaThreshold(double low, double high, int n1, int n2);
   double low_ = 0.0;
   double high_ = 0.0;

@@ -11,17 +11,6 @@
 
 namespace manet::experiment {
 
-namespace {
-WorldRunFn& runOverrideSlot() {
-  static WorldRunFn fn;
-  return fn;
-}
-}  // namespace
-
-void setWorldRunOverride(WorldRunFn fn) { runOverrideSlot() = std::move(fn); }
-
-const WorldRunFn& worldRunOverride() { return runOverrideSlot(); }
-
 RunResult runScenario(const ScenarioConfig& config) {
   const auto wallStart = std::chrono::steady_clock::now();
   // Each repetition owns a private registry, installed on the running
@@ -31,22 +20,14 @@ RunResult runScenario(const ScenarioConfig& config) {
   if (obs::collectionEnabled()) metrics = std::make_shared<obs::Registry>();
   obs::ScopedRegistry scoped(metrics.get());
 
-  // The override path (checkpoint cycles) builds and finishes the world
-  // itself inside the run scope; the scope *structure* stays identical to
-  // the direct path so profile-scope trees match across modes.
-  const WorldRunFn& runOverride = worldRunOverride();
   std::unique_ptr<World> world;
   {
     obs::ProfileScope profileBuild("scenario.build");
-    if (runOverride == nullptr) world = std::make_unique<World>(config);
+    world = std::make_unique<World>(config);
   }
   {
     obs::ProfileScope profileRun("scenario.run");
-    if (runOverride != nullptr) {
-      world = runOverride(config);
-    } else {
-      world->run();
-    }
+    world->run();
   }
 
   obs::ProfileScope profileCollect("scenario.collect");

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -13,24 +12,6 @@
 #include "stats/metrics.hpp"
 
 namespace manet::experiment {
-
-class World;
-
-/// Replacement for the build-world-and-run() core of runScenario: takes the
-/// scenario config and returns a world already run to completion. The
-/// checkpoint subsystem installs one to route every bench scenario through a
-/// capture/resume cycle (--checkpoint-at); result extraction, metrics
-/// folding, and pooling are unchanged, so an override that finishes in the
-/// same final state yields byte-identical reports.
-using WorldRunFn =
-    std::function<std::unique_ptr<World>(const ScenarioConfig& config)>;
-
-/// Installs (or, with nullptr, clears) the process-wide run override.
-/// Install before worker threads start (bench mains do this while
-/// single-threaded); the function itself must be thread-safe, as parallel
-/// repetitions call it concurrently.
-void setWorldRunOverride(WorldRunFn fn);
-const WorldRunFn& worldRunOverride();
 
 struct RunResult {
   stats::RunSummary summary;

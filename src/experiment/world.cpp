@@ -251,12 +251,4 @@ void World::run() {
   runToEnd();
 }
 
-void World::overrideScheme(const SchemeSpec& spec) {
-  // In-flight broadcasts hold decider references into the old policy's
-  // threshold objects; retire it rather than destroy it.
-  retiredPolicies_.push_back(std::move(policy_));
-  config_.scheme = spec;
-  policy_ = spec.build();
-}
-
 }  // namespace manet::experiment

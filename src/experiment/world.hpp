@@ -2,7 +2,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "audit/audit.hpp"
@@ -40,7 +39,7 @@ class World {
   /// drain period. May be called once.
   void run();
 
-  // --- split-run control (checkpoint/replay, DESIGN.md §14) ---
+  // --- split-run control (sliced runs, DESIGN.md §14) ---
   /// The schedule-everything prefix of run(): starts agents, schedules the
   /// workload and churn timeline, and fixes the horizon — without advancing
   /// time. May be called once; afterwards drive the clock with
@@ -57,25 +56,6 @@ class World {
 
   /// The run horizon; meaningful after beginRun()/run().
   sim::TimePoint horizonTime() const { return horizon_; }
-
-  /// Swaps the rebroadcast policy mid-run (checkpoint-resume studies: run
-  /// the tail of a checkpointed run under a different scheme). Broadcasts
-  /// already in flight keep their old deciders — the retired policy stays
-  /// alive for the world's lifetime because live deciders hold references
-  /// into it — while every broadcast originated after the swap uses the new
-  /// scheme.
-  void overrideScheme(const SchemeSpec& spec);
-
-  /// Writes a checkpoint of the world at the current simulated time to
-  /// `path` (defined in src/ckpt): the resolved config, the anchor, and a
-  /// fingerprint of every subsystem. Throws ckpt::Error on I/O failure.
-  void checkpoint(const std::string& path) const;
-
-  /// Rebuilds a world from a checkpoint written by checkpoint(): replays
-  /// deterministically to the anchor and verifies the replayed state matches
-  /// the stored fingerprint word for word (throws ckpt::Error otherwise). The
-  /// returned world is mid-run: continue it with continueUntil()/runToEnd().
-  static std::unique_ptr<World> resume(const std::string& path);
 
   /// Starts the periodic agents (HELLO) without scheduling any workload;
   /// lets tests drive broadcasts manually through host(id).
@@ -181,9 +161,6 @@ class World {
   phy::Channel channel_;
   stats::MetricsCollector metrics_;
   std::unique_ptr<core::RebroadcastPolicy> policy_;
-  /// Policies displaced by overrideScheme(); kept alive because deciders of
-  /// in-flight broadcasts hold references into them.
-  std::vector<std::unique_ptr<core::RebroadcastPolicy>> retiredPolicies_;
   std::vector<std::unique_ptr<Host>> hosts_;
   sim::Rng workloadRng_;
   sim::TimePoint horizon_{};

@@ -256,7 +256,7 @@ bool advancedBy(sim::Rng before, sim::Rng after, int draws) {
 
 TEST(Location, ZeroThresholdAlwaysProceeds) {
   // The verdict settles before the first sample, but the decision still
-  // takes all 2 * 512 draws: checkpoint fingerprints hash the scheme Rng.
+  // takes all 2 * 512 draws: state fingerprints hash the scheme Rng.
   FakeHost host;
   LocationPolicy policy(0.0);
   auto d = policy.makeDecider(host, from(1, {0, 0}));

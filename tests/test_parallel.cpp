@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -12,7 +11,6 @@
 #include "experiment/parallel.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/sweep.hpp"
-#include "experiment/world.hpp"
 #include "net/packet_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -62,6 +60,26 @@ TEST(ParallelFor, CoversAllIndicesAcrossThreadCounts) {
 
 TEST(ParallelFor, ZeroJobsIsANoop) {
   parallelFor(0, [](std::size_t) { FAIL(); }, 4);
+}
+
+// runCells fans its (cell, repetition) jobs out through parallelFor, so a
+// job that throws must surface at the caller, serially and pooled, whether
+// it is the first job or one behind jobs that already finished.
+TEST(ParallelFor, PropagatesAJobException) {
+  for (const int threads : {1, 4}) {
+    for (const std::size_t failing : {0u, 2u, 7u}) {
+      EXPECT_THROW(parallelFor(
+                       8,
+                       [failing](std::size_t i) {
+                         if (i == failing) {
+                           throw std::runtime_error("job failed");
+                         }
+                       },
+                       threads),
+                   std::runtime_error)
+          << "job " << failing << " threads " << threads;
+    }
+  }
 }
 
 ScenarioConfig tinyBase() {
@@ -304,27 +322,6 @@ TEST(RunCells, KeepsCellOrderWhenCostsAreUneven) {
     EXPECT_EQ(cells[i].seed, configs[i].seed);
     EXPECT_EQ(fingerprint(cells[i]), fingerprint(runScenario(configs[i])))
         << "cell " << i;
-  }
-}
-
-TEST(RunCells, PropagatesAJobException) {
-  struct OverrideGuard {
-    ~OverrideGuard() { setWorldRunOverride(nullptr); }
-  } guard;
-  setWorldRunOverride([](const ScenarioConfig& c) -> std::unique_ptr<World> {
-    if (c.seed == 102) throw std::runtime_error("cell failed");
-    auto world = std::make_unique<World>(c);
-    world->run();
-    return world;
-  });
-  std::vector<ScenarioConfig> configs(4, tinyBase());
-  for (std::size_t i = 0; i < configs.size(); ++i) configs[i].seed = 100 + i;
-  // Seed 102 is the first repetition of cell 2 and the second of cell 1.
-  for (const int threads : {1, 4}) {
-    EXPECT_THROW(runCells(configs, /*repetitions=*/1, threads),
-                 std::runtime_error);
-    EXPECT_THROW(runCells({configs[1]}, /*repetitions=*/2, threads),
-                 std::runtime_error);
   }
 }
 

@@ -126,8 +126,8 @@ TEST(Scheduler, RunUntilAdvancesClockWhenQueueDrains) {
 
 /// runUntil composes: slicing a run at a fixed stride — with events exactly
 /// on each slice boundary and on the horizon — replays the exact event log
-/// and final clock of one straight runUntil. World::continueUntil and
-/// checkpoint resume rely on this.
+/// and final clock of one straight runUntil. World::continueUntil, and the
+/// sliced runs of bench/perf and the fingerprint tests, rely on this.
 TEST(Scheduler, SlicedRunUntilMatchesAStraightRun) {
   const Duration stride{192};
   const TimePoint horizon = kTimeZero + Duration{1000};

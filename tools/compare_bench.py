@@ -23,21 +23,22 @@ Failure policy — two severities, deliberately asymmetric:
   trajectory is the point; gating merges on it would only teach people to
   ignore CI.
 
-A third mode backs the checkpoint/resume CI gate (DESIGN.md §14):
+A third mode backs the serial-vs-threads CI gate (DESIGN.md §10.4):
 
   --require-identical: every value in the two reports must be EXACTLY equal
   — results, metrics, environment — except the fields that measure host
   wall-clock rather than simulation output (per-row wallSeconds and
-  framesPerWallSecond, the metrics `profile` scope timings) and the
-  environment echo of the MANET_* variables that differ between the two
-  legs by construction. Any other difference, float or int, is a HARD FAIL:
-  the two reports come from the same binary on the same machine in the same
-  job, so "close" is not a thing — a one-bit drift means resume diverged.
+  framesPerWallSecond, the metrics `profile` scope timings) and the two
+  environment echo entries that differ between the legs by construction
+  (MANET_THREADS and MANET_BENCH_JSON). Any other difference, float or int,
+  is a HARD FAIL: the two reports come from the same binary on the same
+  machine in the same job, so "close" is not a thing — a one-bit drift means
+  the output depends on the worker count.
 
 Usage:
   compare_bench.py --baselines bench/baselines --candidates out/
   compare_bench.py baseline.json candidate.json
-  compare_bench.py --require-identical straight.json resumed.json
+  compare_bench.py --require-identical serial.json threads4.json
 
 Exit status: 0 comparable (possibly with warnings), 1 shape mismatch,
 2 usage error.
@@ -233,21 +234,21 @@ def aggregate_throughput(rows: dict[str, dict]) -> float:
 
 
 # --require-identical exclusions: the only report content allowed to differ
-# between a straight run and a checkpoint/resume run of the same scenario on
-# the same machine. Wall-clock fields measure the host, not the simulation;
-# every counter must match bit for bit.
+# between a serial and a multi-worker run of the same bench on the same
+# machine. Wall-clock fields measure the host, not the simulation; the two
+# env entries select the leg; every counter must match bit for bit.
 WALL_ROW_KEYS = ("wallSeconds", "framesPerWallSecond")
 WALL_METRIC_KEYS = ("profile",)
+LEG_ENV_KEYS = ("MANET_THREADS", "MANET_BENCH_JSON")
 
 
 def strip_wall_clock(doc: dict) -> dict:
-    """Deep-copies `doc` minus wall-clock fields and the env echo."""
+    """Deep-copies `doc` minus wall-clock fields and the leg's env entries."""
     out = json.loads(json.dumps(doc))
     env = out.get("environment")
-    if isinstance(env, dict):
-        # The env echo legitimately differs: the resume leg carries
-        # MANET_CKPT_* that the straight leg does not.
-        env.pop("env", None)
+    if isinstance(env, dict) and isinstance(env.get("env"), dict):
+        for key in LEG_ENV_KEYS:
+            env["env"].pop(key, None)
     results = out.get("results")
     if isinstance(results, list):
         for row in results:
@@ -265,7 +266,7 @@ def strip_wall_clock(doc: dict) -> dict:
 def deep_diff(base, cand, path: str, out: list[str], limit: int = 40) -> None:
     """Collects human-readable paths of every difference (exact equality —
     floats included: both documents come from the same binary and platform,
-    so resume-equivalence means bit-equality, not closeness)."""
+    so thread-count independence means bit-equality, not closeness)."""
     if len(out) >= limit:
         return
     if isinstance(base, dict) and isinstance(cand, dict):
@@ -301,7 +302,7 @@ def compare_identical(base_path: Path, cand_path: Path) -> Comparison:
     diffs: list[str] = []
     deep_diff(strip_wall_clock(base), strip_wall_clock(cand), "", diffs)
     for d in diffs:
-        cmp.error(f"resume drift: {d}")
+        cmp.error(f"worker-count drift: {d}")
     return cmp
 
 
@@ -388,7 +389,7 @@ def main(argv: list[str]) -> int:
                          "this fraction (default 0.20)")
     ap.add_argument("--require-identical", action="store_true",
                     help="hard-fail on ANY difference outside wall-clock "
-                         "fields (the checkpoint resume-equivalence gate)")
+                         "fields (the serial-vs-threads gate)")
     args = ap.parse_args(argv)
 
     pairs: list[tuple[Path, Path]] = []

@@ -88,7 +88,7 @@ WALLCLOCK_ALLOWED = (
 # the one home where pool plumbing may legitimately need identity-adjacent
 # calls. Results must not depend on which OS thread ran a chunk.
 THREAD_ALLOWED = ("src/experiment/parallel",)
-# Homes allowed to iterate unordered containers (H2): checkpoint capture
+# Homes allowed to iterate unordered containers (H2): fingerprint capture
 # (DESIGN.md §14) reads every container once, collect-then-sort by a stable
 # key, so state fingerprints never depend on hash iteration order. The
 # pattern is pervasive there; one home beats NOLINT scattering.
@@ -280,7 +280,7 @@ SELF_TEST_CASES: tuple[tuple[str, str, tuple[str, ...]], ...] = (
      "std::mt19937 engine(seed);\nint x = rand();\n", ()),
     ("src/experiment/parallel.cpp",
      "auto id = std::this_thread::get_id();\n", ()),
-    ("src/ckpt/capture.cpp",
+    ("src/ckpt/state_access.cpp",
      "std::unordered_map<int, int> table;\n"
      "void f() { for (auto& kv : table) { (void)kv; } }\n",
      ()),

@@ -64,7 +64,7 @@ TICKS_ALLOWED = (
     "src/trace/writer.cpp",  # trace serialization writes integers
     "src/audit/",            # invariant messages print raw clocks
     "src/obs/",              # metrics registry / run reports serialize
-    "src/ckpt/",             # checkpoint serialization reads/writes ticks
+    "src/ckpt/",             # state digests fold raw tick counts
 )
 
 # Strong-type names whose static_cast construction is banned (U2).

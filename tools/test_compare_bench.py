@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Tests the `compare_bench.py --require-identical` gate (DESIGN.md §14.3).
+"""Tests the `compare_bench.py --require-identical` gate (DESIGN.md §10.4).
 
 Writes pairs of synthetic bench reports to a temporary directory and runs
 the gate on each: reports that differ only in wall-clock fields
-(`wallSeconds`, `framesPerWallSecond`, the metrics `profile` section) must
-pass; a single counter differing by 1, a counter the candidate no longer
-has, and a differing `schemaVersion` must each fail.
+(`wallSeconds`, `framesPerWallSecond`, the metrics `profile` section) or
+only in the leg's `MANET_THREADS` echo must pass; a single counter
+differing by 1, a counter the candidate no longer has, a differing
+`schemaVersion` and a differing `REPRO_BROADCASTS` echo must each fail.
 
 Usage: test_compare_bench.py
 Exit status: 0 every case behaved, 1 otherwise.
@@ -54,7 +55,8 @@ def report() -> dict:
         "schema": "manet.bench-report",
         "schemaVersion": 2,
         "bench": "synthetic",
-        "environment": {"gitSha": "0", "env": {"REPRO_BROADCASTS": "5"}},
+        "environment": {"gitSha": "0", "env": {"MANET_THREADS": "1",
+                                              "REPRO_BROADCASTS": "5"}},
         "results": [row],
     }
 
@@ -78,12 +80,22 @@ def schema_bumped(doc: dict) -> None:
     doc["schemaVersion"] += 1
 
 
+def threads_echo(doc: dict) -> None:
+    doc["environment"]["env"]["MANET_THREADS"] = "4"
+
+
+def scale_echo(doc: dict) -> None:
+    doc["environment"]["env"]["REPRO_BROADCASTS"] = "20"
+
+
 # (name, edit applied to the candidate, expected exit status)
 CASES = (
     ("wall-clock fields only pass", wall_clock_only, 0),
     ("one counter off by 1 fails", one_counter, 1),
     ("baseline-only counter key fails", counter_dropped, 1),
     ("schemaVersion mismatch fails", schema_bumped, 1),
+    ("MANET_THREADS echo only passes", threads_echo, 0),
+    ("REPRO_BROADCASTS echo mismatch fails", scale_echo, 1),
 )
 
 
