@@ -3,12 +3,12 @@
 // denominator e. Explains *why* the schemes behave as they do per density:
 // the 1x1 map is one dense clique-ish blob; the 9x9/11x11 maps fragment
 // into many small components (footnote 2 is why RE is still meaningful
-// there). Also reports the lowest-ID cluster backbone size per map.
+// there).
+#include <algorithm>
 #include <iostream>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "cluster/assignment.hpp"
 #include "experiment/world.hpp"
 #include "stats/connectivity.hpp"
 #include "util/table.hpp"
@@ -22,7 +22,7 @@ int main() {
                 scale);
 
   util::Table table({"map", "avg degree", "components", "largest comp",
-                     "mean e", "heads", "gateways"});
+                     "mean e"});
   for (int units : experiment::paperMapSizes()) {
     experiment::ScenarioConfig config;
     config.mapUnits = units;
@@ -50,24 +50,10 @@ int main() {
     }
     meanReachable /= static_cast<double>(positions.size());
 
-    // Cluster backbone on the snapshot.
-    std::vector<std::vector<net::HostId>> adjacency(positions.size());
-    for (std::uint32_t i = 0; i < positions.size(); ++i) {
-      adjacency[i] = world.channel().nodesInRange(net::HostId{i});
-    }
-    const auto roles = cluster::assignRoles(adjacency);
-    int heads = 0;
-    int gateways = 0;
-    for (const auto& r : roles) {
-      heads += r.role == cluster::Role::kHead ? 1 : 0;
-      gateways += r.role == cluster::Role::kGateway ? 1 : 0;
-    }
-
     table.addRow({bench::mapLabel(units),
                   util::fmt(stats::averageDegree(positions, radius), 1),
                   std::to_string(componentCount), std::to_string(largest),
-                  util::fmt(meanReachable, 1), std::to_string(heads),
-                  std::to_string(gateways)});
+                  util::fmt(meanReachable, 1)});
   }
   table.print(std::cout);
   std::cout << "\n";

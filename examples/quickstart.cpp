@@ -7,6 +7,8 @@
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/quickstart [mapUnits] [numBroadcasts]
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <iostream>
 #include <vector>
@@ -19,9 +21,32 @@
 
 using namespace manet;
 
+namespace {
+
+// Parse all of `text` as an integer in [lo, hi], the range the library
+// accepts; "abc" or "0" for the map is a usage error here instead of a
+// library precondition abort.
+bool parseInt(const char* text, long long lo, long long hi, int& out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE) return false;
+  if (value < lo || value > hi) return false;
+  out = static_cast<int>(value);
+  return true;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  const int mapUnits = argc > 1 ? std::atoi(argv[1]) : 5;
-  const int broadcasts = argc > 2 ? std::atoi(argv[2]) : 50;
+  int mapUnits = 5;
+  int broadcasts = 50;
+  if ((argc > 1 && !parseInt(argv[1], 1, INT_MAX, mapUnits)) ||
+      (argc > 2 && !parseInt(argv[2], 0, INT_MAX, broadcasts))) {
+    std::cerr << "usage: " << argv[0]
+              << " [mapUnits >= 1] [numBroadcasts >= 0]\n";
+    return 1;
+  }
 
   // MANET_BENCH_JSON=<dir> turns on metrics collection and writes a run
   // report next to the printed table (the table itself is unchanged).
@@ -41,7 +66,6 @@ int main(int argc, char** argv) {
       experiment::SchemeSpec::adaptiveCounter(),
       experiment::SchemeSpec::adaptiveLocation(),
       experiment::SchemeSpec::neighborCoverage(),
-      experiment::SchemeSpec::clusterBased(),
   };
 
   util::Table table({"scheme", "RE", "SRB", "latency(s)", "frames"});

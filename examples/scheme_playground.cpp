@@ -7,10 +7,13 @@
 //       --broadcasts=100 --hosts=100 --seed=3 --hello --dhi
 //
 // Schemes: flood | prob=<p> | counter=<C> | distance=<D> | location=<A> |
-//          ac | al | nc | cluster[=<C>]
+//          ac | al | nc
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "experiment/runner.hpp"
@@ -20,31 +23,57 @@ using namespace manet;
 
 namespace {
 
+constexpr double kDoubleMax = std::numeric_limits<double>::max();
+
+// Parse all of `text` as a number in [lo, hi], the range the library
+// accepts; "abc", "3x" or an out-of-range value is a usage error here
+// instead of a 0 that trips a library precondition.
+bool parseInt(const std::string& text, long long lo, long long hi,
+              long long& out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE) return false;
+  if (value < lo || value > hi) return false;
+  out = value;
+  return true;
+}
+
+bool parseDouble(const std::string& text, double lo, double hi, double& out) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0') return false;
+  if (!(value >= lo && value <= hi)) return false;  // also rejects NaN
+  out = value;
+  return true;
+}
+
 bool parseScheme(const std::string& text, experiment::SchemeSpec& out) {
   auto valueOf = [&](const char* prefix) -> std::string {
     return text.substr(std::strlen(prefix));
   };
+  long long n = 0;
+  double x = 0.0;
   if (text == "flood") {
     out = experiment::SchemeSpec::flooding();
   } else if (text.rfind("prob=", 0) == 0) {
-    out = experiment::SchemeSpec::probabilistic(std::atof(valueOf("prob=").c_str()));
+    if (!parseDouble(valueOf("prob="), 0.0, 1.0, x)) return false;
+    out = experiment::SchemeSpec::probabilistic(x);
   } else if (text.rfind("counter=", 0) == 0) {
-    out = experiment::SchemeSpec::counter(std::atoi(valueOf("counter=").c_str()));
+    if (!parseInt(valueOf("counter="), 1, INT_MAX, n)) return false;
+    out = experiment::SchemeSpec::counter(static_cast<int>(n));
   } else if (text.rfind("distance=", 0) == 0) {
-    out = experiment::SchemeSpec::distance(std::atof(valueOf("distance=").c_str()));
+    if (!parseDouble(valueOf("distance="), 0.0, kDoubleMax, x)) return false;
+    out = experiment::SchemeSpec::distance(x);
   } else if (text.rfind("location=", 0) == 0) {
-    out = experiment::SchemeSpec::location(std::atof(valueOf("location=").c_str()));
+    if (!parseDouble(valueOf("location="), 0.0, 1.0, x)) return false;
+    out = experiment::SchemeSpec::location(x);
   } else if (text == "ac") {
     out = experiment::SchemeSpec::adaptiveCounter();
   } else if (text == "al") {
     out = experiment::SchemeSpec::adaptiveLocation();
   } else if (text == "nc") {
     out = experiment::SchemeSpec::neighborCoverage();
-  } else if (text == "cluster") {
-    out = experiment::SchemeSpec::clusterBased();
-  } else if (text.rfind("cluster=", 0) == 0) {
-    out = experiment::SchemeSpec::clusterBased(
-        std::atoi(valueOf("cluster=").c_str()));
   } else {
     return false;
   }
@@ -58,7 +87,9 @@ void usage(const char* argv0) {
          "          [--hosts=H] [--seed=SEED] [--hello] [--dhi] "
          "[--no-collisions]\n"
          "schemes: flood prob=<p> counter=<C> distance=<D> location=<A> "
-         "ac al nc cluster[=<C>]\n";
+         "ac al nc\n"
+         "ranges: 0 <= p <= 1, C >= 1, D >= 0, 0 <= A <= 1, N >= 1, "
+         "B >= 0, H >= 1\n";
 }
 
 }  // namespace
@@ -77,22 +108,26 @@ int main(int argc, char** argv) {
     auto valueOf = [&](const char* prefix) {
       return arg.substr(std::strlen(prefix));
     };
+    long long n = 0;
+    bool valid = true;
     if (arg.rfind("--scheme=", 0) == 0) {
-      if (!parseScheme(valueOf("--scheme="), config.scheme)) {
-        usage(argv[0]);
-        return 1;
-      }
+      valid = parseScheme(valueOf("--scheme="), config.scheme);
     } else if (arg.rfind("--map=", 0) == 0) {
-      config.mapUnits = std::atoi(valueOf("--map=").c_str());
+      valid = parseInt(valueOf("--map="), 1, INT_MAX, n);
+      config.mapUnits = static_cast<int>(n);
     } else if (arg.rfind("--speed=", 0) == 0) {
-      config.maxSpeedKmh = std::atof(valueOf("--speed=").c_str());
+      // A negative speed selects the paper's 10*N km/h rule.
+      valid = parseDouble(valueOf("--speed="), -kDoubleMax, kDoubleMax,
+                          config.maxSpeedKmh);
     } else if (arg.rfind("--broadcasts=", 0) == 0) {
-      config.numBroadcasts = std::atoi(valueOf("--broadcasts=").c_str());
+      valid = parseInt(valueOf("--broadcasts="), 0, INT_MAX, n);
+      config.numBroadcasts = static_cast<int>(n);
     } else if (arg.rfind("--hosts=", 0) == 0) {
-      config.numHosts = std::atoi(valueOf("--hosts=").c_str());
+      valid = parseInt(valueOf("--hosts="), 1, INT_MAX, n);
+      config.numHosts = static_cast<int>(n);
     } else if (arg.rfind("--seed=", 0) == 0) {
-      config.seed = static_cast<std::uint64_t>(
-          std::atoll(valueOf("--seed=").c_str()));
+      valid = parseInt(valueOf("--seed="), LLONG_MIN, LLONG_MAX, n);
+      config.seed = static_cast<std::uint64_t>(n);
     } else if (arg == "--hello") {
       hello = true;
     } else if (arg == "--dhi") {
@@ -103,6 +138,11 @@ int main(int argc, char** argv) {
     } else {
       usage(argv[0]);
       return arg == "--help" ? 0 : 1;
+    }
+    if (!valid) {
+      std::cerr << argv[0] << ": bad argument " << arg << "\n";
+      usage(argv[0]);
+      return 1;
     }
   }
 

@@ -62,13 +62,6 @@ SchemeSpec SchemeSpec::neighborCoverage() {
   return s;
 }
 
-SchemeSpec SchemeSpec::clusterBased(int innerCounter) {
-  SchemeSpec s;
-  s.type = Type::kCluster;
-  s.clusterInnerCounter = innerCounter;
-  return s;
-}
-
 std::unique_ptr<core::RebroadcastPolicy> SchemeSpec::build() const {
   switch (type) {
     case Type::kFlooding:
@@ -89,8 +82,6 @@ std::unique_ptr<core::RebroadcastPolicy> SchemeSpec::build() const {
           areaFn, label.empty() ? "AL" : label);
     case Type::kNeighborCoverage:
       return std::make_unique<core::NeighborCoveragePolicy>();
-    case Type::kCluster:
-      return std::make_unique<cluster::ClusterPolicy>(clusterInnerCounter);
   }
   MANET_ASSERT(false);
   return nullptr;
@@ -106,7 +97,6 @@ bool SchemeSpec::needsNeighborInfo() const {
     case Type::kAdaptiveCounter:
     case Type::kAdaptiveLocation:
     case Type::kNeighborCoverage:
-    case Type::kCluster:
       return true;
     default:
       return false;
@@ -114,7 +104,7 @@ bool SchemeSpec::needsNeighborInfo() const {
 }
 
 bool SchemeSpec::needsTwoHopInfo() const {
-  return type == Type::kNeighborCoverage || type == Type::kCluster;
+  return type == Type::kNeighborCoverage;
 }
 
 }  // namespace manet::experiment

@@ -5,7 +5,6 @@
 #include <memory>
 #include <string>
 
-#include "cluster/policy.hpp"
 #include "core/policies.hpp"
 #include "core/threshold.hpp"
 
@@ -21,7 +20,6 @@ struct SchemeSpec {
     kAdaptiveCounter,
     kAdaptiveLocation,
     kNeighborCoverage,
-    kCluster,  // from Ni et al. [15]; extension beyond this paper's figures
   };
 
   Type type = Type::kFlooding;
@@ -32,7 +30,6 @@ struct SchemeSpec {
   core::CounterThreshold counterFn =
       core::CounterThreshold::suggested();                   // kAdaptiveCounter
   core::AreaThreshold areaFn = core::AreaThreshold::suggested();  // kAdaptiveLocation
-  int clusterInnerCounter = 3;                               // kCluster
   std::string label;  // overrides the default name when non-empty
 
   // ---- factories (one per scheme the paper evaluates) ----
@@ -48,7 +45,6 @@ struct SchemeSpec {
       core::AreaThreshold fn = core::AreaThreshold::suggested(),
       std::string label = "AL");
   static SchemeSpec neighborCoverage();
-  static SchemeSpec clusterBased(int innerCounter = 3);
 
   /// Instantiates the policy object shared by all hosts of a run.
   std::unique_ptr<core::RebroadcastPolicy> build() const;

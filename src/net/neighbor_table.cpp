@@ -73,7 +73,7 @@ std::vector<HostId> NeighborTable::neighborIds(sim::TimePoint now) {
   // NOLINT-determinism(collected unsorted, canonicalized below)
   for (const auto& [id, entry] : entries_) ids.push_back(id);
   // Canonical ascending order: these ids go onto the wire in HELLO packets
-  // and into scheme/cluster decisions, so hash-map iteration order must not
+  // and into scheme decisions, so hash-map iteration order must not
   // leak into the simulation (it varies across standard libraries).
   std::sort(ids.begin(), ids.end());
   return ids;

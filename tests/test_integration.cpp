@@ -170,14 +170,39 @@ TEST(Integration, ResolvedConfigAppliesPaperSpeedRule) {
 }
 
 TEST(Integration, ResolvedConfigEnablesHelloForNcUnderHelloSource) {
-  ScenarioConfig c;
-  c.scheme = SchemeSpec::neighborCoverage();
-  c.neighborSource = NeighborSource::kHello;
-  c.hello.enabled = false;
-  const ScenarioConfig r = c.resolved();
-  EXPECT_TRUE(r.hello.enabled);
-  EXPECT_TRUE(r.hello.piggybackNeighbors);
-  EXPECT_GT(r.warmup, 2 * sim::kSecond);
+  // Under HELLO-sourced neighbor information, resolved() turns HELLOs on for
+  // exactly the schemes that read |N_x| (AC, AL, NC), and turns on neighbor
+  // list piggybacking only for the one that reads N_{x,h} (NC). Both start
+  // off here, since piggybacking defaults to on.
+  struct Row {
+    SchemeSpec scheme;
+    bool hello;
+    bool piggyback;
+  };
+  const Row rows[] = {
+      {SchemeSpec::flooding(), false, false},
+      {SchemeSpec::probabilistic(0.5), false, false},
+      {SchemeSpec::counter(3), false, false},
+      {SchemeSpec::distance(100.0), false, false},
+      {SchemeSpec::location(0.0134), false, false},
+      {SchemeSpec::adaptiveCounter(), true, false},
+      {SchemeSpec::adaptiveLocation(), true, false},
+      {SchemeSpec::neighborCoverage(), true, true},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.scheme.name());
+    ScenarioConfig c;
+    c.scheme = row.scheme;
+    c.neighborSource = NeighborSource::kHello;
+    c.hello.enabled = false;
+    c.hello.piggybackNeighbors = false;
+    const ScenarioConfig r = c.resolved();
+    EXPECT_EQ(r.hello.enabled, row.hello);
+    EXPECT_EQ(r.hello.piggybackNeighbors, row.piggyback);
+    if (row.hello) {
+      EXPECT_GT(r.warmup, 2 * sim::kSecond);
+    }
+  }
 }
 
 TEST(Integration, BenchScaleReadsEnvironment) {

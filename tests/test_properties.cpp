@@ -21,8 +21,6 @@ enum class SchemeKind {
   kAdaptiveLocation,
   kNeighborCoverage,
   kNeighborCoverageDhi,
-  kCluster,
-  kClusterHello,
 };
 
 const char* kindName(SchemeKind k) {
@@ -37,8 +35,6 @@ const char* kindName(SchemeKind k) {
     case SchemeKind::kAdaptiveLocation: return "adaptiveLocation";
     case SchemeKind::kNeighborCoverage: return "neighborCoverage";
     case SchemeKind::kNeighborCoverageDhi: return "neighborCoverageDhi";
-    case SchemeKind::kCluster: return "cluster";
-    case SchemeKind::kClusterHello: return "clusterHello";
   }
   return "?";
 }
@@ -82,13 +78,6 @@ ScenarioConfig configFor(SchemeKind kind, int mapUnits) {
       c.scheme = SchemeSpec::neighborCoverage();
       c.neighborSource = NeighborSource::kHello;
       c.hello.dynamic = true;
-      break;
-    case SchemeKind::kCluster:
-      c.scheme = SchemeSpec::clusterBased();
-      break;
-    case SchemeKind::kClusterHello:
-      c.scheme = SchemeSpec::clusterBased();
-      c.neighborSource = NeighborSource::kHello;
       break;
   }
   return c;
@@ -145,7 +134,6 @@ TEST_P(SchemeMapSweep, FloodingDominatesRebroadcastCount) {
   // data-frame volume is no worse than flooding's on the same seed.
   EXPECT_LE(scheme.summary.dataFramesSent,
             flooding.summary.dataFramesSent * 2);
-  (void)scheme;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -159,9 +147,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          SchemeKind::kAdaptiveCounter,
                                          SchemeKind::kAdaptiveLocation,
                                          SchemeKind::kNeighborCoverage,
-                                         SchemeKind::kNeighborCoverageDhi,
-                                         SchemeKind::kCluster,
-                                         SchemeKind::kClusterHello),
+                                         SchemeKind::kNeighborCoverageDhi),
                        ::testing::Values(1, 5, 11)),
     [](const ::testing::TestParamInfo<std::tuple<SchemeKind, int>>& info) {
       return std::string(kindName(std::get<0>(info.param))) + "_map" +

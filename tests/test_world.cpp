@@ -124,7 +124,6 @@ TEST(World, SchemeNamesForTables) {
   EXPECT_EQ(SchemeSpec::adaptiveCounter().name(), "AC");
   EXPECT_EQ(SchemeSpec::adaptiveLocation().name(), "AL");
   EXPECT_EQ(SchemeSpec::neighborCoverage().name(), "NC");
-  EXPECT_EQ(SchemeSpec::clusterBased(3).name(), "cluster(C=3)");
   SchemeSpec custom = SchemeSpec::flooding();
   custom.label = "my-label";
   EXPECT_EQ(custom.name(), "my-label");
