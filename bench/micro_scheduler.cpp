@@ -1,5 +1,6 @@
 // Scheduler memory-layout microbench (DESIGN.md §11): schedule/cancel/fire
-// churn at MAC-realistic cancel rates, plus packet-pool churn. Not a paper
+// churn at MAC-realistic cancel rates, DCF slot ticks with and without
+// fixed-delay lanes, plus packet-pool churn. Not a paper
 // figure — a regression guard for the engine's allocation behaviour.
 //
 // Every case reports `allocs_per_item`, measured by a global operator
@@ -100,6 +101,64 @@ void BM_SchedulerChurn(benchmark::State& state) {
       static_cast<double>(gHeapAllocs.load() - allocsBefore) / items);
 }
 BENCHMARK(BM_SchedulerChurn)->Arg(8)->Arg(50);
+
+/// DCF backoff pattern (DESIGN.md §11.2): N stations each hold one slot
+/// tick that re-arms itself 20 us ahead when it fires. After every slot a
+/// quarter of the stations sense the medium busy: their tick is cancelled
+/// and re-armed a DIFS (50 us) later. Range arguments: lanes declared (0 or
+/// 1) and the station count. With lanes the ticks never touch the heap;
+/// without them this is the heap churn the lanes replace.
+void BM_SchedulerSlotTicks(benchmark::State& state) {
+  const bool lanes = state.range(0) != 0;
+  const auto stations = static_cast<std::size_t>(state.range(1));
+  constexpr sim::Duration kSlot{20};
+  constexpr sim::Duration kDifs{50};
+  constexpr int kCancelPct = 25;
+
+  struct Ticks {
+    sim::Scheduler s;
+    std::vector<sim::Scheduler::Handle> timers;
+    long fired = 0;
+    void arm(std::size_t i, sim::Duration delay) {
+      timers[i] = s.scheduleAfter(delay, [this, i] {
+        ++fired;
+        arm(i, kSlot);
+      });
+    }
+  } t;
+  if (lanes) {
+    t.s.addLane(kSlot);
+    t.s.addLane(kDifs);
+  }
+  t.timers.resize(stations);
+  sim::Rng rng(11);
+  for (std::size_t i = 0; i < stations; ++i) t.arm(i, kSlot);
+  t.s.runUntil(t.s.now() + 10 * kDifs);  // warm pool and rings off-clock
+
+  const std::uint64_t allocsBefore = gHeapAllocs.load();
+  const long firedBefore = t.fired;
+  for (auto _ : state) {
+    t.s.runUntil(t.s.now() + kSlot);
+    for (std::size_t i = 0; i < stations; ++i) {
+      if (rng.uniformInt(0, 99) < kCancelPct) {
+        t.timers[i].cancel();
+        t.arm(i, kDifs);
+      }
+    }
+  }
+  benchmark::DoNotOptimize(t.fired);
+
+  const auto items = static_cast<double>(t.fired - firedBefore);
+  state.SetItemsProcessed(t.fired - firedBefore);
+  state.counters["allocs_per_item"] = benchmark::Counter(
+      static_cast<double>(gHeapAllocs.load() - allocsBefore) / items);
+}
+BENCHMARK(BM_SchedulerSlotTicks)
+    ->ArgNames({"lanes", "stations"})
+    ->Args({0, 100})
+    ->Args({1, 100})
+    ->Args({0, 2000})
+    ->Args({1, 2000});
 
 /// Packet churn in the HELLO/data pattern: allocate, fill, drop. With
 /// the arena (range argument 1) steady-state traffic recycles one block;

@@ -41,12 +41,13 @@ void SchedulerAudit::onCancel(sim::TimePoint eventAt, sim::TimePoint now) {
   }
 }
 
-void SchedulerAudit::onCount(std::size_t live, std::size_t resident,
-                             sim::TimePoint now) {
-  if (live != resident) {
+void SchedulerAudit::onCount(std::size_t live, std::size_t heapResident,
+                             std::size_t laneLive, sim::TimePoint now) {
+  if (live != heapResident + laneLive) {
     report({"scheduler.count-drift", now, net::kInvalidHost,
             "live=" + std::to_string(live) +
-                " heapResident=" + std::to_string(resident)});
+                " heapResident=" + std::to_string(heapResident) +
+                " laneLive=" + std::to_string(laneLive)});
   }
 }
 

@@ -11,7 +11,7 @@
 //   scheduler.schedule-in-past   event scheduled before now
 //   scheduler.monotonic-pop      event popped earlier than its predecessor
 //   scheduler.cancel-past-event  live event cancelled after its due time
-//   scheduler.count-drift        live count != heap-resident count
+//   scheduler.count-drift        live count != heap-resident + live-lane count
 //   channel.reception-underflow  reception ended with none in flight
 //   channel.energy-underflow     carrier energy lowered below zero
 //   channel.flush-mismatch       host-down flush disagreed with in-flight set
@@ -45,9 +45,12 @@ class SchedulerAudit {
   /// A still-pending event scheduled for `eventAt` was cancelled at `now`.
   void onCancel(sim::TimePoint eventAt, sim::TimePoint now);
   /// After every pop/cancel the scheduler reports its redundant live-event
-  /// counter and the heap's resident size; with eager cancel removal the
-  /// two must always agree, so any drift is a pool/heap bookkeeping bug.
-  void onCount(std::size_t live, std::size_t resident, sim::TimePoint now);
+  /// counter, the heap's resident size and the live lane entries (dead lane
+  /// entries, cancelled but not yet at their ring's head, are excluded).
+  /// The first must equal the sum of the other two, so any drift is a
+  /// pool/heap/lane bookkeeping bug.
+  void onCount(std::size_t live, std::size_t heapResident,
+               std::size_t laneLive, sim::TimePoint now);
 
   sim::TimePoint lastPopTime() const { return lastPop_; }
 

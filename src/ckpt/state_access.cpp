@@ -74,13 +74,22 @@ std::uint64_t StateAccess::schedulerDigest(const sim::Scheduler& scheduler) {
   d.add(scheduler.nextSeq_);
   d.add(static_cast<std::uint64_t>(scheduler.live_));
   d.add(static_cast<std::uint32_t>(scheduler.slotCount_));
-  // (at, seq) is the heap's total order; the closures are re-registered by
-  // replay and are not comparable anyway.
+  // (at, seq) is the queues' total order; the closures are not comparable.
+  // Heap and lane residents fold into one sorted set, so the digest does
+  // not depend on which queue holds an event; dead lane entries are skipped.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> pending;
-  pending.reserve(scheduler.heap_.size());
+  pending.reserve(scheduler.live_);
   for (const auto& entry : scheduler.heap_) {
     pending.emplace_back(static_cast<std::uint64_t>(entry.at.ticks()),
                          entry.seq);
+  }
+  for (const auto& lane : scheduler.lanes_) {
+    for (std::size_t i = 0; i < lane.size; ++i) {
+      const auto& entry = lane.entry(i);
+      if (scheduler.node(entry.slot).gen != entry.gen) continue;
+      pending.emplace_back(static_cast<std::uint64_t>(entry.at.ticks()),
+                           entry.seq);
+    }
   }
   addSorted(d, pending);
   return d.value();

@@ -22,6 +22,10 @@ DcfMac::DcfMac(sim::Scheduler& scheduler, phy::Channel& channel,
   MANET_EXPECTS(params_.difs >= sim::Duration{});
   MANET_EXPECTS(params_.cwBroadcast >= 0);
   MANET_AUDIT_HOOK(audit_ = audit::DcfAudit(self_));
+  // Backoff slots and DIFS waits are most of a run's events; their constant
+  // delays get FIFO lanes instead of the heap (DESIGN.md §11.2).
+  scheduler_.addLane(params_.slot);
+  if (params_.difs > sim::Duration{}) scheduler_.addLane(params_.difs);
   if (position) {
     channel_.attach(self_, this, std::move(position));
   } else {

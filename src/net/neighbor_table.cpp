@@ -36,6 +36,9 @@ void NeighborTable::onHello(HostId from, const Packet& hello, sim::TimePoint now
   it->second.lastHeard = now;
   it->second.interval = hello.helloInterval;
   it->second.neighbors = hello.helloNeighbors;
+  // A refresh may announce a shorter interval than before, so lower the
+  // bound on every HELLO, not only on joins.
+  nextExpiry_ = std::min(nextExpiry_, expiryOf(it->second));
   if (inserted) {
     recordChange(now);  // a join
     obs::add(obs::Counter::kNeighborJoins);
@@ -47,15 +50,20 @@ void NeighborTable::onHello(HostId from, const Packet& hello, sim::TimePoint now
 
 void NeighborTable::purge(sim::TimePoint now) {
   MANET_AUDIT_HOOK(audit_.onPurge(now));
-  // NOLINT-determinism(erase-only scan; per-expiry leave count is order-insensitive)
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (expiryOf(it->second) < now) {
-      MANET_AUDIT_HOOK(audit_.onExpire(expiryOf(it->second), now));
-      it = entries_.erase(it);
-      recordChange(now);  // a leave
-      obs::add(obs::Counter::kNeighborLeaves);
-    } else {
-      ++it;
+  if (nextExpiry_ < now) {
+    nextExpiry_ = kNoExpiry;
+    // NOLINT-determinism(erase-only scan; leave count and min are order-insensitive)
+    for (auto it = entries_.begin(); it != entries_.end();) {
+      const sim::TimePoint expiry = expiryOf(it->second);
+      if (expiry < now) {
+        MANET_AUDIT_HOOK(audit_.onExpire(expiry, now));
+        it = entries_.erase(it);
+        recordChange(now);  // a leave
+        obs::add(obs::Counter::kNeighborLeaves);
+      } else {
+        nextExpiry_ = std::min(nextExpiry_, expiry);
+        ++it;
+      }
     }
   }
   dropOldChanges(now);

@@ -9,7 +9,9 @@
 // announced intervals.
 #pragma once
 
+#include <cstdint>
 #include <deque>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -48,6 +50,7 @@ class NeighborTable {
 
   /// Removes expired entries, recording leave events for nv. Call this (or
   /// any query, which calls it implicitly) with non-decreasing `now`.
+  /// Scans the table only once `now` passes the earliest expiry.
   void purge(sim::TimePoint now);
 
   /// |N_x| after purging.
@@ -79,6 +82,7 @@ class NeighborTable {
   void clear() {
     entries_.clear();
     changes_.clear();
+    nextExpiry_ = kNoExpiry;
     MANET_AUDIT_HOOK(audit_.onClear());
   }
 
@@ -91,6 +95,11 @@ class NeighborTable {
   sim::Duration nvWindow_;
   sim::Duration fallbackInterval_;
   std::unordered_map<HostId, Entry> entries_;
+  /// Lower bound on the earliest expiry in entries_: purge() scans only
+  /// once `now` passes it, and recomputes it exactly during the scan.
+  static constexpr sim::TimePoint kNoExpiry{
+      std::numeric_limits<std::int64_t>::max()};
+  sim::TimePoint nextExpiry_ = kNoExpiry;
   std::deque<sim::TimePoint> changes_;  // join/leave timestamps, ascending
 #if MANET_AUDIT_ENABLED
   audit::NeighborAudit audit_;

@@ -46,6 +46,11 @@ Channel::Channel(sim::Scheduler& scheduler, PhyParams params,
   // A frame's carrier-sense batch must fire strictly before its end batch
   // (DESIGN.md §11.6): energy is sensed before the shortest frame ends.
   MANET_EXPECTS(params_.carrierSenseDelay < params_.frameAirtime(0));
+  // One carrier-sense batch per frame, always this far ahead: a FIFO lane
+  // (DESIGN.md §11.2).
+  if (params_.carrierSenseDelay > sim::Duration{}) {
+    scheduler_.addLane(params_.carrierSenseDelay);
+  }
 }
 
 Channel::~Channel() {

@@ -34,8 +34,9 @@ EventSlot Scheduler::acquireSlot() {
 
 void Scheduler::releaseSlot(EventSlot slot) {
   Node& n = node(slot);
-  ++n.gen;  // invalidate every outstanding handle to this slot
+  ++n.gen;  // invalidate every outstanding handle and lane entry
   n.heapIndex = kNullIndex;
+  n.lane = kNullIndex;
   n.nextFree = freeHead_;
   freeHead_ = slot;
 }
@@ -50,9 +51,19 @@ Scheduler::Handle Scheduler::schedule(TimePoint at, Callback fn) {
   const std::uint64_t seq = nextSeq_++;
   n.seq = seq;
   MANET_AUDIT_HOOK(audit_.onSchedule(at, now_));
-  n.heapIndex = static_cast<std::uint32_t>(heap_.size());
-  heap_.push_back(HeapEntry{at, seq, slot});
-  siftUp(heap_.size() - 1);
+  const Duration delay = at - now_;
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
+    if (lanes_[i].delay != delay) continue;
+    n.lane = static_cast<std::uint32_t>(i);
+    lanes_[i].push(LaneEntry{at, seq, slot, n.gen});
+    ++laneLive_;
+    break;
+  }
+  if (n.lane == kNullIndex) {
+    n.heapIndex = static_cast<std::uint32_t>(heap_.size());
+    heap_.push_back(HeapEntry{at, seq, slot});
+    siftUp(heap_.size() - 1);
+  }
   ++live_;
   obs::add(obs::Counter::kSchedulerScheduled);
   obs::gaugeMax(obs::Gauge::kSchedulerQueueDepth, live_);
@@ -64,44 +75,97 @@ Scheduler::Handle Scheduler::scheduleAfter(Duration delay, Callback fn) {
   return schedule(now_ + delay, std::move(fn));
 }
 
+void Scheduler::addLane(Duration delay) {
+  MANET_EXPECTS(delay > Duration{});
+  for (const Lane& lane : lanes_) {
+    if (lane.delay == delay) return;
+  }
+  lanes_.push_back(
+      Lane{delay, std::vector<LaneEntry>(Lane::kInitialRing), 0, 0});
+}
+
 void Scheduler::cancelSlot(EventSlot slot, EventGen gen) {
   if (!slotPending(slot, gen)) return;  // stale handle: fired or cancelled
   Node& n = node(slot);
-  MANET_ASSERT(n.heapIndex != kNullIndex);
+  MANET_ASSERT(n.heapIndex != kNullIndex || n.lane != kNullIndex);
   MANET_ASSERT(live_ > 0);
   MANET_AUDIT_HOOK(audit_.onCancel(n.at, now_));
-  heapRemove(n.heapIndex);
+  const std::uint32_t lane = n.lane;
+  if (lane == kNullIndex) heapRemove(n.heapIndex);
   n.fn.reset();  // release captured state promptly
   releaseSlot(slot);
+  if (lane != kNullIndex) {
+    // The ring entry stays queued, dead by generation; drop it now if it
+    // is the head, to keep every lane head live.
+    MANET_ASSERT(laneLive_ > 0);
+    --laneLive_;
+    trimLane(lanes_[lane]);
+  }
   --live_;
   obs::add(obs::Counter::kSchedulerCancelled);
-  MANET_ASSERT(live_ == heap_.size());
-  MANET_AUDIT_HOOK(audit_.onCount(live_, heap_.size(), now_));
+  MANET_ASSERT(live_ == heap_.size() + laneLive_);
+  MANET_AUDIT_HOOK(audit_.onCount(live_, heap_.size(), laneLive_, now_));
 }
 
-bool Scheduler::runOne() {
-  if (heap_.empty()) return false;
-  const EventSlot slot = heap_[0].slot;
+bool Scheduler::next(Next& out) const {
+  bool found = !heap_.empty();
+  std::uint64_t seq = 0;
+  if (found) {
+    out = Next{heap_[0].at, kNullIndex};
+    seq = heap_[0].seq;
+  }
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
+    const Lane& lane = lanes_[i];
+    if (lane.size == 0) continue;
+    const LaneEntry& head = lane.front();
+    if (!found || head.at < out.at || (head.at == out.at && head.seq < seq)) {
+      found = true;
+      out = Next{head.at, static_cast<std::uint32_t>(i)};
+      seq = head.seq;
+    }
+  }
+  return found;
+}
+
+void Scheduler::fire(const Next& next) {
+  EventSlot slot;
+  if (next.lane == kNullIndex) {
+    slot = heap_[0].slot;
+    heapRemove(0);
+  } else {
+    Lane& lane = lanes_[next.lane];
+    slot = lane.front().slot;
+    lane.pop();
+    trimLane(lane);
+    MANET_ASSERT(laneLive_ > 0);
+    --laneLive_;
+  }
   Node& n = node(slot);
-  MANET_ASSERT(n.at >= now_);
+  MANET_ASSERT(n.at == next.at && n.at >= now_);
   MANET_AUDIT_HOOK(audit_.onPop(n.at));
   now_ = n.at;
   Callback fn = std::move(n.fn);
-  heapRemove(0);
   releaseSlot(slot);
   MANET_ASSERT(live_ > 0);
   --live_;
   obs::add(obs::Counter::kSchedulerExecuted);
-  MANET_ASSERT(live_ == heap_.size());
-  MANET_AUDIT_HOOK(audit_.onCount(live_, heap_.size(), now_));
+  MANET_ASSERT(live_ == heap_.size() + laneLive_);
+  MANET_AUDIT_HOOK(audit_.onCount(live_, heap_.size(), laneLive_, now_));
   fn();  // may schedule/cancel freely: the slot is already released
+}
+
+bool Scheduler::runOne() {
+  Next n{};
+  if (!next(n)) return false;
+  fire(n);
   return true;
 }
 
 std::size_t Scheduler::runUntil(TimePoint until) {
   std::size_t executed = 0;
-  while (!heap_.empty() && heap_[0].at <= until) {
-    runOne();
+  Next n{};
+  while (next(n) && n.at <= until) {
+    fire(n);
     ++executed;
   }
   if (now_ < until) now_ = until;
@@ -112,6 +176,29 @@ std::size_t Scheduler::runAll(std::size_t maxEvents) {
   std::size_t executed = 0;
   while (executed < maxEvents && runOne()) ++executed;
   return executed;
+}
+
+// --- fixed-delay lanes ------------------------------------------------------
+//
+// A lane holds every event scheduled exactly `delay` ahead. Its entries are
+// pushed with at = now() + delay and a fresh seq; now() never decreases, so
+// the ring is sorted by (at, seq) as it stands and a push or pop is O(1).
+
+void Scheduler::Lane::push(const LaneEntry& entry) {
+  if (size == ring.size()) {
+    std::vector<LaneEntry> bigger(2 * ring.size());
+    for (std::size_t i = 0; i < size; ++i) bigger[i] = this->entry(i);
+    ring = std::move(bigger);
+    head = 0;
+  }
+  ring[(head + size) & (ring.size() - 1)] = entry;
+  ++size;
+}
+
+void Scheduler::trimLane(Lane& lane) {
+  while (lane.size > 0 && node(lane.front().slot).gen != lane.front().gen) {
+    lane.pop();
+  }
 }
 
 // --- indexed 4-ary min-heap ------------------------------------------------

@@ -90,21 +90,25 @@ TEST(SchedulerAuditTest, CancelOfPastEventFires) {
 TEST(SchedulerAuditTest, MatchingLiveAndResidentCountsAreSilent) {
   ScopedCountingSink sink;
   SchedulerAudit audit;
-  audit.onCount(0, 0, T(10));
-  audit.onCount(17, 17, T(20));
+  audit.onCount(0, 0, 0, T(10));
+  audit.onCount(17, 17, 0, T(20));
+  audit.onCount(17, 5, 12, T(30));  // heap plus live lane entries
   EXPECT_EQ(sink.count(), 0u);
 }
 
 TEST(SchedulerAuditTest, CountDriftFires) {
   // The slab scheduler's cross-check: the redundant live counter must equal
-  // the heap-resident count after every pop and cancel. Drift means a dead
-  // entry survived in the heap (or a live one was dropped).
+  // the heap-resident count plus the live lane entries after every pop and
+  // cancel. Drift means a dead entry survived in the heap, a cancelled lane
+  // entry was still counted live (or a live one was dropped).
   ScopedCountingSink sink;
   SchedulerAudit audit;
-  audit.onCount(3, 4, T(55));
+  audit.onCount(3, 4, 0, T(55));
   ASSERT_EQ(sink.count(), 1u);
   EXPECT_STREQ(sink.last().invariant, "scheduler.count-drift");
   EXPECT_EQ(sink.last().at, T(55));
+  audit.onCount(3, 2, 2, T(60));
+  EXPECT_EQ(sink.count(), 2u);
 }
 
 // --- channel ----------------------------------------------------------------

@@ -9,6 +9,7 @@
 
 #include "ckpt/state_access.hpp"
 #include "experiment/world.hpp"
+#include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 
 namespace manet::ckpt {
@@ -62,6 +63,41 @@ TEST(CkptFingerprint, CaptureRoundTripAndDiff) {
 
   other.hosts.pop_back();
   EXPECT_EQ(diffFingerprints(fp, other).back(), "host count: 30 vs 29");
+}
+
+// The scheduler word folds heap and lane residents into one sorted
+// (at, seq) set: the same pending events digest alike whichever queue holds
+// them, a pending lane event counts, and a cancelled one, still queued in
+// its ring, no longer does.
+TEST(CkptFingerprint, SchedulerDigestCoversLaneEvents) {
+  sim::Scheduler heapOnly;
+  sim::Scheduler laned;
+  sim::Scheduler twin;
+  laned.addLane(sim::Duration{20});
+  twin.addLane(sim::Duration{20});
+  std::vector<sim::Scheduler::Handle> heapH;
+  std::vector<sim::Scheduler::Handle> lanedH;
+  std::vector<sim::Scheduler::Handle> twinH;
+  for (int i = 0; i < 3; ++i) {
+    heapH.push_back(heapOnly.scheduleAfter(sim::Duration{20}, [] {}));
+    lanedH.push_back(laned.scheduleAfter(sim::Duration{20}, [] {}));
+    twinH.push_back(twin.scheduleAfter(sim::Duration{20}, [] {}));
+  }
+  const auto digest = [](const sim::Scheduler& s) {
+    return StateAccess::schedulerDigest(s);
+  };
+  EXPECT_EQ(digest(laned), digest(heapOnly));
+
+  // Same counters everywhere; only which lane event is live differs.
+  heapH[1].cancel();
+  lanedH[1].cancel();  // behind the head: a dead ring entry
+  twinH[2].cancel();
+  EXPECT_EQ(digest(laned), digest(heapOnly));
+  EXPECT_NE(digest(laned), digest(twin));
+
+  lanedH[2].cancel();
+  twinH[1].cancel();
+  EXPECT_EQ(digest(laned), digest(twin));
 }
 
 // Capturing at quarter, half and three-quarter time and then finishing

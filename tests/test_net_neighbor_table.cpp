@@ -69,6 +69,42 @@ TEST(NeighborTable, ExpiryUsesSenderAnnouncedInterval) {
   EXPECT_FALSE(t.contains(H(7), T(21 * kSecond)));
 }
 
+TEST(NeighborTable, RefreshWithShorterIntervalExpiresAtTheNewEarlierTime) {
+  // Under dynamic HELLO a refresh may announce a shorter interval: the
+  // entry must then leave at its new, earlier deadline, even though every
+  // deadline known before the refresh lies far later.
+  NeighborTable t;
+  t.onHello(H(7), hello(7, {}, 10 * kSecond), T(0));  // expires at 20 s
+  t.onHello(H(8), hello(8, {}, 10 * kSecond), T(0));
+  t.onHello(H(7), hello(7, {}, 1 * kSecond), T(1 * kSecond));  // now 3 s
+  EXPECT_TRUE(t.contains(H(7), T(2 * kSecond)));
+  EXPECT_TRUE(t.contains(H(7), T(3 * kSecond)));
+  EXPECT_FALSE(t.contains(H(7), T(3 * kSecond + sim::kMicrosecond)));
+  EXPECT_TRUE(t.contains(H(8), T(3 * kSecond + sim::kMicrosecond)));
+}
+
+TEST(NeighborTable, StaggeredExpiriesLeaveOneAtATime) {
+  NeighborTable t;
+  t.onHello(H(1), hello(1, {}, 1 * kSecond), T(0));  // expires at 2 s
+  t.onHello(H(2), hello(2, {}, 2 * kSecond), T(0));  // 4 s
+  t.onHello(H(3), hello(3, {}, 3 * kSecond), T(0));  // 6 s
+  EXPECT_EQ(t.neighborCount(T(2 * kSecond)), 3);
+  EXPECT_EQ(t.neighborIds(T(3 * kSecond)), ids({2, 3}));
+  EXPECT_EQ(t.neighborIds(T(4 * kSecond)), ids({2, 3}));
+  EXPECT_EQ(t.neighborIds(T(5 * kSecond)), ids({3}));
+  EXPECT_EQ(t.neighborCount(T(7 * kSecond)), 0);
+  EXPECT_EQ(t.changeEventsInWindow(T(7 * kSecond)), 6);  // 3 joins, 3 leaves
+}
+
+TEST(NeighborTable, ClearedTableRelearnsAndExpiresNormally) {
+  NeighborTable t;
+  t.onHello(H(1), hello(1, {}, 1 * kSecond), T(0));
+  t.clear();
+  t.onHello(H(2), hello(2, {}, 5 * kSecond), T(1 * kSecond));  // 11 s
+  EXPECT_EQ(t.neighborIds(T(10 * kSecond)), ids({2}));
+  EXPECT_EQ(t.neighborCount(T(11 * kSecond + sim::kMicrosecond)), 0);
+}
+
 TEST(NeighborTable, FallbackIntervalWhenNotAnnounced) {
   NeighborTable t(10 * kSecond, /*fallbackInterval=*/2 * kSecond);
   t.onHello(H(7), hello(7, {}, sim::Duration{}), T(0));  // interval 0 = not announced

@@ -5,11 +5,15 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "sim/inline_fn.hpp"
+#include "sim/random.hpp"
 #include "sim/time.hpp"
 
 namespace manet::sim {
@@ -305,6 +309,257 @@ TEST(Scheduler, CallbackDestroyedAfterFire) {
   EXPECT_EQ(token.use_count(), 2);
   s.runAll();
   EXPECT_EQ(token.use_count(), 1);
+}
+
+// --- fixed-delay lanes (DESIGN.md §11.2) ---
+
+TEST(SchedulerLanes, LaneEventsRunInTimeOrderWithHeapEvents) {
+  Scheduler s;
+  s.addLane(Duration{20});
+  s.addLane(Duration{20});  // a second declaration is a no-op
+  std::vector<int> order;
+  s.schedule(TimePoint{30}, [&] { order.push_back(30); });             // heap
+  s.scheduleAfter(Duration{20}, [&] { order.push_back(20); });         // lane
+  s.schedule(TimePoint{10}, [&] {
+    order.push_back(10);
+    s.scheduleAfter(Duration{20}, [&] { order.push_back(31); });       // lane
+  });
+  s.runAll();
+  EXPECT_EQ(order, (std::vector<int>{10, 20, 30, 31}));
+  EXPECT_EQ(s.now(), TimePoint{30});
+}
+
+TEST(SchedulerLanes, TiesBetweenLaneAndHeapRunInScheduleOrder) {
+  // Three events due at t = 10: a heap event scheduled at t = 0, a lane
+  // event scheduled at t = 5 and a heap event scheduled at t = 7. They must
+  // interleave across the two queues by seq alone.
+  Scheduler s;
+  s.addLane(Duration{5});
+  std::vector<char> order;
+  s.schedule(TimePoint{10}, [&] { order.push_back('a'); });
+  s.schedule(TimePoint{5}, [&] {
+    s.scheduleAfter(Duration{5}, [&] { order.push_back('b'); });
+  });
+  s.schedule(TimePoint{7}, [&] {
+    s.schedule(TimePoint{10}, [&] { order.push_back('c'); });
+  });
+  s.runAll();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'c'}));
+}
+
+TEST(SchedulerLanes, PendingCountSkipsDeadLaneEntries) {
+  Scheduler s;
+  s.addLane(Duration{20});
+  int fired = 0;
+  auto a = s.scheduleAfter(Duration{20}, [&] { ++fired; });
+  auto b = s.scheduleAfter(Duration{20}, [&] { fired += 10; });
+  auto c = s.scheduleAfter(Duration{20}, [&] { fired += 100; });
+  auto d = s.scheduleAfter(Duration{20}, [&] { fired += 1000; });
+  EXPECT_EQ(s.pendingCount(), 4u);
+  b.cancel();  // behind the head: stays queued, dead
+  c.cancel();
+  EXPECT_EQ(s.pendingCount(), 2u);
+  EXPECT_FALSE(b.pending());
+  EXPECT_TRUE(a.pending());
+  a.cancel();  // the head: dropped with the dead entries behind it
+  EXPECT_EQ(s.pendingCount(), 1u);
+  b.cancel();  // stale
+  EXPECT_EQ(s.pendingCount(), 1u);
+  EXPECT_TRUE(d.pending());
+  EXPECT_TRUE(s.runOne());
+  EXPECT_EQ(fired, 1000);
+  EXPECT_EQ(s.pendingCount(), 0u);
+  EXPECT_FALSE(s.runOne());
+}
+
+TEST(SchedulerLanes, CancelledLaneEntryNeverFiresOnARecycledSlot) {
+  // The cancelled entry's slot is recycled by the next lane event; the dead
+  // ring entry still names that slot, but with the old generation.
+  Scheduler s;
+  s.addLane(Duration{20});
+  std::vector<int> order;
+  s.scheduleAfter(Duration{20}, [&] { order.push_back(1); });
+  auto dead = s.scheduleAfter(Duration{20}, [&] { order.push_back(2); });
+  dead.cancel();
+  auto fresh = s.scheduleAfter(Duration{20}, [&] { order.push_back(3); });
+  dead.cancel();  // stale: must not touch the recycled slot
+  EXPECT_TRUE(fresh.pending());
+  s.runAll();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+}
+
+TEST(SchedulerLanes, LaneCancelReleasesTheCallbackPromptly) {
+  Scheduler s;
+  s.addLane(Duration{20});
+  auto token = std::make_shared<int>(7);
+  s.scheduleAfter(Duration{20}, [] {});  // keeps the cancelled one off the head
+  auto h = s.scheduleAfter(Duration{20}, [token] { (void)*token; });
+  EXPECT_EQ(token.use_count(), 2);
+  h.cancel();
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(SchedulerLanes, RingWrapsAndGrowsInOrder) {
+  // Fill the ring part way, drain most of it so the head moves on, then
+  // push past the end (wrap-around) and past the capacity (growth, which
+  // must unwrap the live span in order). Dead entries ride along.
+  Scheduler s;
+  s.addLane(Duration{20});
+  std::vector<int> order;
+  std::vector<Scheduler::Handle> handles;
+  auto push = [&](int id) {
+    handles.push_back(
+        s.scheduleAfter(Duration{20}, [&order, id] { order.push_back(id); }));
+  };
+  for (int i = 0; i < 200; ++i) push(i);  // all due at t = 20
+  for (int i = 0; i < 150; ++i) ASSERT_TRUE(s.runOne());
+  EXPECT_EQ(s.now(), TimePoint{20});
+  for (int i = 200; i < 1200; ++i) push(i);  // due at t = 40, wraps, grows
+  for (int i = 160; i < 1200; i += 7) handles[static_cast<std::size_t>(i)].cancel();
+  s.schedule(TimePoint{40}, [&] { order.push_back(-1); });  // heap, last seq
+  std::size_t live = 1;
+  for (int i = 150; i < 1200; ++i) live += (i < 160 || (i - 160) % 7 != 0);
+  EXPECT_EQ(s.pendingCount(), live);
+  s.runAll();
+
+  std::vector<int> expected;
+  for (int i = 0; i < 1200; ++i) {
+    if (i < 160 || (i - 160) % 7 != 0) expected.push_back(i);
+  }
+  expected.push_back(-1);
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(s.pendingCount(), 0u);
+}
+
+// Randomized differential: a scheduler with three lanes against a plain
+// (at, seq)-ordered reference queue. Each fired event, seeded by its own id,
+// schedules children at lane, zero and random delays (small, so lane and
+// heap events tie often) and cancels random handles, stale ones included;
+// the run loop cancels between events too. Both sides must fire the same ids
+// at the same times with the same pending counts.
+class LaneBackend {
+ public:
+  LaneBackend() {
+    for (int delay : {5, 20, 50}) s_.addLane(Duration{delay});
+  }
+  TimePoint now() const { return s_.now(); }
+  std::size_t pendingCount() const { return s_.pendingCount(); }
+  void schedule(Duration delay, std::function<void()> fn) {
+    handles_.push_back(s_.scheduleAfter(delay, std::move(fn)));
+  }
+  void cancel(std::size_t id) { handles_[id].cancel(); }
+  bool runOne() { return s_.runOne(); }
+
+ private:
+  Scheduler s_;
+  std::vector<Scheduler::Handle> handles_;
+};
+
+class ReferenceBackend {
+ public:
+  TimePoint now() const { return now_; }
+  std::size_t pendingCount() const { return queue_.size(); }
+  void schedule(Duration delay, std::function<void()> fn) {
+    const Key key{now_ + delay, nextSeq_++};
+    keys_.push_back(key);
+    queue_.emplace(key, std::move(fn));
+  }
+  void cancel(std::size_t id) { queue_.erase(keys_[id]); }
+  bool runOne() {
+    if (queue_.empty()) return false;
+    auto it = queue_.begin();
+    now_ = it->first.first;
+    std::function<void()> fn = std::move(it->second);
+    queue_.erase(it);
+    fn();
+    return true;
+  }
+
+ private:
+  using Key = std::pair<TimePoint, std::uint64_t>;
+  TimePoint now_{};
+  std::uint64_t nextSeq_ = 0;
+  std::vector<Key> keys_;
+  std::map<Key, std::function<void()>> queue_;
+};
+
+/// One fired event: its id, its time and the pending count it saw.
+struct Step {
+  std::size_t id;
+  TimePoint at;
+  std::size_t pending;
+  bool operator==(const Step&) const = default;
+};
+
+template <class Backend>
+class RandomMix {
+ public:
+  explicit RandomMix(std::uint64_t seed) : seed_(seed) {}
+
+  std::vector<Step> run() {
+    Rng rng(seed_);
+    for (int i = 0; i < 32; ++i) spawn(rng);
+    do {
+      if (rng.bernoulli(0.2)) cancelSome(rng);
+    } while (backend_.runOne());
+    return log_;
+  }
+
+ private:
+  static constexpr std::size_t kMaxEvents = 20000;
+
+  void spawn(Rng& rng) {
+    if (nextId_ == kMaxEvents) return;
+    const std::size_t id = nextId_++;
+    Duration delay;
+    switch (rng.uniformInt(0, 3)) {
+      case 0: delay = Duration{5}; break;
+      case 1: delay = rng.bernoulli(0.5) ? Duration{20} : Duration{50}; break;
+      case 2: delay = Duration{}; break;
+      default: delay = Duration{rng.uniformInt(1, 60)}; break;
+    }
+    backend_.schedule(delay, [this, id] { fire(id); });
+  }
+
+  void cancelSome(Rng& rng) {
+    const auto n = rng.uniformInt(1, 3);
+    for (std::int64_t i = 0; i < n && nextId_ > 0; ++i) {
+      backend_.cancel(static_cast<std::size_t>(
+          rng.uniformInt(0, static_cast<std::int64_t>(nextId_) - 1)));
+    }
+  }
+
+  void fire(std::size_t id) {
+    log_.push_back(Step{id, backend_.now(), backend_.pendingCount()});
+    Rng rng(seed_ * 1'000'003 + id);
+    const auto children = rng.uniformInt(0, 3);
+    for (std::int64_t i = 0; i < children; ++i) spawn(rng);
+    if (rng.bernoulli(0.3)) cancelSome(rng);
+  }
+
+  std::uint64_t seed_;
+  Backend backend_;
+  std::size_t nextId_ = 0;
+  std::vector<Step> log_;
+};
+
+TEST(SchedulerLanes, RandomizedMixMatchesAnAtSeqReference) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 42u}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const auto lanes = RandomMix<LaneBackend>(seed).run();
+    const auto reference = RandomMix<ReferenceBackend>(seed).run();
+    ASSERT_GT(reference.size(), 5000u);
+    // Equal-time neighbours in the log: ties the two queues had to break.
+    std::size_t ties = 0;
+    for (std::size_t i = 1; i < reference.size(); ++i) {
+      ties += reference[i].at == reference[i - 1].at;
+    }
+    EXPECT_GT(ties, 1000u);
+    ASSERT_EQ(lanes.size(), reference.size());
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      ASSERT_EQ(lanes[i], reference[i]) << "first divergence at step " << i;
+    }
+  }
 }
 
 // --- InlineFn small-buffer behaviour ---
