@@ -1,12 +1,12 @@
 // Scheduler memory-layout microbench (DESIGN.md §11): schedule/cancel/fire
-// churn at MAC-realistic cancel rates, DCF slot ticks with and without
-// fixed-delay lanes, plus packet-pool churn. Not a paper
-// figure — a regression guard for the engine's allocation behaviour.
+// churn at MAC-realistic cancel rates and DCF slot ticks with and without
+// fixed-delay lanes. Not a paper figure — a regression guard for the
+// engine's allocation behaviour.
 //
 // Every case reports `allocs_per_item`, measured by a global operator
-// new/delete override: the pooled scheduler and packet arena should hold it
-// near zero in steady state, so a capture outgrowing InlineFn's buffer or a
-// pool bypass shows up as a counter jump, not just a throughput dip.
+// new/delete override: the pooled scheduler should hold it near zero in
+// steady state, so a capture outgrowing InlineFn's buffer or a pool bypass
+// shows up as a counter jump, not just a throughput dip.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "net/packet.hpp"
-#include "net/packet_pool.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 
@@ -159,32 +158,6 @@ BENCHMARK(BM_SchedulerSlotTicks)
     ->Args({1, 100})
     ->Args({0, 2000})
     ->Args({1, 2000});
-
-/// Packet churn in the HELLO/data pattern: allocate, fill, drop. With
-/// the arena (range argument 1) steady-state traffic recycles one block;
-/// without it (0) every packet is a fresh make_shared.
-void BM_PacketChurn(benchmark::State& state) {
-  const bool pooled = state.range(0) != 0;
-  net::PacketPool pool;
-  net::PacketPool::Scope scope(pooled ? &pool : nullptr);
-
-  // Warm the pool: the first block is the one steady state recycles.
-  net::makePacket().reset();
-
-  const std::uint64_t allocsBefore = gHeapAllocs.load();
-  for (auto _ : state) {
-    auto p = net::makePacket();
-    p->type = net::PacketType::kData;
-    p->sender = net::HostId{1};
-    p->hopCount = 2;
-    benchmark::DoNotOptimize(p);
-  }
-  const auto items = static_cast<double>(state.iterations());
-  state.SetItemsProcessed(state.iterations());
-  state.counters["allocs_per_item"] = benchmark::Counter(
-      static_cast<double>(gHeapAllocs.load() - allocsBefore) / items);
-}
-BENCHMARK(BM_PacketChurn)->Arg(0)->Arg(1);
 
 /// Worst-case heap discipline: every event cancelled, none fire. Guards the
 /// eager-removal path (heapRemove from arbitrary positions) staying

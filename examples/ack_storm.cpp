@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "geom/circle.hpp"
@@ -49,14 +50,17 @@ class ConfirmingHost : public mac::DcfMac::Upper {
   void onTxStarted(mac::DcfMac::TxId, const net::Packet&) override {}
   void onTxFinished(mac::DcfMac::TxId, const net::Packet&) override {}
   void onReceive(const phy::Frame& frame) override {
-    const net::Packet& p = *frame.packet;
-    if (p.sender != kSource) return;
-    auto confirm = net::makeDataPacket(p.bid, mac_.self());
+    if (frame.packet.sender != kSource) return;
     const sim::Duration jitter =
         jitterRng_.uniformInt(0, kJitterSlots) * mac::MacParams{}.slot;
-    scheduler_.scheduleAfter(jitter, [this, confirm] {
-      mac_.enqueue(confirm, kConfirmationBytes);
-    });
+    // Capture the 8-byte id, not the 48-byte packet, so the callback stays
+    // in the event node's inline buffer.
+    auto confirmCb = [this, bid = frame.packet.bid] {
+      mac_.enqueue(net::makeDataPacket(bid, mac_.self()), kConfirmationBytes);
+    };
+    static_assert(sim::InlineFn::storesInline<decltype(confirmCb)>(),
+                  "confirmation capture must fit the event node");
+    scheduler_.scheduleAfter(jitter, std::move(confirmCb));
   }
 
  private:

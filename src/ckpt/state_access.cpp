@@ -27,8 +27,8 @@ void addVec2(Digest& d, geom::Vec2 v) {
   d.add(v.y);
 }
 
-/// Full content fingerprint of one packet (identity is irrelevant: two
-/// worlds hold distinct shared_ptrs to equal packets).
+/// Full content fingerprint of one packet (a HELLO's neighbour list is
+/// hashed by content, not by which shared list it points at).
 std::uint64_t packetDigest(const net::Packet& p) {
   Digest d;
   d.add(static_cast<std::uint32_t>(p.type));
@@ -127,13 +127,13 @@ std::uint64_t StateAccess::macDigest(const mac::DcfMac& mac) {
   d.add(static_cast<std::uint64_t>(mac.queue_.size()));
   for (const auto& p : mac.queue_) {
     d.add(p.id);
-    d.add(p.packet ? packetDigest(*p.packet) : std::uint64_t{0});
+    d.add(packetDigest(p.packet));
     d.add(static_cast<std::uint64_t>(p.bytes));
   }
   d.add(mac.nextTxId_);
   d.add(mac.transmitting_);
   d.add(mac.onAirId_);
-  d.add(mac.onAirPacket_ ? packetDigest(*mac.onAirPacket_) : std::uint64_t{0});
+  d.add(packetDigest(mac.onAirPacket_));
   d.add(mac.mediumBusy_);
   d.add(mac.idleSince_);
   d.add(static_cast<std::int32_t>(mac.backoffRemaining_));
@@ -225,7 +225,7 @@ std::uint64_t StateAccess::channelDigest(const phy::Channel& channel) {
       d.add(frame.src.value());
       addVec2(d, frame.srcPos);
       d.add(static_cast<std::uint64_t>(frame.bytes));
-      d.add(frame.packet ? packetDigest(*frame.packet) : std::uint64_t{0});
+      d.add(packetDigest(frame.packet));
       d.add(frame.txStart);
       d.add(frame.txEnd);
       d.add(static_cast<std::uint32_t>(rec.reason));
@@ -363,8 +363,7 @@ HostFingerprint StateAccess::host(const experiment::Host& host) {
     b.add(state.txId);
     b.add(state.decider != nullptr);
     b.add(state.decider ? state.decider->stateDigest() : std::uint64_t{0});
-    b.add(state.packet != nullptr);
-    b.add(state.packet ? packetDigest(*state.packet) : std::uint64_t{0});
+    b.add(packetDigest(state.packet));
     states.emplace_back(
         (static_cast<std::uint64_t>(bid.origin.value()) << 32) |
             bid.seq.value(),

@@ -74,7 +74,7 @@ Host::PacketPhase Host::phaseOf(net::BroadcastId bid) const {
 }
 
 void Host::onReceive(const phy::Frame& frame) {
-  const net::Packet& packet = *frame.packet;
+  const net::Packet& packet = frame.packet;
   switch (packet.type) {
     case net::PacketType::kHello:
       table_.onHello(packet.sender, packet, now());
@@ -86,28 +86,27 @@ void Host::onReceive(const phy::Frame& frame) {
 }
 
 void Host::handleData(const phy::Frame& frame) {
-  const net::Packet& packet = *frame.packet;
+  const net::Packet& packet = frame.packet;
   const core::Reception rx{packet.sender, frame.srcPos, now()};
   auto it = states_.find(packet.bid);
   if (it == states_.end()) {
-    handleFirstReception(packet.bid, rx, frame.packet);
+    handleFirstReception(packet, rx);
   } else {
     handleDuplicate(it->second, packet.bid, rx);
   }
 }
 
-void Host::handleFirstReception(net::BroadcastId bid,
-                                const core::Reception& rx,
-                                const net::PacketPtr& packet) {
-  world_.metrics().onDelivered(bid, id_, now(), packet->hopCount + 1);
+void Host::handleFirstReception(const net::Packet& packet,
+                                const core::Reception& rx) {
+  const net::BroadcastId bid = packet.bid;
+  world_.metrics().onDelivered(bid, id_, now(), packet.hopCount + 1);
   emitTrace(trace::EventKind::kDelivered, bid, rx.from);
   BroadcastState& state = states_[bid];
   // Rebroadcast the same payload under the same (origin, seq) identity,
   // with ourselves as the relaying sender.
-  auto copy = net::makePacket(*packet);
-  copy->sender = id_;
-  copy->hopCount = static_cast<std::uint16_t>(packet->hopCount + 1);
-  state.packet = std::move(copy);
+  state.packet = packet;
+  state.packet.sender = id_;
+  state.packet.hopCount = static_cast<std::uint16_t>(packet.hopCount + 1);
   state.decider = world_.policy().makeDecider(*this, rx);
 
   if (!state.decider->shouldProceed(*this)) {
@@ -204,7 +203,7 @@ void Host::onTxFinished(mac::DcfMac::TxId, const net::Packet& packet) {
 
 void Host::onCorruptedFrame(const phy::Frame& frame, phy::DropReason reason) {
   if (world_.traceSink() == nullptr) return;
-  const net::Packet& packet = *frame.packet;
+  const net::Packet& packet = frame.packet;
   emitTrace(trace::EventKind::kDrop,
             packet.type == net::PacketType::kData ? packet.bid
                                                   : net::BroadcastId{},

@@ -81,12 +81,12 @@ class Host final : public mac::DcfMac::Upper, public core::HostView {
     std::unique_ptr<core::PacketDecider> decider;
     sim::Scheduler::Handle jitterTimer;
     mac::DcfMac::TxId txId = mac::DcfMac::kInvalidTx;
-    net::PacketPtr packet;  // what we would rebroadcast
+    net::Packet packet;  // what we would rebroadcast
   };
 
   void handleData(const phy::Frame& frame);
-  void handleFirstReception(net::BroadcastId bid, const core::Reception& rx,
-                            const net::PacketPtr& packet);
+  void handleFirstReception(const net::Packet& packet,
+                            const core::Reception& rx);
   void handleDuplicate(BroadcastState& state, net::BroadcastId bid,
                        const core::Reception& rx);
   void submitToMac(net::BroadcastId bid);

@@ -55,24 +55,6 @@ struct RunResult {
   double srb() const { return summary.meanSrb; }
   double latency() const { return summary.meanLatencySeconds; }
 
-  // Pooled-count variants recomputed from raw r/t/e totals: sum(r)/sum(e)
-  // and (sum(r)-sum(t))/sum(r). These weight every broadcast by its audience
-  // size instead of equally; reported nowhere by default, available for
-  // studies that want ratio-of-sums alongside the mean-of-ratios above.
-  double pooledRe() const {
-    return summary.totalReachable > 0
-               ? static_cast<double>(summary.totalReceived) /
-                     static_cast<double>(summary.totalReachable)
-               : 0.0;
-  }
-  double pooledSrb() const {
-    return summary.totalReceived > 0
-               ? static_cast<double>(summary.totalReceived -
-                                     summary.totalRebroadcast) /
-                     static_cast<double>(summary.totalReceived)
-               : 0.0;
-  }
-
   /// Offered load in requests per simulated second over the injection
   /// window (the ext_load x-axis).
   double offeredPerSecond() const {

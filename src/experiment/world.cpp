@@ -155,10 +155,10 @@ void World::setHostUp(net::HostId id, bool up) {
     dropEvent.kind = trace::EventKind::kDrop;
     dropEvent.at = scheduler_.now();
     dropEvent.node = id;
-    if (frame.packet->type == net::PacketType::kData) {
-      dropEvent.bid = frame.packet->bid;
+    if (frame.packet.type == net::PacketType::kData) {
+      dropEvent.bid = frame.packet.bid;
     }
-    dropEvent.from = frame.packet->sender;
+    dropEvent.from = frame.packet.sender;
     dropEvent.position = event.position;
     dropEvent.drop = phy::DropReason::kHostDown;
     traceSink_->onEvent(dropEvent);

@@ -11,7 +11,6 @@
 #include "fault/churn.hpp"
 #include "fault/loss.hpp"
 #include "mobility/map.hpp"
-#include "net/packet_pool.hpp"
 #include "phy/channel.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
@@ -113,10 +112,6 @@ class World {
   void setTraceSink(trace::TraceSink* sink) { traceSink_ = sink; }
   trace::TraceSink* traceSink() const { return traceSink_; }
 
-  /// This world's packet arena (DESIGN.md §11); installed as the thread's
-  /// current pool for the world's lifetime, unless pooling is disabled.
-  net::PacketPool& packetPool() { return packetPool_; }
-
  private:
   friend struct manet::ckpt::StateAccess;
 
@@ -149,12 +144,6 @@ class World {
 #endif
 
   ScenarioConfig config_;  // resolved, MANET_FAULT_*/_TRAFFIC_* applied
-  /// Packet arena + its thread-install scope. Declared before every
-  /// component that allocates packets; the scope uninstalls first on
-  /// destruction, and outstanding packets keep the arena state refcounted.
-  net::PacketPool packetPool_;
-  net::PacketPool::Scope packetScope_{
-      net::PacketPool::enabled() ? &packetPool_ : nullptr};
   sim::Scheduler scheduler_;
   /// The channel's position source: every host's mobility model, by id.
   ModelPositions positions_{scheduler_};

@@ -41,8 +41,7 @@ int DcfMac::drawBackoff() {
   return slots;
 }
 
-DcfMac::TxId DcfMac::enqueue(net::PacketPtr packet, std::size_t bytes) {
-  MANET_EXPECTS(packet != nullptr);
+DcfMac::TxId DcfMac::enqueue(net::Packet packet, std::size_t bytes) {
   MANET_EXPECTS(bytes > 0);
   const TxId id = nextTxId_++;
   queue_.push_back(Pending{id, std::move(packet), bytes});
@@ -75,7 +74,7 @@ void DcfMac::reset() {
   queue_.clear();
   transmitting_ = false;
   onAirId_ = kInvalidTx;
-  onAirPacket_.reset();
+  onAirPacket_ = {};
   mediumBusy_ = false;
   idleSince_ = scheduler_.now();
   backoffRemaining_ = -1;
@@ -108,13 +107,13 @@ void DcfMac::onTxComplete() {
   transmitting_ = false;
   MANET_AUDIT_HOOK(audit_.onTxEnd(scheduler_.now()));
   const TxId finished = onAirId_;
-  net::PacketPtr packet = std::move(onAirPacket_);
+  const net::Packet packet = std::exchange(onAirPacket_, {});
   onAirId_ = kInvalidTx;
   // Post-backoff: owed after every transmission, and it counts down while
   // the queue is empty too, so a long-idle station may again transmit
   // immediately after DIFS.
   backoffRemaining_ = drawBackoff();
-  upper_->onTxFinished(finished, *packet);
+  upper_->onTxFinished(finished, packet);
   if (!transmitting_) reschedule();
 }
 
@@ -158,10 +157,10 @@ void DcfMac::startTransmission() {
   transmitting_ = true;
   MANET_AUDIT_HOOK(audit_.onTxStart(scheduler_.now()));
   onAirId_ = head.id;
-  onAirPacket_ = head.packet;
+  onAirPacket_ = std::move(head.packet);
   ++framesSent_;
-  channel_.transmit(self_, head.packet, head.bytes);
-  upper_->onTxStarted(head.id, *head.packet);
+  channel_.transmit(self_, onAirPacket_, head.bytes);
+  upper_->onTxStarted(head.id, onAirPacket_);
 }
 
 }  // namespace manet::mac

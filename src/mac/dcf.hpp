@@ -80,7 +80,7 @@ class DcfMac final : public phy::Channel::Listener {
   DcfMac& operator=(const DcfMac&) = delete;
 
   /// Queues a broadcast frame; FIFO order. Returns its TxId.
-  TxId enqueue(net::PacketPtr packet, std::size_t bytes);
+  TxId enqueue(net::Packet packet, std::size_t bytes);
 
   /// Removes a queued frame. Returns true if it was still waiting; false if
   /// it already started transmitting (or already left the queue).
@@ -114,7 +114,7 @@ class DcfMac final : public phy::Channel::Listener {
 
   struct Pending {
     TxId id;
-    net::PacketPtr packet;
+    net::Packet packet;
     std::size_t bytes;
   };
 
@@ -137,7 +137,7 @@ class DcfMac final : public phy::Channel::Listener {
 
   bool transmitting_ = false;
   TxId onAirId_ = kInvalidTx;
-  net::PacketPtr onAirPacket_;
+  net::Packet onAirPacket_;  // reset to {} while nothing is on the air
 
   bool mediumBusy_ = false;
   sim::TimePoint idleSince_{};

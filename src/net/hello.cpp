@@ -52,17 +52,17 @@ void HelloAgent::sendHello() {
     currentInterval_ = config_.interval;
   }
 
-  auto packet = makePacket();
-  packet->type = PacketType::kHello;
-  packet->sender = mac_.self();
-  packet->helloInterval = currentInterval_;
+  Packet packet;
+  packet.type = PacketType::kHello;
+  packet.sender = mac_.self();
+  packet.helloInterval = currentInterval_;
   std::size_t bytes = config_.baseBytes;
   if (config_.piggybackNeighbors) {
     // Built once here; every receiver's table shares this list.
     auto neighbors =
         std::make_shared<const std::vector<HostId>>(table_.neighborIds(now));
     bytes += config_.perNeighborBytes * neighbors->size();
-    packet->helloNeighbors = std::move(neighbors);
+    packet.helloNeighbors = std::move(neighbors);
   }
   mac_.enqueue(std::move(packet), bytes);
   ++hellosSent_;

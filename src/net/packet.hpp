@@ -1,6 +1,6 @@
 // Packets carried by the simulated network. One tagged struct rather than a
-// class hierarchy: packets are plain immutable data shared by shared_ptr
-// between the transmitting MAC and every receiver.
+// class hierarchy: packets are small plain values, copied into the MAC queue
+// and the frame on the air; receivers read the on-air copy by reference.
 #pragma once
 
 #include <memory>
@@ -42,28 +42,19 @@ struct Packet {
   /// entry correctly (§4.3).
   sim::Duration helloInterval{};
 };
-// Sets the packet arena's block size (DESIGN.md §11.4); grow it on purpose.
+// Every MAC queue entry, on-air frame and relay state holds one by value
+// (DESIGN.md §11.4); grow it on purpose.
 static_assert(sizeof(Packet) == 48);
-
-using PacketPtr = std::shared_ptr<const Packet>;
 
 /// The paper's broadcast payload size (§4): 280 bytes.
 inline constexpr std::size_t kDataPacketBytes = 280;
 
-/// Allocates a mutable packet for the caller to fill, drawn from the
-/// thread's current PacketPool when one is installed (each World installs
-/// its own for its lifetime, DESIGN.md §11) and from the plain heap
-/// otherwise. Implemented in net/packet_pool.cpp.
-std::shared_ptr<Packet> makePacket();
-/// Copy flavour: a pooled copy of `proto` (the host's relay copy).
-std::shared_ptr<Packet> makePacket(const Packet& proto);
-
-/// Makes an immutable data-broadcast packet.
-inline PacketPtr makeDataPacket(BroadcastId bid, HostId sender) {
-  auto p = makePacket();
-  p->type = PacketType::kData;
-  p->sender = sender;
-  p->bid = bid;
+/// Makes a data-broadcast packet.
+inline Packet makeDataPacket(BroadcastId bid, HostId sender) {
+  Packet p;
+  p.type = PacketType::kData;
+  p.sender = sender;
+  p.bid = bid;
   return p;
 }
 

@@ -40,9 +40,6 @@ const char* name(Counter counter) {
       return "engine.alloc.callback.inline";
     case Counter::kEngineAllocCallbackHeap:
       return "engine.alloc.callback.heap";
-    case Counter::kEngineAllocPacketFresh: return "engine.alloc.packet.fresh";
-    case Counter::kEngineAllocPacketReused:
-      return "engine.alloc.packet.reused";
     case Counter::kEngineAllocPhyFrameFresh:
       return "engine.alloc.phy.frame.fresh";
     case Counter::kEngineAllocPhyFrameReused:

@@ -52,15 +52,13 @@ enum class Counter : std::size_t {
   kNeighborJoins,        // net.neighbor.joins
   kNeighborLeaves,       // net.neighbor.leaves
   // Engine allocation accounting (DESIGN.md §11): how often the pooled
-  // event/callback/packet paths actually hit the heap vs recycle. A rising
+  // event/callback/air-frame paths actually hit the heap vs recycle. A rising
   // *.slabs / *.heap / *.fresh trend at fixed scale is an allocation
   // regression; tools/compare_bench.py diffs these against the baselines.
   kEngineAllocEventSlabs,      // engine.alloc.event.slabs
   kEngineAllocEventReused,     // engine.alloc.event.reused
   kEngineAllocCallbackInline,  // engine.alloc.callback.inline
   kEngineAllocCallbackHeap,    // engine.alloc.callback.heap
-  kEngineAllocPacketFresh,     // engine.alloc.packet.fresh
-  kEngineAllocPacketReused,    // engine.alloc.packet.reused
   kEngineAllocPhyFrameFresh,   // engine.alloc.phy.frame.fresh
   kEngineAllocPhyFrameReused,  // engine.alloc.phy.frame.reused
   // Traffic workload accounting (DESIGN.md §12): offered vs completed load.

@@ -24,7 +24,7 @@
 namespace manet::obs {
 
 inline constexpr const char* kSchema = "manet.bench-report";
-inline constexpr int kSchemaVersion = 2;
+inline constexpr int kSchemaVersion = 3;
 
 /// One simulation result row of a report. Deliberately engine-agnostic (the
 /// obs layer sits below experiment); experiment::toRunSample fills one from

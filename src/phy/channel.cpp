@@ -545,9 +545,8 @@ std::size_t Channel::reachableCount(net::HostId source) const {
   return queue.size() - 1;
 }
 
-sim::TimePoint Channel::transmit(net::HostId src, net::PacketPtr packet,
-                            std::size_t bytes) {
-  MANET_EXPECTS(packet != nullptr);
+sim::TimePoint Channel::transmit(net::HostId src, net::Packet packet,
+                                 std::size_t bytes) {
   Node& tx = node(src);
   MANET_EXPECTS(tx.up);
   MANET_EXPECTS(!tx.transmitting);
@@ -665,9 +664,9 @@ void Channel::endFrame(std::uint32_t slot) {
   AirFrame& air = airFrames_[slot];
   const net::HostId src = air.frame.src;
   const std::uint64_t txEpoch = air.txEpoch;
-  // Drop the packet reference so the arena can recycle it; the slot keeps
-  // its entry capacity for the next frame.
-  air.frame.packet.reset();
+  // Release the packet (a HELLO's shared neighbour list) with the frame; the
+  // slot keeps its entry capacity for the next frame.
+  air.frame.packet = {};
   air.rx.clear();
   freeAirFrames_.push_back(slot);
   finishTransmission(src, txEpoch);

@@ -69,7 +69,7 @@ struct Frame {
   /// location-based schemes assume is carried in the packet header.
   geom::Vec2 srcPos{};
   std::size_t bytes = 0;
-  net::PacketPtr packet;
+  net::Packet packet;
   sim::TimePoint txStart{};
   sim::TimePoint txEnd{};
 };
@@ -159,8 +159,8 @@ class Channel {
 
   /// Starts transmitting `packet` from `src` now. The caller (MAC) must not
   /// already be transmitting. Returns the transmission end time.
-  sim::TimePoint transmit(net::HostId src, net::PacketPtr packet,
-                     std::size_t bytes);
+  sim::TimePoint transmit(net::HostId src, net::Packet packet,
+                          std::size_t bytes);
 
   /// True when node `id` senses energy (including its own transmission).
   bool carrierBusy(net::HostId id) const;

@@ -14,7 +14,7 @@ namespace {
 
 using net::HostId;
 
-net::PacketPtr dataPacket(std::uint32_t sender, std::uint32_t seq = 0) {
+net::Packet dataPacket(std::uint32_t sender, std::uint32_t seq = 0) {
   const HostId src{sender};
   return net::makeDataPacket(net::BroadcastId{src, net::BroadcastSeq{seq}},
                              src);

@@ -15,7 +15,7 @@ namespace {
 
 using net::HostId;
 
-net::PacketPtr dataPacket(std::uint32_t sender, std::uint32_t seq = 0) {
+net::Packet dataPacket(std::uint32_t sender, std::uint32_t seq = 0) {
   const HostId src{sender};
   return net::makeDataPacket(net::BroadcastId{src, net::BroadcastSeq{seq}},
                              src);
@@ -26,7 +26,7 @@ class CountingUpper : public DcfMac::Upper {
   void onTxStarted(DcfMac::TxId, const net::Packet&) override { ++starts; }
   void onTxFinished(DcfMac::TxId, const net::Packet&) override { ++finishes; }
   void onReceive(const phy::Frame& frame) override {
-    received.push_back(frame.packet->type);
+    received.push_back(frame.packet.type);
   }
   int starts = 0;
   int finishes = 0;
@@ -114,9 +114,9 @@ TEST(MacEdge, MixedDataHelloQueue) {
   DcfMac& a = rig.add({0, 0}, 1);
   rig.add({100, 0}, 2);
   rig.scheduler.runUntil(sim::TimePoint{10'000});
-  auto hello = std::make_shared<net::Packet>();
-  hello->type = net::PacketType::kHello;
-  hello->sender = HostId{0};
+  net::Packet hello;
+  hello.type = net::PacketType::kHello;
+  hello.sender = HostId{0};
   a.enqueue(dataPacket(0, 1), 280);
   a.enqueue(hello, 24);
   a.enqueue(dataPacket(0, 2), 280);

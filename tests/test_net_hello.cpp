@@ -30,8 +30,8 @@ class RecordingUpper : public mac::DcfMac::Upper {
   }
   void onTxFinished(mac::DcfMac::TxId, const Packet&) override {}
   void onReceive(const phy::Frame& frame) override {
-    if (frame.packet->type == PacketType::kHello) {
-      received.push_back(*frame.packet);
+    if (frame.packet.type == PacketType::kHello) {
+      received.push_back(frame.packet);
     }
   }
 

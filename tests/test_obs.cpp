@@ -363,8 +363,8 @@ TEST(Differential, CollectedCountersAgreeWithChannelAccounting) {
 
 TEST(Differential, EngineAllocCountersShowSteadyStateReuse) {
   // The engine.alloc.* family (DESIGN.md §11): a hello-driven run must reuse
-  // event slots (slab count stays tiny), keep every hot-path callback inside
-  // InlineFn's buffer, and recycle packet blocks through the world's arena.
+  // event slots (slab count stays tiny) and keep every hot-path callback
+  // inside InlineFn's buffer.
   ForcedCollection forced;
   const experiment::RunResult r = experiment::runScenario(helloScenario());
   ASSERT_NE(r.metrics, nullptr);
@@ -379,10 +379,6 @@ TEST(Differential, EngineAllocCountersShowSteadyStateReuse) {
   // scheduled by the engine's hot paths spilled to the heap.
   EXPECT_GT(m.counter(obs::Counter::kEngineAllocCallbackInline), 0U);
   EXPECT_EQ(m.counter(obs::Counter::kEngineAllocCallbackHeap), 0U);
-
-  // HELLO beacons die after their table update, so their blocks recycle.
-  EXPECT_GT(m.counter(obs::Counter::kEngineAllocPacketFresh), 0U);
-  EXPECT_GT(m.counter(obs::Counter::kEngineAllocPacketReused), 0U);
 }
 
 TEST(Differential, AirFramePoolReachesSteadyState) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "audit/audit.hpp"
@@ -15,7 +17,7 @@ namespace {
 
 using net::HostId;
 
-net::PacketPtr dataPacket(HostId sender) {
+net::Packet dataPacket(HostId sender) {
   return net::makeDataPacket(net::BroadcastId{sender, net::BroadcastSeq{0}}, sender);
 }
 
@@ -355,8 +357,7 @@ TEST_F(ChannelTest, ReentrantTransmitFromEndBatchGivesSerialVerdicts) {
   const HostId c = addNode({200, 0});
   const HostId d = addNode({300, 0});
   const HostId e = addNode({700, 0});  // hears only d among the senders
-  const net::PacketPtr packet = dataPacket(a);
-  const sim::TimePoint end = ch.transmit(a, packet, 280);
+  const sim::TimePoint end = ch.transmit(a, dataPacket(a), 280);
   bool fired = false;
   probe(b).onRx = [&](const Frame& frame) {
     if (fired) return;
@@ -366,7 +367,8 @@ TEST_F(ChannelTest, ReentrantTransmitFromEndBatchGivesSerialVerdicts) {
     // The frame being delivered did not move while transmit() pooled two
     // more air frames.
     EXPECT_EQ(frame.src, a);
-    EXPECT_EQ(frame.packet, packet);
+    EXPECT_EQ(frame.packet.sender, a);
+    EXPECT_EQ(frame.packet.bid, (net::BroadcastId{a, net::BroadcastSeq{0}}));
     EXPECT_EQ(frame.txEnd, end);
   };
   scheduler_.runAll();
@@ -387,6 +389,25 @@ TEST_F(ChannelTest, ReentrantTransmitFromEndBatchGivesSerialVerdicts) {
   EXPECT_EQ(probe(d).txCompleted, 1);
   EXPECT_EQ(ch.framesTransmitted(), 3u);
   EXPECT_FALSE(ch.carrierBusy(c));
+}
+
+TEST_F(ChannelTest, FinishedFrameReleasesHelloNeighborList) {
+  // The air-frame slot is recycled, not freed: ending the frame must drop
+  // its packet so the slot does not pin a HELLO's shared neighbour list.
+  Channel& ch = makeChannel();
+  const HostId a = addNode({0, 0});
+  const HostId b = addNode({100, 0});
+  const net::NeighborList neighbors =
+      std::make_shared<const std::vector<HostId>>(std::vector<HostId>{b});
+  net::Packet hello;
+  hello.type = net::PacketType::kHello;
+  hello.sender = a;
+  hello.helloNeighbors = neighbors;
+  ch.transmit(a, std::move(hello), 40);
+  EXPECT_EQ(neighbors.use_count(), 2);  // the frame on the air holds it
+  scheduler_.runAll();
+  ASSERT_EQ(probe(b).receptions.size(), 1u);
+  EXPECT_EQ(neighbors.use_count(), 1);
 }
 
 TEST_F(ChannelTest, ReceiverChurnMidFrameSkipsItsEntries) {

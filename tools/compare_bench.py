@@ -171,9 +171,9 @@ def compare_metrics(base_row: dict, cand_row: dict, label: str,
 # scenario, so any drift is a behaviour change worth a warning with the
 # exact counters (name shape is enforced by the retired-name hard fail in
 # compare_metrics):
-#   engine.alloc.* — allocation discipline (DESIGN.md §11): slab carving,
-#       InlineFn heap spills, packet-arena reuse. Drift means a capture
-#       outgrew the inline buffer or a call site bypassed the arena.
+#   engine.alloc.* — allocation discipline (DESIGN.md §11): event-slab
+#       carving, InlineFn heap spills, air-frame slot reuse. Drift means a
+#       capture outgrew the inline buffer or a pool stopped recycling.
 #   traffic.*      — workload accounting (DESIGN.md §12): offered/injected/
 #       completed requests and delivered copies. Drift means the generator's
 #       draw sequence or the delivery accounting changed.
