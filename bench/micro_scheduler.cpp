@@ -13,9 +13,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <utility>
 #include <vector>
 
-#include "net/packet.hpp"
+#include "sim/inline_fn.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 
@@ -54,45 +55,45 @@ namespace {
 
 /// Steady-state event churn: a warm scheduler fires batches of MAC-like
 /// timers, a fraction of which are cancelled before they fire (the range
-/// argument, percent). The capture mimics the MAC's largest hot-path
-/// callback — an owner pointer, a refcounted packet, and a size — so this
-/// also guards the InlineFn capacity audit. The fig13 run measures ~8%
-/// cancels (sim.scheduler.cancelled / scheduled); 50% models
-/// suppression-heavy schemes where most rebroadcasts are inhibited.
+/// argument, percent). Each callback captures what the engine's hot
+/// callbacks capture (DESIGN.md §11.3): an owner pointer plus a 32-bit id,
+/// like `Channel`'s `[this, slot]`, so the capture shape and its InlineFn
+/// fit match the engine's. The fig13 run measures ~8% cancels
+/// (sim.scheduler.cancelled / scheduled); 50% models suppression-heavy
+/// schemes where most rebroadcasts are inhibited.
 void BM_SchedulerChurn(benchmark::State& state) {
   const int cancelPct = static_cast<int>(state.range(0));
-  constexpr int kBatch = 256;
+  constexpr std::uint32_t kBatch = 256;
   constexpr sim::Duration kMaxDelay{977};
 
+  struct Owner {
+    long sink = 0;
+    void fire(std::uint32_t id) { sink += id; }
+  } owner;
   sim::Scheduler s;
   sim::Rng rng(42);
-  auto packet = std::make_shared<net::Packet>();  // stand-in captured payload
   std::vector<sim::Scheduler::Handle> handles(kBatch);
-  long sink = 0;
+  auto schedule = [&](std::uint32_t id) {
+    auto cb = [o = &owner, id] { o->fire(id); };
+    static_assert(sim::InlineFn::storesInline<decltype(cb)>());
+    return s.scheduleAfter(
+        sim::kMicrosecond + rng.uniformDuration(sim::Duration{}, kMaxDelay),
+        std::move(cb));
+  };
 
   // Warm the node pool so the (bounded) slab carving happens off-clock.
-  for (int i = 0; i < kBatch; ++i) {
-    handles[static_cast<std::size_t>(i)] =
-        s.scheduleAfter(sim::kMicrosecond + rng.uniformDuration(sim::Duration{}, kMaxDelay),
-                        [&sink, packet, i] { sink += i; });
-  }
+  for (std::uint32_t i = 0; i < kBatch; ++i) handles[i] = schedule(i);
   s.runUntil(s.now() + 2 * kMaxDelay);
 
   const std::uint64_t allocsBefore = gHeapAllocs.load();
   for (auto _ : state) {
-    for (int i = 0; i < kBatch; ++i) {
-      handles[static_cast<std::size_t>(i)] =
-          s.scheduleAfter(sim::kMicrosecond + rng.uniformDuration(sim::Duration{}, kMaxDelay),
-                          [&sink, packet, i] { sink += i; });
-    }
-    for (int i = 0; i < kBatch; ++i) {
-      if (rng.uniformInt(0, 99) < cancelPct) {
-        handles[static_cast<std::size_t>(i)].cancel();
-      }
+    for (std::uint32_t i = 0; i < kBatch; ++i) handles[i] = schedule(i);
+    for (std::uint32_t i = 0; i < kBatch; ++i) {
+      if (rng.uniformInt(0, 99) < cancelPct) handles[i].cancel();
     }
     s.runUntil(s.now() + 2 * kMaxDelay);
   }
-  benchmark::DoNotOptimize(sink);
+  benchmark::DoNotOptimize(owner.sink);
 
   const auto items = static_cast<double>(state.iterations()) * kBatch;
   state.SetItemsProcessed(state.iterations() * kBatch);

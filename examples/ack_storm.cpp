@@ -12,8 +12,9 @@
 // fixed set of placements per n.
 //
 //   ./build/examples/ack_storm [maxReceivers]
+#include <climits>
 #include <cmath>
-#include <cstdlib>
+#include <cstddef>
 #include <iostream>
 #include <memory>
 #include <utility>
@@ -22,6 +23,7 @@
 #include "geom/circle.hpp"
 #include "mac/dcf.hpp"
 #include "net/packet.hpp"
+#include "parse_int.hpp"
 #include "phy/channel.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
@@ -131,8 +133,9 @@ StormResult runStorm(int receivers, int placement) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int maxReceivers = argc > 1 ? std::atoi(argv[1]) : 128;
-  if (maxReceivers < 2) {
+  int maxReceivers = 128;
+  if (argc > 2 ||
+      (argc > 1 && !examples::parseInt(argv[1], 2, INT_MAX, maxReceivers))) {
     std::cerr << "usage: ack_storm [maxReceivers >= 2]\n";
     return 2;
   }

@@ -7,42 +7,25 @@
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/quickstart [mapUnits] [numBroadcasts]
-#include <cerrno>
 #include <climits>
-#include <cstdlib>
 #include <iostream>
 #include <vector>
 
 #include "experiment/runner.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "parse_int.hpp"
 #include "util/env.hpp"
 #include "util/table.hpp"
 
 using namespace manet;
 
-namespace {
-
-// Parse all of `text` as an integer in [lo, hi], the range the library
-// accepts; "abc" or "0" for the map is a usage error here instead of a
-// library precondition abort.
-bool parseInt(const char* text, long long lo, long long hi, int& out) {
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE) return false;
-  if (value < lo || value > hi) return false;
-  out = static_cast<int>(value);
-  return true;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   int mapUnits = 5;
   int broadcasts = 50;
-  if ((argc > 1 && !parseInt(argv[1], 1, INT_MAX, mapUnits)) ||
-      (argc > 2 && !parseInt(argv[2], 0, INT_MAX, broadcasts))) {
+  if (argc > 3 ||
+      (argc > 1 && !examples::parseInt(argv[1], 1, INT_MAX, mapUnits)) ||
+      (argc > 2 && !examples::parseInt(argv[2], 0, INT_MAX, broadcasts))) {
     std::cerr << "usage: " << argv[0]
               << " [mapUnits >= 1] [numBroadcasts >= 0]\n";
     return 1;

@@ -8,16 +8,22 @@
 // this regime and prints a dashboard of RE / SRB / latency / traffic.
 //
 //   ./build/examples/rescue_scenario [updates]
-#include <cstdlib>
+#include <climits>
 #include <iostream>
 
 #include "experiment/runner.hpp"
+#include "parse_int.hpp"
 #include "util/table.hpp"
 
 using namespace manet;
 
 int main(int argc, char** argv) {
-  const int updates = argc > 1 ? std::atoi(argv[1]) : 40;
+  int updates = 40;
+  if (argc > 2 ||
+      (argc > 1 && !examples::parseInt(argv[1], 0, INT_MAX, updates))) {
+    std::cerr << "usage: " << argv[0] << " [updates >= 0]\n";
+    return 1;
+  }
 
   std::cout << "Disaster-area broadcast: 100 rescuers on a 4.5 km x 4.5 km "
                "zone,\nteams moving at up to 60 km/h, "

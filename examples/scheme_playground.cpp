@@ -8,7 +8,6 @@
 //
 // Schemes: flood | prob=<p> | counter=<C> | distance=<D> | location=<A> |
 //          ac | al | nc
-#include <cerrno>
 #include <climits>
 #include <cstdlib>
 #include <cstring>
@@ -17,6 +16,7 @@
 #include <string>
 
 #include "experiment/runner.hpp"
+#include "parse_int.hpp"
 #include "util/table.hpp"
 
 using namespace manet;
@@ -24,20 +24,6 @@ using namespace manet;
 namespace {
 
 constexpr double kDoubleMax = std::numeric_limits<double>::max();
-
-// Parse all of `text` as a number in [lo, hi], the range the library
-// accepts; "abc", "3x" or an out-of-range value is a usage error here
-// instead of a 0 that trips a library precondition.
-bool parseInt(const std::string& text, long long lo, long long hi,
-              long long& out) {
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE) return false;
-  if (value < lo || value > hi) return false;
-  out = value;
-  return true;
-}
 
 bool parseDouble(const std::string& text, double lo, double hi, double& out) {
   char* end = nullptr;
@@ -52,7 +38,7 @@ bool parseScheme(const std::string& text, experiment::SchemeSpec& out) {
   auto valueOf = [&](const char* prefix) -> std::string {
     return text.substr(std::strlen(prefix));
   };
-  long long n = 0;
+  int n = 0;
   double x = 0.0;
   if (text == "flood") {
     out = experiment::SchemeSpec::flooding();
@@ -60,8 +46,8 @@ bool parseScheme(const std::string& text, experiment::SchemeSpec& out) {
     if (!parseDouble(valueOf("prob="), 0.0, 1.0, x)) return false;
     out = experiment::SchemeSpec::probabilistic(x);
   } else if (text.rfind("counter=", 0) == 0) {
-    if (!parseInt(valueOf("counter="), 1, INT_MAX, n)) return false;
-    out = experiment::SchemeSpec::counter(static_cast<int>(n));
+    if (!examples::parseInt(valueOf("counter="), 1, INT_MAX, n)) return false;
+    out = experiment::SchemeSpec::counter(n);
   } else if (text.rfind("distance=", 0) == 0) {
     if (!parseDouble(valueOf("distance="), 0.0, kDoubleMax, x)) return false;
     out = experiment::SchemeSpec::distance(x);
@@ -108,26 +94,25 @@ int main(int argc, char** argv) {
     auto valueOf = [&](const char* prefix) {
       return arg.substr(std::strlen(prefix));
     };
-    long long n = 0;
     bool valid = true;
     if (arg.rfind("--scheme=", 0) == 0) {
       valid = parseScheme(valueOf("--scheme="), config.scheme);
     } else if (arg.rfind("--map=", 0) == 0) {
-      valid = parseInt(valueOf("--map="), 1, INT_MAX, n);
-      config.mapUnits = static_cast<int>(n);
+      valid = examples::parseInt(valueOf("--map="), 1, INT_MAX,
+                                 config.mapUnits);
     } else if (arg.rfind("--speed=", 0) == 0) {
       // A negative speed selects the paper's 10*N km/h rule.
       valid = parseDouble(valueOf("--speed="), -kDoubleMax, kDoubleMax,
                           config.maxSpeedKmh);
     } else if (arg.rfind("--broadcasts=", 0) == 0) {
-      valid = parseInt(valueOf("--broadcasts="), 0, INT_MAX, n);
-      config.numBroadcasts = static_cast<int>(n);
+      valid = examples::parseInt(valueOf("--broadcasts="), 0, INT_MAX,
+                                 config.numBroadcasts);
     } else if (arg.rfind("--hosts=", 0) == 0) {
-      valid = parseInt(valueOf("--hosts="), 1, INT_MAX, n);
-      config.numHosts = static_cast<int>(n);
+      valid = examples::parseInt(valueOf("--hosts="), 1, INT_MAX,
+                                 config.numHosts);
     } else if (arg.rfind("--seed=", 0) == 0) {
-      valid = parseInt(valueOf("--seed="), LLONG_MIN, LLONG_MAX, n);
-      config.seed = static_cast<std::uint64_t>(n);
+      valid = examples::parseInt(valueOf("--seed="), LLONG_MIN, LLONG_MAX,
+                                 config.seed);
     } else if (arg == "--hello") {
       hello = true;
     } else if (arg == "--dhi") {

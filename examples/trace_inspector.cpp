@@ -2,15 +2,16 @@
 // per-broadcast timeline — who relayed, who was suppressed and when, where
 // frames were lost (tallied per drop reason: collision, half-duplex,
 // injected fault loss, host crash). The event stream can also be dumped as
-// CSV for plotting. Fault injection responds to the MANET_FAULT_* env knobs,
-// e.g. MANET_FAULT_LOSS=ge ./build/examples/trace_inspector
+// CSV for plotting. Fault losses and crashes tally zero unless main() sets
+// `config.fault`; bench/ext_fault sweeps both.
 //
 //   ./build/examples/trace_inspector [mapUnits] [broadcasts] [--csv]
-#include <cstdlib>
+#include <climits>
 #include <cstring>
 #include <iostream>
 
 #include "experiment/world.hpp"
+#include "parse_int.hpp"
 #include "trace/recorder.hpp"
 #include "trace/timeline.hpp"
 #include "trace/writer.hpp"
@@ -18,10 +19,16 @@
 using namespace manet;
 
 int main(int argc, char** argv) {
-  const int mapUnits = argc > 1 ? std::atoi(argv[1]) : 3;
-  const int broadcasts = argc > 2 ? std::atoi(argv[2]) : 3;
-  const bool csv =
-      argc > 3 && std::strcmp(argv[3], "--csv") == 0;
+  int mapUnits = 3;
+  int broadcasts = 3;
+  const bool csv = argc > 3 && std::strcmp(argv[3], "--csv") == 0;
+  if (argc > 4 || (argc > 3 && !csv) ||
+      (argc > 1 && !examples::parseInt(argv[1], 1, INT_MAX, mapUnits)) ||
+      (argc > 2 && !examples::parseInt(argv[2], 0, INT_MAX, broadcasts))) {
+    std::cerr << "usage: " << argv[0]
+              << " [mapUnits >= 1] [broadcasts >= 0] [--csv]\n";
+    return 1;
+  }
 
   experiment::ScenarioConfig config;
   config.mapUnits = mapUnits;

@@ -15,10 +15,6 @@ ScenarioConfig ScenarioConfig::resolved() const {
     out.numHosts = static_cast<int>(out.fixedPositions.size());
   }
 
-  if (out.traffic.arrival == traffic::TrafficConfig::Arrival::kReplay) {
-    out.numBroadcasts = static_cast<int>(out.traffic.replay.size());
-  }
-
   if (out.maxSpeedKmh < 0.0) {
     // Paper: "the maximum speed is 10 km/hour in the 1x1 map, 30 km/hour in
     // the 3x3 map, 50 km/hour in the 5x5 map, etc." — i.e. 10*N km/h.

@@ -59,8 +59,6 @@ struct ScenarioConfig {
   /// Workload generation (DESIGN.md §12): arrival process x source model.
   /// The default (Uniform arrivals from uniform sources) is bit-identical to
   /// the paper's single workload; interarrivalMax above parameterizes it.
-  /// The world additionally applies MANET_TRAFFIC_* environment overrides at
-  /// construction. kReplay forces numBroadcasts to the script size.
   traffic::TrafficConfig traffic{};
   /// Simulated time before the first broadcast (lets HELLO tables fill).
   /// < 0 selects an automatic value (2 hello intervals + 1 s, or 100 ms when
@@ -81,8 +79,7 @@ struct ScenarioConfig {
 
   /// Fault injection (DESIGN.md §8): link loss models and host churn. Off by
   /// default; a disabled config is bit-identical to the fault-free
-  /// simulator. The world additionally applies MANET_FAULT_* environment
-  /// overrides at construction.
+  /// simulator.
   fault::FaultConfig fault{};
 
   std::uint64_t seed = 1;

@@ -42,8 +42,6 @@ World::World(const ScenarioConfig& config)
 
   // Fault injection. Dedicated RNG streams (0xFA01 loss, 0xC4 churn) mean
   // enabling faults never shifts the draws of mobility, hosts, or workload.
-  config_.fault = config_.fault.withEnvOverrides();
-  config_.traffic = config_.traffic.withEnvOverrides();
   lossModel_ =
       fault::makeLossModel(config_.fault, sim::Rng(config_.seed).fork(0xFA01));
   if (lossModel_ != nullptr) {
@@ -223,7 +221,7 @@ void World::scheduleWorkload() {
 }
 
 void World::scheduleChurn() {
-  if (!config_.fault.churnEnabled()) return;
+  if (!config_.fault.churn) return;
   churnTimeline_ = fault::buildChurnTimeline(
       config_.fault, config_.numHosts, horizon_,
       sim::Rng(config_.seed).fork(0xC4));

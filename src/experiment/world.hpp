@@ -27,7 +27,9 @@ namespace manet::experiment {
 class World {
  public:
   /// Builds hosts, mobility, MACs, and the policy from `config`
-  /// (automatically resolved).
+  /// (automatically resolved). `config` alone describes what is simulated;
+  /// the one environment knob read here, MANET_CHANNEL_GRID, only picks an
+  /// equivalent range-query path.
   explicit World(const ScenarioConfig& config);
   World(const World&) = delete;
   World& operator=(const World&) = delete;
@@ -143,7 +145,7 @@ class World {
   AuditBridge auditBridge_{*this};
 #endif
 
-  ScenarioConfig config_;  // resolved, MANET_FAULT_*/_TRAFFIC_* applied
+  ScenarioConfig config_;  // the constructor's config, resolved()
   sim::Scheduler scheduler_;
   /// The channel's position source: every host's mobility model, by id.
   ModelPositions positions_{scheduler_};

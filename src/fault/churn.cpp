@@ -19,29 +19,21 @@ std::vector<ChurnEvent> buildChurnTimeline(const FaultConfig& config,
                                            int numHosts, sim::TimePoint horizon,
                                            sim::Rng rng) {
   std::vector<ChurnEvent> timeline;
-  if (!config.script.empty()) {
-    for (const ChurnEvent& ev : config.script) {
-      if (ev.at < horizon && ev.node.value() < static_cast<std::uint32_t>(numHosts)) {
-        timeline.push_back(ev);
-      }
-    }
-  } else if (config.churn) {
-    for (int i = 0; i < numHosts; ++i) {
-      // Per-host stream: membership and dwell times of host i never depend
-      // on how many events other hosts generated.
-      sim::Rng hostRng = rng.fork(static_cast<std::uint64_t>(i));
-      if (!hostRng.bernoulli(config.churnFraction)) continue;
-      // Start mid-cycle so crashes are spread over the run instead of
-      // clustering near t = 0.
-      sim::TimePoint t = sim::kTimeZero + exponential(hostRng, config.meanUpTime);
-      bool up = false;  // next transition takes the host down
-      while (t < horizon) {
-        timeline.push_back(
-            ChurnEvent{net::HostId{static_cast<std::uint32_t>(i)}, t, up});
-        t += exponential(hostRng,
-                         up ? config.meanUpTime : config.meanDownTime);
-        up = !up;
-      }
+  if (!config.churn) return timeline;
+  for (int i = 0; i < numHosts; ++i) {
+    // Per-host stream: membership and dwell times of host i never depend
+    // on how many events other hosts generated.
+    sim::Rng hostRng = rng.fork(static_cast<std::uint64_t>(i));
+    if (!hostRng.bernoulli(config.churnFraction)) continue;
+    // Start mid-cycle so crashes are spread over the run instead of
+    // clustering near t = 0.
+    sim::TimePoint t = sim::kTimeZero + exponential(hostRng, config.meanUpTime);
+    bool up = false;  // next transition takes the host down
+    while (t < horizon) {
+      timeline.push_back(
+          ChurnEvent{net::HostId{static_cast<std::uint32_t>(i)}, t, up});
+      t += exponential(hostRng, up ? config.meanUpTime : config.meanDownTime);
+      up = !up;
     }
   }
   std::sort(timeline.begin(), timeline.end(),

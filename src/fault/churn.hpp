@@ -1,20 +1,28 @@
 // Host churn schedule generation (DESIGN.md §8). Turns a FaultConfig into a
-// sorted crash/recover timeline the world replays: either the explicit
-// script, or a random schedule where a seeded subset of hosts alternates
-// exponentially distributed up/down dwell times.
+// sorted crash/recover timeline the world replays: a seeded subset of hosts
+// alternates exponentially distributed up/down dwell times.
 #pragma once
 
 #include <vector>
 
 #include "fault/config.hpp"
+#include "net/ids.hpp"
 #include "sim/random.hpp"
+#include "sim/time.hpp"
 
 namespace manet::fault {
 
-/// Builds the churn timeline for `numHosts` hosts over [0, horizon).
-/// Scripted events (if any) take precedence over random generation; out-of-
-/// horizon events are dropped. The result is sorted by (at, node) and all
-/// draws come from `rng`, a stream dedicated to churn.
+/// One churn transition: `node` goes down (`up = false`) or comes back up
+/// at absolute simulation time `at`.
+struct ChurnEvent {
+  net::HostId node = net::kInvalidHost;
+  sim::TimePoint at{};
+  bool up = false;
+};
+
+/// Builds the churn timeline for `numHosts` hosts over [0, horizon): empty
+/// unless `config.churn` is set. The result is sorted by (at, node, up) and
+/// all draws come from `rng`, a stream dedicated to churn.
 std::vector<ChurnEvent> buildChurnTimeline(const FaultConfig& config,
                                            int numHosts, sim::TimePoint horizon,
                                            sim::Rng rng);

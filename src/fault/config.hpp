@@ -5,20 +5,9 @@
 // faults never shifts mobility, traffic, or MAC draws.
 #pragma once
 
-#include <vector>
-
-#include "net/ids.hpp"
 #include "sim/time.hpp"
 
 namespace manet::fault {
-
-/// One scripted churn transition: `node` goes down (`up = false`) or comes
-/// back up at absolute simulation time `at`.
-struct ChurnEvent {
-  net::HostId node = net::kInvalidHost;
-  sim::TimePoint at{};
-  bool up = false;
-};
 
 struct FaultConfig {
   // --- link impairment -----------------------------------------------------
@@ -51,26 +40,7 @@ struct FaultConfig {
   sim::Duration meanUpTime = 20 * sim::kSecond;
   sim::Duration meanDownTime = 5 * sim::kSecond;
 
-  /// Explicit crash/recover timeline; when non-empty it replaces the random
-  /// schedule (and `churn` need not be set). Events may be given in any
-  /// order; the world sorts by (at, node).
-  std::vector<ChurnEvent> script;
-
-  bool lossEnabled() const { return loss != Loss::kNone; }
-  bool churnEnabled() const { return churn || !script.empty(); }
-  bool enabled() const { return lossEnabled() || churnEnabled(); }
-
-  /// Returns a copy with the `MANET_FAULT_*` environment overrides applied
-  /// (same pattern as MANET_CHANNEL_GRID / MANET_THREADS — rerun a built
-  /// binary under faults without touching code):
-  ///   MANET_FAULT_LOSS = none | iid | ge
-  ///   MANET_FAULT_PER  = <double>     (implies iid when MANET_FAULT_LOSS
-  ///                                    is unset)
-  ///   MANET_FAULT_GE_LOSS_GOOD / _GE_LOSS_BAD / _GE_P_GB / _GE_P_BG
-  ///   MANET_FAULT_CHURN = 0 | 1
-  ///   MANET_FAULT_CHURN_FRACTION = <double>
-  ///   MANET_FAULT_UP_S / MANET_FAULT_DOWN_S = <double seconds>
-  FaultConfig withEnvOverrides() const;
+  bool enabled() const { return loss != Loss::kNone || churn; }
 };
 
 }  // namespace manet::fault

@@ -66,10 +66,8 @@ std::unique_ptr<ArrivalProcess> makeArrival(const TrafficConfig& config,
     case TrafficConfig::Arrival::kBurst:
       return std::make_unique<BurstArrival>(
           config.burstLength, config.burstGapMax, config.burstIdleMean);
-    case TrafficConfig::Arrival::kReplay:
-      break;
   }
-  MANET_ASSERT(!"kReplay has no arrival process");
+  MANET_ASSERT(!"unreachable arrival process");
   return nullptr;
 }
 

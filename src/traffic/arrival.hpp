@@ -70,8 +70,7 @@ class BurstArrival final : public ArrivalProcess {
   int remainingInBurst_ = 0;
 };
 
-/// Builds the configured process. kReplay has no arrival process (the
-/// generator plays the script verbatim); requesting one is a contract error.
+/// Builds the configured process.
 std::unique_ptr<ArrivalProcess> makeArrival(const TrafficConfig& config,
                                             sim::Duration uniformMax);
 

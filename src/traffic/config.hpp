@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "net/ids.hpp"
 #include "sim/time.hpp"
@@ -18,9 +17,8 @@
 namespace manet::traffic {
 
 /// One broadcast request of the workload stream. `at` is absolute simulation
-/// time in generator output; in a TrafficConfig::replay script it is relative
-/// to the workload start (end of warmup). `seq` numbers requests in stream
-/// order — the per-broadcast sequence id delivery accounting joins on.
+/// time; `seq` numbers requests in stream order — the per-broadcast sequence
+/// id delivery accounting joins on.
 struct Request {
   sim::TimePoint at{};
   net::HostId source{};
@@ -35,7 +33,6 @@ struct TrafficConfig {
     kPeriodic,  // constant-bit-rate: one request every `period`
     kBurst,     // on/off: bursts of `burstLength` closely spaced requests
                 // separated by exponential idle gaps (MMPP-style)
-    kReplay,    // explicit (time, source) script from `replay`
   };
   Arrival arrival = Arrival::kUniform;
 
@@ -52,11 +49,6 @@ struct TrafficConfig {
   sim::Duration burstGapMax = 50 * sim::kMillisecond;
   sim::Duration burstIdleMean = 4 * sim::kSecond;
 
-  /// kReplay: the exact request script. Entries may be given in any order;
-  /// the generator stable-sorts by time and renumbers `seq`. The scenario's
-  /// numBroadcasts is forced to the script size.
-  std::vector<Request> replay;
-
   // --- source model --------------------------------------------------------
   enum class Sources {
     kUniform,  // every host equally likely (the paper's model)
@@ -66,10 +58,8 @@ struct TrafficConfig {
   };
   Sources sources = Sources::kUniform;
 
-  /// kHotspot: size of the hotspot set — hosts 0..k-1 unless `hotspotIds`
-  /// names the set explicitly.
+  /// kHotspot: size of the hotspot set, hosts 0..k-1.
   int hotspotCount = 3;
-  std::vector<net::HostId> hotspotIds;
 
   /// kZone: the source rectangle as fractions of the map side, so the same
   /// config works at every map scale. Defaults to the lower-left quadrant.
@@ -77,26 +67,6 @@ struct TrafficConfig {
   double zoneY0 = 0.0;
   double zoneX1 = 0.5;
   double zoneY1 = 0.5;
-
-  /// True when this is the paper's workload (the bit-identical default).
-  bool isDefault() const {
-    return arrival == Arrival::kUniform && sources == Sources::kUniform;
-  }
-
-  /// Returns a copy with the `MANET_TRAFFIC_*` environment overrides applied
-  /// (same pattern as MANET_FAULT_* — rerun a built binary under a different
-  /// workload without touching code):
-  ///   MANET_TRAFFIC_ARRIVAL = uniform | poisson | cbr | burst
-  ///   MANET_TRAFFIC_RATE    = <double requests/s>  (implies poisson when
-  ///                           MANET_TRAFFIC_ARRIVAL is unset)
-  ///   MANET_TRAFFIC_PERIOD_S = <double seconds>    (implies cbr when
-  ///                           MANET_TRAFFIC_ARRIVAL is unset)
-  ///   MANET_TRAFFIC_BURST_LEN / _BURST_GAP_S / _IDLE_S
-  ///   MANET_TRAFFIC_SOURCES = uniform | hotspot | zone
-  ///   MANET_TRAFFIC_HOTSPOT_K = <int>
-  ///   MANET_TRAFFIC_ZONE = "x0,y0,x1,y1"           (map-side fractions)
-  /// Replay scripts are programmatic-only — there is no env spelling.
-  TrafficConfig withEnvOverrides() const;
 };
 
 }  // namespace manet::traffic

@@ -1,6 +1,5 @@
 #include "traffic/generator.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "traffic/arrival.hpp"
@@ -24,30 +23,11 @@ Generator::Generator(const TrafficConfig& config, int numHosts,
 
 std::vector<Request> Generator::schedule(int count, sim::TimePoint start,
                                          sim::Rng& rng) const {
-  std::vector<Request> out;
-
-  if (config_.arrival == TrafficConfig::Arrival::kReplay) {
-    out = config_.replay;
-    std::stable_sort(out.begin(), out.end(),
-                     [](const Request& a, const Request& b) {
-                       return a.at < b.at;
-                     });
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      // Replay scripts give times relative to the workload start; shift to
-      // absolute by re-anchoring at `start`.
-      MANET_EXPECTS(out[i].at >= sim::kTimeZero);
-      MANET_EXPECTS(out[i].source.value() <
-                    static_cast<std::uint32_t>(numHosts_));
-      out[i].at = start + out[i].at.sinceStart();
-      out[i].seq = static_cast<std::uint32_t>(i);
-    }
-    return out;
-  }
-
   MANET_EXPECTS(count >= 0);
   const auto arrival = makeArrival(config_, uniformMax_);
   const auto sources =
       makeSourceModel(config_, numHosts_, initialPositions_, mapMeters_);
+  std::vector<Request> out;
   out.reserve(static_cast<std::size_t>(count));
   sim::TimePoint at = start;
   for (int i = 0; i < count; ++i) {

@@ -28,8 +28,7 @@ class Generator {
   /// `start`, times non-decreasing, seq = position in stream order. Per
   /// request the draw order is fixed — arrival gap first, then source — so
   /// arrival and source models compose without perturbing each other's
-  /// streams. kReplay ignores `count` and `rng` and plays the script
-  /// (stable-sorted by time, offset by `start`) verbatim.
+  /// streams.
   std::vector<Request> schedule(int count, sim::TimePoint start,
                                 sim::Rng& rng) const;
 

@@ -23,16 +23,11 @@ std::unique_ptr<SourceModel> makeSourceModel(
     case TrafficConfig::Sources::kUniform:
       return std::make_unique<UniformSources>(numHosts);
     case TrafficConfig::Sources::kHotspot: {
-      std::vector<net::HostId> hotspot = config.hotspotIds;
-      if (hotspot.empty()) {
-        const int k = std::clamp(config.hotspotCount, 1, numHosts);
-        hotspot.reserve(static_cast<std::size_t>(k));
-        for (int i = 0; i < k; ++i) {
-          hotspot.push_back(net::HostId{static_cast<std::uint32_t>(i)});
-        }
-      }
-      for (net::HostId id : hotspot) {
-        MANET_EXPECTS(id.value() < static_cast<std::uint32_t>(numHosts));
+      const int k = std::clamp(config.hotspotCount, 1, numHosts);
+      std::vector<net::HostId> hotspot;
+      hotspot.reserve(static_cast<std::size_t>(k));
+      for (int i = 0; i < k; ++i) {
+        hotspot.push_back(net::HostId{static_cast<std::uint32_t>(i)});
       }
       return std::make_unique<SubsetSources>(std::move(hotspot));
     }

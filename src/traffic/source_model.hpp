@@ -54,8 +54,7 @@ class SubsetSources final : public SourceModel {
 
 /// Builds the configured model.
 ///   kUniform  — all hosts.
-///   kHotspot  — config.hotspotIds when non-empty, else hosts 0..k-1 (k
-///               clamped to numHosts).
+///   kHotspot  — hosts 0..k-1 (k clamped to numHosts).
 ///   kZone     — hosts whose entry in `initialPositions` (indexed by id,
 ///               may be empty for non-zone models) lies inside the
 ///               map-relative rectangle; falls back to all hosts when the

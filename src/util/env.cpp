@@ -1,24 +1,23 @@
 #include "util/env.hpp"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <stdexcept>
+#include <system_error>
 
 namespace manet::util {
 
 std::int64_t envInt(const char* name, std::int64_t fallback) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long long value = std::strtoll(raw, &end, 10);
-  if (end == raw) return fallback;
-  return static_cast<std::int64_t>(value);
-}
-
-double envDouble(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(raw, &end);
-  if (end == raw) return fallback;
+  const char* end = raw + std::strlen(raw);
+  std::int64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(raw, end, value, 10);
+  if (ec != std::errc{} || ptr != end) {
+    throw std::invalid_argument(std::string(name) + "=\"" + raw +
+                                "\" is not a base-10 integer in range");
+  }
   return value;
 }
 

@@ -9,11 +9,10 @@
 namespace manet::util {
 
 /// Returns the integer value of environment variable `name`, or `fallback`
-/// when unset or unparsable.
+/// when it is unset or empty. Throws std::invalid_argument, naming the
+/// variable and its value, when the value is not a whole base-10 integer
+/// in the range of std::int64_t ("20x" and "1e4" are errors, not 20 and 1).
 std::int64_t envInt(const char* name, std::int64_t fallback);
-
-/// Returns the double value of environment variable `name`, or `fallback`.
-double envDouble(const char* name, double fallback);
 
 /// Returns the string value of environment variable `name` if set.
 std::optional<std::string> envString(const char* name);

