@@ -134,7 +134,8 @@ class NeighborAudit {
 class ChurnAudit {
  public:
   /// Called after a host finished its crash reset. Every flag reports one
-  /// flushed subsystem; any false is a violation.
+  /// flushed subsystem; any false is a violation. `statesFlushed` covers
+  /// both the in-flight broadcast states and the terminal-phase record.
   void onCrashReset(net::HostId node, bool macQuiescent, bool statesFlushed,
                     bool tableCleared, sim::TimePoint at);
 };

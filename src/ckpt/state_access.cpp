@@ -371,6 +371,15 @@ HostFingerprint StateAccess::host(const experiment::Host& host) {
   }
   Digest d;
   addSorted(d, states);
+  // The terminal record, as (broadcast position, phase) pairs: a broadcast
+  // that turns terminal leaves the map but still changes the word.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> terminal;
+  for (std::size_t i = 0; i < host.terminal_.size(); ++i) {
+    const auto phase = host.terminal_.get(i);
+    if (phase == experiment::Host::PacketPhase::kUnseen) continue;
+    terminal.emplace_back(i, static_cast<std::uint64_t>(phase));
+  }
+  addSorted(d, terminal);
   w[HostFingerprint::kBroadcastStates] = d.value();
   return fp;
 }

@@ -1,5 +1,7 @@
 #include "experiment/host.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "audit/audit.hpp"
@@ -12,6 +14,14 @@
 #endif
 
 namespace manet::experiment {
+namespace {
+
+// The terminal record's 2-bit codes; code 0 means "not terminal".
+constexpr Host::PacketPhase kTerminalCodes[] = {
+    Host::PacketPhase::kUnseen, Host::PacketPhase::kSent,
+    Host::PacketPhase::kInhibited, Host::PacketPhase::kSource};
+
+}  // namespace
 
 Host::Host(World& world, net::HostId id,
            std::unique_ptr<mobility::MobilityModel> mobility, sim::Rng rng)
@@ -40,12 +50,14 @@ void Host::onCrash() {
   // NOLINT-determinism(cancel-only pass; the map is cleared right after)
   for (auto& [bid, state] : states_) state.jitterTimer.cancel();
   states_.clear();
+  terminal_.clear();
   mac_->reset();
   table_.clear();
-  // Flush consistency: a cold reboot must leave no duplicate-cache entries,
-  // queued frames, or learned neighbors behind (DESIGN.md §8).
+  // Flush consistency: a cold reboot must leave no duplicate-cache entries
+  // (in flight or terminal), queued frames, or learned neighbors behind
+  // (DESIGN.md §8).
   MANET_AUDIT_HOOK(audit::ChurnAudit{}.onCrashReset(
-      id_, mac_->quiescent(), states_.empty(),
+      id_, mac_->quiescent(), states_.empty() && terminal_.empty(),
       table_.neighborCount(now()) == 0, now()));
 }
 
@@ -58,19 +70,48 @@ void Host::onRecover() {
 net::BroadcastId Host::originateBroadcast() {
   const net::BroadcastId bid{id_, nextSeq_};
   nextSeq_ = nextSeq_.next();
-  MANET_ASSERT(!states_.contains(bid));
-  BroadcastState& state = states_[bid];
-  state.phase = PacketPhase::kSource;
-  state.packet = net::makeDataPacket(bid, id_);
   world_.metrics().onBroadcastStart(bid, id_, now(), world_.reachableFrom(id_));
+  // Terminal at once: the MAC holds the packet by value, and the source
+  // never relays its own broadcast.
+  recordTerminal(bid, PacketPhase::kSource);
   emitTrace(trace::EventKind::kBroadcastOriginated, bid);
-  state.txId = mac_->enqueue(state.packet, net::kDataPacketBytes);
+  mac_->enqueue(net::makeDataPacket(bid, id_), net::kDataPacketBytes);
   return bid;
 }
 
 Host::PacketPhase Host::phaseOf(net::BroadcastId bid) const {
   auto it = states_.find(bid);
-  return it == states_.end() ? PacketPhase::kUnseen : it->second.phase;
+  return it == states_.end() ? terminalPhase(bid) : it->second.phase;
+}
+
+Host::PacketPhase Host::terminalPhase(net::BroadcastId bid) const {
+  const auto index = world_.metrics().indexOf(bid);
+  return index ? terminal_.get(*index) : PacketPhase::kUnseen;
+}
+
+void Host::recordTerminal(net::BroadcastId bid, PacketPhase phase) {
+  const auto index = world_.metrics().indexOf(bid);
+  MANET_ASSERT(index.has_value());
+  terminal_.set(*index, phase);
+}
+
+Host::PacketPhase Host::TerminalRecord::get(std::size_t index) const {
+  const std::size_t byte = index / kPerByte;
+  if (byte >= bytes_.size()) return PacketPhase::kUnseen;
+  return kTerminalCodes[(bytes_[byte] >> (2 * (index % kPerByte))) & 3u];
+}
+
+void Host::TerminalRecord::set(std::size_t index, PacketPhase phase) {
+  const auto* code =
+      std::find(std::begin(kTerminalCodes) + 1, std::end(kTerminalCodes), phase);
+  MANET_ASSERT(code != std::end(kTerminalCodes));
+  MANET_ASSERT(get(index) == PacketPhase::kUnseen);
+  const std::size_t byte = index / kPerByte;
+  if (byte >= bytes_.size()) bytes_.resize(byte + 1, 0);
+  const auto bits =
+      static_cast<unsigned>(code - std::begin(kTerminalCodes));
+  bytes_[byte] = static_cast<std::uint8_t>(
+      bytes_[byte] | (bits << (2 * (index % kPerByte))));
 }
 
 void Host::onReceive(const phy::Frame& frame) {
@@ -88,11 +129,13 @@ void Host::onReceive(const phy::Frame& frame) {
 void Host::handleData(const phy::Frame& frame) {
   const net::Packet& packet = frame.packet;
   const core::Reception rx{packet.sender, frame.srcPos, now()};
-  auto it = states_.find(packet.bid);
-  if (it == states_.end()) {
-    handleFirstReception(packet, rx);
+  if (auto it = states_.find(packet.bid); it != states_.end()) {
+    handleDuplicate(it, rx);
+  } else if (terminalPhase(packet.bid) != PacketPhase::kUnseen) {
+    // Terminal: a host rebroadcasts at most once (§2.1).
+    emitTrace(trace::EventKind::kDuplicateHeard, packet.bid, rx.from);
   } else {
-    handleDuplicate(it->second, packet.bid, rx);
+    handleFirstReception(packet, rx);
   }
 }
 
@@ -101,19 +144,19 @@ void Host::handleFirstReception(const net::Packet& packet,
   const net::BroadcastId bid = packet.bid;
   world_.metrics().onDelivered(bid, id_, now(), packet.hopCount + 1);
   emitTrace(trace::EventKind::kDelivered, bid, rx.from);
+  auto decider = world_.policy().makeDecider(*this, rx);
+  if (!decider->shouldProceed(*this)) {
+    // S1 -> S5: inhibited before even entering the jitter wait.
+    inhibit(bid);
+    return;
+  }
   BroadcastState& state = states_[bid];
+  state.decider = std::move(decider);
   // Rebroadcast the same payload under the same (origin, seq) identity,
   // with ourselves as the relaying sender.
   state.packet = packet;
   state.packet.sender = id_;
   state.packet.hopCount = static_cast<std::uint16_t>(packet.hopCount + 1);
-  state.decider = world_.policy().makeDecider(*this, rx);
-
-  if (!state.decider->shouldProceed(*this)) {
-    // S1 -> S5: inhibited before even entering the jitter wait.
-    inhibit(state, bid);
-    return;
-  }
   // S2: wait a random number (0..jitterSlots) of slots, then hand to the MAC.
   state.phase = PacketPhase::kJitter;
   // The draw is a dimensionless slot count (0..jitterSlots), scaled by the
@@ -132,46 +175,38 @@ void Host::handleFirstReception(const net::Packet& packet,
 void Host::submitToMac(net::BroadcastId bid) {
   auto it = states_.find(bid);
   MANET_ASSERT(it != states_.end());
+  MANET_ASSERT(it->second.phase == PacketPhase::kJitter);
+  it->second.phase = PacketPhase::kQueued;
+  const mac::DcfMac::TxId txId =
+      mac_->enqueue(it->second.packet, net::kDataPacketBytes);
+  // An idle medium starts the frame inside enqueue, and onTxStarted has
+  // then erased the entry: look it up again.
+  it = states_.find(bid);
+  if (it != states_.end()) it->second.txId = txId;
+}
+
+void Host::handleDuplicate(StateMap::iterator it, const core::Reception& rx) {
+  const net::BroadcastId bid = it->first;
   BroadcastState& state = it->second;
-  MANET_ASSERT(state.phase == PacketPhase::kJitter);
-  state.phase = PacketPhase::kQueued;
-  state.txId = mac_->enqueue(state.packet, net::kDataPacketBytes);
-}
-
-void Host::handleDuplicate(BroadcastState& state, net::BroadcastId bid,
-                           const core::Reception& rx) {
-  switch (state.phase) {
-    case PacketPhase::kJitter:
-    case PacketPhase::kQueued:
-      emitTrace(trace::EventKind::kDuplicateHeard, bid, rx.from);
-      // S4: let the scheme re-assess redundancy.
-      if (!state.decider->onDuplicate(*this, rx)) {
-        inhibit(state, bid);
-      }
-      return;
-    case PacketPhase::kSent:
-    case PacketPhase::kInhibited:
-    case PacketPhase::kSource:
-      emitTrace(trace::EventKind::kDuplicateHeard, bid, rx.from);
-      return;  // terminal; a host rebroadcasts at most once (§2.1)
-    case PacketPhase::kUnseen:
-      MANET_ASSERT(false);
-      return;
-  }
-}
-
-void Host::inhibit(BroadcastState& state, net::BroadcastId bid) {
+  MANET_ASSERT(state.phase == PacketPhase::kJitter ||
+               state.phase == PacketPhase::kQueued);
+  emitTrace(trace::EventKind::kDuplicateHeard, bid, rx.from);
+  // S4: let the scheme re-assess redundancy.
+  if (state.decider->onDuplicate(*this, rx)) return;
   // S5: cancel whatever stage of waiting we were in.
   state.jitterTimer.cancel();
   if (state.txId != mac::DcfMac::kInvalidTx) {
     const bool cancelled = mac_->cancel(state.txId);
     // A queued frame is always still cancellable here: the MAC notifies us
-    // synchronously at transmission start, flipping the phase to kSent first.
+    // synchronously at transmission start, which erases the entry first.
     MANET_ASSERT(cancelled);
-    state.txId = mac::DcfMac::kInvalidTx;
   }
-  state.phase = PacketPhase::kInhibited;
-  state.decider.reset();
+  states_.erase(it);
+  inhibit(bid);
+}
+
+void Host::inhibit(net::BroadcastId bid) {
+  recordTerminal(bid, PacketPhase::kInhibited);
   world_.metrics().onFinalized(bid, id_, now());
   emitTrace(trace::EventKind::kInhibited, bid);
 }
@@ -180,15 +215,16 @@ void Host::onTxStarted(mac::DcfMac::TxId, const net::Packet& packet) {
   if (packet.type != net::PacketType::kData) return;
   emitTrace(trace::EventKind::kTxStarted, packet.bid);
   auto it = states_.find(packet.bid);
-  MANET_ASSERT(it != states_.end());
-  BroadcastState& state = it->second;
-  if (state.phase == PacketPhase::kQueued) {
-    // S3: the rebroadcast is on the air; the decision is final.
-    state.phase = PacketPhase::kSent;
-    state.decider.reset();
-    world_.metrics().onRebroadcast(packet.bid, id_, now());
+  if (it == states_.end()) {
+    // The initial transmission is not a REbroadcast; nothing to count.
+    MANET_ASSERT(terminalPhase(packet.bid) == PacketPhase::kSource);
+    return;
   }
-  // kSource: the initial transmission is not a REbroadcast; nothing to count.
+  // S3: the rebroadcast is on the air; the decision is final.
+  MANET_ASSERT(it->second.phase == PacketPhase::kQueued);
+  states_.erase(it);
+  recordTerminal(packet.bid, PacketPhase::kSent);
+  world_.metrics().onRebroadcast(packet.bid, id_, now());
 }
 
 void Host::onTxFinished(mac::DcfMac::TxId, const net::Packet& packet) {

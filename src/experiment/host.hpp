@@ -3,8 +3,11 @@
 // core/policy.hpp); the scheme itself is a PacketDecider.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "core/policy.hpp"
 #include "mac/dcf.hpp"
@@ -52,9 +55,13 @@ class Host final : public mac::DcfMac::Upper, public core::HostView {
   mac::DcfMac& mac() { return *mac_; }
   const net::HelloAgent& helloAgent() const { return *hello_; }
 
-  /// Terminal protocol state of this host for `bid` (for tests/inspection).
+  /// Protocol phase of this host for `bid` (for tests/inspection): kJitter
+  /// or kQueued from the in-flight map, kSent, kInhibited or kSource from the
+  /// terminal record, kUnseen when neither holds it.
   enum class PacketPhase { kUnseen, kJitter, kQueued, kSent, kInhibited, kSource };
   PacketPhase phaseOf(net::BroadcastId bid) const;
+  /// Broadcasts this host holds in-flight state for (kJitter or kQueued).
+  std::size_t liveBroadcasts() const { return states_.size(); }
 
   // --- mac::DcfMac::Upper ---
   void onTxStarted(mac::DcfMac::TxId id, const net::Packet& packet) override;
@@ -76,6 +83,11 @@ class Host final : public mac::DcfMac::Upper, public core::HostView {
 
  private:
   friend struct manet::ckpt::StateAccess;
+  /// A broadcast this host heard and may still relay: kJitter or kQueued,
+  /// the two phases a duplicate can still change. The entry is erased when
+  /// the broadcast turns terminal (sent or inhibited); the terminal record
+  /// keeps that phase, so memory follows the broadcasts in flight. A source
+  /// never has an entry: its MAC holds the packet by value.
   struct BroadcastState {
     PacketPhase phase = PacketPhase::kUnseen;
     std::unique_ptr<core::PacketDecider> decider;
@@ -83,14 +95,37 @@ class Host final : public mac::DcfMac::Upper, public core::HostView {
     mac::DcfMac::TxId txId = mac::DcfMac::kInvalidTx;
     net::Packet packet;  // what we would rebroadcast
   };
+  using StateMap =
+      std::unordered_map<net::BroadcastId, BroadcastState, net::BroadcastIdHash>;
+
+  /// Terminal phases (kSent, kInhibited, kSource), 2 bits per broadcast,
+  /// indexed by the broadcast's position in MetricsCollector::broadcasts().
+  /// Code 0 means "not terminal".
+  class TerminalRecord {
+   public:
+    PacketPhase get(std::size_t index) const;
+    /// Each broadcast turns terminal at most once per host.
+    void set(std::size_t index, PacketPhase phase);
+    bool empty() const { return bytes_.empty(); }
+    void clear() { bytes_.clear(); }
+    std::size_t size() const { return bytes_.size() * kPerByte; }
+
+   private:
+    static constexpr std::size_t kPerByte = 4;
+    std::vector<std::uint8_t> bytes_;
+  };
 
   void handleData(const phy::Frame& frame);
   void handleFirstReception(const net::Packet& packet,
                             const core::Reception& rx);
-  void handleDuplicate(BroadcastState& state, net::BroadcastId bid,
-                       const core::Reception& rx);
+  void handleDuplicate(StateMap::iterator it, const core::Reception& rx);
   void submitToMac(net::BroadcastId bid);
-  void inhibit(BroadcastState& state, net::BroadcastId bid);
+  /// S5 for a broadcast with no in-flight state left: records kInhibited and
+  /// finalizes it.
+  void inhibit(net::BroadcastId bid);
+  /// The terminal phase of `bid`, or kUnseen.
+  PacketPhase terminalPhase(net::BroadcastId bid) const;
+  void recordTerminal(net::BroadcastId bid, PacketPhase phase);
   void emitTrace(trace::EventKind kind, net::BroadcastId bid,
                  net::HostId from = net::kInvalidHost,
                  phy::DropReason drop = phy::DropReason::kNone);
@@ -109,8 +144,8 @@ class Host final : public mac::DcfMac::Upper, public core::HostView {
   std::unique_ptr<net::HelloAgent> hello_;
   net::BroadcastSeq nextSeq_{};  // survives crashes: bids stay unique
   bool up_ = true;
-  std::unordered_map<net::BroadcastId, BroadcastState, net::BroadcastIdHash>
-      states_;
+  StateMap states_;  // in flight only
+  TerminalRecord terminal_;
 };
 
 }  // namespace manet::experiment

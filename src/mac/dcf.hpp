@@ -79,7 +79,9 @@ class DcfMac final : public phy::Channel::Listener {
   DcfMac(const DcfMac&) = delete;
   DcfMac& operator=(const DcfMac&) = delete;
 
-  /// Queues a broadcast frame; FIFO order. Returns its TxId.
+  /// Queues a broadcast frame; FIFO order. Returns its TxId. When the
+  /// medium has been idle for DIFS and no backoff is owed, the frame starts
+  /// inside this call: Upper::onTxStarted runs before enqueue returns.
   TxId enqueue(net::Packet packet, std::size_t bytes);
 
   /// Removes a queued frame. Returns true if it was still waiting; false if

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -86,6 +87,12 @@ class MetricsCollector {
 
   /// Results ---------------------------------------------------------------
   const std::vector<PerBroadcast>& broadcasts() const { return order_; }
+  /// Position of `bid` in broadcasts(); nullopt if it never started.
+  std::optional<std::size_t> indexOf(net::BroadcastId bid) const {
+    auto it = live_.find(bid);
+    if (it == live_.end()) return std::nullopt;
+    return it->second.index;
+  }
   std::uint64_t hellosSent() const { return hellosSent_; }
   RunSummary summarize() const;
 

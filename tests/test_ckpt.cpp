@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "ckpt/state_access.hpp"
+#include "experiment/host.hpp"
 #include "experiment/world.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
@@ -98,6 +99,42 @@ TEST(CkptFingerprint, SchedulerDigestCoversLaneEvents) {
   lanedH[2].cancel();
   twinH[1].cancel();
   EXPECT_EQ(digest(laned), digest(twin));
+}
+
+// A broadcast that turns terminal leaves the host's in-flight map, so the
+// broadcast-states word must fold the terminal record too. Host 1 relays in
+// two flooding worlds that differ only in its position, and is inhibited in
+// a location-scheme world where it sits on the source: the word matches
+// across the two relays and tells kSent from kInhibited.
+TEST(CkptFingerprint, BroadcastStatesWordFoldsTerminalPhase) {
+  const auto host1Word = [](std::vector<geom::Vec2> positions,
+                            SchemeSpec scheme,
+                            experiment::Host::PacketPhase expected) {
+    ScenarioConfig c;
+    c.fixedPositions = std::move(positions);
+    c.scheme = std::move(scheme);
+    c.mapUnits = 11;
+    c.numBroadcasts = 0;
+    c.seed = 5;
+    World w(c);
+    w.host(net::HostId{0}).originateBroadcast();
+    w.scheduler().runUntil(sim::kTimeZero + 1 * sim::kSecond);
+    const net::BroadcastId bid{net::HostId{0}, net::BroadcastSeq{0}};
+    EXPECT_EQ(w.host(net::HostId{1}).phaseOf(bid), expected);
+    EXPECT_EQ(w.host(net::HostId{1}).liveBroadcasts(), 0u);
+    return StateAccess::host(w.host(net::HostId{1}))
+        .words[HostFingerprint::kBroadcastStates];
+  };
+  using Phase = experiment::Host::PacketPhase;
+  const std::uint64_t sent = host1Word({{0, 0}, {400, 0}, {5000, 5000}},
+                                       SchemeSpec::flooding(), Phase::kSent);
+  const std::uint64_t sentNearer = host1Word(
+      {{0, 0}, {300, 0}, {5000, 5000}}, SchemeSpec::flooding(), Phase::kSent);
+  const std::uint64_t inhibited =
+      host1Word({{0, 0}, {0, 0}, {5000, 5000}}, SchemeSpec::location(0.05),
+                Phase::kInhibited);
+  EXPECT_EQ(sent, sentNearer);
+  EXPECT_NE(sent, inhibited);
 }
 
 // Capturing at quarter, half and three-quarter time and then finishing

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "experiment/world.hpp"
+#include "net/packet.hpp"
+#include "phy/channel.hpp"
 #include "sim/time.hpp"
 
 namespace manet::experiment {
@@ -32,6 +36,8 @@ TEST(Host, SourcePhaseAfterOriginate) {
   w.host(net::HostId{0}).originateBroadcast();
   EXPECT_EQ(w.host(net::HostId{0}).phaseOf(B(0, 0)), Host::PacketPhase::kSource);
   EXPECT_EQ(w.host(net::HostId{1}).phaseOf(B(0, 0)), Host::PacketPhase::kUnseen);
+  // Terminal at once: the source keeps no in-flight state.
+  EXPECT_EQ(w.host(net::HostId{0}).liveBroadcasts(), 0u);
 }
 
 TEST(Host, FloodingReceiverRelaysExactlyOnce) {
@@ -39,6 +45,7 @@ TEST(Host, FloodingReceiverRelaysExactlyOnce) {
   w.host(net::HostId{0}).originateBroadcast();
   w.scheduler().runUntil(sim::kTimeZero + 1 * kSecond);
   EXPECT_EQ(w.host(net::HostId{1}).phaseOf(B(0, 0)), Host::PacketPhase::kSent);
+  EXPECT_EQ(w.host(net::HostId{1}).liveBroadcasts(), 0u);  // sent: erased
   // 2 data frames total: source + one relay (host 0 ignores the echo).
   EXPECT_EQ(w.channel().framesTransmitted(), 2u);
 }
@@ -192,6 +199,98 @@ TEST(Host, NeighborCoverageLeafDoesNotRelay) {
   const auto& pb = w.metrics().broadcasts().at(0);
   EXPECT_EQ(pb.received, 2);
   EXPECT_EQ(pb.rebroadcast, 1);
+}
+
+// A crash is a cold reboot (DESIGN.md §8): the terminal record goes with the
+// in-flight map, so a copy heard after recovery is a first reception again.
+// The collector's per-host delivery bits keep it out of r a second time.
+TEST(Host, CrashForgetsTerminalPhases) {
+  World w(staticConfig({{0, 0}, {400, 0}}, SchemeSpec::flooding()));
+  w.host(net::HostId{0}).originateBroadcast();
+  w.scheduler().runUntil(sim::kTimeZero + 1 * kSecond);
+  Host& relay = w.host(net::HostId{1});
+  ASSERT_EQ(relay.phaseOf(B(0, 0)), Host::PacketPhase::kSent);
+  const auto& pb = w.metrics().broadcasts().at(0);
+  ASSERT_EQ(pb.received, 1);
+  ASSERT_EQ(pb.rebroadcast, 1);
+
+  w.setHostUp(net::HostId{1}, false);
+  w.setHostUp(net::HostId{1}, true);
+  EXPECT_EQ(relay.phaseOf(B(0, 0)), Host::PacketPhase::kUnseen);
+  EXPECT_EQ(relay.liveBroadcasts(), 0u);
+
+  phy::Frame copy;
+  copy.src = net::HostId{0};
+  copy.packet = net::makeDataPacket(B(0, 0), net::HostId{0});
+  relay.onReceive(copy);
+  EXPECT_EQ(relay.phaseOf(B(0, 0)), Host::PacketPhase::kJitter);
+  EXPECT_EQ(relay.liveBroadcasts(), 1u);
+  w.scheduler().runUntil(sim::kTimeZero + 2 * kSecond);
+  EXPECT_EQ(relay.phaseOf(B(0, 0)), Host::PacketPhase::kSent);
+  EXPECT_EQ(pb.received, 1);
+  EXPECT_EQ(pb.rebroadcast, 2);
+}
+
+// Per-broadcast host memory follows the broadcasts in flight, not the run
+// length: on a dense 1x1 flood the largest number of live host states over
+// a run of 4N broadcasts matches that of N broadcasts up to one full set of
+// relays per broadcast in flight, and nothing is left once the run drains.
+TEST(Host, LiveStatesFollowBroadcastsInFlight) {
+  struct Peak {
+    std::size_t live = 0;      // live host states, summed over hosts
+    std::size_t inFlight = 0;  // broadcasts some host holds live state for
+  };
+  const auto runDense = [](int broadcasts) {
+    ScenarioConfig c;
+    c.mapUnits = 1;
+    c.numHosts = 100;
+    c.scheme = SchemeSpec::flooding();
+    c.numBroadcasts = broadcasts;
+    c.seed = 42;
+    World w(c);
+    w.beginRun();
+    Peak peak;
+    for (sim::TimePoint t = sim::kTimeZero; t < w.horizonTime();
+         t += 20 * sim::kMillisecond) {
+      w.continueUntil(t);
+      std::size_t live = 0;
+      for (std::uint32_t h = 0; h < w.hostCount(); ++h) {
+        live += w.host(net::HostId{h}).liveBroadcasts();
+      }
+      std::size_t inFlight = 0;
+      for (const auto& pb : w.metrics().broadcasts()) {
+        for (std::uint32_t h = 0; h < w.hostCount(); ++h) {
+          const auto phase = w.host(net::HostId{h}).phaseOf(pb.bid);
+          if (phase == Host::PacketPhase::kJitter ||
+              phase == Host::PacketPhase::kQueued) {
+            ++inFlight;
+            break;
+          }
+        }
+      }
+      // Each broadcast in flight holds at most one state per non-source host.
+      EXPECT_LE(live, inFlight * (w.hostCount() - 1)) << "at " << sim::toSeconds(t);
+      peak.live = std::max(peak.live, live);
+      peak.inFlight = std::max(peak.inFlight, inFlight);
+    }
+    w.runToEnd();
+    for (std::uint32_t h = 0; h < w.hostCount(); ++h) {
+      EXPECT_EQ(w.host(net::HostId{h}).liveBroadcasts(), 0u) << "host " << h;
+    }
+    EXPECT_EQ(w.metrics().broadcasts().size(),
+              static_cast<std::size_t>(broadcasts));
+    return peak;
+  };
+  constexpr int kN = 10;
+  const Peak small = runDense(kN);
+  const Peak large = runDense(4 * kN);
+  ASSERT_GT(small.live, 0u);  // the sampling saw broadcasts in flight
+  const std::size_t slack =
+      std::max(small.inFlight, large.inFlight) * (100 - 1);
+  EXPECT_LE(large.live, small.live + slack);
+  EXPECT_LE(small.live, large.live + slack);
+  // Far below one state per host per broadcast of the run.
+  EXPECT_LT(large.live, static_cast<std::size_t>(4 * kN) * 99 / 4);
 }
 
 TEST(Host, JitterDelaysMacSubmission) {
