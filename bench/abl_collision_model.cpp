@@ -13,7 +13,9 @@
 
 using namespace manet;
 
-int main() {
+namespace {
+
+int run() {
   const auto scale = experiment::benchScale(40);
   bench::banner("Ablation - collision model on/off",
                 "flooding's RE loss is collision-induced (paper §4.4)",
@@ -60,3 +62,7 @@ int main() {
   }
   return 0;
 }
+
+}  // namespace
+
+int main() { return experiment::benchMain(run); }

@@ -12,7 +12,9 @@
 
 using namespace manet;
 
-int main() {
+namespace {
+
+int run() {
   const auto scale = experiment::benchScale(40);
   bench::banner("Ablation - S2 jitter window",
                 "no jitter => synchronized rebroadcasts => collisions",
@@ -53,3 +55,7 @@ int main() {
   }
   return 0;
 }
+
+}  // namespace
+
+int main() { return experiment::benchMain(run); }

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdio>
+#include <exception>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -55,8 +56,9 @@ class Report {
   Report(const Report&) = delete;
   Report& operator=(const Report&) = delete;
 
+  // A run that ends by an exception (a malformed knob, say) writes none.
   ~Report() {
-    if (!enabled()) return;
+    if (!enabled() || std::uncaught_exceptions() > 0) return;
     if (obs::writeReportFile(path_, name_, samples_)) {
       std::cerr << "bench: wrote " << path_ << " (" << samples_.size()
                 << " rows)\n";

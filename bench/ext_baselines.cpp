@@ -13,7 +13,9 @@
 
 using namespace manet;
 
-int main() {
+namespace {
+
+int run() {
   const auto scale = experiment::benchScale(40);
   bench::banner("Extension - the [15] baseline family",
                 "probabilistic and distance-based suppression vs counter",
@@ -58,3 +60,7 @@ int main() {
   std::cout << "\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return experiment::benchMain(run); }

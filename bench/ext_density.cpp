@@ -15,7 +15,9 @@
 
 using namespace manet;
 
-int main() {
+namespace {
+
+int run() {
   const auto scale = experiment::benchScale(1);
   bench::banner("Analysis - map structure per density",
                 "density sweep behind all figures: degree, partitioning, e",
@@ -59,3 +61,7 @@ int main() {
   std::cout << "\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return experiment::benchMain(run); }

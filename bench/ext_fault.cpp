@@ -122,7 +122,9 @@ void printPanel(const char* title, const experiment::ScenarioConfig& base,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   bench::Report report(argc, argv, "ext_fault");
   const auto scale = experiment::benchScale(20);
   bench::banner(
@@ -153,4 +155,10 @@ int main(int argc, char** argv) {
                report, "churn");
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return experiment::benchMain([&] { return run(argc, argv); });
 }

@@ -151,7 +151,9 @@ void runPanel(const char* title, const experiment::ScenarioConfig& base,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   bench::Report report(argc, argv, "ext_load");
   const auto scale = experiment::benchScale(20);
   bench::banner(
@@ -177,4 +179,10 @@ int main(int argc, char** argv) {
              "locality");
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return experiment::benchMain([&] { return run(argc, argv); });
 }

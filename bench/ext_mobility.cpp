@@ -13,7 +13,9 @@
 
 using namespace manet;
 
-int main() {
+namespace {
+
+int run() {
   const auto scale = experiment::benchScale(40);
   bench::banner("Extension - mobility-model sensitivity",
                 "adaptive advantage holds across mobility models", scale);
@@ -71,3 +73,7 @@ int main() {
   }
   return 0;
 }
+
+}  // namespace
+
+int main() { return experiment::benchMain(run); }

@@ -11,7 +11,9 @@
 
 using namespace manet;
 
-int main() {
+namespace {
+
+int run() {
   const auto scale = experiment::benchScale();
   bench::banner("Fig. 1 - EAC(k)",
                 "EAC(1) ~ 0.41; EAC(k) < 5% once k >= 4", scale);
@@ -32,3 +34,7 @@ int main() {
   std::cout << "\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return experiment::benchMain(run); }

@@ -12,7 +12,9 @@
 
 using namespace manet;
 
-int main() {
+namespace {
+
+int run() {
   const auto scale = experiment::benchScale();
   bench::banner("Fig. 2 - cf(n,k)",
                 "cf(n,0) > 0.8 for n >= 6; cf(n,1) drops sharply", scale);
@@ -37,3 +39,7 @@ int main() {
   std::cout << "\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return experiment::benchMain(run); }

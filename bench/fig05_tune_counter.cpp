@@ -72,7 +72,9 @@ void printPanel(bench::Report& report, const Panel& panel,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   bench::Report report(argc, argv, "fig05_tune_counter");
   const auto scale = experiment::benchScale(40);
   bench::banner("Fig. 5 - tuning C(n) for the adaptive counter scheme",
@@ -123,4 +125,10 @@ int main(int argc, char** argv) {
   std::cout << "\nSuggested C(n) as digit sequence: " << lin.toDigits()
             << "\n\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return experiment::benchMain([&] { return run(argc, argv); });
 }

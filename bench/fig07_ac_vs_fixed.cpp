@@ -13,7 +13,9 @@
 
 using namespace manet;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   bench::Report report(argc, argv, "fig07_ac_vs_fixed");
   const auto scale = experiment::benchScale(60);
   bench::banner("Fig. 7 - AC vs fixed counter thresholds",
@@ -60,4 +62,10 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return experiment::benchMain([&] { return run(argc, argv); });
 }

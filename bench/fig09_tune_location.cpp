@@ -15,7 +15,9 @@
 
 using namespace manet;
 
-int main() {
+namespace {
+
+int run() {
   const auto scale = experiment::benchScale(60);
   bench::banner("Fig. 9 - tuning A(n) for the adaptive location scheme",
                 "(6,12), (8,12), (8,10) all give high RE; (6,12) wins on SRB",
@@ -79,3 +81,7 @@ int main() {
   std::cout << "\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return experiment::benchMain(run); }

@@ -12,7 +12,9 @@
 
 using namespace manet;
 
-int main() {
+namespace {
+
+int run() {
   const auto scale = experiment::benchScale(60);
   bench::banner("Fig. 10 - AL vs fixed location thresholds",
                 "fixed A degrades in sparse maps; AL does not", scale);
@@ -57,3 +59,7 @@ int main() {
   std::cout << "\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return experiment::benchMain(run); }

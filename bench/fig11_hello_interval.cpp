@@ -12,7 +12,9 @@
 
 using namespace manet;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   bench::Report report(argc, argv, "fig11_hello_interval");
   const auto scale = experiment::benchScale(40);
   bench::banner("Fig. 11 - NC scheme vs hello interval and speed",
@@ -68,4 +70,10 @@ int main(int argc, char** argv) {
     std::cout << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return experiment::benchMain([&] { return run(argc, argv); });
 }

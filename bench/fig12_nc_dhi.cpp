@@ -12,7 +12,9 @@
 
 using namespace manet;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   bench::Report report(argc, argv, "fig12_nc_dhi");
   const auto scale = experiment::benchScale(40);
   bench::banner("Fig. 12 - NC with dynamic hello interval (DHI)",
@@ -69,4 +71,10 @@ int main(int argc, char** argv) {
   rate.print(std::cout);
   std::cout << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return experiment::benchMain([&] { return run(argc, argv); });
 }

@@ -14,7 +14,9 @@
 
 using namespace manet;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   bench::Report report(argc, argv, "fig13_overall");
   const auto scale = experiment::benchScale(60);
   bench::banner("Fig. 13 - overall comparison (one table per map)",
@@ -70,4 +72,10 @@ int main(int argc, char** argv) {
     std::cout << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return experiment::benchMain([&] { return run(argc, argv); });
 }

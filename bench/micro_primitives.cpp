@@ -84,6 +84,7 @@ std::vector<geom::Vec2> heardSenders(int senders, sim::Rng& rng) {
   return covered;
 }
 
+/// k heard senders; k = 8 is the dense 1x1 map's regime.
 void BM_UncoveredFraction(benchmark::State& state) {
   sim::Rng rng(2);
   const auto covered = heardSenders(static_cast<int>(state.range(0)), rng);
@@ -92,7 +93,7 @@ void BM_UncoveredFraction(benchmark::State& state) {
         geom::uncoveredFraction({0, 0}, covered, 500.0, rng, 512));
   }
 }
-BENCHMARK(BM_UncoveredFraction)->Arg(1)->Arg(4)->Arg(12);
+BENCHMARK(BM_UncoveredFraction)->Arg(1)->Arg(4)->Arg(8)->Arg(12);
 
 /// The location schemes' decision at the fixed thresholds A = 0.1871 and
 /// A = 0.0134 (second argument, in units of 1e-4).
@@ -106,7 +107,7 @@ void BM_UncoveredFractionAtLeast(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UncoveredFractionAtLeast)
-    ->ArgsProduct({{1, 4, 12}, {1871, 134}});
+    ->ArgsProduct({{1, 4, 8, 12}, {1871, 134}});
 
 void BM_ConnectivityBfs(benchmark::State& state) {
   const int hosts = static_cast<int>(state.range(0));

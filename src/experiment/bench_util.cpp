@@ -1,5 +1,7 @@
 #include "experiment/bench_util.hpp"
 
+#include <iostream>
+
 #include "util/env.hpp"
 
 namespace manet::experiment {
@@ -19,6 +21,15 @@ void applyScale(ScenarioConfig& config, const BenchScale& scale) {
   config.numBroadcasts = scale.broadcasts;
   config.seed = scale.seed;
   config.numHosts = scale.numHosts;
+}
+
+int benchMain(const std::function<int()>& body) {
+  try {
+    return body();
+  } catch (const util::EnvError& e) {
+    std::cerr << e.what() << '\n';
+    return 2;
+  }
 }
 
 const std::vector<int>& paperMapSizes() {

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "experiment/scenario.hpp"
@@ -23,6 +24,12 @@ BenchScale benchScale(int defaultBroadcasts = 60, int defaultReps = 1,
 
 /// Applies a BenchScale onto a scenario.
 void applyScale(ScenarioConfig& config, const BenchScale& scale);
+
+/// Every bench's `main` runs its body through here and returns what this
+/// returns: the body's exit code, or 2 when a knob read during the run (on
+/// any runCells worker too) is malformed. The util::EnvError message goes
+/// to stderr; a bench would otherwise end in std::terminate.
+int benchMain(const std::function<int()>& body);
 
 /// The paper's map-size sweep {1,3,5,7,9,11}.
 const std::vector<int>& paperMapSizes();

@@ -6,10 +6,12 @@
 //    the packet from reaches a threshold (paper §2.3.2 / §3.2), and
 //  * the EAC(k) experiment behind Fig. 1, which needs the fraction itself.
 //
-// Both run one sampling loop (DESIGN.md §7.4): a sample within r - dmin of
-// `self`, dmin being the distance to the nearest sender, lies in that
-// sender's disk and is accepted without its trig, and the decision stops
-// sampling once the verdict cannot change. Neither shortcut changes a
+// Both run one sampling loop (DESIGN.md §7.4), in blocks of 64 samples: a
+// sample within r - dmin of `self`, dmin being the distance to the nearest
+// sender, lies in that sender's disk; the others are placed with a cheap
+// sin/cos and scanned against every disk at once, and only a sample within
+// a thin band of a rim takes libm's trig and the plain scan; the decision
+// stops sampling once the verdict cannot change. No shortcut changes a
 // result or the number of draws taken.
 #pragma once
 

@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
-#include <stdexcept>
 #include <system_error>
 
 namespace manet::util {
@@ -15,8 +14,8 @@ std::int64_t envInt(const char* name, std::int64_t fallback) {
   std::int64_t value = 0;
   const auto [ptr, ec] = std::from_chars(raw, end, value, 10);
   if (ec != std::errc{} || ptr != end) {
-    throw std::invalid_argument(std::string(name) + "=\"" + raw +
-                                "\" is not a base-10 integer in range");
+    throw EnvError(std::string(name) + "=\"" + raw +
+                   "\" is not a base-10 integer in range");
   }
   return value;
 }

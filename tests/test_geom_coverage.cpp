@@ -144,14 +144,17 @@ TEST(EacSeries, ScaleInvariantInRadius) {
 // to the estimate's achievable values.
 TEST(UncoveredFractionAtLeast, MatchesReferenceOnRandomCases) {
   constexpr std::array<double, 2> kRadii{1.0, 500.0};
-  constexpr std::array<int, 5> kSamples{1, 2, 7, 512, 1024};
+  // 63..129 end the kernel's 64-sample blocks early, exactly and late, and
+  // settle verdicts inside a block.
+  constexpr std::array<int, 10> kSamples{1,  2,  7,   63,  64,
+                                         65, 128, 129, 512, 1024};
   constexpr std::array<double, 7> kFixedThresholds{
       0.0, 1.0, 1.5, 0.1871, 0.0469, 0.0134, 0.187};
   sim::Rng gen(2024);
   for (int trial = 0; trial < 10000; ++trial) {
     const double r = kRadii[static_cast<std::size_t>(gen.uniformInt(0, 1))];
     const int samples =
-        kSamples[static_cast<std::size_t>(gen.uniformInt(0, 4))];
+        kSamples[static_cast<std::size_t>(gen.uniformInt(0, 9))];
     const Vec2 self{gen.uniform(-6000.0, 6000.0),
                     gen.uniform(-6000.0, 6000.0)};
     const int k = static_cast<int>(gen.uniformInt(0, 40));
@@ -232,6 +235,70 @@ TEST(UncoveredFractionAtLeast, InteriorAcceptanceHoldsAtTheRim) {
                     ref >= 1.0)
               << "r " << r << " offset " << offset << " seed " << seed
               << " gap " << gap;
+        }
+      }
+    }
+  }
+}
+
+/// Whether x + a, rounded, lies within `slack` of the midpoint between two
+/// doubles, where a direction off by ~1e-14 can round the other way.
+bool nearRoundingTie(double x, double a, double slack) {
+  const double sum = x + a;
+  const double back = sum - x;
+  const double err = (x - (sum - back)) + (a - back);  // x + a == sum + err
+  const double halfUlp = (up(std::fabs(sum)) - std::fabs(sum)) / 2.0;
+  return std::fabs(halfUlp - std::fabs(err)) <= slack;
+}
+
+// The kernel's filter places samples with its own sin/cos and hands a
+// sample whose least squared distance to a sender lies within 1e-6 * r^2 of
+// r^2 (its kFilterBand) to the plain scan. Random sender sets almost never
+// land there, so place the one sender to order: at distance r * sqrt(1 + g)
+// from a chosen sample, in one of 12 directions. The chosen sample is the
+// only one, or lane 37 of a 64-sample block. Away from the origin it is
+// one whose coordinate rounds from near a tie, where the filter's point can
+// land one ulp off the plain scan's: up to 2.2e-10 * r at 1e6 r, the worst
+// case the band is sized for.
+TEST(UncoveredFractionAtLeast, FilterBandFallsBackToTheExactTest) {
+  constexpr double kBand = 1e-6;
+  for (double r : {1.0, 500.0}) {
+    for (double offset : {0.0, 6000.0, 1e6 * r}) {
+      const Vec2 self{offset, -offset};
+      for (int lane : {0, 37}) {
+        const int samples = lane == 0 ? 1 : 64;
+        int placed = 0;
+        for (std::uint64_t seed = 0; placed < 100; ++seed) {
+          ASSERT_LT(seed, 10'000'000u) << "r " << r << " offset " << offset;
+          sim::Rng peek(seed);
+          for (int skip = 0; skip < 2 * lane; ++skip) (void)peek.next();
+          const double rho = r * std::sqrt(peek.uniform());
+          const Vec2 step = rho * unitVector(peek.uniform(0.0, 2.0 * kPi));
+          if (offset != 0.0 && !nearRoundingTie(self.x, step.x, 1e-14 * r) &&
+              !nearRoundingTie(self.y, step.y, 1e-14 * r)) {
+            continue;
+          }
+          ++placed;
+          const Vec2 dir =
+              unitVector(2.0 * kPi * static_cast<double>(seed % 12) / 12.0);
+          for (double gap : {0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9,
+                             kBand, -kBand, 2 * kBand, -2 * kBand}) {
+            const std::vector<Vec2> covered{
+                self + step + r * std::sqrt(1.0 + gap) * dir};
+            sim::Rng refRng(seed);
+            const double ref =
+                referenceFraction(self, covered, r, refRng, samples);
+            sim::Rng rng(seed);
+            ASSERT_EQ(uncoveredFraction(self, covered, r, rng, samples), ref)
+                << "r " << r << " offset " << offset << " seed " << seed
+                << " lane " << lane << " gap " << gap;
+            ASSERT_EQ(nextDraws(rng), nextDraws(refRng));
+            sim::Rng verdictRng(seed);
+            ASSERT_TRUE(uncoveredFractionAtLeast(self, covered, r, ref,
+                                                 verdictRng, samples))
+                << "r " << r << " offset " << offset << " seed " << seed
+                << " lane " << lane << " gap " << gap;
+          }
         }
       }
     }

@@ -2,7 +2,13 @@
 // scheme-level behaviour on the paper's maps (scaled down).
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <iostream>
+#include <stdexcept>
+#include <string>
+
 #include "experiment/bench_util.hpp"
+#include "experiment/parallel.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/world.hpp"
 #include "stats/connectivity.hpp"
@@ -215,6 +221,41 @@ TEST(Integration, BenchScaleReadsEnvironment) {
   applyScale(c, s);
   EXPECT_EQ(c.numBroadcasts, s.broadcasts);
   EXPECT_EQ(c.numHosts, s.numHosts);
+}
+
+TEST(Integration, BenchMainPassesTheBodysExitCode) {
+  EXPECT_EQ(benchMain([] { return 0; }), 0);
+  EXPECT_EQ(benchMain([] { return 3; }), 3);
+}
+
+TEST(Integration, BenchMainTurnsAMalformedKnobIntoExitTwo) {
+  for (const char* name : {"REPRO_BROADCASTS", "MANET_THREADS"}) {
+    ::setenv(name, "4x", 1);
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    const int code = benchMain([] {
+      std::cout << "banner\n";
+      (void)benchScale();
+      (void)defaultThreadCount();
+      std::cout << "table\n";
+      return 0;
+    });
+    const std::string out = testing::internal::GetCapturedStdout();
+    const std::string err = testing::internal::GetCapturedStderr();
+    ::unsetenv(name);
+    EXPECT_EQ(code, 2) << name;
+    EXPECT_EQ(out, "banner\n") << name;
+    EXPECT_EQ(err, std::string(name) +
+                       "=\"4x\" is not a base-10 integer in range\n");
+  }
+}
+
+TEST(Integration, BenchMainLetsOtherErrorsThrough) {
+  EXPECT_THROW(benchMain([]() -> int { throw std::runtime_error("boom"); }),
+               std::runtime_error);
+  EXPECT_THROW(
+      benchMain([]() -> int { throw std::invalid_argument("not a knob"); }),
+      std::invalid_argument);
 }
 
 TEST(Integration, PaperMapSizes) {
