@@ -1,8 +1,9 @@
 // Rescue scenario: one of the paper's motivating MANET settings ("rescue
-// scenes" — infrastructure destroyed, teams spread over a wide area, command
-// post periodically broadcasting situation updates).
+// scenes" — infrastructure destroyed, rescuers spread over a wide area,
+// situation updates broadcast from anywhere in the zone).
 //
-// Models a sparse 9x9 map with fast-moving teams, where every update matters
+// Models a sparse 9x9 map with fast-roaming rescuers (the paper's random
+// roam mobility), where every update matters
 // (RE is safety-critical) but radio bandwidth is scarce (hello and data
 // traffic both cost). Compares the schemes the paper recommends for exactly
 // this regime and prints a dashboard of RE / SRB / latency / traffic.
@@ -25,8 +26,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::cout << "Disaster-area broadcast: 100 rescuers on a 4.5 km x 4.5 km "
-               "zone,\nteams moving at up to 60 km/h, "
+  std::cout << "Disaster-area broadcast: 100 rescuers roaming a 4.5 km x "
+               "4.5 km zone\nat up to 60 km/h, "
             << updates << " situation updates.\n\n";
 
   struct Candidate {
@@ -53,11 +54,6 @@ int main(int argc, char** argv) {
     experiment::ScenarioConfig config;
     config.mapUnits = 9;
     config.maxSpeedKmh = 60.0;
-    // Rescuers move in teams of five (reference-point group mobility), the
-    // structure real search parties have.
-    config.mobility = experiment::ScenarioConfig::Mobility::kGroup;
-    config.groupSize = 5;
-    config.groupSpanMeters = 200.0;
     config.numBroadcasts = updates;
     config.scheme = cand.scheme;
     config.neighborSource = cand.source;
@@ -74,6 +70,6 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\nIn this sparse, fast-moving regime the paper recommends the "
                "adaptive schemes:\nfixed thresholds would have to be "
-               "re-tuned every time team density changes.\n";
+               "re-tuned every time local density changes.\n";
   return 0;
 }

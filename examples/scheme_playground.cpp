@@ -1,5 +1,5 @@
 // Scheme playground: a small CLI over the full public API. Pick any scheme,
-// any density, any mobility, any neighbor-information source, and get the
+// any density, any speed, any neighbor-information source, and get the
 // paper's three metrics — useful both for exploring the design space and as
 // a template for embedding the library in your own experiments.
 //

@@ -1,9 +1,7 @@
 // Trace inspector: record every protocol event of a small run and print a
 // per-broadcast timeline — who relayed, who was suppressed and when, where
-// frames were lost (tallied per drop reason: collision, half-duplex,
-// injected fault loss, host crash). The event stream can also be dumped as
-// CSV for plotting. Fault losses and crashes tally zero unless main() sets
-// `config.fault`; bench/ext_fault sweeps both.
+// frames were lost (tallied per drop reason: collision or half-duplex). The
+// event stream can also be dumped as CSV for plotting.
 //
 //   ./build/examples/trace_inspector [mapUnits] [broadcasts] [--csv]
 #include <climits>
@@ -53,18 +51,11 @@ int main(int argc, char** argv) {
             << " inhibitions)\n";
   std::cout << "Drops by reason:";
   for (const phy::DropReason reason :
-       {phy::DropReason::kCollision, phy::DropReason::kHalfDuplex,
-        phy::DropReason::kFaultLoss, phy::DropReason::kHostDown}) {
+       {phy::DropReason::kCollision, phy::DropReason::kHalfDuplex}) {
     std::cout << ' ' << phy::dropReasonName(reason) << '='
               << recorder.countOfDrop(reason);
   }
-  std::cout << "\n";
-  if (recorder.countOf(trace::EventKind::kHostDown) > 0) {
-    std::cout << "Churn: " << recorder.countOf(trace::EventKind::kHostDown)
-              << " crashes, " << recorder.countOf(trace::EventKind::kHostUp)
-              << " recoveries\n";
-  }
-  std::cout << "\n";
+  std::cout << "\n\n";
   for (const net::BroadcastId bid : trace::broadcastsIn(recorder.events())) {
     const auto tl = trace::buildTimeline(recorder.events(), bid);
     if (tl) std::cout << tl->render() << "\n";

@@ -12,12 +12,12 @@
 //    machines that validate an event sequence and report violations. Tests
 //    drive them directly with corrupted sequences in any build config.
 //  * Component hooks — calls into the checkers from Scheduler, Channel,
-//    DcfMac, NeighborTable, and Host, wrapped in MANET_AUDIT_HOOK so an
-//    audit-off build contains zero audit code or data and its output is
-//    byte-identical to a never-instrumented binary.
+//    DcfMac, NeighborTable, and MetricsCollector, wrapped in
+//    MANET_AUDIT_HOOK so an audit-off build contains zero audit code or
+//    data and its output is byte-identical to a never-instrumented binary.
 //
 // Violations route through a per-thread sink (each World owns the thread it
-// runs on, including under the parallel sweep runner). The default sink
+// runs on, including under the parallel cell runner). The default sink
 // prints the violation with full event context and aborts: a corrupt engine
 // must never finish a run quietly. Tests install a capturing sink instead.
 #pragma once

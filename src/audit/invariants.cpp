@@ -90,30 +90,11 @@ void ChannelAudit::onEnergyLower(net::HostId rx, sim::TimePoint at) {
   --n.energy;
 }
 
-void ChannelAudit::onHostDown(net::HostId rx, std::size_t flushed,
-                              sim::TimePoint at) {
-  PerNode& n = node(rx);
-  if (n.active != static_cast<std::int64_t>(flushed)) {
-    report({"channel.flush-mismatch", at, rx,
-            "flushed=" + std::to_string(flushed) +
-                " inFlight=" + std::to_string(n.active)});
-  }
-  flushes_ += static_cast<std::uint64_t>(n.active > 0 ? n.active : 0);
-  n.active = 0;
-  n.energy = 0;
-}
-
-void ChannelAudit::onDeliveryWhileDown(net::HostId rx, sim::TimePoint at) {
-  report({"channel.down-node-delivery", at, rx,
-          "reception completed at a churned-down node"});
-}
-
 void ChannelAudit::atTeardown(std::uint64_t inFlight, sim::TimePoint at) {
-  if (begins_ != ends_ + flushes_ + inFlight) {
+  if (begins_ != ends_ + inFlight) {
     report({"channel.teardown-balance", at, net::kInvalidHost,
             "begins=" + std::to_string(begins_) +
                 " ends=" + std::to_string(ends_) +
-                " flushes=" + std::to_string(flushes_) +
                 " inFlight=" + std::to_string(inFlight)});
   }
 }
@@ -136,8 +117,6 @@ void DcfAudit::onTxEnd(sim::TimePoint at) {
   onAir_ = false;
 }
 
-void DcfAudit::onReset() { onAir_ = false; }
-
 // --- NeighborAudit ----------------------------------------------------------
 
 void NeighborAudit::onPurge(sim::TimePoint now) {
@@ -157,21 +136,19 @@ void NeighborAudit::onExpire(sim::TimePoint expiry, sim::TimePoint now) {
   }
 }
 
-void NeighborAudit::onClear() {
-  lastPurge_ = sim::TimePoint{std::numeric_limits<std::int64_t>::min()};
+// --- DeliveryAudit ----------------------------------------------------------
+
+void DeliveryAudit::onStart(std::size_t broadcast, net::HostId source) {
+  holders_.emplace(broadcast, source.value());
 }
 
-// --- ChurnAudit -------------------------------------------------------------
-
-void ChurnAudit::onCrashReset(net::HostId node, bool macQuiescent,
-                              bool statesFlushed, bool tableCleared,
-                              sim::TimePoint at) {
-  if (macQuiescent && statesFlushed && tableCleared) return;
-  std::string detail = "residue after crash reset:";
-  if (!macQuiescent) detail += " mac-not-quiescent";
-  if (!statesFlushed) detail += " broadcast-states";
-  if (!tableCleared) detail += " neighbor-table";
-  report({"churn.crash-reset-incomplete", at, node, detail});
+void DeliveryAudit::onDelivered(std::size_t broadcast, net::HostId host,
+                                sim::TimePoint at) {
+  if (!holders_.emplace(broadcast, host.value()).second) {
+    report({"metrics.duplicate-delivery", at, host,
+            "broadcast=" + std::to_string(broadcast) +
+                " already held by this host"});
+  }
 }
 
 }  // namespace manet::audit

@@ -14,19 +14,19 @@
 //   scheduler.count-drift        live count != heap-resident + live-lane count
 //   channel.reception-underflow  reception ended with none in flight
 //   channel.energy-underflow     carrier energy lowered below zero
-//   channel.flush-mismatch       host-down flush disagreed with in-flight set
-//   channel.down-node-delivery   frame completed at a churned-down node
-//   channel.teardown-balance     begin/end/flush ledger broken at teardown
+//   channel.teardown-balance     begin/end ledger broken at teardown
 //   mac.onair-overlap            a frame started while another was on air
 //   mac.onair-underflow          a frame ended with nothing on air
 //   neighbor.purge-order         purge called with a time going backwards
 //   neighbor.premature-expiry    entry expired before its deadline
-//   churn.crash-reset-incomplete host state survived a crash reset
+//   metrics.duplicate-delivery   a host counted twice in one broadcast's r
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "audit/audit.hpp"
@@ -58,26 +58,20 @@ class SchedulerAudit {
   sim::TimePoint lastPop_ = sim::TimePoint{std::numeric_limits<std::int64_t>::min()};
 };
 
-/// Channel invariants: per-node reception balance, carrier-energy
-/// accounting, and churn flush consistency.
+/// Channel invariants: per-node reception balance and carrier-energy
+/// accounting.
 class ChannelAudit {
  public:
   void onBeginReception(net::HostId rx, sim::TimePoint at);
   void onEndReception(net::HostId rx, sim::TimePoint at);
   void onEnergyRaise(net::HostId rx, sim::TimePoint at);
   void onEnergyLower(net::HostId rx, sim::TimePoint at);
-  /// Node `rx` churned down; `flushed` receptions were returned. Must equal
-  /// the mirror's in-flight count; both ledgers reset to zero.
-  void onHostDown(net::HostId rx, std::size_t flushed, sim::TimePoint at);
-  /// A reception completion reached a node that is churned down.
-  void onDeliveryWhileDown(net::HostId rx, sim::TimePoint at);
   /// End-of-life balance check. `inFlight` is the channel's own count of
   /// receptions still on the air (legitimate when the run stops mid-frame).
   void atTeardown(std::uint64_t inFlight, sim::TimePoint at);
 
   std::uint64_t begins() const { return begins_; }
   std::uint64_t ends() const { return ends_; }
-  std::uint64_t flushes() const { return flushes_; }
 
  private:
   struct PerNode {
@@ -89,7 +83,6 @@ class ChannelAudit {
   std::vector<PerNode> nodes_;
   std::uint64_t begins_ = 0;
   std::uint64_t ends_ = 0;
-  std::uint64_t flushes_ = 0;
 };
 
 /// DCF on-air legality: a station transmits at most one frame at a time and
@@ -102,8 +95,6 @@ class DcfAudit {
   void onTxStart(sim::TimePoint at);
   /// The frame on the air ends.
   void onTxEnd(sim::TimePoint at);
-  /// Crash reset: forces the station idle; always legal.
-  void onReset();
 
   bool onAir() const { return onAir_; }
 
@@ -122,22 +113,26 @@ class NeighborAudit {
   void onPurge(sim::TimePoint now);
   /// An entry with deadline `expiry` is being removed at `now`.
   void onExpire(sim::TimePoint expiry, sim::TimePoint now);
-  /// Crash reset forgets all entries and the purge clock.
-  void onClear();
 
  private:
   net::HostId self_;
   sim::TimePoint lastPurge_ = sim::TimePoint{std::numeric_limits<std::int64_t>::min()};
 };
 
-/// Host churn consistency: a crash reset must leave no protocol residue.
-class ChurnAudit {
+/// Delivery accounting: a broadcast's r counts each host at most once, and
+/// never its source. A host's duplicate detection is what guarantees it;
+/// this mirror of every (broadcast, host) pair checks that it does.
+class DeliveryAudit {
  public:
-  /// Called after a host finished its crash reset. Every flag reports one
-  /// flushed subsystem; any false is a violation. `statesFlushed` covers
-  /// both the in-flight broadcast states and the terminal-phase record.
-  void onCrashReset(net::HostId node, bool macQuiescent, bool statesFlushed,
-                    bool tableCleared, sim::TimePoint at);
+  /// Broadcast `broadcast` (its position in the collector) started at
+  /// `source`, which holds it from the start.
+  void onStart(std::size_t broadcast, net::HostId source);
+  /// `host` was counted as a receiver of `broadcast`.
+  void onDelivered(std::size_t broadcast, net::HostId host,
+                   sim::TimePoint at);
+
+ private:
+  std::set<std::pair<std::size_t, std::uint32_t>> holders_;
 };
 
 }  // namespace manet::audit

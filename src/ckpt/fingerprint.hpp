@@ -16,7 +16,7 @@ namespace manet::ckpt {
 
 struct HostFingerprint {
   enum Part {
-    kState,  // id, up, nextSeq
+    kState,  // id, nextSeq
     kSchemeRng,
     kJitterRng,
     kMac,
@@ -36,9 +36,9 @@ struct HostFingerprint {
 };
 
 struct WorldFingerprint {
-  enum Part { kScheduler, kChannel, kTraffic, kFault, kMetrics, kParts };
+  enum Part { kScheduler, kChannel, kTraffic, kMetrics, kParts };
   static constexpr std::array<const char*, kParts> kNames = {
-      "scheduler", "channel", "traffic", "fault", "metrics"};
+      "scheduler", "channel", "traffic", "metrics"};
 
   std::array<std::uint64_t, kParts> words{};
   std::vector<HostFingerprint> hosts;  // indexed by host id

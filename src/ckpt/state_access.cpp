@@ -6,11 +6,8 @@
 #include "ckpt/digest.hpp"
 #include "experiment/host.hpp"
 #include "experiment/world.hpp"
-#include "fault/loss.hpp"
 #include "mac/dcf.hpp"
-#include "mobility/group.hpp"
 #include "mobility/random_roam.hpp"
-#include "mobility/waypoint.hpp"
 #include "net/hello.hpp"
 #include "net/neighbor_table.hpp"
 #include "obs/metrics.hpp"
@@ -157,16 +154,6 @@ std::uint64_t StateAccess::helloDigest(const net::HelloAgent& hello) {
 
 // --- mobility ----------------------------------------------------------
 
-std::uint64_t StateAccess::roamDigest(const mobility::RandomRoam& roam) {
-  Digest d;
-  addRng(d, roam.rng_);
-  addVec2(d, roam.position_);
-  addVec2(d, roam.velocity_);
-  d.add(roam.turnEnd_);
-  d.add(roam.lastQuery_);
-  return d.value();
-}
-
 std::uint64_t StateAccess::mobilityDigest(
     const mobility::MobilityModel& model) {
   Digest d;
@@ -176,25 +163,11 @@ std::uint64_t StateAccess::mobilityDigest(
   } else if (const auto* roam =
                  dynamic_cast<const mobility::RandomRoam*>(&model)) {
     d.add(std::uint32_t{2});
-    d.add(roamDigest(*roam));
-  } else if (const auto* wp =
-                 dynamic_cast<const mobility::RandomWaypoint*>(&model)) {
-    d.add(std::uint32_t{3});
-    addRng(d, wp->rng_);
-    addVec2(d, wp->from_);
-    addVec2(d, wp->to_);
-    d.add(wp->legStart_);
-    d.add(wp->legEnd_);
-    d.add(wp->pauseEnd_);
-    d.add(wp->lastQuery_);
-  } else if (const auto* m =
-                 dynamic_cast<const mobility::GroupMember*>(&model)) {
-    d.add(std::uint32_t{4});
-    // The center is shared by the team; folding it per member just repeats
-    // reads, it never advances anything.
-    d.add(roamDigest(m->center_->roam_));
-    addVec2(d, m->offset_);
-    d.add(roamDigest(m->deviation_));
+    addRng(d, roam->rng_);
+    addVec2(d, roam->position_);
+    addVec2(d, roam->velocity_);
+    d.add(roam->turnEnd_);
+    d.add(roam->lastQuery_);
   } else {
     d.add(std::uint32_t{0});  // unknown model: capture presence only
   }
@@ -208,15 +181,11 @@ std::uint64_t StateAccess::channelDigest(const phy::Channel& channel) {
   d.add(channel.framesTransmitted_);
   d.add(channel.framesDelivered_);
   d.add(channel.framesCorrupted_);
-  d.add(channel.framesLostToFault_);
-  d.add(channel.framesDroppedHostDown_);
   d.add(static_cast<std::uint64_t>(channel.nodes_.size()));
   for (const auto& n : channel.nodes_) {
     d.add(n.attached);
-    d.add(n.up);
     d.add(n.transmitting);
     d.add(static_cast<std::int32_t>(n.busyCount));
-    d.add(static_cast<std::uint64_t>(n.epoch));
     // In-flight frames, including their drop verdicts.
     d.add(static_cast<std::uint64_t>(n.activeRx.size()));
     for (const auto ref : n.activeRx) {
@@ -229,34 +198,7 @@ std::uint64_t StateAccess::channelDigest(const phy::Channel& channel) {
       d.add(frame.txStart);
       d.add(frame.txEnd);
       d.add(static_cast<std::uint32_t>(rec.reason));
-      d.add(rec.orphaned);
     }
-  }
-  return d.value();
-}
-
-// --- fault -------------------------------------------------------------
-
-std::uint64_t StateAccess::faultDigest(const fault::LossModel* model) {
-  Digest d;
-  if (const auto* iid = dynamic_cast<const fault::IidLoss*>(model)) {
-    d.add(std::uint32_t{1});
-    addRng(d, iid->rng_);
-  } else if (const auto* ge =
-                 dynamic_cast<const fault::GilbertElliottLoss*>(model)) {
-    d.add(std::uint32_t{2});
-    addRng(d, ge->rng_);  // parent stream of the per-link chains
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> links;
-    links.reserve(ge->links_.size());
-    for (const auto& [key, link] : ge->links_) {  // key = (src << 32) | dst
-      Digest l;
-      l.add(link.bad);
-      addRng(l, link.rng);
-      links.emplace_back(key, l.value());
-    }
-    addSorted(d, links);
-  } else {
-    d.add(std::uint32_t{0});  // no loss model
   }
   return d.value();
 }
@@ -280,24 +222,14 @@ std::uint64_t StateAccess::metricsDigest(
     d.add(static_cast<std::int32_t>(pb.maxHops));
   }
   {
-    std::vector<std::pair<std::uint64_t, const stats::MetricsCollector::Record*>>
-        live;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> live;
     live.reserve(collector.live_.size());
-    for (const auto& [bid, rec] : collector.live_) {
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(bid.origin.value()) << 32) |
-          bid.seq.value();
-      live.emplace_back(key, &rec);
+    for (const auto& [bid, index] : collector.live_) {
+      live.emplace_back((static_cast<std::uint64_t>(bid.origin.value()) << 32) |
+                            bid.seq.value(),
+                        static_cast<std::uint64_t>(index));
     }
-    std::sort(live.begin(), live.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    d.add(static_cast<std::uint64_t>(live.size()));
-    for (const auto& [key, rec] : live) {
-      d.add(key);
-      d.add(static_cast<std::uint64_t>(rec->index));
-      d.add(static_cast<std::uint64_t>(rec->deliveredTo.size()));
-      for (bool delivered : rec->deliveredTo) d.add(delivered);
-    }
+    addSorted(d, live);
   }
   d.add(collector.hellosSent_);
   d.add(collector.dataFramesSent_);
@@ -343,7 +275,6 @@ HostFingerprint StateAccess::host(const experiment::Host& host) {
   {
     Digest d;
     d.add(host.id_.value());
-    d.add(host.up_);
     d.add(host.nextSeq_.value());
     w[HostFingerprint::kState] = d.value();
   }
@@ -392,28 +323,17 @@ WorldFingerprint StateAccess::captureWorld(const experiment::World& world) {
   w[WorldFingerprint::kScheduler] = schedulerDigest(world.scheduler_);
   w[WorldFingerprint::kChannel] = channelDigest(world.channel_);
   {
-    // Traffic cursor plus the world's churn/downtime ledgers.
+    // Workload stream and the request schedule drawn from it.
     Digest d;
     addRng(d, world.workloadRng_);
     d.add(static_cast<std::uint64_t>(world.workloadSchedule_.size()));
-    for (const traffic::Request& q : world.workloadSchedule_) {
+    for (const experiment::WorkloadRequest& q : world.workloadSchedule_) {
       d.add(q.at);
       d.add(q.source.value());
       d.add(q.seq);
     }
-    d.add(static_cast<std::uint64_t>(world.churnTimeline_.size()));
-    for (const fault::ChurnEvent& e : world.churnTimeline_) {
-      d.add(e.node.value());
-      d.add(e.at);
-      d.add(e.up);
-    }
-    d.add(static_cast<std::uint64_t>(world.downSince_.size()));
-    for (sim::TimePoint t : world.downSince_) d.add(t);
-    d.add(static_cast<std::uint64_t>(world.downAccum_.size()));
-    for (sim::Duration t : world.downAccum_) d.add(t);
     w[WorldFingerprint::kTraffic] = d.value();
   }
-  w[WorldFingerprint::kFault] = faultDigest(world.lossModel_.get());
   w[WorldFingerprint::kMetrics] = metricsDigest(world.metrics_, obs::current());
   fp.hosts.reserve(world.hosts_.size());
   for (const auto& h : world.hosts_) fp.hosts.push_back(host(*h));

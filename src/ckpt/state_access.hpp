@@ -22,16 +22,12 @@ namespace manet::experiment {
 class Host;
 class World;
 }  // namespace manet::experiment
-namespace manet::fault {
-class LossModel;
-}
 namespace manet::mac {
 class DcfMac;
 }
 namespace manet::mobility {
 class MobilityModel;
-class RandomRoam;
-}  // namespace manet::mobility
+}
 namespace manet::net {
 class HelloAgent;
 class NeighborTable;
@@ -60,11 +56,7 @@ struct StateAccess {
   static std::uint64_t macDigest(const mac::DcfMac& mac);
   static std::uint64_t helloDigest(const net::HelloAgent& hello);
   static std::uint64_t mobilityDigest(const mobility::MobilityModel& model);
-  /// Roam-integrator fold shared by RandomRoam and the group model's center
-  /// and deviation chains.
-  static std::uint64_t roamDigest(const mobility::RandomRoam& roam);
   static std::uint64_t channelDigest(const phy::Channel& channel);
-  static std::uint64_t faultDigest(const fault::LossModel* model);
   static std::uint64_t metricsDigest(const stats::MetricsCollector& collector,
                                      const obs::Registry* registry);
   static HostFingerprint host(const experiment::Host& host);

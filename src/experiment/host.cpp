@@ -4,14 +4,9 @@
 #include <iterator>
 #include <utility>
 
-#include "audit/audit.hpp"
 #include "experiment/world.hpp"
 #include "sim/inline_fn.hpp"
 #include "util/assert.hpp"
-
-#if MANET_AUDIT_ENABLED
-#include "audit/invariants.hpp"
-#endif
 
 namespace manet::experiment {
 namespace {
@@ -42,30 +37,6 @@ Host::Host(World& world, net::HostId id,
 }
 
 void Host::start() { hello_->start(); }
-
-void Host::onCrash() {
-  MANET_EXPECTS(up_);
-  up_ = false;
-  hello_->stop();
-  // NOLINT-determinism(cancel-only pass; the map is cleared right after)
-  for (auto& [bid, state] : states_) state.jitterTimer.cancel();
-  states_.clear();
-  terminal_.clear();
-  mac_->reset();
-  table_.clear();
-  // Flush consistency: a cold reboot must leave no duplicate-cache entries
-  // (in flight or terminal), queued frames, or learned neighbors behind
-  // (DESIGN.md §8).
-  MANET_AUDIT_HOOK(audit::ChurnAudit{}.onCrashReset(
-      id_, mac_->quiescent(), states_.empty() && terminal_.empty(),
-      table_.neighborCount(now()) == 0, now()));
-}
-
-void Host::onRecover() {
-  MANET_EXPECTS(!up_);
-  up_ = true;
-  hello_->start();
-}
 
 net::BroadcastId Host::originateBroadcast() {
   const net::BroadcastId bid{id_, nextSeq_};

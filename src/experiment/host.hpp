@@ -36,16 +36,6 @@ class Host final : public mac::DcfMac::Upper, public core::HostView {
   /// Starts periodic agents (HELLO). Call once before the run.
   void start();
 
-  /// Host churn (DESIGN.md §8). A crash is a cold reboot: every queued frame
-  /// and timer is dropped, the MAC resets, and the neighbor table plus all
-  /// per-broadcast memory is forgotten — a recovered host treats copies it
-  /// saw before the crash as brand-new receptions. Recovery restarts the
-  /// HELLO agent. The world flips the channel's node state; these hooks only
-  /// manage host-local state.
-  void onCrash();
-  void onRecover();
-  bool up() const { return up_; }
-
   /// Originates a brand-new broadcast from this host (a "broadcast request"
   /// of the workload). Returns its identity.
   net::BroadcastId originateBroadcast();
@@ -106,8 +96,6 @@ class Host final : public mac::DcfMac::Upper, public core::HostView {
     PacketPhase get(std::size_t index) const;
     /// Each broadcast turns terminal at most once per host.
     void set(std::size_t index, PacketPhase phase);
-    bool empty() const { return bytes_.empty(); }
-    void clear() { bytes_.clear(); }
     std::size_t size() const { return bytes_.size() * kPerByte; }
 
    private:
@@ -142,8 +130,7 @@ class Host final : public mac::DcfMac::Upper, public core::HostView {
   mutable std::vector<net::HostId> oracleNeighbors_;
   std::unique_ptr<mac::DcfMac> mac_;
   std::unique_ptr<net::HelloAgent> hello_;
-  net::BroadcastSeq nextSeq_{};  // survives crashes: bids stay unique
-  bool up_ = true;
+  net::BroadcastSeq nextSeq_{};
   StateMap states_;  // in flight only
   TerminalRecord terminal_;
 };

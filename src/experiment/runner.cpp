@@ -54,19 +54,11 @@ RunResult runScenario(const ScenarioConfig& config) {
   out.seed = config.seed;
   out.summary = world->metrics().summarize();
   out.offeredBroadcasts = world->workloadSchedule().size();
-  if (!world->workloadSchedule().empty()) {
-    out.offeredWindowSeconds = sim::toSeconds(
-        world->workloadSchedule().back().at - world->config().warmup);
-  }
   out.schemeName = config.scheme.name();
   out.simulatedSeconds = sim::toSeconds(world->scheduler().now());
   out.framesTransmitted = world->channel().framesTransmitted();
   out.framesDelivered = world->channel().framesDelivered();
   out.framesCorrupted = world->channel().framesCorrupted();
-  out.faultsEnabled = world->config().fault.enabled();
-  out.framesLostToFault = world->channel().framesLostToFault();
-  out.framesDroppedHostDown = world->channel().framesDroppedHostDown();
-  out.hostDownSeconds = world->hostDownSeconds();
   if (out.simulatedSeconds > 0.0 && world->hostCount() > 0) {
     out.hellosPerHostPerSecond =
         static_cast<double>(out.summary.hellosSent) /
@@ -99,14 +91,9 @@ RunResult poolRuns(std::span<const RunResult> runs) {
     pooled.summary.totalRebroadcast += r.summary.totalRebroadcast;
     pooled.summary.totalReachable += r.summary.totalReachable;
     pooled.offeredBroadcasts += r.offeredBroadcasts;
-    pooled.offeredWindowSeconds += r.offeredWindowSeconds;
     pooled.framesTransmitted += r.framesTransmitted;
     pooled.framesDelivered += r.framesDelivered;
     pooled.framesCorrupted += r.framesCorrupted;
-    pooled.faultsEnabled = pooled.faultsEnabled || r.faultsEnabled;
-    pooled.framesLostToFault += r.framesLostToFault;
-    pooled.framesDroppedHostDown += r.framesDroppedHostDown;
-    pooled.hostDownSeconds += r.hostDownSeconds;
     pooled.simulatedSeconds += r.simulatedSeconds;
     pooled.wallSeconds += r.wallSeconds;
     pooled.schemeName = r.schemeName;

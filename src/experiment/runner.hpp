@@ -24,23 +24,12 @@ struct RunResult {
   /// HELLO traffic rate, packets per host per simulated second (Fig. 12b's
   /// y-axis up to a normalization).
   double hellosPerHostPerSecond = 0.0;
-  /// Broadcast requests the traffic generator scheduled (DESIGN.md §12).
-  /// Under churn this can exceed summary.broadcasts: a request whose source
-  /// was down at fire time is offered load that never completed.
+  /// Broadcast requests the workload scheduled (DESIGN.md §12).
   std::uint64_t offeredBroadcasts = 0;
-  /// Injection window: simulated seconds from workload start (end of warmup)
-  /// to the last scheduled request — the denominator of the offered rate
-  /// (the run's total simulatedSeconds also counts warmup and drain).
-  double offeredWindowSeconds = 0.0;
   /// Channel-level accounting over the whole run.
   std::uint64_t framesTransmitted = 0;
   std::uint64_t framesDelivered = 0;
   std::uint64_t framesCorrupted = 0;
-  // Fault injection (zero and inert when faults are off).
-  bool faultsEnabled = false;
-  std::uint64_t framesLostToFault = 0;      // injected link loss
-  std::uint64_t framesDroppedHostDown = 0;  // receptions cut off by a crash
-  double hostDownSeconds = 0.0;             // summed host-seconds spent down
   double simulatedSeconds = 0.0;
   /// Host wall-clock time spent simulating (summed across repetitions in
   /// pooled results, so it stays meaningful under parallel execution).
@@ -54,14 +43,6 @@ struct RunResult {
   double re() const { return summary.meanRe; }
   double srb() const { return summary.meanSrb; }
   double latency() const { return summary.meanLatencySeconds; }
-
-  /// Offered load in requests per simulated second over the injection
-  /// window (the ext_load x-axis).
-  double offeredPerSecond() const {
-    return offeredWindowSeconds > 0.0
-               ? static_cast<double>(offeredBroadcasts) / offeredWindowSeconds
-               : 0.0;
-  }
 
   /// Simulation throughput: channel frames processed per wall-clock second.
   /// The headline number for the grid/parallel speedups (BENCH json output).

@@ -6,13 +6,11 @@
 #include <vector>
 
 #include "experiment/scheme_spec.hpp"
-#include "fault/config.hpp"
 #include "geom/vec2.hpp"
 #include "mac/dcf.hpp"
 #include "net/hello.hpp"
 #include "phy/params.hpp"
 #include "sim/time.hpp"
-#include "traffic/config.hpp"
 
 namespace manet::experiment {
 
@@ -39,27 +37,17 @@ struct ScenarioConfig {
   /// tests and examples that need controlled topologies.
   std::vector<geom::Vec2> fixedPositions;
 
-  /// Mobility pattern. kRandomRoam is the paper's model; kWaypoint and
-  /// kGroup (teams moving together, RPGM) are provided for the motivating
-  /// scenarios and sensitivity studies.
-  enum class Mobility { kRandomRoam, kWaypoint, kGroup };
-  Mobility mobility = Mobility::kRandomRoam;
-  int groupSize = 5;               // kGroup: hosts per team
-  double groupSpanMeters = 200.0;  // kGroup: team spread radius
-
   // --- scheme under test ---
   SchemeSpec scheme = SchemeSpec::flooding();
   NeighborSource neighborSource = NeighborSource::kOracle;
   net::HelloConfig hello{.enabled = false};
 
-  // --- workload ---
+  // --- workload (DESIGN.md §12) ---
+  /// Broadcast requests, each from a uniformly random source after a
+  /// U(0, interarrivalMax) gap: the paper's single workload.
   int numBroadcasts = 100;                       // paper: 10,000
   sim::Duration interarrivalMax =
       2 * sim::kSecond;  // U(0, 2 s) between requests
-  /// Workload generation (DESIGN.md §12): arrival process x source model.
-  /// The default (Uniform arrivals from uniform sources) is bit-identical to
-  /// the paper's single workload; interarrivalMax above parameterizes it.
-  traffic::TrafficConfig traffic{};
   /// Simulated time before the first broadcast (lets HELLO tables fill).
   /// < 0 selects an automatic value (2 hello intervals + 1 s, or 100 ms when
   /// hellos are off).
@@ -76,11 +64,6 @@ struct ScenarioConfig {
   /// exhaustive scan. Identical results either way — the switch exists for
   /// differential tests and perf comparisons (also: MANET_CHANNEL_GRID=0).
   bool channelGrid = true;
-
-  /// Fault injection (DESIGN.md §8): link loss models and host churn. Off by
-  /// default; a disabled config is bit-identical to the fault-free
-  /// simulator.
-  fault::FaultConfig fault{};
 
   std::uint64_t seed = 1;
 

@@ -1,12 +1,7 @@
 #include "experiment/world.hpp"
 
-#include <algorithm>
-
-#include "mobility/group.hpp"
 #include "mobility/random_roam.hpp"
-#include "mobility/waypoint.hpp"
 #include "obs/metrics.hpp"
-#include "traffic/generator.hpp"
 #include "util/assert.hpp"
 #include "util/env.hpp"
 
@@ -40,19 +35,6 @@ World::World(const ScenarioConfig& config)
   channel_.setGridEnabled(config_.channelGrid &&
                           util::envInt("MANET_CHANNEL_GRID", 1) != 0);
 
-  // Fault injection. Dedicated RNG streams (0xFA01 loss, 0xC4 churn) mean
-  // enabling faults never shifts the draws of mobility, hosts, or workload.
-  lossModel_ =
-      fault::makeLossModel(config_.fault, sim::Rng(config_.seed).fork(0xFA01));
-  if (lossModel_ != nullptr) {
-    channel_.setLossFn([this](net::HostId src, net::HostId dst) {
-      return lossModel_->shouldDrop(src, dst);
-    });
-  }
-  downSince_.assign(static_cast<std::size_t>(config_.numHosts), sim::kNever);
-  downAccum_.assign(static_cast<std::size_t>(config_.numHosts),
-                    sim::Duration{});
-
   const mobility::MapSpec map =
       mobility::MapSpec::square(config_.mapUnits, config_.unitMeters);
   sim::Rng master(config_.seed);
@@ -81,42 +63,12 @@ std::vector<std::unique_ptr<mobility::MobilityModel>> World::buildMobility(
     return models;
   }
 
-  const double maxSpeedMps = mobility::kmhToMps(config_.maxSpeedKmh);
-  switch (config_.mobility) {
-    case ScenarioConfig::Mobility::kRandomRoam:
-      for (int i = 0; i < config_.numHosts; ++i) {
-        sim::Rng rng = master.fork(0xA000 + static_cast<std::uint64_t>(i));
-        mobility::RoamParams roam;
-        roam.maxSpeedMps = maxSpeedMps;
-        models.push_back(std::make_unique<mobility::RandomRoam>(
-            map, map.uniformPoint(rng), roam, rng.fork(0xA0)));
-      }
-      break;
-    case ScenarioConfig::Mobility::kWaypoint:
-      for (int i = 0; i < config_.numHosts; ++i) {
-        sim::Rng rng = master.fork(0xA000 + static_cast<std::uint64_t>(i));
-        mobility::WaypointParams params;
-        params.maxSpeedMps = std::max(params.minSpeedMps, maxSpeedMps);
-        models.push_back(std::make_unique<mobility::RandomWaypoint>(
-            map, map.uniformPoint(rng), params, rng.fork(0xA0)));
-      }
-      break;
-    case ScenarioConfig::Mobility::kGroup: {
-      MANET_EXPECTS(config_.groupSize >= 1);
-      sim::Rng rng = master.fork(0xA000);
-      int remaining = config_.numHosts;
-      while (remaining > 0) {
-        const int members = std::min(config_.groupSize, remaining);
-        mobility::GroupParams params;
-        params.center.maxSpeedMps = maxSpeedMps;
-        params.spanMeters = config_.groupSpanMeters;
-        auto group = mobility::makeGroup(map, map.uniformPoint(rng), members,
-                                         params, rng);
-        for (auto& model : group) models.push_back(std::move(model));
-        remaining -= members;
-      }
-      break;
-    }
+  mobility::RoamParams roam;
+  roam.maxSpeedMps = mobility::kmhToMps(config_.maxSpeedKmh);
+  for (int i = 0; i < config_.numHosts; ++i) {
+    sim::Rng rng = master.fork(0xA000 + static_cast<std::uint64_t>(i));
+    models.push_back(std::make_unique<mobility::RandomRoam>(
+        map, map.uniformPoint(rng), roam, rng.fork(0xA0)));
   }
   return models;
 }
@@ -129,51 +81,6 @@ int World::reachableFrom(net::HostId source) const {
   return static_cast<int>(channel_.reachableCount(source));
 }
 
-void World::setHostUp(net::HostId id, bool up) {
-  Host& host = *hosts_[id.value()];
-  if (host.up() == up) return;
-  const std::vector<phy::Frame> flushed = channel_.setNodeUp(id, up);
-  if (!up) {
-    host.onCrash();
-    downSince_[id.value()] = scheduler_.now();
-  } else {
-    host.onRecover();
-    downAccum_[id.value()] += scheduler_.now() - downSince_[id.value()];
-    downSince_[id.value()] = sim::kNever;
-  }
-  if (traceSink_ == nullptr) return;
-  trace::Event event;
-  event.kind = up ? trace::EventKind::kHostUp : trace::EventKind::kHostDown;
-  event.at = scheduler_.now();
-  event.node = id;
-  event.position = host.mobility().peekPositionAt(scheduler_.now());
-  traceSink_->onEvent(event);
-  for (const phy::Frame& frame : flushed) {
-    trace::Event dropEvent;
-    dropEvent.kind = trace::EventKind::kDrop;
-    dropEvent.at = scheduler_.now();
-    dropEvent.node = id;
-    if (frame.packet.type == net::PacketType::kData) {
-      dropEvent.bid = frame.packet.bid;
-    }
-    dropEvent.from = frame.packet.sender;
-    dropEvent.position = event.position;
-    dropEvent.drop = phy::DropReason::kHostDown;
-    traceSink_->onEvent(dropEvent);
-  }
-}
-
-double World::hostDownSeconds() const {
-  sim::Duration total{};
-  for (std::size_t i = 0; i < hosts_.size(); ++i) {
-    total += downAccum_[i];
-    if (downSince_[i] != sim::kNever) {
-      total += scheduler_.now() - downSince_[i];
-    }
-  }
-  return sim::toSeconds(total);
-}
-
 int World::oracleNeighborCount(net::HostId id) const {
   return static_cast<int>(channel_.inRangeCount(id));
 }
@@ -183,51 +90,28 @@ std::vector<net::HostId> World::oracleNeighbors(net::HostId id) const {
 }
 
 void World::scheduleWorkload() {
-  // The kZone source model partitions hosts by their t=0 position; other
-  // models never touch mobility, keeping the default path draw-identical to
-  // the pre-subsystem inline loop.
-  std::vector<geom::Vec2> initialPositions;
-  if (config_.traffic.sources == traffic::TrafficConfig::Sources::kZone) {
-    initialPositions.reserve(hosts_.size());
-    for (const auto& host : hosts_) {
-      initialPositions.push_back(host->mobility().positionAt(sim::kTimeZero));
-    }
+  // The paper's workload (§4): per request, a U(0, interarrivalMax) gap,
+  // then a uniformly random source, both drawn from the workload stream.
+  MANET_EXPECTS(config_.interarrivalMax >= sim::Duration{});
+  const auto requests = static_cast<std::size_t>(config_.numBroadcasts);
+  workloadSchedule_.reserve(requests);
+  sim::TimePoint at = sim::kTimeZero + config_.warmup;
+  for (std::size_t i = 0; i < requests; ++i) {
+    at += workloadRng_.uniformDuration(sim::Duration{},
+                                       config_.interarrivalMax);
+    const net::HostId source{static_cast<std::uint32_t>(
+        workloadRng_.uniformInt(0, config_.numHosts - 1))};
+    workloadSchedule_.push_back({at, source, static_cast<std::uint32_t>(i)});
   }
-  const traffic::Generator generator(config_.traffic, config_.numHosts,
-                                     config_.interarrivalMax,
-                                     std::move(initialPositions),
-                                     config_.mapMeters());
-  const sim::TimePoint workloadStart = sim::kTimeZero + config_.warmup;
-  workloadSchedule_ = generator.schedule(config_.numBroadcasts, workloadStart,
-                                         workloadRng_);
   obs::add(obs::Counter::kTrafficOffered, workloadSchedule_.size());
-  sim::TimePoint last = workloadStart;
-  for (const traffic::Request& request : workloadSchedule_) {
-    last = request.at;  // the schedule is time-ordered
+  for (const WorkloadRequest& request : workloadSchedule_) {
     const net::HostId source = request.source;
     scheduler_.schedule(request.at, [this, source] {
-      // A crashed host cannot originate traffic; its request is simply lost
-      // (the draw already happened, so churn never shifts the workload
-      // stream).
-      if (!hosts_[source.value()]->up()) {
-        obs::add(obs::Counter::kTrafficBlockedHostDown);
-        return;
-      }
       obs::add(obs::Counter::kTrafficInjected);
       hosts_[source.value()]->originateBroadcast();
     });
   }
-  horizon_ = last + config_.drain;
-}
-
-void World::scheduleChurn() {
-  if (!config_.fault.churn) return;
-  churnTimeline_ = fault::buildChurnTimeline(
-      config_.fault, config_.numHosts, horizon_,
-      sim::Rng(config_.seed).fork(0xC4));
-  for (const fault::ChurnEvent& ev : churnTimeline_) {
-    scheduler_.schedule(ev.at, [this, ev] { setHostUp(ev.node, ev.up); });
-  }
+  horizon_ = at + config_.drain;
 }
 
 void World::beginRun() {
@@ -235,7 +119,6 @@ void World::beginRun() {
   ran_ = true;
   startAgents();
   scheduleWorkload();
-  scheduleChurn();
 }
 
 void World::continueUntil(sim::TimePoint until) {

@@ -1,6 +1,7 @@
 // The assembled simulation: scheduler, channel, hosts, workload, metrics.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -8,21 +9,26 @@
 #include "experiment/host.hpp"
 #include "experiment/model_positions.hpp"
 #include "experiment/scenario.hpp"
-#include "fault/churn.hpp"
-#include "fault/loss.hpp"
 #include "mobility/map.hpp"
 #include "phy/channel.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 #include "stats/metrics.hpp"
 #include "trace/event.hpp"
-#include "traffic/config.hpp"
 
 namespace manet::ckpt {
 struct StateAccess;
 }
 
 namespace manet::experiment {
+
+/// One broadcast request of the workload. `at` is absolute simulation time;
+/// `seq` numbers requests in stream order.
+struct WorkloadRequest {
+  sim::TimePoint at{};
+  net::HostId source{};
+  std::uint32_t seq = 0;
+};
 
 class World {
  public:
@@ -34,17 +40,16 @@ class World {
   World(const World&) = delete;
   World& operator=(const World&) = delete;
 
-  /// Runs the full workload: warmup, the traffic generator's request
-  /// schedule (default: `numBroadcasts` requests with U(0, interarrivalMax)
-  /// spacing from uniformly chosen sources — the paper's workload), then the
-  /// drain period. May be called once.
+  /// Runs the full workload: warmup, `numBroadcasts` requests with
+  /// U(0, interarrivalMax) spacing from uniformly chosen sources (the
+  /// paper's workload), then the drain period. May be called once.
   void run();
 
   // --- split-run control (sliced runs, DESIGN.md §14) ---
   /// The schedule-everything prefix of run(): starts agents, schedules the
-  /// workload and churn timeline, and fixes the horizon — without advancing
-  /// time. May be called once; afterwards drive the clock with
-  /// continueUntil()/runToEnd(). run() is exactly beginRun() + runToEnd().
+  /// workload, and fixes the horizon — without advancing time. May be
+  /// called once; afterwards drive the clock with continueUntil()/
+  /// runToEnd(). run() is exactly beginRun() + runToEnd().
   void beginRun();
 
   /// Advances the scheduler to `until` (an event boundary: events at
@@ -72,40 +77,18 @@ class World {
   std::size_t hostCount() const { return hosts_.size(); }
 
   /// e for a broadcast starting now at `source`: Channel::reachableCount,
-  /// a unit-disk BFS on the channel's grid. Crashed hosts neither count nor
-  /// relay.
+  /// a unit-disk BFS on the channel's grid.
   int reachableFrom(net::HostId source) const;
-
-  // --- fault injection (DESIGN.md §8) ---
-  /// Crashes (`up = false`) or recovers (`up = true`) a host mid-run:
-  /// detaches/reattaches it on the channel, resets its MAC and neighbor
-  /// state, and emits kHostDown/kHostUp (plus per-flushed-frame kDrop)
-  /// trace events. No-op when the host is already in the requested state.
-  void setHostUp(net::HostId id, bool up);
-  bool hostUp(net::HostId id) const { return hosts_[id.value()]->up(); }
-
-  /// Total host-seconds spent crashed so far (hosts still down accrue up to
-  /// the current simulation time).
-  double hostDownSeconds() const;
-
-  /// The installed link loss model (nullptr when loss is off).
-  const fault::LossModel* lossModel() const { return lossModel_.get(); }
-
-  /// The crash/recover timeline the run will replay (built in run(); empty
-  /// before that or when churn is off).
-  const std::vector<fault::ChurnEvent>& churnTimeline() const {
-    return churnTimeline_;
-  }
 
   /// Oracle neighborhood queries (true geometry at the current instant).
   int oracleNeighborCount(net::HostId id) const;
   std::vector<net::HostId> oracleNeighbors(net::HostId id) const;
 
-  // --- traffic workload (DESIGN.md §12) ---
-  /// The (time, source, seq) request schedule the run injects, built by the
-  /// traffic generator in run(); empty before that. Request seq values are
-  /// the per-broadcast sequence ids of the workload stream.
-  const std::vector<traffic::Request>& workloadSchedule() const {
+  // --- workload (DESIGN.md §12) ---
+  /// The (time, source, seq) request schedule the run injects, built in
+  /// beginRun(); empty before that. bench/perf reads its size (ROADMAP
+  /// item 10).
+  const std::vector<WorkloadRequest>& workloadSchedule() const {
     return workloadSchedule_;
   }
 
@@ -118,7 +101,6 @@ class World {
   friend struct manet::ckpt::StateAccess;
 
   void scheduleWorkload();
-  void scheduleChurn();
   std::vector<std::unique_ptr<mobility::MobilityModel>> buildMobility(
       const mobility::MapSpec& map, sim::Rng& master);
 
@@ -157,12 +139,7 @@ class World {
   sim::TimePoint horizon_{};
   bool ran_ = false;
   trace::TraceSink* traceSink_ = nullptr;
-
-  std::unique_ptr<fault::LossModel> lossModel_;
-  std::vector<fault::ChurnEvent> churnTimeline_;
-  std::vector<traffic::Request> workloadSchedule_;
-  std::vector<sim::TimePoint> downSince_;  // per host; kNever when up
-  std::vector<sim::Duration> downAccum_;  // per host; completed down spans
+  std::vector<WorkloadRequest> workloadSchedule_;
 };
 
 }  // namespace manet::experiment

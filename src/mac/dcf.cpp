@@ -69,18 +69,6 @@ bool DcfMac::cancel(TxId id) {
   return true;
 }
 
-void DcfMac::reset() {
-  timer_.cancel();
-  queue_.clear();
-  transmitting_ = false;
-  onAirId_ = kInvalidTx;
-  onAirPacket_ = {};
-  mediumBusy_ = false;
-  idleSince_ = scheduler_.now();
-  backoffRemaining_ = -1;
-  MANET_AUDIT_HOOK(audit_.onReset());
-}
-
 void DcfMac::onMediumBusy() {
   mediumBusy_ = true;
   timer_.cancel();  // freeze backoff / abandon pending DIFS expiry

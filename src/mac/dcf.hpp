@@ -60,8 +60,8 @@ class DcfMac final : public phy::Channel::Listener {
     virtual void onTxFinished(TxId id, const net::Packet& packet) = 0;
     /// An intact frame arrived (corrupted frames are dropped by the MAC).
     virtual void onReceive(const phy::Frame& frame) = 0;
-    /// A frame arrived but failed its FCS; `reason` says why (collision,
-    /// half-duplex loss, or injected fault loss).
+    /// A frame arrived but failed its FCS; `reason` says why (collision or
+    /// half-duplex loss).
     virtual void onCorruptedFrame(const phy::Frame& frame,
                                   phy::DropReason reason) {
       (void)frame;
@@ -87,12 +87,6 @@ class DcfMac final : public phy::Channel::Listener {
   /// Removes a queued frame. Returns true if it was still waiting; false if
   /// it already started transmitting (or already left the queue).
   bool cancel(TxId id);
-
-  /// Crash reset (host churn, DESIGN.md §8): drops every queued frame and
-  /// the one on the air without upper-layer callbacks, cancels the timer,
-  /// and forgets backoff state — the station reboots with a cold MAC.
-  /// Statistics counters are preserved.
-  void reset();
 
   /// True when nothing is queued or on the air.
   bool quiescent() const { return queue_.empty() && !transmitting_; }

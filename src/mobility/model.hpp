@@ -11,6 +11,8 @@ struct StateAccess;
 
 namespace manet::mobility {
 
+/// Implemented by Stationary and RandomRoam; bench/perf also probes hosts
+/// through it (ROADMAP item 10).
 class MobilityModel {
  public:
   virtual ~MobilityModel() = default;

@@ -41,8 +41,6 @@ void HelloAgent::start() {
   timer_ = scheduler_.scheduleAfter(jitter, [this] { sendHello(); });
 }
 
-void HelloAgent::stop() { timer_.cancel(); }
-
 void HelloAgent::sendHello() {
   const sim::TimePoint now = scheduler_.now();
   if (config_.dynamic) {

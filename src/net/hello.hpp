@@ -59,9 +59,6 @@ class HelloAgent {
   /// Begins beaconing (no-op when disabled).
   void start();
 
-  /// Stops beaconing (used when tearing a host down mid-run).
-  void stop();
-
   /// The interval the next HELLO will be scheduled with.
   sim::Duration currentInterval() const { return currentInterval_; }
 

@@ -77,15 +77,6 @@ class NeighborTable {
   /// Raw change-event count within the window (for tests/diagnostics).
   int changeEventsInWindow(sim::TimePoint now);
 
-  /// Forgets all neighbors and nv history (host crash: the rebooted host
-  /// relearns its neighborhood from scratch). No leave events are recorded.
-  void clear() {
-    entries_.clear();
-    changes_.clear();
-    nextExpiry_ = kNoExpiry;
-    MANET_AUDIT_HOOK(audit_.onClear());
-  }
-
  private:
   friend struct manet::ckpt::StateAccess;
   sim::TimePoint expiryOf(const Entry& e) const;

@@ -94,8 +94,9 @@ void Registry::merge(const Registry& other) {
 }
 
 namespace {
-// Atomic because benches may force collection on the main thread while sweep
-// workers consult it; relaxed is enough (it only gates registry creation).
+// Atomic because benches may force collection on the main thread while
+// runCells workers consult it; relaxed is enough (it only gates registry
+// creation).
 std::atomic<bool> gForced{false};
 }  // namespace
 

@@ -13,7 +13,7 @@
 //
 // Aggregation model: each simulation run owns one Registry, installed as the
 // running thread's current registry for the duration of the run (each
-// repetition of the parallel sweep runner owns its thread, like the audit
+// repetition of the parallel cell runner owns its thread, like the audit
 // sink). Registries merge in repetition order, so merged counters and
 // histograms are identical for any MANET_THREADS value.
 #pragma once
@@ -37,6 +37,7 @@ enum class Counter : std::size_t {
   kChannelDelivered,     // phy.channel.delivered
   kChannelDropCollision,  // phy.channel.drop.collision
   kChannelDropHalfDuplex, // phy.channel.drop.half_duplex
+  // Always 0: kept because bench/perf reads them (ROADMAP item 10).
   kChannelDropFault,      // phy.channel.drop.fault_loss
   kChannelDropHostDown,   // phy.channel.drop.host_down
   kGridRebuilds,         // phy.grid.rebuilds
@@ -61,13 +62,13 @@ enum class Counter : std::size_t {
   kEngineAllocCallbackHeap,    // engine.alloc.callback.heap
   kEngineAllocPhyFrameFresh,   // engine.alloc.phy.frame.fresh
   kEngineAllocPhyFrameReused,  // engine.alloc.phy.frame.reused
-  // Traffic workload accounting (DESIGN.md §12): offered vs completed load.
-  // offered = requests the generator scheduled; injected = requests whose
-  // source was alive at fire time; blocked = requests lost to a crashed
-  // source; completed = broadcasts that produced a per-broadcast record;
-  // delivered/reachable are the summed r and e of those records.
+  // Workload accounting (DESIGN.md §12): offered = requests scheduled;
+  // injected = requests that fired; completed = broadcasts that produced a
+  // per-broadcast record; delivered/reachable are the summed r and e of
+  // those records.
   kTrafficOffered,             // traffic.offered
   kTrafficInjected,            // traffic.injected
+  // Always 0: kept because bench/perf reads it (ROADMAP item 10).
   kTrafficBlockedHostDown,     // traffic.blocked.host_down
   kTrafficCompleted,           // traffic.completed
   kTrafficDeliveredCopies,     // traffic.delivered.copies

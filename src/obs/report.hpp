@@ -42,7 +42,7 @@ struct RunSample {
 
   // Engine accounting.
   std::uint64_t broadcasts = 0;
-  /// Requests the traffic generator scheduled (>= broadcasts under churn).
+  /// Requests the workload scheduled.
   std::uint64_t offeredBroadcasts = 0;
   std::uint64_t framesTransmitted = 0;
   std::uint64_t framesDelivered = 0;

@@ -54,8 +54,8 @@ Channel::Channel(sim::Scheduler& scheduler, PhyParams params,
 }
 
 Channel::~Channel() {
-  // Ledger check: every reception that began must have ended, been flushed
-  // by host churn, or still be on the air when the run stopped mid-frame.
+  // Ledger check: every reception that began must have ended or still be on
+  // the air when the run stopped mid-frame.
   MANET_AUDIT_HOOK({
     std::uint64_t inFlight = 0;
     for (const Node& n : nodes_) inFlight += n.activeRx.size();
@@ -140,11 +140,10 @@ void Channel::ensureGrid() const {
   grid_.sortedIds.clear();
   grid_.rankOf.assign(n, -1);
 
-  // Ask for each on-air position exactly once per epoch; every query this
-  // epoch reads the cached coordinates. Churned-down nodes are invisible:
-  // they get no rank, no cell, and no cached position.
+  // Ask for each attached position exactly once per epoch; every query this
+  // epoch reads the cached coordinates.
   for (std::size_t id = 0; id < n; ++id) {
-    if (!nodes_[id].attached || !nodes_[id].up) continue;
+    if (!nodes_[id].attached) continue;
     grid_.rankOf[id] = static_cast<int>(grid_.sortedIds.size());
     grid_.sortedIds.push_back(net::HostId{static_cast<std::uint32_t>(id)});
   }
@@ -157,7 +156,7 @@ void Channel::ensureGrid() const {
 
 bool Channel::refreshGrid() const {
   // Pass 1: the same evaluations in the same order as a full rebuild (the
-  // on-air set is unchanged since it), so trajectories cannot tell the two
+  // attached set is unchanged since it), so trajectories cannot tell the two
   // apart.
   source_->positionsOf(grid_.sortedIds, grid_.positions);
   // Pass 2, in slot order: copy each position into the CSR coordinate
@@ -293,7 +292,7 @@ void Channel::collectInRange(geom::Vec2 center, net::HostId exclude,
     obs::add(obs::Counter::kGridFallbackQueries);
     for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
       const net::HostId id{i};
-      if (id == exclude || !nodes_[i].attached || !nodes_[i].up) continue;
+      if (id == exclude || !nodes_[i].attached) continue;
       if (geom::distanceSquared(center, source_->positionOf(id)) <= r2) {
         out.push_back(id);
       }
@@ -378,10 +377,7 @@ std::size_t Channel::inRangeCount(net::HostId id) const {
     const geom::Vec2 center = positionOf(id);
     std::size_t count = 0;
     for (std::uint32_t other = 0; other < nodes_.size(); ++other) {
-      if (net::HostId{other} == id || !nodes_[other].attached ||
-          !nodes_[other].up) {
-        continue;
-      }
+      if (net::HostId{other} == id || !nodes_[other].attached) continue;
       if (geom::distanceSquared(center,
                                 source_->positionOf(net::HostId{other})) <=
           r2) {
@@ -443,19 +439,18 @@ void Channel::nodesInRange(net::HostId id,
 }
 
 std::vector<geom::Vec2> Channel::snapshotPositions() const {
-  // Unattached and churned-down nodes report Vec2{}; callers that mix down
-  // nodes into geometric queries must mask them out.
+  // Unattached nodes report Vec2{}.
   if (gridEnabled_) {
     ensureGrid();
     std::vector<geom::Vec2> out = grid_.positions;
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (!nodes_[i].attached || !nodes_[i].up) out[i] = geom::Vec2{};
+      if (!nodes_[i].attached) out[i] = geom::Vec2{};
     }
     return out;
   }
   std::vector<geom::Vec2> out(nodes_.size());
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].attached && nodes_[i].up) {
+    if (nodes_[i].attached) {
       out[i] = source_->positionOf(net::HostId{i});
     }
   }
@@ -466,13 +461,13 @@ std::size_t Channel::reachableCount(net::HostId source) const {
   const double r2 = params_.radiusMeters * params_.radiusMeters;
   if (!gridEnabled_) {
     obs::add(obs::Counter::kGridFallbackQueries);
-    MANET_EXPECTS(node(source).up);
-    // One position per on-air node, as a grid epoch pays, then an O(N^2)
+    node(source);  // asserts attachment
+    // One position per attached node, as a grid epoch pays, then an O(N^2)
     // BFS over the snapshot. `ids` doubles as the queue: [0, head) is done.
     std::vector<geom::Vec2> pos(nodes_.size());
     std::vector<std::uint8_t> unseen(nodes_.size(), 0);
     for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-      if (!nodes_[i].attached || !nodes_[i].up) continue;
+      if (!nodes_[i].attached) continue;
       pos[i] = source_->positionOf(net::HostId{i});
       unseen[i] = 1;
     }
@@ -548,7 +543,6 @@ std::size_t Channel::reachableCount(net::HostId source) const {
 sim::TimePoint Channel::transmit(net::HostId src, net::Packet packet,
                                  std::size_t bytes) {
   Node& tx = node(src);
-  MANET_EXPECTS(tx.up);
   MANET_EXPECTS(!tx.transmitting);
 
   const sim::TimePoint start = scheduler_.now();
@@ -564,7 +558,6 @@ sim::TimePoint Channel::transmit(net::HostId src, net::Packet packet,
   frame.packet = std::move(packet);
   frame.txStart = start;
   frame.txEnd = end;
-  air.txEpoch = tx.epoch;
   ++framesTransmitted_;
   obs::add(obs::Counter::kChannelTx);
   obs::add(obs::Counter::kAirtimeBroadcastUs,
@@ -588,13 +581,7 @@ sim::TimePoint Channel::transmit(net::HostId src, net::Packet packet,
   const bool instantSense = params_.carrierSenseDelay <= sim::Duration{};
   for (const net::HostId id : receivers) {
     Node& rx = nodes_[id.value()];
-    RxEntry rec{id, rx.epoch};
-    // Injected link loss is resolved first (the radio impairment exists
-    // regardless of contention) but the frame's energy still collides with
-    // everything else arriving at this receiver.
-    if (lossFn_ && lossFn_(src, id)) {
-      rec.reason = DropReason::kFaultLoss;
-    }
+    RxEntry rec{id};
     if (collisionsEnabled_) {
       // Overlap with anything already arriving, or with the receiver's own
       // ongoing transmission, corrupts everything involved.
@@ -651,9 +638,7 @@ std::uint32_t Channel::acquireAirFrame() {
 void Channel::senseFrame(std::uint32_t slot) {
   const std::size_t receivers = airFrames_[slot].rx.size();
   for (std::size_t i = 0; i < receivers; ++i) {
-    const RxEntry& rec = airFrames_[slot].rx[i];
-    Node& n = node(rec.id);
-    if (n.epoch == rec.epoch) raiseBusy(n);
+    raiseBusy(node(airFrames_[slot].rx[i].id));
   }
 }
 
@@ -663,24 +648,18 @@ void Channel::endFrame(std::uint32_t slot) {
   for (std::uint32_t i = 0; i < receivers; ++i) finishReception(slot, i);
   AirFrame& air = airFrames_[slot];
   const net::HostId src = air.frame.src;
-  const std::uint64_t txEpoch = air.txEpoch;
   // Release the packet (a HELLO's shared neighbour list) with the frame; the
   // slot keeps its entry capacity for the next frame.
   air.frame.packet = {};
   air.rx.clear();
   freeAirFrames_.push_back(slot);
-  finishTransmission(src, txEpoch);
+  finishTransmission(src);
 }
 
 void Channel::finishReception(std::uint32_t slot, std::uint32_t index) {
   const RxRef ref{slot, index};
-  if (entry(ref).orphaned) return;  // receiver churned down mid-frame
   const net::HostId rxId = entry(ref).id;
   Node& rx = node(rxId);
-  // A down node's receptions must all have been orphaned by the flush; a
-  // completion that still reaches one is a churn consistency bug.
-  MANET_AUDIT_HOOK(if (!rx.up)
-                       audit_.onDeliveryWhileDown(rxId, scheduler_.now()));
   auto it = std::find(rx.activeRx.begin(), rx.activeRx.end(), ref);
   MANET_ASSERT(it != rx.activeRx.end());
   rx.activeRx.erase(it);
@@ -692,17 +671,9 @@ void Channel::finishReception(std::uint32_t slot, std::uint32_t index) {
       ++framesDelivered_;
       obs::add(obs::Counter::kChannelDelivered);
       break;
-    case DropReason::kFaultLoss:
-      ++framesLostToFault_;
-      obs::add(obs::Counter::kChannelDropFault);
-      break;
     case DropReason::kHalfDuplex:
       ++framesCorrupted_;
       obs::add(obs::Counter::kChannelDropHalfDuplex);
-      break;
-    case DropReason::kHostDown:
-      ++framesCorrupted_;
-      obs::add(obs::Counter::kChannelDropHostDown);
       break;
     default:
       ++framesCorrupted_;
@@ -712,41 +683,12 @@ void Channel::finishReception(std::uint32_t slot, std::uint32_t index) {
   rx.listener->onFrameReceived(airFrames_[slot].frame, reason);
 }
 
-void Channel::finishTransmission(net::HostId src, std::uint64_t epoch) {
+void Channel::finishTransmission(net::HostId src) {
   Node& tx = node(src);
-  if (tx.epoch != epoch) return;  // transmitter churned before frame end
   MANET_ASSERT(tx.transmitting);
   tx.transmitting = false;
   lowerBusy(tx);
   tx.listener->onTxComplete();
-}
-
-std::vector<Frame> Channel::setNodeUp(net::HostId id, bool up) {
-  Node& n = node(id);
-  if (n.up == up) return {};
-  std::vector<Frame> flushed;
-  if (!up) {
-    // Off the air: flush in-flight receptions (their end-batch entries are
-    // orphaned) and silently reset medium/transmit state. The node's own
-    // in-flight frame, if any, keeps going at its receivers; the epoch bump
-    // makes the end batch skip finishTransmission.
-    flushed.reserve(n.activeRx.size());
-    for (const RxRef ref : n.activeRx) {
-      entry(ref).orphaned = true;
-      flushed.push_back(airFrames_[ref.frame].frame);
-      ++framesDroppedHostDown_;
-    }
-    n.activeRx.clear();
-    n.transmitting = false;
-    n.busyCount = 0;
-    MANET_AUDIT_HOOK(audit_.onHostDown(id, flushed.size(), scheduler_.now()));
-  }
-  // Recovery rejoins with a clean, idle medium view: transmissions already
-  // in the air are missed entirely (their start was not observed).
-  n.up = up;
-  ++n.epoch;
-  ++attachVersion_;  // range-resolution structures must rebuild
-  return flushed;
 }
 
 }  // namespace manet::phy

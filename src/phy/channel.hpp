@@ -21,7 +21,7 @@
 // anchor, the position it had at the last full rebuild; every new
 // simulation-time epoch only refreshes the cached coordinates in place, and
 // the cells are rebuilt when a node strays almost a skin from its anchor or
-// the on-air population changes. So `transmit`/`nodesInRange` examine only
+// a node attaches. So `transmit`/`nodesInRange` examine only
 // the 3x3 cell neighborhood and pay one batch position call per epoch
 // instead of one position per node per query. `setGridEnabled(false)`
 // restores the exhaustive O(N) scan; both paths visit candidates in
@@ -29,7 +29,7 @@
 //
 // Frame-centric reception (DESIGN.md §11.6): one transmitted frame is one
 // pooled air-frame record holding the Frame once plus a per-receiver entry
-// {id, epoch, verdict, orphaned}, and exactly two scheduler events — a
+// {id, verdict}, and exactly two scheduler events — a
 // carrier-sense batch at txStart + carrierSenseDelay and an end batch at
 // txEnd that completes every reception, then the transmission. Each batch
 // walks the receivers in ascending id, which is the order the per-receiver
@@ -77,7 +77,7 @@ struct Frame {
 /// Where a Channel reads node positions (DESIGN.md §7.1). Positions need
 /// not be pure functions of time (RandomRoam integrates once per query), so
 /// the channel fixes when it asks. The grid makes one positionsOf() call
-/// per epoch in which a range query runs, over the on-air ids in ascending
+/// per epoch in which a range query runs, over the attached ids in ascending
 /// order. positionOf() serves single reads: Channel::positionOf, a
 /// transmitter's own position and the exhaustive scan. Every mobility model
 /// answers a repeat query at the same time unchanged.
@@ -105,20 +105,13 @@ class Channel {
     virtual void onMediumIdle() {}
     /// A frame addressed to the broadcast medium finished arriving.
     /// `drop` = kNone when intact; otherwise why the FCS would fail
-    /// (collision, half-duplex loss, or injected fault loss).
+    /// (collision or half-duplex loss).
     virtual void onFrameReceived(const Frame& frame, DropReason drop) = 0;
     /// This node's own transmission just ended (channel state updated).
     virtual void onTxComplete() {}
   };
 
   using PositionFn = std::function<geom::Vec2()>;
-
-  /// Fault-injection hook (DESIGN.md §8): consulted once per (frame,
-  /// receiver) pair after range resolution; return true to drop that
-  /// reception as a link-level loss. The frame still asserts energy at the
-  /// receiver (carrier-sense stays busy, overlaps still collide) — it
-  /// arrives with a failed FCS, reason kFaultLoss. Unset = lossless.
-  using LossFn = std::function<bool(net::HostId src, net::HostId dst)>;
 
   /// A channel whose nodes bring their own position callbacks, given to
   /// attach(id, listener, position).
@@ -127,7 +120,7 @@ class Channel {
   /// outlive it; nodes join with attach(id, listener).
   Channel(sim::Scheduler& scheduler, PhyParams params,
           PositionSource& source);
-  /// Audited builds verify the begin/end/flush reception ledger here.
+  /// Audited builds verify the begin/end reception ledger here.
   ~Channel();
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
@@ -138,24 +131,6 @@ class Channel {
   void attach(net::HostId id, Listener* listener, PositionFn position);
   /// Registers a node positioned by the channel's PositionSource.
   void attach(net::HostId id, Listener* listener);
-
-  /// Installs (or clears, with nullptr) the link-impairment hook. Receivers
-  /// are consulted in ascending id order, so a model drawing from its own
-  /// RNG stream is deterministic for a given schedule of transmissions.
-  void setLossFn(LossFn fn) { lossFn_ = std::move(fn); }
-
-  /// Host churn (DESIGN.md §8): takes a node off the air (`up = false`) or
-  /// brings it back. A down node is invisible to range resolution, neither
-  /// hears nor asserts energy, and its in-flight receptions are flushed —
-  /// returned to the caller (for kHostDown trace drops) and counted in
-  /// framesDroppedHostDown(). A frame the node itself had on the air when
-  /// it went down keeps propagating to its receivers (the crash boundary is
-  /// quantized to frame ends); only the transmitter's own state is reset.
-  /// No listener callbacks fire from this call. Idempotent per direction.
-  std::vector<Frame> setNodeUp(net::HostId id, bool up);
-
-  /// False while node `id` is churned off the air.
-  bool nodeUp(net::HostId id) const { return node(id).up; }
 
   /// Starts transmitting `packet` from `src` now. The caller (MAC) must not
   /// already be transmitting. Returns the transmission end time.
@@ -187,10 +162,9 @@ class Channel {
   /// Positions of all attached nodes, indexed by node id.
   std::vector<geom::Vec2> snapshotPositions() const;
 
-  /// Number of on-air nodes reachable from `source` over links of length <=
+  /// Number of nodes reachable from `source` over links of length <=
   /// `radiusMeters`, directly or over any number of hops, excluding
-  /// `source`: RE's denominator `e` (paper, footnote 2). Churned-down nodes
-  /// neither count nor relay. `source` must be on the air.
+  /// `source`: RE's denominator `e` (paper, footnote 2).
   std::size_t reachableCount(net::HostId source) const;
 
   std::size_t nodeCount() const { return nodes_.size(); }
@@ -199,15 +173,11 @@ class Channel {
   // --- statistics (monotone counters over the whole run) ---
   std::uint64_t framesTransmitted() const { return framesTransmitted_; }
   std::uint64_t framesDelivered() const { return framesDelivered_; }
-  /// Receptions lost to collisions or half-duplex conflicts (the only
-  /// losses of the fault-free model; fault losses are counted separately).
+  /// Receptions lost to collisions or half-duplex conflicts.
   std::uint64_t framesCorrupted() const { return framesCorrupted_; }
-  /// Receptions dropped by the installed LossFn (injected link loss).
-  std::uint64_t framesLostToFault() const { return framesLostToFault_; }
-  /// Receptions flushed because the receiver went down mid-frame.
-  std::uint64_t framesDroppedHostDown() const {
-    return framesDroppedHostDown_;
-  }
+  /// Always 0: kept because bench/perf reads them (ROADMAP item 10).
+  std::uint64_t framesLostToFault() const { return 0; }
+  std::uint64_t framesDroppedHostDown() const { return 0; }
 
   /// Test/ablation hook: when disabled, overlapping frames are all delivered
   /// intact (perfect-PHY model used by bench/abl_collision_model).
@@ -224,19 +194,12 @@ class Channel {
   /// One receiver's view of an air frame.
   struct RxEntry {
     net::HostId id;
-    /// Receiver's churn epoch at tx start; the carrier-sense batch skips
-    /// the entry when the node went down (and maybe up) since.
-    std::uint64_t epoch = 0;
     DropReason reason = DropReason::kNone;  // first corruption cause wins
-    /// Receiver churned off the air mid-frame: the end batch must not touch
-    /// the (already flushed) node state.
-    bool orphaned = false;
   };
   /// A frame on the air and its receivers, ascending by id. Pooled: a slot
   /// is recycled (with its entry capacity) after its end batch.
   struct AirFrame {
     Frame frame;
-    std::uint64_t txEpoch = 0;  // transmitter's epoch at tx start
     std::vector<RxEntry> rx;
   };
   /// A reception in flight at one node: entry `index` of air frame `frame`.
@@ -264,24 +227,20 @@ class Channel {
   struct Node {
     Listener* listener = nullptr;
     bool attached = false;
-    bool up = true;     // false while churned down (attached but off-air)
     bool transmitting = false;
     int busyCount = 0;  // overlapping in-range transmissions incl. own
-    /// Bumped on every up/down transition; air-frame entries record the
-    /// epoch at tx start, and the batches skip a node that churned since.
-    std::uint64_t epoch = 0;
     std::vector<RxRef> activeRx;  // in arrival order
   };
 
-  /// Anchored uniform-cell spatial index over the on-air nodes' positions.
+  /// Anchored uniform-cell spatial index over the attached nodes' positions.
   /// A full rebuild buckets every node by its current position, which
   /// becomes its anchor, into cells of size r + skin. At each later epoch
   /// the index is refreshed, not rebuilt: one batch call to the position
   /// source fills `positions` (ascending id), then one pass in slot order
   /// overwrites each node's cached coordinates in its CSR slot. Cell
   /// membership keeps following the anchors until some node moves farther
-  /// than kEscapeFraction * skin from its anchor, or a node attaches or
-  /// churns; then the cells are rebuilt.
+  /// than kEscapeFraction * skin from its anchor, or a node attaches; then
+  /// the cells are rebuilt.
   /// While every node stays within a skin of its anchor, a disk of radius r
   /// still lies inside the 3x3 neighborhood of its center's cell. CSR
   /// layout: `cellNodes` holds node ids grouped by cell, ascending within a
@@ -298,10 +257,10 @@ class Channel {
     geom::Vec2 bboxMax{};
     int cols = 0;
     int rows = 0;
-    std::vector<net::HostId> sortedIds;  // on-air ids, ascending
+    std::vector<net::HostId> sortedIds;  // attached ids, ascending
     std::vector<int> rankOf;            // id -> index in sortedIds (-1: none)
     std::vector<geom::Vec2> positions;  // per node id, cached this epoch
-    std::vector<int> cellOf;            // per node id (-1 = not on the air)
+    std::vector<int> cellOf;            // per node id (-1 = not attached)
     std::vector<int> slotOf;            // per node id: index into cellNodes
     std::vector<int> cellStart;         // cols*rows + 1 offsets
     std::vector<net::HostId> cellNodes;
@@ -333,14 +292,13 @@ class Channel {
   }
   /// Takes a free air-frame slot (recycled, else freshly appended).
   std::uint32_t acquireAirFrame();
-  /// Carrier-sense batch: raises energy at every receiver still on the
-  /// epoch it was resolved under.
+  /// Carrier-sense batch: raises energy at every receiver.
   void senseFrame(std::uint32_t slot);
-  /// End batch: completes every non-orphaned reception in entry order,
-  /// then the transmission, then recycles the slot.
+  /// End batch: completes every reception in entry order, then the
+  /// transmission, then recycles the slot.
   void endFrame(std::uint32_t slot);
   void finishReception(std::uint32_t slot, std::uint32_t index);
-  void finishTransmission(net::HostId src, std::uint64_t epoch);
+  void finishTransmission(net::HostId src);
   /// Marks `rec` corrupted with `reason` unless an earlier cause already did.
   static void corrupt(RxEntry& rec, DropReason reason) {
     if (rec.reason == DropReason::kNone) rec.reason = reason;
@@ -348,9 +306,9 @@ class Channel {
 
   /// Brings the grid up to the current epoch: nothing when it is current,
   /// a refresh when only time advanced, a full rebuild when a node attached
-  /// or churned since, or when the refresh finds a node off its anchor.
+  /// since, or when the refresh finds a node off its anchor.
   void ensureGrid() const;
-  /// Samples every on-air node's position, in ascending id, into the cache,
+  /// Samples every attached node's position, in ascending id, into the cache,
   /// then copies each into its CSR slot. Returns false when some node
   /// escaped its anchor.
   bool refreshGrid() const;
@@ -387,7 +345,7 @@ class Channel {
     return fx * fx + fy * fy <= r2;
   }
   /// True when the current population bounding box lies inside the disk of
-  /// radius sqrt(r2) around `center`: every on-air node is in range.
+  /// radius sqrt(r2) around `center`: every attached node is in range.
   bool bboxCovered(geom::Vec2 center, double r2) const {
     const double fx =
         std::max(center.x - grid_.bboxMin.x, grid_.bboxMax.x - center.x);
@@ -413,7 +371,6 @@ class Channel {
   std::vector<Node> nodes_;
   bool collisionsEnabled_ = true;
   bool gridEnabled_ = true;
-  LossFn lossFn_;
   std::uint64_t attachVersion_ = 0;
   mutable Grid grid_;
   mutable std::vector<net::HostId> scratch_;  // transmit() receiver list
@@ -424,8 +381,6 @@ class Channel {
   std::uint64_t framesTransmitted_ = 0;
   std::uint64_t framesDelivered_ = 0;
   std::uint64_t framesCorrupted_ = 0;
-  std::uint64_t framesLostToFault_ = 0;
-  std::uint64_t framesDroppedHostDown_ = 0;
 #if MANET_AUDIT_ENABLED
   audit::ChannelAudit audit_;
 #endif

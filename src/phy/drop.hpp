@@ -1,7 +1,6 @@
 // Why a frame failed to arrive intact at a receiver. Shared vocabulary of
 // the channel (which classifies the failure), the MAC (which reports it
-// upward), the trace layer (kDrop events), and the fault subsystem
-// (DESIGN.md §8).
+// upward) and the trace layer (kDrop events).
 #pragma once
 
 namespace manet::phy {
@@ -10,8 +9,6 @@ enum class DropReason {
   kNone,        // delivered intact
   kCollision,   // overlapped another arrival at the receiver
   kHalfDuplex,  // the receiver was transmitting during the arrival
-  kFaultLoss,   // injected link impairment (fault::LossModel)
-  kHostDown,    // the receiver crashed mid-reception (host churn)
 };
 
 inline const char* dropReasonName(DropReason reason) {
@@ -19,12 +16,10 @@ inline const char* dropReasonName(DropReason reason) {
     case DropReason::kNone: return "none";
     case DropReason::kCollision: return "collision";
     case DropReason::kHalfDuplex: return "half_duplex";
-    case DropReason::kFaultLoss: return "fault_loss";
-    case DropReason::kHostDown: return "host_down";
   }
   return "?";
 }
 
-inline constexpr int kDropReasonCount = 5;
+inline constexpr int kDropReasonCount = 3;
 
 }  // namespace manet::phy

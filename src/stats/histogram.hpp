@@ -19,7 +19,7 @@ namespace manet::stats {
 /// Everything is integer bucket arithmetic plus an ordered running sum, so
 /// two histograms merged in a fixed order are byte-identical to one histogram
 /// fed the concatenated samples in that order — the property the parallel
-/// sweep runner relies on for thread-count-invariant metrics (DESIGN.md §10).
+/// cell runner relies on for thread-count-invariant metrics (DESIGN.md §10).
 /// Header-only: the obs layer sits below stats in the link order and only
 /// needs the type, not a library dependency.
 class Histogram {

@@ -36,18 +36,16 @@ MetricsCollector::MetricsCollector(std::size_t numHosts)
 PerBroadcast& MetricsCollector::record(net::BroadcastId bid) {
   auto it = live_.find(bid);
   MANET_EXPECTS(it != live_.end());
-  return order_[it->second.index];
+  return order_[it->second];
 }
 
 void MetricsCollector::onBroadcastStart(net::BroadcastId bid,
                                         net::HostId source, sim::TimePoint now,
                                         int reachable) {
   MANET_EXPECTS(!live_.contains(bid));
-  Record rec;
-  rec.index = order_.size();
-  rec.deliveredTo.assign(numHosts_, false);
-  rec.deliveredTo[source.value()] = true;  // source trivially has it
-  live_.emplace(bid, std::move(rec));
+  MANET_EXPECTS(source.value() < numHosts_);
+  MANET_AUDIT_HOOK(audit_.onStart(order_.size(), source));
+  live_.emplace(bid, order_.size());
   PerBroadcast pb;
   pb.bid = bid;
   pb.start = now;
@@ -63,9 +61,8 @@ void MetricsCollector::onDelivered(net::BroadcastId bid, net::HostId host,
   MANET_EXPECTS(it != live_.end());
   MANET_EXPECTS(host.value() < numHosts_);
   MANET_EXPECTS(hops >= 0);
-  if (it->second.deliveredTo[host.value()]) return;  // dups don't re-count
-  it->second.deliveredTo[host.value()] = true;
-  PerBroadcast& pb = order_[it->second.index];
+  MANET_AUDIT_HOOK(audit_.onDelivered(it->second, host, now));
+  PerBroadcast& pb = order_[it->second];
   ++pb.received;
   pb.hopSum += hops;
   pb.maxHops = std::max(pb.maxHops, hops);

@@ -14,9 +14,14 @@
 #include <unordered_map>
 #include <vector>
 
+#include "audit/audit.hpp"
 #include "net/ids.hpp"
 #include "sim/time.hpp"
 #include "stats/summary.hpp"
+
+#if MANET_AUDIT_ENABLED
+#include "audit/invariants.hpp"
+#endif
 
 namespace manet::ckpt {
 struct StateAccess;
@@ -72,8 +77,10 @@ class MetricsCollector {
   /// Broadcast lifecycle ------------------------------------------------
   void onBroadcastStart(net::BroadcastId bid, net::HostId source,
                         sim::TimePoint now, int reachable);
-  /// First intact reception at `host` (at most once per host per bid).
-  /// `hops`: distance the delivered copy travelled from the origin.
+  /// First intact reception at `host`. The host's duplicate detection
+  /// calls this at most once per host per bid, never for the source
+  /// (audited as metrics.duplicate-delivery). `hops`: distance the
+  /// delivered copy travelled from the origin.
   void onDelivered(net::BroadcastId bid, net::HostId host, sim::TimePoint now,
                    int hops = 1);
   /// `host` started rebroadcasting bid (counted in t).
@@ -91,25 +98,25 @@ class MetricsCollector {
   std::optional<std::size_t> indexOf(net::BroadcastId bid) const {
     auto it = live_.find(bid);
     if (it == live_.end()) return std::nullopt;
-    return it->second.index;
+    return it->second;
   }
   std::uint64_t hellosSent() const { return hellosSent_; }
   RunSummary summarize() const;
 
  private:
   friend struct manet::ckpt::StateAccess;
-  struct Record {
-    std::size_t index;                // into order_
-    std::vector<bool> deliveredTo;    // per host
-  };
-
   PerBroadcast& record(net::BroadcastId bid);
 
   std::size_t numHosts_;
-  std::unordered_map<net::BroadcastId, Record, net::BroadcastIdHash> live_;
+  /// Broadcast id -> its index in order_.
+  std::unordered_map<net::BroadcastId, std::size_t, net::BroadcastIdHash>
+      live_;
   std::vector<PerBroadcast> order_;
   std::uint64_t hellosSent_ = 0;
   std::uint64_t dataFramesSent_ = 0;
+#if MANET_AUDIT_ENABLED
+  audit::DeliveryAudit audit_;
+#endif
 };
 
 }  // namespace manet::stats

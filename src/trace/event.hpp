@@ -22,13 +22,11 @@ enum class EventKind {
   kDrop,                 // a frame was lost at a host; Event::drop says why
   kInhibited,            // the scheme cancelled a pending rebroadcast
   kHelloSent,            // a HELLO beacon was transmitted
-  kHostDown,             // host churn: the host crashed
-  kHostUp,               // host churn: the host recovered
   kAuditViolation,       // invariant auditor reported a violation (§9);
                          // never emitted unless the build sets MANET_AUDIT
 };
 
-inline constexpr int kEventKindCount = 11;
+inline constexpr int kEventKindCount = 9;
 
 /// One event. `bid` is meaningful for the broadcast-related kinds; position
 /// is the observing host's position at event time; `drop` is meaningful for

@@ -14,8 +14,6 @@ const char* eventKindName(EventKind kind) {
     case EventKind::kDrop: return "drop";
     case EventKind::kInhibited: return "inhibited";
     case EventKind::kHelloSent: return "hello";
-    case EventKind::kHostDown: return "host_down";
-    case EventKind::kHostUp: return "host_up";
     case EventKind::kAuditViolation: return "audit_violation";
   }
   return "?";

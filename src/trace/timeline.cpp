@@ -76,8 +76,6 @@ std::optional<Timeline> buildTimeline(const std::vector<Event>& events,
         continue;
       case EventKind::kHelloSent:
       case EventKind::kDrop:
-      case EventKind::kHostDown:
-      case EventKind::kHostUp:
       case EventKind::kAuditViolation:
         continue;
       default:

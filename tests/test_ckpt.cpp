@@ -1,5 +1,5 @@
 // State fingerprints (DESIGN.md §14): the per-subsystem diff, and the
-// side-effect-free capture rule under every mobility model.
+// side-effect-free capture rule under random roam.
 #include "ckpt/fingerprint.hpp"
 
 #include <gtest/gtest.h>
@@ -19,22 +19,17 @@ namespace {
 using experiment::ScenarioConfig;
 using experiment::SchemeSpec;
 using experiment::World;
-using Mobility = ScenarioConfig::Mobility;
 
-// A small but fully-featured scenario: HELLO-fed adaptive counter, bursty
-// link loss, and random churn, so a capture exercises every fingerprint word.
-ScenarioConfig smallConfig(Mobility mobility = Mobility::kRandomRoam) {
+// A small but fully-featured scenario: a HELLO-fed adaptive counter on a
+// roaming population, so a capture exercises every fingerprint word.
+ScenarioConfig smallConfig() {
   ScenarioConfig c;
   c.mapUnits = 3;
   c.numHosts = 30;
   c.numBroadcasts = 10;
-  c.mobility = mobility;
   c.neighborSource = experiment::NeighborSource::kHello;
   c.hello.enabled = true;
   c.scheme = SchemeSpec::adaptiveCounter();
-  c.fault.loss = fault::FaultConfig::Loss::kGilbertElliott;
-  c.fault.churn = true;
-  c.fault.churnFraction = 0.2;
   c.seed = 42;
   return c;
 }
@@ -140,34 +135,26 @@ TEST(CkptFingerprint, BroadcastStatesWordFoldsTerminalPhase) {
 // Capturing at quarter, half and three-quarter time and then finishing
 // the run must land on the same end state as an uncaptured straight run:
 // a capture reads raw fields only, so it may not advance an integrator,
-// draw from a stream, purge a table or rebuild the grid. Under group
-// mobility every member's capture folds the team's shared center, so one
-// read there could disturb many hosts.
+// draw from a stream, purge a table or rebuild the grid.
 TEST(Ckpt, CaptureIsSideEffectFreeAndSplitRunMatchesStraight) {
-  for (const Mobility mobility :
-       {Mobility::kRandomRoam, Mobility::kWaypoint, Mobility::kGroup}) {
-    SCOPED_TRACE(testing::Message()
-                 << "mobility " << static_cast<int>(mobility));
-    const ScenarioConfig config = smallConfig(mobility);
-    World straight(config);
-    straight.run();
+  const ScenarioConfig config = smallConfig();
+  World straight(config);
+  straight.run();
 
-    World split(config);
-    split.beginRun();
-    for (const double fraction : {0.25, 0.5, 0.75}) {
-      split.continueUntil(fractionOf(split, fraction));
-      const WorldFingerprint first = StateAccess::captureWorld(split);
-      EXPECT_EQ(StateAccess::captureWorld(split), first)
-          << "a second capture at " << fraction << " saw different state";
-    }
-    split.runToEnd();
-
-    const auto diffs = diffFingerprints(StateAccess::captureWorld(split),
-                                        StateAccess::captureWorld(straight));
-    EXPECT_TRUE(diffs.empty()) << diffs.size()
-                               << " subsystem(s) diverged, e.g. "
-                               << diffs.front();
+  World split(config);
+  split.beginRun();
+  for (const double fraction : {0.25, 0.5, 0.75}) {
+    split.continueUntil(fractionOf(split, fraction));
+    const WorldFingerprint first = StateAccess::captureWorld(split);
+    EXPECT_EQ(StateAccess::captureWorld(split), first)
+        << "a second capture at " << fraction << " saw different state";
   }
+  split.runToEnd();
+
+  const auto diffs = diffFingerprints(StateAccess::captureWorld(split),
+                                      StateAccess::captureWorld(straight));
+  EXPECT_TRUE(diffs.empty()) << diffs.size() << " subsystem(s) diverged, e.g. "
+                             << diffs.front();
 }
 
 }  // namespace

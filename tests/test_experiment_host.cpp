@@ -201,36 +201,6 @@ TEST(Host, NeighborCoverageLeafDoesNotRelay) {
   EXPECT_EQ(pb.rebroadcast, 1);
 }
 
-// A crash is a cold reboot (DESIGN.md §8): the terminal record goes with the
-// in-flight map, so a copy heard after recovery is a first reception again.
-// The collector's per-host delivery bits keep it out of r a second time.
-TEST(Host, CrashForgetsTerminalPhases) {
-  World w(staticConfig({{0, 0}, {400, 0}}, SchemeSpec::flooding()));
-  w.host(net::HostId{0}).originateBroadcast();
-  w.scheduler().runUntil(sim::kTimeZero + 1 * kSecond);
-  Host& relay = w.host(net::HostId{1});
-  ASSERT_EQ(relay.phaseOf(B(0, 0)), Host::PacketPhase::kSent);
-  const auto& pb = w.metrics().broadcasts().at(0);
-  ASSERT_EQ(pb.received, 1);
-  ASSERT_EQ(pb.rebroadcast, 1);
-
-  w.setHostUp(net::HostId{1}, false);
-  w.setHostUp(net::HostId{1}, true);
-  EXPECT_EQ(relay.phaseOf(B(0, 0)), Host::PacketPhase::kUnseen);
-  EXPECT_EQ(relay.liveBroadcasts(), 0u);
-
-  phy::Frame copy;
-  copy.src = net::HostId{0};
-  copy.packet = net::makeDataPacket(B(0, 0), net::HostId{0});
-  relay.onReceive(copy);
-  EXPECT_EQ(relay.phaseOf(B(0, 0)), Host::PacketPhase::kJitter);
-  EXPECT_EQ(relay.liveBroadcasts(), 1u);
-  w.scheduler().runUntil(sim::kTimeZero + 2 * kSecond);
-  EXPECT_EQ(relay.phaseOf(B(0, 0)), Host::PacketPhase::kSent);
-  EXPECT_EQ(pb.received, 1);
-  EXPECT_EQ(pb.rebroadcast, 2);
-}
-
 // Per-broadcast host memory follows the broadcasts in flight, not the run
 // length: on a dense 1x1 flood the largest number of live host states over
 // a run of 4N broadcasts matches that of N broadcasts up to one full set of

@@ -8,7 +8,6 @@
 #include "mobility/map.hpp"
 #include "mobility/model.hpp"
 #include "mobility/random_roam.hpp"
-#include "mobility/waypoint.hpp"
 #include "sim/random.hpp"
 
 namespace manet::mobility {
@@ -313,46 +312,6 @@ TEST(RandomRoam, FastPathMatchesReferenceOnSignedZeros) {
     }
   }
   EXPECT_GT(negativeZeroSteps, 0);
-}
-
-TEST(Waypoint, StaysWithinMapAndReachesDestinations) {
-  const MapSpec map = MapSpec::square(5);
-  WaypointParams params;
-  params.minSpeedMps = 1.0;
-  params.maxSpeedMps = 20.0;
-  params.pause = 2 * kSecond;
-  RandomWaypoint wp(map, {0, 0}, params, sim::Rng(13));
-  for (sim::TimePoint t = sim::kTimeZero; t <= T(500 * kSecond); t += kSecond) {
-    EXPECT_TRUE(map.contains(wp.positionAt(t)));
-  }
-}
-
-TEST(Waypoint, DeterministicForSameSeed) {
-  const MapSpec map = MapSpec::square(5);
-  WaypointParams params;
-  RandomWaypoint a(map, {100, 100}, params, sim::Rng(14));
-  RandomWaypoint b(map, {100, 100}, params, sim::Rng(14));
-  for (sim::TimePoint t = sim::kTimeZero; t <= T(100 * kSecond); t += 3 * kSecond) {
-    EXPECT_EQ(a.positionAt(t), b.positionAt(t));
-  }
-}
-
-TEST(Waypoint, PausesAtDestination) {
-  const MapSpec map = MapSpec::square(1);
-  WaypointParams params;
-  params.minSpeedMps = 100.0;  // fast legs, long pauses
-  params.maxSpeedMps = 100.0;
-  params.pause = 50 * kSecond;
-  RandomWaypoint wp(map, {0, 0}, params, sim::Rng(15));
-  // Sample densely; during pauses consecutive samples must coincide.
-  int stationarySamples = 0;
-  Vec2 prev = wp.positionAt(sim::kTimeZero);
-  for (sim::TimePoint t = T(kSecond); t <= T(200 * kSecond); t += kSecond) {
-    const Vec2 cur = wp.positionAt(t);
-    if (cur == prev) ++stationarySamples;
-    prev = cur;
-  }
-  EXPECT_GT(stationarySamples, 100);
 }
 
 }  // namespace

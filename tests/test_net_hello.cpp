@@ -157,17 +157,6 @@ TEST_F(HelloTest, PiggybackDisabledSendsEmptyList) {
   EXPECT_EQ(a.upper->lastHello.helloNeighbors, nullptr);
 }
 
-TEST_F(HelloTest, StopHaltsBeaconing) {
-  HelloConfig cfg;
-  Station& a = addStation({0, 0}, cfg);
-  a.agent->start();
-  scheduler_.runUntil(T(3 * kSecond));
-  const auto sent = a.agent->hellosSent();
-  a.agent->stop();
-  scheduler_.runUntil(T(30 * kSecond));
-  EXPECT_EQ(a.agent->hellosSent(), sent);
-}
-
 // --- the DHI formula itself (§4.3), as a pure function ---
 
 TEST(DynamicInterval, HighVariationSelectsMinimum) {

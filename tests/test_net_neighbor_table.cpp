@@ -96,15 +96,6 @@ TEST(NeighborTable, StaggeredExpiriesLeaveOneAtATime) {
   EXPECT_EQ(t.changeEventsInWindow(T(7 * kSecond)), 6);  // 3 joins, 3 leaves
 }
 
-TEST(NeighborTable, ClearedTableRelearnsAndExpiresNormally) {
-  NeighborTable t;
-  t.onHello(H(1), hello(1, {}, 1 * kSecond), T(0));
-  t.clear();
-  t.onHello(H(2), hello(2, {}, 5 * kSecond), T(1 * kSecond));  // 11 s
-  EXPECT_EQ(t.neighborIds(T(10 * kSecond)), ids({2}));
-  EXPECT_EQ(t.neighborCount(T(11 * kSecond + sim::kMicrosecond)), 0);
-}
-
 TEST(NeighborTable, FallbackIntervalWhenNotAnnounced) {
   NeighborTable t(10 * kSecond, /*fallbackInterval=*/2 * kSecond);
   t.onHello(H(7), hello(7, {}, sim::Duration{}), T(0));  // interval 0 = not announced

@@ -344,8 +344,7 @@ TEST(Differential, CollectedCountersAgreeWithChannelAccounting) {
   EXPECT_EQ(m.counter(obs::Counter::kChannelTx), r.framesTransmitted);
   EXPECT_EQ(m.counter(obs::Counter::kChannelDelivered), r.framesDelivered);
   EXPECT_EQ(m.counter(obs::Counter::kChannelDropCollision) +
-                m.counter(obs::Counter::kChannelDropHalfDuplex) +
-                m.counter(obs::Counter::kChannelDropHostDown),
+                m.counter(obs::Counter::kChannelDropHalfDuplex),
             r.framesCorrupted);
   EXPECT_EQ(m.counter(obs::Counter::kHelloTx), r.summary.hellosSent);
   EXPECT_GT(m.counter(obs::Counter::kHelloRx), 0U);

@@ -1,5 +1,5 @@
 // Determinism and pool-machinery tests for the parallel experiment runner:
-// a sweep must produce byte-identical output for any thread count.
+// runCells must produce byte-identical output for any thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,7 +10,6 @@
 
 #include "experiment/parallel.hpp"
 #include "experiment/runner.hpp"
-#include "experiment/sweep.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 
@@ -89,36 +88,43 @@ ScenarioConfig tinyBase() {
   return c;
 }
 
-std::vector<SweepAxis> threeAxes() {
-  return {schemeAxis({SchemeSpec::flooding(), SchemeSpec::counter(3)}),
-          mapAxis({1, 3}), speedAxis({10.0, 30.0})};
+/// Scheme x map x speed, the inner axis varying fastest.
+std::vector<ScenarioConfig> threeAxisCells() {
+  std::vector<ScenarioConfig> configs;
+  for (const SchemeSpec& scheme :
+       {SchemeSpec::flooding(), SchemeSpec::counter(3)}) {
+    for (int units : {1, 3}) {
+      for (double speedKmh : {10.0, 30.0}) {
+        ScenarioConfig c = tinyBase();
+        c.scheme = scheme;
+        c.mapUnits = units;
+        c.maxSpeedKmh = speedKmh;
+        configs.push_back(c);
+      }
+    }
+  }
+  return configs;
 }
 
-/// The tentpole guarantee: parallel runSweep output is identical to the
-/// serial run — same cells, same coordinates, same table bytes.
+/// The tentpole guarantee: a parallel sweep of cells is identical to the
+/// serial run — same cells in the same order, same numbers.
 TEST(ParallelSweep, ThreeAxisSweepIsIdenticalToSerial) {
-  const ScenarioConfig base = tinyBase();
-  const auto axes = threeAxes();
-  const auto serial = runSweep(base, axes, /*repetitions=*/2, /*threads=*/1);
-  const auto parallel = runSweep(base, axes, /*repetitions=*/2, /*threads=*/4);
+  const auto configs = threeAxisCells();
+  const auto serial = runCells(configs, /*repetitions=*/2, /*threads=*/1);
+  const auto parallel = runCells(configs, /*repetitions=*/2, /*threads=*/4);
 
-  ASSERT_EQ(serial.size(), parallel.size());
+  ASSERT_EQ(serial.size(), configs.size());
+  ASSERT_EQ(parallel.size(), configs.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].coordinates, parallel[i].coordinates);
-    EXPECT_EQ(serial[i].result.re(), parallel[i].result.re());
-    EXPECT_EQ(serial[i].result.srb(), parallel[i].result.srb());
-    EXPECT_EQ(serial[i].result.latency(), parallel[i].result.latency());
-    EXPECT_EQ(serial[i].result.framesTransmitted,
-              parallel[i].result.framesTransmitted);
-    EXPECT_EQ(serial[i].result.summary.totalReceived,
-              parallel[i].result.summary.totalReceived);
+    EXPECT_EQ(serial[i].schemeName, configs[i].scheme.name());
+    EXPECT_EQ(serial[i].schemeName, parallel[i].schemeName);
+    EXPECT_EQ(serial[i].re(), parallel[i].re());
+    EXPECT_EQ(serial[i].srb(), parallel[i].srb());
+    EXPECT_EQ(serial[i].latency(), parallel[i].latency());
+    EXPECT_EQ(serial[i].framesTransmitted, parallel[i].framesTransmitted);
+    EXPECT_EQ(serial[i].summary.totalReceived,
+              parallel[i].summary.totalReceived);
   }
-
-  std::ostringstream serialOut;
-  std::ostringstream parallelOut;
-  sweepTable(axes, serial).print(serialOut);
-  sweepTable(axes, parallel).print(parallelOut);
-  EXPECT_EQ(serialOut.str(), parallelOut.str());
 }
 
 TEST(ParallelSweep, AveragedRunsMatchSerialAcrossThreadCounts) {
@@ -150,44 +156,6 @@ TEST(PooledCounts, AveragedResultExposesBothAveragings) {
   EXPECT_EQ(pooled.summary.totalReachable,
             run0.summary.totalReachable + run1.summary.totalReachable);
   EXPECT_DOUBLE_EQ(pooled.re(), (run0.re() + run1.re()) / 2.0);
-}
-
-/// Fault injection must stay deterministic under parallel execution: every
-/// fault draw comes from a per-run forked stream, so a sweep with loss and
-/// churn enabled is byte-identical for any thread count.
-TEST(ParallelSweep, FaultSweepIsIdenticalAcrossThreadCounts) {
-  ScenarioConfig base = tinyBase();
-  base.fault.loss = fault::FaultConfig::Loss::kGilbertElliott;
-  base.fault.churn = true;
-  base.fault.churnFraction = 0.5;
-  base.fault.meanUpTime = 3 * sim::kSecond;
-  base.fault.meanDownTime = 1 * sim::kSecond;
-  const std::vector<SweepAxis> axes{
-      schemeAxis({SchemeSpec::flooding(), SchemeSpec::counter(3)})};
-
-  const auto serial = runSweep(base, axes, /*repetitions=*/2, /*threads=*/1);
-  const auto parallel = runSweep(base, axes, /*repetitions=*/2, /*threads=*/4);
-
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].result.framesTransmitted,
-              parallel[i].result.framesTransmitted);
-    EXPECT_EQ(serial[i].result.framesLostToFault,
-              parallel[i].result.framesLostToFault);
-    EXPECT_EQ(serial[i].result.framesDroppedHostDown,
-              parallel[i].result.framesDroppedHostDown);
-    EXPECT_EQ(serial[i].result.hostDownSeconds,
-              parallel[i].result.hostDownSeconds);
-    EXPECT_EQ(serial[i].result.re(), parallel[i].result.re());
-  }
-
-  std::ostringstream serialOut;
-  std::ostringstream parallelOut;
-  sweepTable(axes, serial).print(serialOut);
-  sweepTable(axes, parallel).print(parallelOut);
-  EXPECT_EQ(serialOut.str(), parallelOut.str());
-  // The fault columns actually appear for fault-enabled sweeps.
-  EXPECT_NE(serialOut.str().find("lost"), std::string::npos);
 }
 
 // --- runCells: the one (cell, repetition) fan-out -----------------------
@@ -282,6 +250,57 @@ TEST(RunCells, KeepsCellOrderWhenCostsAreUneven) {
     EXPECT_EQ(fingerprint(cells[i]), fingerprint(runScenario(configs[i])))
         << "cell " << i;
   }
+}
+
+// --- runCells as the sweep driver ---------------------------------------
+// A figure bench's sweep is its list of cells; runCells returns one result
+// per cell, in cell order.
+
+ScenarioConfig sweepBase() {
+  ScenarioConfig c;
+  c.numHosts = 25;
+  c.numBroadcasts = 3;
+  c.seed = 4;
+  return c;
+}
+
+TEST(Sweep, ResultsArePopulated) {
+  const ScenarioConfig c = sweepBase();
+  const auto cells = runCells({c}, /*repetitions=*/1, /*threads=*/1);
+  ASSERT_EQ(cells.size(), 1u);
+  EXPECT_EQ(cells[0].summary.broadcasts, 3u);
+  EXPECT_EQ(cells[0].offeredBroadcasts, 3u);
+  EXPECT_GE(cells[0].re(), 0.0);
+  EXPECT_GT(cells[0].framesTransmitted, 0u);
+}
+
+TEST(Sweep, SpeedAndSeedAxes) {
+  std::vector<ScenarioConfig> configs;
+  for (double speedKmh : {10.0, 50.0}) {
+    for (std::uint64_t seed : {1, 2, 3}) {
+      ScenarioConfig c = sweepBase();
+      c.maxSpeedKmh = speedKmh;
+      c.seed = seed;
+      configs.push_back(c);
+    }
+  }
+  const auto cells = runCells(configs, /*repetitions=*/1, /*threads=*/2);
+  ASSERT_EQ(cells.size(), 6u);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(cells[i].seed, configs[i].seed) << "cell " << i;
+  }
+}
+
+TEST(Sweep, SeedAxisChangesOutcomes) {
+  ScenarioConfig a = sweepBase();
+  a.seed = 1;
+  ScenarioConfig b = sweepBase();
+  b.seed = 2;
+  const auto cells = runCells({a, b}, /*repetitions=*/1, /*threads=*/1);
+  ASSERT_EQ(cells.size(), 2u);
+  // Different seeds give different topologies/timings; latency is a
+  // continuous quantity, so equality would be a one-in-2^53 coincidence.
+  EXPECT_NE(cells[0].latency(), cells[1].latency());
 }
 
 TEST(PooledCounts, SingleRunSummaryCountsAreConsistent) {

@@ -410,50 +410,5 @@ TEST_F(ChannelTest, FinishedFrameReleasesHelloNeighborList) {
   EXPECT_EQ(neighbors.use_count(), 1);
 }
 
-TEST_F(ChannelTest, ReceiverChurnMidFrameSkipsItsEntries) {
-  // b goes down and back up while a's frame is on the air: once before the
-  // carrier-sense batch (its stale entry must raise nothing), once after it.
-  // Either way its orphaned entry is skipped by the end batch while c, the
-  // next receiver, completes normally; the audit ledger balances.
-  audit::ScopedCountingSink sink;
-  Channel& ch = makeChannel();
-  const HostId a = addNode({0, 0});
-  const HostId b = addNode({100, 0});
-  const HostId c = addNode({200, 0});
-
-  sim::TimePoint end = ch.transmit(a, dataPacket(a), 280);
-  scheduler_.runUntil(sim::TimePoint{2});  // before the sense batch at 5 us
-  EXPECT_EQ(ch.setNodeUp(b, false).size(), 1u);
-  EXPECT_TRUE(ch.setNodeUp(b, true).empty());
-  scheduler_.runUntil(sim::TimePoint{100});
-  EXPECT_FALSE(ch.carrierBusy(b));
-  EXPECT_TRUE(ch.carrierBusy(c));
-  scheduler_.runUntil(end);
-  EXPECT_EQ(probe(b).busyEvents, 0);
-  EXPECT_TRUE(probe(b).receptions.empty());
-
-  end = ch.transmit(a, dataPacket(a), 280);
-  scheduler_.runUntil(end - sim::Duration{100});  // b is sensing energy
-  EXPECT_TRUE(ch.carrierBusy(b));
-  EXPECT_EQ(ch.setNodeUp(b, false).size(), 1u);
-  EXPECT_TRUE(ch.setNodeUp(b, true).empty());
-  EXPECT_FALSE(ch.carrierBusy(b));
-  scheduler_.runAll();
-
-  EXPECT_EQ(probe(b).busyEvents, 1);
-  EXPECT_EQ(probe(b).idleEvents, 0);  // churn resets without callbacks
-  EXPECT_TRUE(probe(b).receptions.empty());
-  ASSERT_EQ(probe(c).receptions.size(), 2u);
-  EXPECT_FALSE(probe(c).receptions[0].corrupted);
-  EXPECT_FALSE(probe(c).receptions[1].corrupted);
-  EXPECT_EQ(probe(c).busyEvents, 2);
-  EXPECT_EQ(probe(c).idleEvents, 2);
-  EXPECT_EQ(ch.framesDroppedHostDown(), 2u);
-  EXPECT_EQ(ch.framesDelivered(), 2u);
-  EXPECT_EQ(probe(a).txCompleted, 2);
-  channel_.reset();  // audited builds check the reception ledger here
-  EXPECT_EQ(sink.count(), 0u);
-}
-
 }  // namespace
 }  // namespace manet::phy

@@ -258,12 +258,12 @@ class RecordingSource final : public PositionSource {
 };
 
 /// Positions are not pure functions of time (RandomRoam integrates once per
-/// query), so the grid's contract is on when it asks for them: each on-air
-/// node exactly once per epoch in which a range query runs, in ascending
-/// id, whether that epoch refreshes or rebuilds the index; never for a down
-/// node, never in an epoch without a query. (An attach or churn inside an
-/// already-queried epoch samples the on-air nodes once more at the same
-/// time, which every mobility model answers unchanged.) Checked for both
+/// query), so the grid's contract is on when it asks for them: each
+/// attached node exactly once per epoch in which a range query runs, in
+/// ascending id, whether that epoch refreshes or rebuilds the index; never
+/// in an epoch without a query. (An attach inside an already-queried epoch
+/// samples the attached nodes once more at the same time, which every
+/// mobility model answers unchanged.) Checked for both
 /// ways of supplying positions: per-node callbacks, and a PositionSource,
 /// which must then see exactly one batch call per queried epoch.
 TEST(PhyGrid, EachOnAirNodeIsEvaluatedOncePerQueriedEpoch) {
@@ -294,7 +294,6 @@ TEST(PhyGrid, EachOnAirNodeIsEvaluatedOncePerQueriedEpoch) {
     };
     auto queryEpoch = [&] {
       for (std::uint32_t i = 0; i < kNodes; ++i) {
-        if (!channel.nodeUp(HostId{i})) continue;
         channel.nodesInRange(HostId{i});
         channel.inRangeCount(HostId{i});
         channel.reachableCount(HostId{i});
@@ -304,23 +303,20 @@ TEST(PhyGrid, EachOnAirNodeIsEvaluatedOncePerQueriedEpoch) {
     obs::Registry registry;
     obs::ScopedRegistry scope(&registry);
 
-    auto expectOnce = [&](const std::vector<bool>& up) {
+    auto expectOnce = [&] {
       std::vector<std::uint32_t> ascending;
-      for (std::uint32_t i = 0; i < kNodes; ++i) {
-        if (up[i]) ascending.push_back(i);
-      }
+      for (std::uint32_t i = 0; i < kNodes; ++i) ascending.push_back(i);
       EXPECT_EQ(seen.order, ascending);
       EXPECT_EQ(seen.batchCalls, batched ? 1 : 0);
       EXPECT_EQ(seen.singleCalls, 0);
       seen = Evaluations{};
     };
-    const std::vector<bool> allUp(kNodes, true);
 
     queryEpoch();  // first epoch: full rebuild
-    expectOnce(allUp);
+    expectOnce();
     advance(sim::kMillisecond);
     queryEpoch();  // refresh
-    expectOnce(allUp);
+    expectOnce();
     EXPECT_EQ(registry.counter(obs::Counter::kGridRebuilds), 1u);
 
     advance(sim::kMillisecond);  // an epoch with no query pays nothing
@@ -328,20 +324,12 @@ TEST(PhyGrid, EachOnAirNodeIsEvaluatedOncePerQueriedEpoch) {
     EXPECT_EQ(seen.batchCalls, 0);
     advance(40 * sim::kSecond);
     queryEpoch();  // every node escaped its anchor: refresh, then rebuild
-    expectOnce(allUp);
+    expectOnce();
     EXPECT_EQ(registry.counter(obs::Counter::kGridRebuilds), 2u);
-
-    advance(sim::kMillisecond);
-    channel.setNodeUp(HostId{2}, false);  // churn: rebuild without node 2
-    std::vector<bool> up = allUp;
-    up[2] = false;
-    queryEpoch();
-    expectOnce(up);
-    EXPECT_EQ(registry.counter(obs::Counter::kGridRebuilds), 3u);
     advance(sim::kMillisecond);
     queryEpoch();
-    expectOnce(up);
-    EXPECT_EQ(registry.counter(obs::Counter::kGridRebuilds), 3u);
+    expectOnce();
+    EXPECT_EQ(registry.counter(obs::Counter::kGridRebuilds), 2u);
   }
 }
 
@@ -452,8 +440,8 @@ TEST(PhyGridDifferential, AnchoredGridMatchesExhaustiveAtTheSkinEdges) {
 }
 
 /// Channel::reachableCount (the RE denominator) against the reference BFS
-/// in stats::reachableCount over the on-air nodes' snapshot, on the grid and
-/// on the exhaustive scan, with and without churned-down hosts.
+/// in stats::reachableCount over the nodes' snapshot, on the grid and on
+/// the exhaustive scan.
 TEST(PhyGridDifferential, ReachableCountMatchesSnapshotBfs) {
   for (const int mapUnits : {1, 5, 11}) {
     for (const int hosts : {100, 400}) {
@@ -461,30 +449,12 @@ TEST(PhyGridDifferential, ReachableCountMatchesSnapshotBfs) {
       const double radius = fx.channel->params().radiusMeters;
       for (int epoch = 0; epoch < 4; ++epoch) {
         fx.advance(700 * sim::kMillisecond);
-        if (epoch == 2) {
-          // Crash every fifth host: they neither count nor relay.
-          for (int i = 3; i < hosts; i += 5) {
-            fx.channel->setNodeUp(HostId{static_cast<std::uint32_t>(i)},
-                                  false);
-          }
-        }
         fx.channel->setGridEnabled(true);
         const auto snapshot = fx.channel->snapshotPositions();
-        std::vector<geom::Vec2> onAir;
-        std::vector<int> index(static_cast<std::size_t>(hosts), -1);
-        for (int i = 0; i < hosts; ++i) {
-          if (!fx.channel->nodeUp(HostId{static_cast<std::uint32_t>(i)})) {
-            continue;
-          }
-          index[static_cast<std::size_t>(i)] = static_cast<int>(onAir.size());
-          onAir.push_back(snapshot[static_cast<std::size_t>(i)]);
-        }
         for (int i = 0; i < hosts; i += 7) {
           const HostId id{static_cast<std::uint32_t>(i)};
-          if (!fx.channel->nodeUp(id)) continue;
           const auto expected = static_cast<std::size_t>(stats::reachableCount(
-              onAir, radius,
-              static_cast<std::size_t>(index[static_cast<std::size_t>(i)])));
+              snapshot, radius, static_cast<std::size_t>(i)));
           fx.channel->setGridEnabled(true);
           ASSERT_EQ(fx.channel->reachableCount(id), expected)
               << "map " << mapUnits << " hosts " << hosts << " epoch "

@@ -173,25 +173,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep, ::testing::Range(1, 6));
 
 // ------------------------- mobility-model sweep ---------------------------
 
-enum class MobKind { kRoam, kWaypoint, kGroup };
+// Random roam is the paper's one mobility model (DESIGN.md §3).
+enum class MobKind { kRoam };
 
 class MobilitySweep
     : public ::testing::TestWithParam<std::tuple<MobKind, int>> {};
 
 TEST_P(MobilitySweep, InvariantsHoldUnderEveryMobilityModel) {
-  const auto [mob, mapUnits] = GetParam();
-  ScenarioConfig c = configFor(SchemeKind::kAdaptiveCounter, mapUnits);
-  switch (mob) {
-    case MobKind::kRoam:
-      c.mobility = ScenarioConfig::Mobility::kRandomRoam;
-      break;
-    case MobKind::kWaypoint:
-      c.mobility = ScenarioConfig::Mobility::kWaypoint;
-      break;
-    case MobKind::kGroup:
-      c.mobility = ScenarioConfig::Mobility::kGroup;
-      break;
-  }
+  const int mapUnits = std::get<1>(GetParam());
+  const ScenarioConfig c = configFor(SchemeKind::kAdaptiveCounter, mapUnits);
   const RunResult r = runScenario(c);
   EXPECT_GE(r.re(), 0.0);
   EXPECT_LE(r.re(), 1.0);
@@ -206,16 +196,13 @@ TEST_P(MobilitySweep, InvariantsHoldUnderEveryMobilityModel) {
 const char* mobName(MobKind kind) {
   switch (kind) {
     case MobKind::kRoam: return "roam";
-    case MobKind::kWaypoint: return "waypoint";
-    case MobKind::kGroup: return "group";
   }
   return "?";
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Models, MobilitySweep,
-    ::testing::Combine(::testing::Values(MobKind::kRoam, MobKind::kWaypoint,
-                                         MobKind::kGroup),
+    ::testing::Combine(::testing::Values(MobKind::kRoam),
                        ::testing::Values(3, 9)),
     [](const ::testing::TestParamInfo<std::tuple<MobKind, int>>& info) {
       return std::string(mobName(std::get<0>(info.param))) + "_map" +

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "experiment/world.hpp"
 #include "stats/connectivity.hpp"
+#include "trace/recorder.hpp"
 #include "stats/metrics.hpp"
 #include "stats/summary.hpp"
 
@@ -82,19 +86,57 @@ TEST(Metrics, ReachabilityDefinition) {
   EXPECT_DOUBLE_EQ(pb.reachability(), 0.5);
 }
 
+// Under flooding every host hears many intact copies of each broadcast. r
+// counts each host once: a host reports only its first copy to the
+// collector (later ones are trace duplicates), so r equals the number of
+// distinct hosts with a delivery event.
 TEST(Metrics, DuplicateDeliveriesCountOnce) {
-  MetricsCollector m(10);
-  m.onBroadcastStart(bid(0), H(0), sim::TimePoint{1000}, 4);
-  m.onDelivered(bid(0), H(1), sim::TimePoint{2000});
-  m.onDelivered(bid(0), H(1), sim::TimePoint{3000});
-  EXPECT_EQ(m.broadcasts().at(0).received, 1);
+  experiment::ScenarioConfig config;
+  config.mapUnits = 1;
+  config.numHosts = 20;
+  config.numBroadcasts = 4;
+  config.scheme = experiment::SchemeSpec::flooding();
+  config.seed = 3;
+  trace::Recorder recorder;
+  experiment::World world(config);
+  world.setTraceSink(&recorder);
+  world.run();
+
+  EXPECT_GT(recorder.countOf(trace::EventKind::kDuplicateHeard), 0u);
+  ASSERT_EQ(world.metrics().broadcasts().size(), 4u);
+  for (const PerBroadcast& pb : world.metrics().broadcasts()) {
+    std::set<std::uint32_t> hosts;
+    for (const trace::Event& e :
+         recorder.select(trace::EventKind::kDelivered, pb.bid)) {
+      EXPECT_TRUE(hosts.insert(e.node.value()).second)
+          << "host " << e.node.value() << " delivered twice";
+    }
+    EXPECT_EQ(pb.received, static_cast<int>(hosts.size()));
+    EXPECT_LE(pb.received, config.numHosts - 1);
+  }
 }
 
+// Two hosts in range: the relay's rebroadcast echoes back to the source
+// intact, and that echo is not one of the r hosts that received the packet.
 TEST(Metrics, SourceDeliveryDoesNotCount) {
-  MetricsCollector m(10);
-  m.onBroadcastStart(bid(3), H(3), sim::TimePoint{1000}, 4);
-  m.onDelivered(bid(3), H(3), sim::TimePoint{2000});  // echo back to the source
-  EXPECT_EQ(m.broadcasts().at(0).received, 0);
+  experiment::ScenarioConfig config;
+  config.fixedPositions = {Vec2{0, 0}, Vec2{100, 0}};
+  config.numBroadcasts = 1;
+  config.scheme = experiment::SchemeSpec::flooding();
+  config.seed = 3;
+  trace::Recorder recorder;
+  experiment::World world(config);
+  world.setTraceSink(&recorder);
+  world.run();
+
+  ASSERT_EQ(world.metrics().broadcasts().size(), 1u);
+  const PerBroadcast& pb = world.metrics().broadcasts().at(0);
+  const auto echoes =
+      recorder.select(trace::EventKind::kDuplicateHeard, pb.bid);
+  ASSERT_EQ(echoes.size(), 1u);
+  EXPECT_EQ(echoes[0].node, pb.bid.origin);
+  EXPECT_EQ(pb.received, 1);
+  EXPECT_EQ(pb.rebroadcast, 1);
 }
 
 TEST(Metrics, SavedRebroadcastDefinition) {

@@ -57,15 +57,12 @@ TEST(Recorder, CountsDropsByReason) {
   e.drop = phy::DropReason::kCollision;
   r.onEvent(e);
   r.onEvent(e);
-  e.drop = phy::DropReason::kFaultLoss;
-  r.onEvent(e);
-  e.drop = phy::DropReason::kHostDown;
+  e.drop = phy::DropReason::kHalfDuplex;
   r.onEvent(e);
   EXPECT_EQ(r.countOfDrop(phy::DropReason::kCollision), 2u);
-  EXPECT_EQ(r.countOfDrop(phy::DropReason::kFaultLoss), 1u);
-  EXPECT_EQ(r.countOfDrop(phy::DropReason::kHostDown), 1u);
-  EXPECT_EQ(r.countOfDrop(phy::DropReason::kHalfDuplex), 0u);
-  EXPECT_EQ(r.countOf(EventKind::kDrop), 4u);
+  EXPECT_EQ(r.countOfDrop(phy::DropReason::kHalfDuplex), 1u);
+  EXPECT_EQ(r.countOfDrop(phy::DropReason::kNone), 0u);
+  EXPECT_EQ(r.countOf(EventKind::kDrop), 3u);
 }
 
 TEST(Recorder, FilterStillCounts) {
@@ -186,10 +183,10 @@ TEST(Writer, CsvHasHeaderAndRows) {
 
 TEST(Writer, CsvDropRowsCarryReason) {
   Event e = makeEvent(EventKind::kDrop, 10, 4, B(2, 1), 7);
-  e.drop = phy::DropReason::kFaultLoss;
+  e.drop = phy::DropReason::kHalfDuplex;
   std::ostringstream os;
   writeCsv(os, {&e, 1});
-  EXPECT_NE(os.str().find("10,drop,4,2,1,7,0,0,fault_loss"),
+  EXPECT_NE(os.str().find("10,drop,4,2,1,7,0,0,half_duplex"),
             std::string::npos);
 }
 
@@ -208,7 +205,7 @@ TEST(EventKindNames, AllDistinct) {
       EventKind::kTxFinished,          EventKind::kDelivered,
       EventKind::kDuplicateHeard,      EventKind::kDrop,
       EventKind::kInhibited,           EventKind::kHelloSent,
-      EventKind::kHostDown,            EventKind::kHostUp};
+      EventKind::kAuditViolation};
   for (const auto a : kinds) {
     for (const auto b : kinds) {
       if (a != b) {
@@ -246,50 +243,35 @@ TEST(TraceIntegration, FullRunEmitsConsistentEvents) {
 }
 
 TEST(TraceIntegration, TracingDoesNotPerturbTheRun) {
-  experiment::ScenarioConfig roam;
-  roam.mapUnits = 5;
-  roam.numHosts = 40;
-  roam.numBroadcasts = 8;
-  roam.scheme = experiment::SchemeSpec::adaptiveLocation();
-  roam.seed = 13;
-  // Group members share a roaming center, and churn traces kHostDown/Up
-  // events from World::setHostUp.
-  experiment::ScenarioConfig group = roam;
-  group.mobility = experiment::ScenarioConfig::Mobility::kGroup;
-  group.groupSize = 5;
-  group.fault.churn = true;
-  group.fault.meanUpTime = 2 * sim::kSecond;
-  group.fault.meanDownTime = 1 * sim::kSecond;
+  experiment::ScenarioConfig config;
+  config.mapUnits = 5;
+  config.numHosts = 40;
+  config.numBroadcasts = 8;
+  config.scheme = experiment::SchemeSpec::adaptiveLocation();
+  config.seed = 13;
 
-  for (const experiment::ScenarioConfig& config : {roam, group}) {
-    SCOPED_TRACE(config.fault.churn ? "group + churn" : "random roam");
-    experiment::World plain(config);
-    plain.run();
+  experiment::World plain(config);
+  plain.run();
 
-    Recorder recorder;
-    experiment::World traced(config);
-    traced.setTraceSink(&recorder);
-    traced.run();
+  Recorder recorder;
+  experiment::World traced(config);
+  traced.setTraceSink(&recorder);
+  traced.run();
 
-    EXPECT_EQ(plain.channel().framesTransmitted(),
-              traced.channel().framesTransmitted());
-    EXPECT_DOUBLE_EQ(plain.metrics().summarize().meanRe,
-                     traced.metrics().summarize().meanRe);
-    EXPECT_GT(recorder.totalSeen(), 0u);
-    if (config.fault.churn) {
-      EXPECT_GT(recorder.countOf(EventKind::kHostDown), 0u);
-    }
-    // Trajectories too, to the bit: reading a position for a trace event
-    // must not advance a mobility model's integrator.
-    const std::vector<geom::Vec2> plainEnd =
-        plain.channel().snapshotPositions();
-    const std::vector<geom::Vec2> tracedEnd =
-        traced.channel().snapshotPositions();
-    ASSERT_EQ(plainEnd.size(), tracedEnd.size());
-    for (std::size_t i = 0; i < plainEnd.size(); ++i) {
-      EXPECT_EQ(plainEnd[i].x, tracedEnd[i].x) << "host " << i;
-      EXPECT_EQ(plainEnd[i].y, tracedEnd[i].y) << "host " << i;
-    }
+  EXPECT_EQ(plain.channel().framesTransmitted(),
+            traced.channel().framesTransmitted());
+  EXPECT_DOUBLE_EQ(plain.metrics().summarize().meanRe,
+                   traced.metrics().summarize().meanRe);
+  EXPECT_GT(recorder.totalSeen(), 0u);
+  // Trajectories too, to the bit: reading a position for a trace event
+  // must not advance a mobility model's integrator.
+  const std::vector<geom::Vec2> plainEnd = plain.channel().snapshotPositions();
+  const std::vector<geom::Vec2> tracedEnd =
+      traced.channel().snapshotPositions();
+  ASSERT_EQ(plainEnd.size(), tracedEnd.size());
+  for (std::size_t i = 0; i < plainEnd.size(); ++i) {
+    EXPECT_EQ(plainEnd[i].x, tracedEnd[i].x) << "host " << i;
+    EXPECT_EQ(plainEnd[i].y, tracedEnd[i].y) << "host " << i;
   }
 }
 
