@@ -1,40 +1,3 @@
-// Fig. 1: expected additional coverage EAC(k)/(pi r^2) after a host heard
-// the same broadcast packet k times. Paper's shape: ~0.41 at k=1, below 5%
-// for k >= 4.
-#include <iostream>
-
-#include "bench_common.hpp"
-#include "geom/coverage.hpp"
-#include "sim/random.hpp"
-#include "util/env.hpp"
-#include "util/table.hpp"
-
-using namespace manet;
-
-namespace {
-
-int run() {
-  const auto scale = experiment::benchScale();
-  bench::banner("Fig. 1 - EAC(k)",
-                "EAC(1) ~ 0.41; EAC(k) < 5% once k >= 4", scale);
-
-  const int trials =
-      static_cast<int>(util::envInt("REPRO_MC_TRIALS", 4000));
-  const int samples =
-      static_cast<int>(util::envInt("REPRO_MC_SAMPLES", 1024));
-  sim::Rng rng(scale.seed);
-  const auto series = geom::eacSeries(10, 500.0, rng, trials, samples);
-
-  util::Table table({"k", "EAC(k)/pi*r^2", "percent"});
-  for (std::size_t k = 0; k < series.size(); ++k) {
-    table.addRow({std::to_string(k + 1), util::fmt(series[k], 4),
-                  util::fmtPercent(series[k], 1)});
-  }
-  table.print(std::cout);
-  std::cout << "\n";
-  return 0;
-}
-
-}  // namespace
-
-int main() { return experiment::benchMain(run); }
+#include "figures/figure.hpp"
+using namespace manet::figures;
+int main(int argc, char** argv) { return figureMain(kFig01, argc, argv); }

@@ -144,11 +144,6 @@ std::vector<RunResult> runCells(const std::vector<ScenarioConfig>& configs,
   return out;
 }
 
-RunResult runScenarioAveraged(const ScenarioConfig& config, int repetitions,
-                              int threads) {
-  return std::move(runCells({config}, repetitions, threads).front());
-}
-
 obs::RunSample toRunSample(std::string label, const RunResult& result) {
   obs::RunSample s;
   s.label = std::move(label);

@@ -74,10 +74,6 @@ RunResult poolRuns(std::span<const RunResult> runs);
 std::vector<RunResult> runCells(const std::vector<ScenarioConfig>& configs,
                                 int repetitions, int threads = 0);
 
-/// runCells over one cell.
-RunResult runScenarioAveraged(const ScenarioConfig& config, int repetitions,
-                              int threads = 1);
-
 /// Flattens a RunResult into the run-report row obs::writeReport serializes.
 obs::RunSample toRunSample(std::string label, const RunResult& result);
 

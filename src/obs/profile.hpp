@@ -8,9 +8,10 @@
 // workers (comparable to RunResult::wallSeconds).
 //
 // Determinism: wall-clock readings feed *only* the metrics registry, never
-// simulation state — this translation unit (src/obs/profile*) is the one
-// sanctioned steady_clock home outside experiment/bench_util, and
-// tools/lint_determinism.py enforces exactly that boundary. Scope names and
+// simulation state — this translation unit (src/obs/profile*) and
+// experiment/runner (RunResult::wallSeconds) are the only sanctioned
+// steady_clock homes, and tools/lint_determinism.py enforces exactly that
+// boundary. Scope names and
 // call counts are deterministic; the nanosecond totals are not and are
 // excluded from the byte-identical metrics comparisons.
 #pragma once

@@ -2,13 +2,6 @@
 // scheme-level behaviour on the paper's maps (scaled down).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <iostream>
-#include <stdexcept>
-#include <string>
-
-#include "experiment/bench_util.hpp"
-#include "experiment/parallel.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/world.hpp"
 #include "stats/connectivity.hpp"
@@ -162,7 +155,7 @@ TEST(Integration, StaleHelloTablesHurtNeighborCoverage) {
 
 TEST(Integration, AveragedRunsPoolAcrossSeeds) {
   const ScenarioConfig c = smallScenario(5, SchemeSpec::flooding(), 8);
-  const RunResult r = runScenarioAveraged(c, 3);
+  const RunResult r = runCells({c}, 3, /*threads=*/1).front();
   EXPECT_EQ(r.summary.broadcasts, 24u);
   EXPECT_GT(r.re(), 0.5);
 }
@@ -209,57 +202,6 @@ TEST(Integration, ResolvedConfigEnablesHelloForNcUnderHelloSource) {
       EXPECT_GT(r.warmup, 2 * sim::kSecond);
     }
   }
-}
-
-TEST(Integration, BenchScaleReadsEnvironment) {
-  // Without env vars set, defaults flow through.
-  const BenchScale s = benchScale(33, 2, 50);
-  EXPECT_GE(s.broadcasts, 1);
-  EXPECT_GE(s.repetitions, 1);
-  EXPECT_GE(s.numHosts, 1);
-  ScenarioConfig c;
-  applyScale(c, s);
-  EXPECT_EQ(c.numBroadcasts, s.broadcasts);
-  EXPECT_EQ(c.numHosts, s.numHosts);
-}
-
-TEST(Integration, BenchMainPassesTheBodysExitCode) {
-  EXPECT_EQ(benchMain([] { return 0; }), 0);
-  EXPECT_EQ(benchMain([] { return 3; }), 3);
-}
-
-TEST(Integration, BenchMainTurnsAMalformedKnobIntoExitTwo) {
-  for (const char* name : {"REPRO_BROADCASTS", "MANET_THREADS"}) {
-    ::setenv(name, "4x", 1);
-    testing::internal::CaptureStdout();
-    testing::internal::CaptureStderr();
-    const int code = benchMain([] {
-      std::cout << "banner\n";
-      (void)benchScale();
-      (void)defaultThreadCount();
-      std::cout << "table\n";
-      return 0;
-    });
-    const std::string out = testing::internal::GetCapturedStdout();
-    const std::string err = testing::internal::GetCapturedStderr();
-    ::unsetenv(name);
-    EXPECT_EQ(code, 2) << name;
-    EXPECT_EQ(out, "banner\n") << name;
-    EXPECT_EQ(err, std::string(name) +
-                       "=\"4x\" is not a base-10 integer in range\n");
-  }
-}
-
-TEST(Integration, BenchMainLetsOtherErrorsThrough) {
-  EXPECT_THROW(benchMain([]() -> int { throw std::runtime_error("boom"); }),
-               std::runtime_error);
-  EXPECT_THROW(
-      benchMain([]() -> int { throw std::invalid_argument("not a knob"); }),
-      std::invalid_argument);
-}
-
-TEST(Integration, PaperMapSizes) {
-  EXPECT_EQ(paperMapSizes(), (std::vector<int>{1, 3, 5, 7, 9, 11}));
 }
 
 }  // namespace

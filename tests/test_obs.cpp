@@ -409,9 +409,9 @@ TEST(ThreadInvariance, MergedRegistryJsonIsByteIdenticalAcrossThreadCounts) {
   ForcedCollection forced;
   const experiment::ScenarioConfig config = helloScenario();
   const experiment::RunResult serial =
-      experiment::runScenarioAveraged(config, 4, /*threads=*/1);
+      experiment::runCells({config}, 4, /*threads=*/1).front();
   const experiment::RunResult parallel =
-      experiment::runScenarioAveraged(config, 4, /*threads=*/4);
+      experiment::runCells({config}, 4, /*threads=*/4).front();
   ASSERT_NE(serial.metrics, nullptr);
   ASSERT_NE(parallel.metrics, nullptr);
   // The deterministic registry content (wall-clock profile excluded) must

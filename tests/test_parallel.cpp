@@ -127,18 +127,6 @@ TEST(ParallelSweep, ThreeAxisSweepIsIdenticalToSerial) {
   }
 }
 
-TEST(ParallelSweep, AveragedRunsMatchSerialAcrossThreadCounts) {
-  ScenarioConfig config = tinyBase();
-  config.numHosts = 25;
-  const RunResult serial = runScenarioAveraged(config, 3, /*threads=*/1);
-  const RunResult parallel = runScenarioAveraged(config, 3, /*threads=*/3);
-  EXPECT_EQ(serial.re(), parallel.re());
-  EXPECT_EQ(serial.srb(), parallel.srb());
-  EXPECT_EQ(serial.latency(), parallel.latency());
-  EXPECT_EQ(serial.framesTransmitted, parallel.framesTransmitted);
-  EXPECT_EQ(serial.summary.broadcasts, parallel.summary.broadcasts);
-}
-
 /// Averaged results carry the summed raw r/t/e counts of their repetitions
 /// alongside the mean-of-means the figures report.
 TEST(PooledCounts, AveragedResultExposesBothAveragings) {
@@ -147,7 +135,7 @@ TEST(PooledCounts, AveragedResultExposesBothAveragings) {
   ScenarioConfig c1 = config;
   c1.seed = config.seed + 1;
   const RunResult run1 = runScenario(c1);
-  const RunResult pooled = runScenarioAveraged(config, 2);
+  const RunResult pooled = runCells({config}, 2, /*threads=*/1).front();
 
   EXPECT_EQ(pooled.summary.totalReceived,
             run0.summary.totalReceived + run1.summary.totalReceived);
@@ -224,7 +212,7 @@ TEST(RunCells, MatchesPerCellAveragedRuns) {
   ASSERT_EQ(cells.size(), configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
     EXPECT_EQ(fingerprint(cells[i]),
-              fingerprint(runScenarioAveraged(configs[i], 2, /*threads=*/1)))
+              fingerprint(runCells({configs[i]}, 2, /*threads=*/1).front()))
         << "cell " << i;
   }
 }

@@ -54,8 +54,8 @@ TEST(TrafficAccounting, MetricsAreThreadCountInvariant) {
   // metrics are byte-identical for any MANET_THREADS.
   ForcedCollection forced;
   const experiment::ScenarioConfig config = accountingConfig();
-  const auto serial = experiment::runScenarioAveraged(config, 4, 1);
-  const auto parallel = experiment::runScenarioAveraged(config, 4, 4);
+  const auto serial = experiment::runCells({config}, 4, 1).front();
+  const auto parallel = experiment::runCells({config}, 4, 4).front();
   ASSERT_NE(serial.metrics, nullptr);
   ASSERT_NE(parallel.metrics, nullptr);
   EXPECT_EQ(obs::metricsJson(*serial.metrics, /*includeTiming=*/false),

@@ -69,8 +69,7 @@ from pathlib import Path
 # Files allowed to touch ambient entropy (H1): the RNG seam itself.
 ENTROPY_ALLOWED = ("src/sim/random",)
 # Files allowed wall-clock reads (H1 chrono): measurement-only call sites —
-# wall-clock throughput in RunResult, bench harness timing, and the obs
-# profiling scopes (src/obs/profile is the sanctioned steady_clock home; all
+# wall-clock throughput in RunResult and the obs profiling scopes (src/obs/profile is the sanctioned steady_clock home; all
 # other code times itself through obs::ProfileScope rather than reading a
 # clock directly). Simulation state must never depend on them. A site
 # outside these files that must read a clock carries a reasoned
@@ -78,10 +77,7 @@ ENTROPY_ALLOWED = ("src/sim/random",)
 # for homes whose whole purpose is measurement, the escape hatch is for
 # exceptional single sites.
 WALLCLOCK_ALLOWED = (
-    "src/sim/random",
     "src/experiment/runner",
-    "src/experiment/bench_util",
-    "src/experiment/parallel",
     "src/obs/profile",
 )
 # Files allowed thread-identity logic (H4): the parallel sweep partitioner,
@@ -245,6 +241,10 @@ SELF_TEST_CASES: tuple[tuple[str, str, tuple[str, ...]], ...] = (
     ("src/net/h1_entropy.cpp", "int x = rand();\n",
      ("H1 ambient entropy",)),
     ("src/net/h1_wallclock.cpp",
+     "auto t = std::chrono::steady_clock::now();\n",
+     ("H1 wall-clock read",)),
+    # The worker pool's thread-identity exemption is not a clock exemption.
+    ("src/experiment/parallel.cpp",
      "auto t = std::chrono::steady_clock::now();\n",
      ("H1 wall-clock read",)),
     ("src/net/h2_iteration.cpp",
