@@ -5,9 +5,10 @@
 //
 // The workload mirrors what one simulation epoch pays: mobile hosts whose
 // positions come from the same ModelPositions source the real World wires
-// up, time advancing between iterations (so every epoch pays the grid
-// refresh, which evaluates every host's mobility model once, plus any full
-// rebuild a host's escape from its anchor forces), and neighbor resolution
+// up, time advancing between iterations (so every epoch pays its mark, the
+// reads of the hosts the queries look at, each replaying the epochs it
+// missed, and now and then a verification of every host or a full rebuild),
+// and neighbor resolution
 // for every host — the per-receiver work transmit() does plus the oracle
 // neighborhood queries the adaptive schemes issue at frame-end timestamps.
 #include <benchmark/benchmark.h>
@@ -75,7 +76,7 @@ void BM_NeighborResolution(benchmark::State& state, bool grid) {
   std::vector<net::HostId> receivers;  // reused like transmit()'s scratch
   for (auto _ : state) {
     // 1 ms epochs: the spacing of back-to-back frames during a storm, so
-    // per-epoch costs (mobility integration, grid refresh) weigh as they
+    // per-epoch costs (mobility integration, grid upkeep) weigh as they
     // do in a real run.
     mc.advance(1 * sim::kMillisecond);
     std::size_t neighbors = 0;
@@ -125,10 +126,11 @@ void BM_OracleNeighborCountExhaustive(benchmark::State& state) {
 BENCHMARK(BM_OracleNeighborCountGrid)->Args({100, 1})->Args({100, 5});
 BENCHMARK(BM_OracleNeighborCountExhaustive)->Args({100, 1})->Args({100, 5});
 
-/// Floor probe: one epoch advance + a single query. Grid-on pays mobility
-/// integration + the in-place grid refresh here (and, rarely, a full
-/// rebuild); the difference to the 100-query benchmarks above is the pure
-/// per-query cost.
+/// Floor probe: one epoch advance + a single query. Grid-on pays the epoch
+/// mark, the centre's read and the reads its anchors cannot settle, each
+/// host replaying the epochs it missed (and, about once a simulated second,
+/// a verification of every host or a full rebuild); the difference to the
+/// 100-query benchmarks above is the pure per-query cost.
 void BM_EpochFloor(benchmark::State& state, bool grid) {
   MobileChannel mc(100, 1, grid);
   for (auto _ : state) {

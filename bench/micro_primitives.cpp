@@ -4,11 +4,13 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "experiment/runner.hpp"
 #include "geom/circle.hpp"
 #include "geom/coverage.hpp"
+#include "mobility/random_roam.hpp"
 #include "phy/channel.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
@@ -62,6 +64,65 @@ void BM_RngNext(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RngNext);
+
+/// `hosts` roaming hosts as on the paper's 11x11 map (110 km/h), and a
+/// clock that hands out the next `kRoamEpochs` query instants, 1 us to 5 ms
+/// apart: the shape of one grid verification on crowd_2000.
+struct RoamFixture {
+  static constexpr int kRoamEpochs = 64;
+  explicit RoamFixture(int hosts) {
+    const mobility::MapSpec map = mobility::MapSpec::square(11);
+    mobility::RoamParams params;
+    params.maxSpeedMps = mobility::kmhToMps(110.0);
+    sim::Rng rng(7);
+    for (int i = 0; i < hosts; ++i) {
+      models.push_back(std::make_unique<mobility::RandomRoam>(
+          map, map.uniformPoint(rng), params, rng.fork(i)));
+    }
+  }
+  const std::vector<sim::TimePoint>& nextEpochs() {
+    epochs.clear();
+    for (int k = 0; k < kRoamEpochs; ++k) {
+      now += clock.uniformDuration(sim::kMicrosecond, 5 * sim::kMillisecond);
+      epochs.push_back(now);
+    }
+    return epochs;
+  }
+  std::vector<std::unique_ptr<mobility::MobilityModel>> models;
+  sim::Rng clock{11};
+  sim::TimePoint now = sim::kTimeZero;
+  std::vector<sim::TimePoint> epochs;
+};
+
+/// The eager refresh: every host queried once per epoch, epoch by epoch.
+void BM_RoamPositionAtPerEpoch(benchmark::State& state) {
+  RoamFixture fx(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    for (const sim::TimePoint t : fx.nextEpochs()) {
+      for (const auto& model : fx.models) {
+        benchmark::DoNotOptimize(model->positionAt(t));
+      }
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * RoamFixture::kRoamEpochs *
+                          state.range(0));
+}
+BENCHMARK(BM_RoamPositionAtPerEpoch)->Arg(100)->Arg(2000);
+
+/// The lazy grid's catch-up: each host replays the same epochs in one call.
+/// Items are replayed steps, so the two benches compare per host-epoch.
+void BM_RoamReplay(benchmark::State& state) {
+  RoamFixture fx(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    const std::vector<sim::TimePoint>& epochs = fx.nextEpochs();
+    for (const auto& model : fx.models) {
+      benchmark::DoNotOptimize(model->replay(epochs));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * RoamFixture::kRoamEpochs *
+                          state.range(0));
+}
+BENCHMARK(BM_RoamReplay)->Arg(100)->Arg(2000);
 
 void BM_IntersectionArea(benchmark::State& state) {
   double d = 0.0;

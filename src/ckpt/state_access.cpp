@@ -155,13 +155,17 @@ std::uint64_t StateAccess::helloDigest(const net::HelloAgent& hello) {
 // --- mobility ----------------------------------------------------------
 
 std::uint64_t StateAccess::mobilityDigest(
-    const mobility::MobilityModel& model) {
+    const mobility::MobilityModel& model,
+    std::span<const sim::TimePoint> pending) {
   Digest d;
   if (const auto* s = dynamic_cast<const mobility::Stationary*>(&model)) {
     d.add(std::uint32_t{1});
     addVec2(d, s->position_);
-  } else if (const auto* roam =
+  } else if (const auto* live =
                  dynamic_cast<const mobility::RandomRoam*>(&model)) {
+    mobility::RandomRoam copy = *live;
+    if (!pending.empty()) copy.replay(pending);
+    const mobility::RandomRoam* roam = &copy;
     d.add(std::uint32_t{2});
     addRng(d, roam->rng_);
     addVec2(d, roam->position_);
@@ -282,7 +286,8 @@ HostFingerprint StateAccess::host(const experiment::Host& host) {
   w[HostFingerprint::kJitterRng] = rngWord(host.jitterRng_);
   w[HostFingerprint::kMac] = macDigest(*host.mac_);
   w[HostFingerprint::kHello] = helloDigest(*host.hello_);
-  w[HostFingerprint::kMobility] = mobilityDigest(*host.mobility_);
+  w[HostFingerprint::kMobility] = mobilityDigest(
+      *host.mobility_, host.world_.positions_.pending(host.id_));
   w[HostFingerprint::kNeighborTable] = neighborTableDigest(host.table_);
 
   std::vector<std::pair<std::uint64_t, std::uint64_t>> states;

@@ -5,7 +5,9 @@
 // grepable in one translation unit. Capture methods read raw fields ONLY —
 // they never call lazily-mutating public queries (MobilityModel::positionAt
 // advances integrators and draws RNG at turn boundaries, NeighborTable
-// queries purge, Channel queries rebuild the grid). A capture therefore
+// queries purge, Channel queries rebuild the grid); a mobility model is
+// digested from a copy that replays the epochs its host has yet to see, so
+// the word is the state every host would reach. A capture therefore
 // perturbs nothing: the captured world's future is byte-identical to a world
 // that was never captured, which tests/test_ckpt.cpp checks under every
 // mobility model. Each capture folds straight into one ckpt::Digest word;
@@ -14,9 +16,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "ckpt/digest.hpp"
 #include "ckpt/fingerprint.hpp"
+#include "sim/time.hpp"
 
 namespace manet::experiment {
 class Host;
@@ -55,7 +59,12 @@ struct StateAccess {
   static std::uint64_t neighborTableDigest(const net::NeighborTable& table);
   static std::uint64_t macDigest(const mac::DcfMac& mac);
   static std::uint64_t helloDigest(const net::HelloAgent& hello);
-  static std::uint64_t mobilityDigest(const mobility::MobilityModel& model);
+  /// The model's state after it replays `pending`, the epochs its source
+  /// logged for it (replayed on a copy), so the word does not depend on
+  /// when a host catches up.
+  static std::uint64_t mobilityDigest(
+      const mobility::MobilityModel& model,
+      std::span<const sim::TimePoint> pending);
   static std::uint64_t channelDigest(const phy::Channel& channel);
   static std::uint64_t metricsDigest(const stats::MetricsCollector& collector,
                                      const obs::Registry* registry);

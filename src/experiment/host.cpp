@@ -229,7 +229,7 @@ void Host::emitTrace(trace::EventKind kind, net::BroadcastId bid,
   event.from = from;
   // A peek, not position(): querying the model would advance its
   // integrator at a time the untraced run never asks for.
-  event.position = mobility_->peekPositionAt(now());
+  event.position = world_.positions().peekPositionOf(id_);
   event.drop = drop;
   sink->onEvent(event);
 }
@@ -256,7 +256,9 @@ const std::vector<net::HostId>* Host::neighborsOf(net::HostId h) const {
   return table_.neighborsOf(h, now());
 }
 
-geom::Vec2 Host::position() const { return mobility_->positionAt(now()); }
+geom::Vec2 Host::position() const {
+  return world_.positions().positionOf(id_);
+}
 
 double Host::radius() const { return world_.config().phy.radiusMeters; }
 

@@ -70,6 +70,9 @@ class World {
   // --- component access (used by tests, examples, and Host) ---
   sim::Scheduler& scheduler() { return scheduler_; }
   phy::Channel& channel() { return channel_; }
+  /// Every host's position goes through here (or the channel over it), so
+  /// that each host replays the channel's epochs before it is read.
+  ModelPositions& positions() { return positions_; }
   stats::MetricsCollector& metrics() { return metrics_; }
   const ScenarioConfig& config() const { return config_; }
   const core::RebroadcastPolicy& policy() const { return *policy_; }

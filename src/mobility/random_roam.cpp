@@ -49,21 +49,57 @@ void RandomRoam::advance(sim::Duration dt) {
   position_ = map_.clamp(p);
 }
 
-geom::Vec2 RandomRoam::positionAt(sim::TimePoint t) {
-  MANET_EXPECTS(t >= lastQuery_);
-  if (t < turnEnd_ && t > lastQuery_) {
-    // In-turn fast path: a step that lands on the map (of positive size)
-    // is left unchanged by reflect and clamp, so skip them. Same bits as
-    // advance(); an off-map step falls through and takes it.
-    const geom::Vec2 p =
-        position_ + velocity_ * sim::toSeconds(t - lastQuery_);
-    if (p.x >= 0.0 && p.x <= map_.width && p.y >= 0.0 &&
-        p.y <= map_.height && map_.width > 0.0 && map_.height > 0.0) {
-      position_ = p;
-      lastQuery_ = t;
-      return p;
-    }
+namespace {
+
+// The in-turn fast path shared by positionAt() and replay(): a query at `t`
+// strictly inside the turn (last < t < end) whose step lands on the map (of
+// positive size) is left unchanged by reflect and clamp, so skip them. Same
+// bits as advance(). Moves `p` and `last` to `t`, or returns false and
+// leaves them alone when the step must go to advanceTo().
+inline bool stepInTurn(geom::Vec2& p, geom::Vec2 v, sim::TimePoint& last,
+                       sim::TimePoint end, sim::TimePoint t,
+                       const MapSpec& map) {
+  if (!(t < end && t > last)) return false;
+  const geom::Vec2 q = p + v * sim::toSeconds(t - last);
+  if (!(q.x >= 0.0 && q.x <= map.width && q.y >= 0.0 && q.y <= map.height &&
+        map.width > 0.0 && map.height > 0.0)) {
+    return false;
   }
+  p = q;
+  last = t;
+  return true;
+}
+
+}  // namespace
+
+geom::Vec2 RandomRoam::positionAt(sim::TimePoint t) {
+  if (stepInTurn(position_, velocity_, lastQuery_, turnEnd_, t, map_)) {
+    return position_;
+  }
+  return advanceTo(t);
+}
+
+geom::Vec2 RandomRoam::replay(std::span<const sim::TimePoint> times) {
+  const MapSpec map = map_;
+  auto t = times.begin();
+  while (t != times.end()) {
+    // The fast path over as many times as it holds, with no call in the
+    // loop so that the state stays in registers.
+    geom::Vec2 p = position_;
+    const geom::Vec2 v = velocity_;
+    sim::TimePoint last = lastQuery_;
+    const sim::TimePoint end = turnEnd_;
+    while (t != times.end() && stepInTurn(p, v, last, end, *t, map)) ++t;
+    position_ = p;
+    lastQuery_ = last;
+    if (t == times.end()) break;
+    advanceTo(*t++);
+  }
+  return position_;
+}
+
+geom::Vec2 RandomRoam::advanceTo(sim::TimePoint t) {
+  MANET_EXPECTS(t >= lastQuery_);
   while (t >= turnEnd_) {
     advance(turnEnd_ - lastQuery_);
     lastQuery_ = turnEnd_;

@@ -30,10 +30,14 @@ class RandomRoam final : public MobilityModel {
   RandomRoam(MapSpec map, geom::Vec2 start, RoamParams params, sim::Rng rng);
 
   geom::Vec2 positionAt(sim::TimePoint t) override;
-  geom::Vec2 peekPositionAt(sim::TimePoint t) const override {
+  geom::Vec2 replay(std::span<const sim::TimePoint> times) override;
+  geom::Vec2 peekPositionAt(std::span<const sim::TimePoint> pending,
+                            sim::TimePoint t) const override {
     RandomRoam copy = *this;
+    if (!pending.empty()) copy.replay(pending);
     return copy.positionAt(t);
   }
+  double maxSpeedMps() const override { return params_.maxSpeedMps; }
 
   /// Velocity of the current turn, in m/s (introspection for tests).
   geom::Vec2 currentVelocity() const { return velocity_; }
@@ -43,6 +47,9 @@ class RandomRoam final : public MobilityModel {
   void beginTurn();
   /// Advances `position_` along `velocity_` for `dt`, reflecting at edges.
   void advance(sim::Duration dt);
+  /// The general step to time `t`: through every turn end before it, with
+  /// reflection and clamping. Returns the new position.
+  geom::Vec2 advanceTo(sim::TimePoint t);
 
   MapSpec map_;
   RoamParams params_;

@@ -129,44 +129,65 @@ bool Channel::isTransmitting(net::HostId id) const {
 }
 
 void Channel::ensureGrid() const {
-  if (grid_.valid && grid_.attachVersion == attachVersion_) {
-    if (grid_.builtAt == scheduler_.now()) return;
-    grid_.builtAt = scheduler_.now();
+  const sim::TimePoint now = scheduler_.now();
+  const bool rebuild = !grid_.valid || grid_.attachVersion != attachVersion_;
+  if (grid_.builtAt == now && !rebuild) return;
+  if (grid_.builtAt != now) {
+    grid_.builtAt = now;
+    ++grid_.epoch;
+    source_->markEpoch(now);
+  }
+  if (rebuild) {
+    const std::size_t n = nodes_.size();
+    grid_.positions.resize(n);
+    grid_.sortedIds.clear();
+    grid_.rankOf.assign(n, -1);
+    for (std::size_t id = 0; id < n; ++id) {
+      if (!nodes_[id].attached) continue;
+      grid_.rankOf[id] = static_cast<int>(grid_.sortedIds.size());
+      grid_.sortedIds.push_back(net::HostId{static_cast<std::uint32_t>(id)});
+    }
+    source_->positionsOf(grid_.sortedIds, grid_.positions);
+    grid_.valid = true;
+    grid_.attachVersion = attachVersion_;
+    rebuildCells();
+  } else {
+    // Every node was within verifiedDrift of its anchor at verifiedAt and
+    // moves at most maxSpeed since: while that stays within the escape
+    // margin the cells still hold, and the bbox and the anchor decisions
+    // allow for the drift.
+    const double skin = kSkinFraction * params_.radiusMeters;
+    const double drift =
+        source_->maxSpeedMps() * sim::toSeconds(now - grid_.verifiedAt);
+    if (grid_.verifiedDrift + drift <= kEscapeFraction * skin) {
+      // The 1% the escape test keeps absorbs the rounding here too.
+      const double margin = (1.0 - kEscapeFraction) * skin;
+      const double slack = grid_.verifiedDrift + drift + margin;
+      const double r = params_.radiusMeters;
+      grid_.bboxPad = drift + margin;
+      grid_.inner2 = (r - slack) * (r - slack);  // slack < skin < r
+      grid_.outer2 = (r + slack) * (r + slack);
+      return;
+    }
     if (!refreshGrid()) rebuildCells();
-    return;
   }
-  const std::size_t n = nodes_.size();
-  grid_.positions.resize(n);
-  grid_.sortedIds.clear();
-  grid_.rankOf.assign(n, -1);
-
-  // Ask for each attached position exactly once per epoch; every query this
-  // epoch reads the cached coordinates.
-  for (std::size_t id = 0; id < n; ++id) {
-    if (!nodes_[id].attached) continue;
-    grid_.rankOf[id] = static_cast<int>(grid_.sortedIds.size());
-    grid_.sortedIds.push_back(net::HostId{static_cast<std::uint32_t>(id)});
-  }
-  source_->positionsOf(grid_.sortedIds, grid_.positions);
-  grid_.valid = true;
-  grid_.builtAt = scheduler_.now();
-  grid_.attachVersion = attachVersion_;
-  rebuildCells();
+  // Every position is current: the bbox is exact and no anchor is asked.
+  grid_.verifiedAt = now;
+  grid_.bboxPad = 0.0;
 }
 
 bool Channel::refreshGrid() const {
-  // Pass 1: the same evaluations in the same order as a full rebuild (the
-  // attached set is unchanged since it), so trajectories cannot tell the two
-  // apart.
+  // Pass 1: every attached node, in ascending id, as a full rebuild reads
+  // them (the attached set is unchanged since it).
   source_->positionsOf(grid_.sortedIds, grid_.positions);
   // Pass 2, in slot order: copy each position into the CSR coordinate
-  // arrays, test it against its anchor, and grow the bounding box.
+  // arrays, measure its distance from its anchor, and grow the bbox.
   const double skin = kSkinFraction * params_.radiusMeters;
   const double escape2 = kEscapeFraction * kEscapeFraction * skin * skin;
   constexpr double inf = std::numeric_limits<double>::infinity();
   geom::Vec2 lo{inf, inf};
   geom::Vec2 hi{-inf, -inf};
-  bool escaped = false;
+  double far2 = 0.0;
   const std::size_t slots = grid_.cellNodes.size();
   const net::HostId* ids = grid_.cellNodes.data();
   const geom::Vec2* positions = grid_.positions.data();
@@ -184,13 +205,15 @@ bool Channel::refreshGrid() const {
     hi.y = std::max(hi.y, p.y);
     const double dx = p.x - ax[s];
     const double dy = p.y - ay[s];
-    escaped |= dx * dx + dy * dy > escape2;
+    far2 = std::max(far2, dx * dx + dy * dy);
   }
   if (slots > 0) {
     grid_.bboxMin = lo;
     grid_.bboxMax = hi;
   }
-  return !escaped;
+  grid_.verifiedDrift = std::sqrt(far2);
+  std::fill(grid_.slotEpoch.begin(), grid_.slotEpoch.end(), grid_.epoch);
+  return far2 <= escape2;
 }
 
 void Channel::rebuildCells() const {
@@ -257,6 +280,8 @@ void Channel::rebuildCells() const {
   grid_.cellMaxX.assign(cells, -inf);
   grid_.cellMinY.assign(cells, inf);
   grid_.cellMaxY.assign(cells, -inf);
+  grid_.slotEpoch.assign(occupied, grid_.epoch);
+  grid_.verifiedDrift = 0.0;
   std::vector<int>& fill = grid_.fill;
   fill.assign(grid_.cellStart.begin(), grid_.cellStart.end() - 1);
   for (const net::HostId id : grid_.sortedIds) {
@@ -332,8 +357,6 @@ void Channel::collectInRange(geom::Vec2 center, net::HostId exclude,
   // it qualifies.
   const std::size_t before = out.size();
   out.resize(before + grid_.sortedIds.size());
-  const double* xs = grid_.cellX.data();
-  const double* ys = grid_.cellY.data();
   const net::HostId* ids = grid_.cellNodes.data();
   net::HostId* dst = out.data() + before;
   std::size_t kept = 0;
@@ -353,12 +376,10 @@ void Channel::collectInRange(geom::Vec2 center, net::HostId exclude,
     }
     if (hi > lo) obs::add(obs::Counter::kGridCellsScanned);
     for (int i = lo; i < hi; ++i) {
-      const double dx = xs[i] - center.x;
-      const double dy = ys[i] - center.y;
       const net::HostId id = ids[i];
       dst[kept] = id;
-      kept += static_cast<std::size_t>((dx * dx + dy * dy <= r2) &
-                                       (id != exclude));
+      kept += static_cast<std::size_t>(
+          (id != exclude) && slotInRange(static_cast<std::size_t>(i), center, r2));
     }
   });
   out.resize(before + kept);
@@ -388,18 +409,14 @@ std::size_t Channel::inRangeCount(net::HostId id) const {
   }
   ensureGrid();
   obs::add(obs::Counter::kGridQueries);
-  MANET_EXPECTS(id.value() < grid_.rankOf.size() &&
-                grid_.rankOf[id.value()] >= 0);
-  const geom::Vec2 center = grid_.positions[id.value()];
+  const geom::Vec2 center = gridPosition(id);
   if (bboxCovered(center, r2)) {
     obs::add(obs::Counter::kGridBboxFastPath);
     return grid_.sortedIds.size() - 1;
   }
-  // Fully covered cells contribute their occupancy outright; otherwise a
-  // branch-free scan over the contiguous coordinate arrays. `id` itself is
-  // at distance 0 and gets counted either way, so subtract it afterwards.
-  const double* xs = grid_.cellX.data();
-  const double* ys = grid_.cellY.data();
+  // Fully covered cells contribute their occupancy outright; otherwise each
+  // occupant is tested. `id` itself is at distance 0 (its position is
+  // current) and gets counted either way, so subtract it afterwards.
   std::size_t count = 0;
   forEachNeighborCell(center, [&](std::size_t c, int lo, int hi) {
     if (cellFullyCovered(c, center, r2)) {
@@ -409,9 +426,7 @@ std::size_t Channel::inRangeCount(net::HostId id) const {
     }
     if (hi > lo) obs::add(obs::Counter::kGridCellsScanned);
     for (int i = lo; i < hi; ++i) {
-      const double dx = xs[i] - center.x;
-      const double dy = ys[i] - center.y;
-      count += (dx * dx + dy * dy <= r2) ? 1u : 0u;
+      count += slotInRange(static_cast<std::size_t>(i), center, r2) ? 1u : 0u;
     }
   });
   return count - 1;
@@ -428,11 +443,7 @@ void Channel::nodesInRange(net::HostId id,
   out.clear();
   if (gridEnabled_) {
     ensureGrid();
-    // Attachment check via the grid's dense rank table — same contract as
-    // node(id) without touching the cold Node record.
-    MANET_EXPECTS(id.value() < grid_.rankOf.size() &&
-                  grid_.rankOf[id.value()] >= 0);
-    collectInRange(grid_.positions[id.value()], id, out);
+    collectInRange(gridPosition(id), id, out);
   } else {
     collectInRange(positionOf(id), id, out);
   }
@@ -442,6 +453,7 @@ std::vector<geom::Vec2> Channel::snapshotPositions() const {
   // Unattached nodes report Vec2{}.
   if (gridEnabled_) {
     ensureGrid();
+    for (std::size_t s = 0; s < grid_.cellNodes.size(); ++s) slotPosition(s);
     std::vector<geom::Vec2> out = grid_.positions;
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       if (!nodes_[i].attached) out[i] = geom::Vec2{};
@@ -486,10 +498,8 @@ std::size_t Channel::reachableCount(net::HostId source) const {
   }
 
   ensureGrid();
-  MANET_EXPECTS(source.value() < grid_.rankOf.size() &&
-                grid_.rankOf[source.value()] >= 0);
   const std::size_t total = grid_.sortedIds.size();
-  if (bboxCovered(grid_.positions[source.value()], r2)) {
+  if (bboxCovered(gridPosition(source), r2)) {
     obs::add(obs::Counter::kGridQueries);
     obs::add(obs::Counter::kGridBboxFastPath);
     return total - 1;
@@ -510,13 +520,11 @@ std::size_t Channel::reachableCount(net::HostId source) const {
   reached[static_cast<std::size_t>(start)] = 1;
   --unreached[static_cast<std::size_t>(grid_.cellOf[source.value()])];
   queue.push_back(start);
-  const double* xs = grid_.cellX.data();
-  const double* ys = grid_.cellY.data();
   std::uint64_t covered = 0;
   std::uint64_t scanned = 0;
   for (std::size_t head = 0; head < queue.size(); ++head) {
-    const auto u = static_cast<std::size_t>(queue[head]);
-    const geom::Vec2 center{xs[u], ys[u]};
+    const geom::Vec2 center =
+        slotPosition(static_cast<std::size_t>(queue[head]));
     forEachNeighborCell(center, [&](std::size_t c, int lo, int hi) {
       if (unreached[c] == 0) return;
       const bool all = cellFullyCovered(c, center, r2);
@@ -524,9 +532,7 @@ std::size_t Channel::reachableCount(net::HostId source) const {
       for (int i = lo; i < hi; ++i) {
         const auto v = static_cast<std::size_t>(i);
         if (reached[v] != 0) continue;
-        const double dx = xs[v] - center.x;
-        const double dy = ys[v] - center.y;
-        if (all || dx * dx + dy * dy <= r2) {
+        if (all || slotInRange(v, center, r2)) {
           reached[v] = 1;
           --unreached[c];
           queue.push_back(i);

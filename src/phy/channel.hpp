@@ -18,14 +18,18 @@
 //
 // Range resolution (DESIGN.md §7.1): queries go through an anchored uniform
 // grid (cell size = radio radius + skin). Each node's cell is fixed by its
-// anchor, the position it had at the last full rebuild; every new
-// simulation-time epoch only refreshes the cached coordinates in place, and
-// the cells are rebuilt when a node strays almost a skin from its anchor or
-// a node attaches. So `transmit`/`nodesInRange` examine only
-// the 3x3 cell neighborhood and pay one batch position call per epoch
-// instead of one position per node per query. `setGridEnabled(false)`
-// restores the exhaustive O(N) scan; both paths visit candidates in
-// ascending node id, so a run is bit-identical under either.
+// anchor, the position it had at the last full rebuild; the cells are
+// rebuilt when a node strays almost a skin from its anchor or a node
+// attaches. A new simulation-time epoch only marks the epoch with the
+// position source. A query then reads its centre, and of the occupants of
+// the cells it scans only those whose anchor cannot settle whether they
+// are in range. Every node is read (verified against its anchor) only once
+// the source's speed bound can no longer show that all nodes stay within
+// the margin. So `transmit`/`nodesInRange` examine only the 3x3 cell
+// neighborhood and read few of its nodes, not every node per query or per
+// epoch. `setGridEnabled(false)` restores the exhaustive O(N)
+// scan; both paths visit candidates in ascending node id, and each node
+// sees the same epochs either way, so a run is bit-identical under either.
 //
 // Frame-centric reception (DESIGN.md §11.6): one transmitted frame is one
 // pooled air-frame record holding the Frame once plus a per-receiver entry
@@ -42,6 +46,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -51,6 +56,7 @@
 #include "phy/drop.hpp"
 #include "phy/params.hpp"
 #include "sim/scheduler.hpp"
+#include "util/assert.hpp"
 
 #if MANET_AUDIT_ENABLED
 #include "audit/invariants.hpp"
@@ -76,11 +82,15 @@ struct Frame {
 
 /// Where a Channel reads node positions (DESIGN.md §7.1). Positions need
 /// not be pure functions of time (RandomRoam integrates once per query), so
-/// the channel fixes when it asks. The grid makes one positionsOf() call
-/// per epoch in which a range query runs, over the attached ids in ascending
-/// order. positionOf() serves single reads: Channel::positionOf, a
-/// transmitter's own position and the exhaustive scan. Every mobility model
-/// answers a repeat query at the same time unchanged.
+/// the channel fixes which times each node is asked for: every epoch (an
+/// instant in which a range query runs) is marked with markEpoch(), and
+/// each attached node must see every marked epoch, in order, before a read
+/// returns its position, possibly later than the epoch itself. A source
+/// that evaluates nodes when asked (the default) meets this because the
+/// channel then reads every node at every epoch: it does so whenever the
+/// source gives no speed bound. positionsOf() reads batches (ascending id),
+/// positionOf() single nodes. Every mobility model answers a repeat query
+/// at the same time unchanged.
 class PositionSource {
  public:
   virtual ~PositionSource() = default;
@@ -90,6 +100,13 @@ class PositionSource {
   /// order and written to the id-indexed `out[id]`.
   virtual void positionsOf(std::span<const net::HostId> ids,
                            std::span<geom::Vec2> out) = 0;
+  /// Records that the channel queries at time `t` (the current time, later
+  /// than any earlier mark).
+  virtual void markEpoch(sim::TimePoint /*t*/) {}
+  /// Upper bound on every node's speed, in m/s (+inf: none known).
+  virtual double maxSpeedMps() const {
+    return std::numeric_limits<double>::infinity();
+  }
 };
 
 class Channel {
@@ -234,38 +251,53 @@ class Channel {
 
   /// Anchored uniform-cell spatial index over the attached nodes' positions.
   /// A full rebuild buckets every node by its current position, which
-  /// becomes its anchor, into cells of size r + skin. At each later epoch
-  /// the index is refreshed, not rebuilt: one batch call to the position
-  /// source fills `positions` (ascending id), then one pass in slot order
-  /// overwrites each node's cached coordinates in its CSR slot. Cell
-  /// membership keeps following the anchors until some node moves farther
-  /// than kEscapeFraction * skin from its anchor, or a node attaches; then
-  /// the cells are rebuilt.
-  /// While every node stays within a skin of its anchor, a disk of radius r
-  /// still lies inside the 3x3 neighborhood of its center's cell. CSR
-  /// layout: `cellNodes` holds node ids grouped by cell, ascending within a
-  /// cell; `cellStart[c]..cellStart[c+1]` delimits cell c; `cellX`/`cellY`
-  /// hold the occupants' current coordinates, so the range scan runs over
+  /// becomes its anchor, into cells of size r + skin. While every node stays
+  /// within a skin of its anchor, a disk of radius r still lies inside the
+  /// 3x3 neighborhood of its center's cell, so later epochs keep the cells.
+  /// Every node is within `slack` of its anchor, so an occupant whose anchor
+  /// lies more than `slack` inside or outside a query disk is decided
+  /// without its position; the others, and query centres, are read once per
+  /// epoch into their slot (`slotEpoch`). Verification reads every node in
+  /// one batch,
+  /// measures the largest distance from an anchor and the population bbox,
+  /// and rebuilds the cells once some node is farther than
+  /// kEscapeFraction * skin from its anchor, or a node attached. It runs at
+  /// an epoch only when `verifiedDrift` plus the source's speed bound times
+  /// the time since `verifiedAt` exceeds that margin; a source without a
+  /// bound is verified at every epoch. CSR layout: `cellNodes` holds node
+  /// ids grouped by cell, ascending within a cell;
+  /// `cellStart[c]..cellStart[c+1]` delimits cell c; `cellX`/`cellY` hold
+  /// the occupants' cached coordinates, so the range scan runs over
   /// contiguous doubles instead of asking the position source.
   struct Grid {
     bool valid = false;
-    sim::TimePoint builtAt = sim::kNever;  // epoch of the cached positions
+    sim::TimePoint builtAt = sim::kNever;  // the current epoch
+    std::uint64_t epoch = 0;               // epochs seen, the current one's
     std::uint64_t attachVersion = 0;
+    sim::TimePoint verifiedAt = sim::kNever;
+    double verifiedDrift = 0.0;  // largest anchor distance when verified
+    double bboxPad = 0.0;        // slack around the verified bbox
+    // A node whose anchor is within sqrt(inner2) of a query centre is in
+    // range, beyond sqrt(outer2) out of it: r -/+ a bound on how far any
+    // node is from its anchor.
+    double inner2 = 0.0;
+    double outer2 = 0.0;
     double cellSize = 0.0;
     geom::Vec2 origin{};                // anchor bbox min corner: cell (0,0)
-    geom::Vec2 bboxMin{};               // current population bbox
+    geom::Vec2 bboxMin{};               // population bbox when verified
     geom::Vec2 bboxMax{};
     int cols = 0;
     int rows = 0;
     std::vector<net::HostId> sortedIds;  // attached ids, ascending
     std::vector<int> rankOf;            // id -> index in sortedIds (-1: none)
-    std::vector<geom::Vec2> positions;  // per node id, cached this epoch
+    std::vector<geom::Vec2> positions;  // per node id, as last read
     std::vector<int> cellOf;            // per node id (-1 = not attached)
     std::vector<int> slotOf;            // per node id: index into cellNodes
     std::vector<int> cellStart;         // cols*rows + 1 offsets
     std::vector<net::HostId> cellNodes;
     std::vector<double> cellX;          // parallel to cellNodes
     std::vector<double> cellY;
+    std::vector<std::uint64_t> slotEpoch;  // parallel: epoch of cellX/cellY
     std::vector<double> anchorX;        // parallel to cellNodes
     std::vector<double> anchorY;
     // Bounding box of each cell's occupant anchors, grown by the skin
@@ -304,16 +336,51 @@ class Channel {
     if (rec.reason == DropReason::kNone) rec.reason = reason;
   }
 
-  /// Brings the grid up to the current epoch: nothing when it is current,
-  /// a refresh when only time advanced, a full rebuild when a node attached
-  /// since, or when the refresh finds a node off its anchor.
+  /// Brings the grid up to the current epoch: nothing when it is current;
+  /// otherwise marks the epoch, and verifies when the drift bound runs out,
+  /// or fully rebuilds when a node attached since.
   void ensureGrid() const;
-  /// Samples every attached node's position, in ascending id, into the cache,
-  /// then copies each into its CSR slot. Returns false when some node
-  /// escaped its anchor.
+  /// Verification: reads every attached node's position, in ascending id,
+  /// then copies each into its CSR slot, measuring the drift from the
+  /// anchors and the bbox. Returns false when some node escaped its anchor.
   bool refreshGrid() const;
   /// Re-buckets the cached positions into cells; they become the anchors.
   void rebuildCells() const;
+  /// The position of the node in CSR slot `s` at the current epoch: its
+  /// cached coordinates, read from the source first if they are older.
+  geom::Vec2 slotPosition(std::size_t s) const {
+    if (grid_.slotEpoch[s] != grid_.epoch) {
+      const geom::Vec2 p = source_->positionOf(grid_.cellNodes[s]);
+      grid_.positions[grid_.cellNodes[s].value()] = p;
+      grid_.cellX[s] = p.x;
+      grid_.cellY[s] = p.y;
+      grid_.slotEpoch[s] = grid_.epoch;
+    }
+    return {grid_.cellX[s], grid_.cellY[s]};
+  }
+  /// Position of attached node `id` at the current epoch.
+  geom::Vec2 gridPosition(net::HostId id) const {
+    MANET_EXPECTS(id.value() < grid_.rankOf.size() &&
+                  grid_.rankOf[id.value()] >= 0);
+    return slotPosition(static_cast<std::size_t>(grid_.slotOf[id.value()]));
+  }
+  /// True when the node in slot `s` is within `radiusMeters` (r2 = its
+  /// square) of `center`. A node not read this epoch is decided by its
+  /// anchor when that lies well inside or outside the disk (`inner2`,
+  /// `outer2`); otherwise by its position, read if need be.
+  bool slotInRange(std::size_t s, geom::Vec2 center, double r2) const {
+    if (grid_.slotEpoch[s] != grid_.epoch) {
+      const double dx = grid_.anchorX[s] - center.x;
+      const double dy = grid_.anchorY[s] - center.y;
+      const double d2 = dx * dx + dy * dy;
+      if (d2 <= grid_.inner2) return true;
+      if (d2 > grid_.outer2) return false;
+    }
+    const geom::Vec2 p = slotPosition(s);
+    const double dx = p.x - center.x;
+    const double dy = p.y - center.y;
+    return dx * dx + dy * dy <= r2;
+  }
   /// Invokes fn(c, lo, hi) with the index and CSR occupant range of every
   /// cell in the 3x3 neighborhood of the cell containing `center` (clamped
   /// to the grid). Requires a current grid (call ensureGrid() first).
@@ -344,13 +411,16 @@ class Channel {
                                grid_.cellMaxY[c] - center.y);
     return fx * fx + fy * fy <= r2;
   }
-  /// True when the current population bounding box lies inside the disk of
-  /// radius sqrt(r2) around `center`: every attached node is in range.
+  /// True when the population bounding box, padded by how far a node can
+  /// have moved since it was verified, lies inside the disk of radius
+  /// sqrt(r2) around `center`: every attached node is in range.
   bool bboxCovered(geom::Vec2 center, double r2) const {
-    const double fx =
-        std::max(center.x - grid_.bboxMin.x, grid_.bboxMax.x - center.x);
-    const double fy =
-        std::max(center.y - grid_.bboxMin.y, grid_.bboxMax.y - center.y);
+    const double fx = std::max(center.x - grid_.bboxMin.x,
+                               grid_.bboxMax.x - center.x) +
+                      grid_.bboxPad;
+    const double fy = std::max(center.y - grid_.bboxMin.y,
+                               grid_.bboxMax.y - center.y) +
+                      grid_.bboxPad;
     return fx * fx + fy * fy <= r2;
   }
   /// Appends all attached ids within `radiusMeters` of `center` (except

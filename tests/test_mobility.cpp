@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "geom/circle.hpp"
 #include "mobility/map.hpp"
@@ -235,26 +236,60 @@ bool sameBits(Vec2 a, Vec2 b) {
          std::bit_cast<std::uint64_t>(a.y) == std::bit_cast<std::uint64_t>(b.y);
 }
 
-/// Queries `roam` and `ref` side by side at a random cadence: mostly short
-/// steps, some long ones across several turns, repeats of the same time,
-/// and steps landing exactly on, just before and just after a turn end.
-/// Returns the number of queries whose bits differ.
+/// The next query time of a random cadence after `t`: mostly short steps,
+/// some long ones across several turns, repeats of the same time, and steps
+/// landing exactly on, just before and just after `ref`'s turn end.
+sim::TimePoint nextQueryTime(sim::TimePoint t, const ReferenceRoam& ref,
+                             sim::Rng& cadence) {
+  const auto pick = cadence.uniformInt(0, 9);
+  if (pick == 0) {
+    return ref.turnEnd() + sim::Duration{cadence.uniformInt(-1, 1)};
+  }
+  if (pick == 1) {
+    return t + cadence.uniformDuration(sim::kSecond, 5 * sim::kSecond);
+  }
+  if (pick == 2) return t;  // a repeat of the same time
+  return t + cadence.uniformDuration(sim::kMicrosecond,
+                                     50 * sim::kMillisecond);
+}
+
+/// Queries `roam` and `ref` side by side at a random cadence (see
+/// nextQueryTime). Returns the number of queries whose bits differ.
 int mismatchesAtRandomCadence(RandomRoam& roam, ReferenceRoam& ref,
                               sim::Rng& cadence, int queries) {
   int mismatches = 0;
   sim::TimePoint t = sim::kTimeZero;
   for (int q = 0; q < queries; ++q) {
-    const auto pick = cadence.uniformInt(0, 9);
-    if (pick == 0) {
-      t = ref.turnEnd() + sim::Duration{cadence.uniformInt(-1, 1)};
-    } else if (pick == 1) {
-      t += cadence.uniformDuration(sim::kSecond, 5 * sim::kSecond);
-    } else if (pick > 2) {  // pick == 2 repeats the same time
-      t += cadence.uniformDuration(sim::kMicrosecond, 50 * sim::kMillisecond);
-    }
+    t = nextQueryTime(t, ref, cadence);
     const Vec2 got = roam.positionAt(t);
     const Vec2 want = ref.positionAt(t);
     mismatches += sameBits(got, want) ? 0 : 1;
+  }
+  return mismatches;
+}
+
+/// Feeds the same random cadence to `ref` one query at a time and to
+/// `roam` as replay() lists of 1 to 40 times, with a single positionAt
+/// between some lists. Returns the number of answers whose bits differ.
+int replayMismatches(RandomRoam& roam, ReferenceRoam& ref, sim::Rng& cadence,
+                     int queries) {
+  int mismatches = 0;
+  sim::TimePoint t = sim::kTimeZero;
+  std::vector<sim::TimePoint> epochs;
+  for (int q = 0; q < queries;) {
+    epochs.clear();
+    Vec2 want{};
+    const auto length = cadence.uniformInt(1, 40);
+    for (int k = 0; k < length; ++k, ++q) {
+      t = nextQueryTime(t, ref, cadence);
+      epochs.push_back(t);
+      want = ref.positionAt(t);
+    }
+    mismatches += sameBits(roam.replay(epochs), want) ? 0 : 1;
+    if (cadence.uniformInt(0, 3) == 0) {
+      t += cadence.uniformDuration(sim::kMicrosecond, sim::kSecond);
+      mismatches += sameBits(roam.positionAt(t), ref.positionAt(t)) ? 0 : 1;
+    }
   }
   return mismatches;
 }
@@ -310,6 +345,44 @@ TEST(RandomRoam, FastPathMatchesReferenceOnSignedZeros) {
         negativeZeroSteps += ref.negativeZeroSteps;
       }
     }
+  }
+  EXPECT_GT(negativeZeroSteps, 0);
+}
+
+/// replay() over a list of epochs gives the bits of one positionAt per
+/// epoch, whatever the list's length: through turn ends (at, and 1 us
+/// around, them), reflections off all four edges, maps of zero size on
+/// either axis, and hosts that start at (-0.0, -0.0).
+TEST(RandomRoam, ReplayMatchesPositionAtBitForBit) {
+  int reflections[4] = {};
+  int negativeZeroSteps = 0;
+  for (const MapSpec map :
+       {MapSpec::square(1), MapSpec{1500.0, 400.0}, MapSpec{0.0, 500.0},
+        MapSpec{500.0, 0.0}, MapSpec{0.0, 0.0}}) {
+    for (const double maxSpeed : {0.0, 150.0}) {
+      RoamParams params;
+      params.maxSpeedMps = maxSpeed;
+      params.minTurnDuration = 100 * sim::kMillisecond;
+      params.maxTurnDuration = 2 * kSecond;
+      for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        sim::Rng rng(seed);
+        const Vec2 start =
+            seed % 2 == 0 ? Vec2{-0.0, -0.0} : map.uniformPoint(rng);
+        RandomRoam roam(map, start, params, rng.fork(1));
+        ReferenceRoam ref(map, start, params, rng.fork(1));
+        sim::Rng cadence = rng.fork(2);
+        EXPECT_EQ(replayMismatches(roam, ref, cadence, 1500), 0)
+            << "map " << map.width << "x" << map.height << " speed "
+            << maxSpeed << " seed " << seed;
+        for (int edge = 0; edge < 4; ++edge) {
+          reflections[edge] += ref.reflections[edge];
+        }
+        negativeZeroSteps += ref.negativeZeroSteps;
+      }
+    }
+  }
+  for (int edge = 0; edge < 4; ++edge) {
+    EXPECT_GT(reflections[edge], 0) << "edge " << edge;
   }
   EXPECT_GT(negativeZeroSteps, 0);
 }

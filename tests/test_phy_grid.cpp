@@ -5,13 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "experiment/model_positions.hpp"
-#include "experiment/runner.hpp"
+#include "experiment/world.hpp"
 #include "mobility/map.hpp"
 #include "mobility/random_roam.hpp"
 #include "net/packet.hpp"
@@ -143,32 +148,73 @@ TEST(PhyGridDifferential, TransmitDeliverySetsMatchExhaustive) {
   }
 }
 
+/// Bitwise equality: tells +0.0 from -0.0, unlike operator==.
+bool sameBits(geom::Vec2 a, geom::Vec2 b) {
+  return std::bit_cast<std::uint64_t>(a.x) ==
+             std::bit_cast<std::uint64_t>(b.x) &&
+         std::bit_cast<std::uint64_t>(a.y) == std::bit_cast<std::uint64_t>(b.y);
+}
+
 /// Whole-simulation differential: a full scenario run must be bit-identical
-/// with the grid on and off (same RNG draws, same event order, same metrics).
+/// with the grid on and off (same RNG draws, same event order, same
+/// per-broadcast records), and end with every host at the same bits, on
+/// the paper's densest, middle and sparsest maps, for a counter, a
+/// location and a HELLO-fed neighbor-coverage scheme. The location schemes
+/// read positions between grid epochs.
 TEST(PhyGridDifferential, FullScenarioIsIdenticalWithGridOnAndOff) {
-  experiment::ScenarioConfig config;
-  config.mapUnits = 3;
-  config.numHosts = 60;
-  config.numBroadcasts = 8;
-  config.scheme = experiment::SchemeSpec::adaptiveCounter();
-  config.seed = 5;
+  experiment::SchemeSpec ncDhi = experiment::SchemeSpec::neighborCoverage();
+  ncDhi.label = "NC-DHI";
+  for (const experiment::SchemeSpec& scheme :
+       {experiment::SchemeSpec::adaptiveCounter(),
+        experiment::SchemeSpec::adaptiveLocation(), ncDhi}) {
+    for (const int mapUnits : {1, 3, 5, 11}) {
+      SCOPED_TRACE(scheme.label + " on map " + std::to_string(mapUnits));
+      experiment::ScenarioConfig config;
+      config.mapUnits = mapUnits;
+      config.numHosts = 60;
+      config.numBroadcasts = 8;
+      config.scheme = scheme;
+      config.seed = 5;
+      if (scheme.label == "NC-DHI") {
+        config.neighborSource = experiment::NeighborSource::kHello;
+        config.hello.dynamic = true;
+      }
+      config.channelGrid = true;
+      experiment::World withGrid(config);
+      withGrid.run();
+      config.channelGrid = false;
+      experiment::World without(config);
+      without.run();
+      ASSERT_TRUE(withGrid.channel().gridEnabled());
+      ASSERT_FALSE(without.channel().gridEnabled());
 
-  config.channelGrid = true;
-  const experiment::RunResult withGrid = experiment::runScenario(config);
-  config.channelGrid = false;
-  const experiment::RunResult without = experiment::runScenario(config);
-
-  EXPECT_EQ(withGrid.re(), without.re());
-  EXPECT_EQ(withGrid.srb(), without.srb());
-  EXPECT_EQ(withGrid.latency(), without.latency());
-  EXPECT_EQ(withGrid.framesTransmitted, without.framesTransmitted);
-  EXPECT_EQ(withGrid.framesDelivered, without.framesDelivered);
-  EXPECT_EQ(withGrid.framesCorrupted, without.framesCorrupted);
-  EXPECT_EQ(withGrid.summary.totalReceived, without.summary.totalReceived);
-  EXPECT_EQ(withGrid.summary.totalRebroadcast,
-            without.summary.totalRebroadcast);
-  EXPECT_EQ(withGrid.summary.totalReachable, without.summary.totalReachable);
-  EXPECT_EQ(withGrid.simulatedSeconds, without.simulatedSeconds);
+      const auto& a = withGrid.metrics().broadcasts();
+      const auto& b = without.metrics().broadcasts();
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].bid, b[i].bid) << "broadcast " << i;
+        EXPECT_EQ(a[i].start, b[i].start) << "broadcast " << i;
+        EXPECT_EQ(a[i].reachable, b[i].reachable) << "broadcast " << i;
+        EXPECT_EQ(a[i].received, b[i].received) << "broadcast " << i;
+        EXPECT_EQ(a[i].rebroadcast, b[i].rebroadcast) << "broadcast " << i;
+        EXPECT_EQ(a[i].lastFinal, b[i].lastFinal) << "broadcast " << i;
+        EXPECT_EQ(a[i].hopSum, b[i].hopSum) << "broadcast " << i;
+      }
+      EXPECT_EQ(withGrid.channel().framesTransmitted(),
+                without.channel().framesTransmitted());
+      EXPECT_EQ(withGrid.channel().framesDelivered(),
+                without.channel().framesDelivered());
+      EXPECT_EQ(withGrid.channel().framesCorrupted(),
+                without.channel().framesCorrupted());
+      EXPECT_EQ(withGrid.scheduler().now(), without.scheduler().now());
+      const auto gridEnd = withGrid.channel().snapshotPositions();
+      const auto scanEnd = without.channel().snapshotPositions();
+      ASSERT_EQ(gridEnd.size(), scanEnd.size());
+      for (std::size_t i = 0; i < gridEnd.size(); ++i) {
+        EXPECT_TRUE(sameBits(gridEnd[i], scanEnd[i])) << "host " << i;
+      }
+    }
+  }
 }
 
 TEST(PhyGrid, GridEnabledByDefault) {
@@ -331,6 +377,207 @@ TEST(PhyGrid, EachOnAirNodeIsEvaluatedOncePerQueriedEpoch) {
     expectOnce();
     EXPECT_EQ(registry.counter(obs::Counter::kGridRebuilds), 2u);
   }
+}
+
+/// A scripted model that logs every time it is asked for and declares a
+/// speed bound (1 m/s unless given), which its path must keep.
+class RecordingModel final : public mobility::MobilityModel {
+ public:
+  using Path = std::function<geom::Vec2(sim::TimePoint)>;
+  explicit RecordingModel(Path path, double maxSpeed = 1.0)
+      : path_(std::move(path)), maxSpeed_(maxSpeed) {}
+  geom::Vec2 positionAt(sim::TimePoint t) override {
+    seen.push_back(t);
+    return path_(t);
+  }
+  geom::Vec2 peekPositionAt(std::span<const sim::TimePoint>,
+                            sim::TimePoint t) const override {
+    return path_(t);
+  }
+  double maxSpeedMps() const override { return maxSpeed_; }
+  geom::Vec2 at(sim::TimePoint t) const { return path_(t); }
+
+  std::vector<sim::TimePoint> seen;  // every query time, in call order
+
+ private:
+  Path path_;
+  double maxSpeed_;
+};
+
+/// A channel over RecordingModels, through the world's ModelPositions.
+struct RecordingFixture {
+  explicit RecordingFixture(const std::vector<RecordingModel::Path>& paths,
+                            double maxSpeed = 1.0) {
+    for (const RecordingModel::Path& path : paths) {
+      const HostId id{static_cast<std::uint32_t>(models.size())};
+      models.push_back(std::make_unique<RecordingModel>(path, maxSpeed));
+      positions.add(*models.back());
+      channel.attach(id, &sink);
+    }
+  }
+  void advance(sim::Duration dt) {
+    scheduler.schedule(scheduler.now() + dt, [] {});
+    scheduler.runAll();
+  }
+  sim::Scheduler scheduler;
+  experiment::ModelPositions positions{scheduler};
+  Channel channel{scheduler, PhyParams{}, positions};
+  std::vector<std::unique_ptr<RecordingModel>> models;
+  Sink sink;
+};
+
+/// With a speed bound the grid reads lazily, through the world's
+/// ModelPositions: at an epoch it reads only the hosts a query looks at,
+/// and every other host catches up later. Yet each host sees every queried
+/// epoch exactly once, in order, before a read returns its position: after
+/// each query its centre has seen all of them, and every host a prefix.
+/// The answers match a brute-force scan of the scripted positions.
+TEST(PhyGrid, BoundedSourceShowsEachHostEveryQueriedEpochInOrder) {
+  // A lattice of 4 columns 300 m apart, moving 1 m/s along x.
+  constexpr std::uint32_t kNodes = 12;
+  std::vector<RecordingModel::Path> paths;
+  for (std::uint32_t i = 0; i < kNodes; ++i) {
+    paths.push_back([i](sim::TimePoint t) {
+      return geom::Vec2{300.0 * (i % 4) + sim::toSeconds(t), 300.0 * (i / 4)};
+    });
+  }
+  RecordingFixture fx(paths);
+  Channel& channel = fx.channel;
+  const auto& models = fx.models;
+  const double r2 = channel.params().radiusMeters *
+                    channel.params().radiusMeters;
+  std::vector<sim::TimePoint> epochs;  // instants in which a query ran
+  auto seenAPrefix = [&](std::uint32_t i) {
+    const std::vector<sim::TimePoint>& seen = models[i]->seen;
+    return seen.size() <= epochs.size() &&
+           std::equal(seen.begin(), seen.end(), epochs.begin());
+  };
+
+  obs::Registry registry;
+  obs::ScopedRegistry scope(&registry);
+  sim::Rng rng(3);
+  int lagging = 0;  // hosts behind the latest epoch, summed over queries
+  for (int step = 0; step < 300; ++step) {
+    const auto dt =
+        rng.uniformInt(0, 19) == 0
+            ? 40 * sim::kSecond
+            : rng.uniformDuration(sim::kMillisecond, 2 * sim::kSecond);
+    fx.advance(dt);
+    const sim::TimePoint now = fx.scheduler.now();
+    const auto queries = rng.uniformInt(0, 3);  // 0: an epoch with no query
+    if (queries > 0) epochs.push_back(now);
+    for (int q = 0; q < queries; ++q) {
+      const HostId id{
+          static_cast<std::uint32_t>(rng.uniformInt(0, kNodes - 1))};
+      const geom::Vec2 center = models[id.value()]->at(now);
+      std::vector<HostId> expected;
+      for (std::uint32_t j = 0; j < kNodes; ++j) {
+        if (j != id.value() &&
+            geom::distanceSquared(models[j]->at(now), center) <= r2) {
+          expected.push_back(HostId{j});
+        }
+      }
+      switch (rng.uniformInt(0, 2)) {
+        case 0:
+          ASSERT_EQ(channel.nodesInRange(id), expected) << "step " << step;
+          break;
+        case 1:
+          ASSERT_EQ(channel.inRangeCount(id), expected.size())
+              << "step " << step;
+          break;
+        default:
+          // The lattice rows are 300 m apart: everyone is connected.
+          ASSERT_EQ(channel.reachableCount(id), kNodes - 1)
+              << "step " << step;
+          break;
+      }
+      ASSERT_EQ(models[id.value()]->seen, epochs) << "step " << step;
+      for (std::uint32_t i = 0; i < kNodes; ++i) {
+        ASSERT_TRUE(seenAPrefix(i)) << "step " << step << " host " << i;
+        lagging += models[i]->seen.size() < epochs.size() ? 1 : 0;
+      }
+    }
+  }
+  // Reading everyone catches everyone up, at the last epoch.
+  const sim::TimePoint end = fx.scheduler.now();
+  if (epochs.empty() || epochs.back() != end) epochs.push_back(end);
+  const std::vector<geom::Vec2> snapshot = channel.snapshotPositions();
+  for (std::uint32_t i = 0; i < kNodes; ++i) {
+    EXPECT_EQ(models[i]->seen, epochs) << "host " << i;
+    EXPECT_EQ(snapshot[i], models[i]->at(end)) << "host " << i;
+  }
+  // The reads were lazy, and the cells were rebuilt only on escapes.
+  EXPECT_GT(lagging, 0);
+  EXPECT_LT(registry.counter(obs::Counter::kGridRebuilds), epochs.size() / 4);
+}
+
+/// Between verifications the whole-population bbox is the one measured at
+/// the last verification, padded by how far the speed bound lets a node
+/// have moved since. Node 1 starts 0.5 m inside node 0's range and leaves
+/// at 1 m/s; a second later the stale bbox alone would still put it in.
+TEST(PhyGrid, BboxFastPathAllowsForDriftSinceVerification) {
+  const double r = PhyParams{}.radiusMeters;
+  RecordingFixture fx({[](sim::TimePoint) { return geom::Vec2{0.0, 0.0}; },
+                       [r](sim::TimePoint t) {
+                         return geom::Vec2{r - 0.5 + sim::toSeconds(t), 0.0};
+                       }});
+  obs::Registry registry;
+  obs::ScopedRegistry scope(&registry);
+  EXPECT_EQ(fx.channel.nodesInRange(HostId{0}), std::vector<HostId>{HostId{1}});
+  fx.advance(sim::kSecond);
+  EXPECT_TRUE(fx.channel.nodesInRange(HostId{0}).empty());
+  EXPECT_EQ(fx.channel.inRangeCount(HostId{0}), 0u);
+  EXPECT_EQ(fx.channel.reachableCount(HostId{0}), 0u);
+  EXPECT_EQ(registry.counter(obs::Counter::kGridRebuilds), 1u);
+}
+
+/// The drift bound starts from the largest anchor distance the last
+/// verification measured, not from zero. Node 1 drifts toward node 0 at
+/// 0.9 m/s (under its 1 m/s bound) from a cell outside node 0's 3x3
+/// neighborhood: the verification at 31 s finds it 27.9 m from its anchor,
+/// so the one at 35 s must come, find it past the margin and rebuild,
+/// before it enters range at 35.1 s.
+TEST(PhyGrid, DriftBoundStartsFromTheVerifiedAnchorDistance) {
+  RecordingFixture fx({[](sim::TimePoint) { return geom::Vec2{531.0, 0.0}; },
+                       [](sim::TimePoint t) {
+                         return geom::Vec2{1062.6 - 0.9 * sim::toSeconds(t),
+                                           0.0};
+                       },
+                       [](sim::TimePoint) { return geom::Vec2{0.0, 0.0}; }});
+  obs::Registry registry;
+  obs::ScopedRegistry scope(&registry);
+  const double r = fx.channel.params().radiusMeters;
+  for (const int at : {0, 31, 35, 40}) {
+    fx.advance(sim::TimePoint{} + at * sim::kSecond - fx.scheduler.now());
+    const bool near = geom::distance(fx.models[1]->at(fx.scheduler.now()),
+                                     fx.models[0]->at(fx.scheduler.now())) <= r;
+    EXPECT_EQ(fx.channel.nodesInRange(HostId{0}),
+              near ? std::vector<HostId>{HostId{1}} : std::vector<HostId>{})
+        << "at " << at << " s";
+  }
+  EXPECT_EQ(registry.counter(obs::Counter::kGridRebuilds), 2u);
+}
+
+/// Hosts that cannot move never need verifying, and a host no query looks
+/// at is never read, yet its log of epochs to replay stays bounded: once
+/// the log is long enough the source replays every host and drops it.
+TEST(PhyGrid, EpochLogStaysBoundedWhenNothingMoves) {
+  RecordingFixture fx({[](sim::TimePoint) { return geom::Vec2{0.0, 0.0}; },
+                       [](sim::TimePoint) { return geom::Vec2{5000.0, 0.0}; }},
+                      /*maxSpeed=*/0.0);
+  std::vector<sim::TimePoint> epochs;
+  std::size_t longest = 0;
+  for (int epoch = 0; epoch < 10000; ++epoch) {
+    fx.advance(sim::kMillisecond);
+    epochs.push_back(fx.scheduler.now());
+    EXPECT_TRUE(fx.channel.inRangeCount(HostId{0}) == 0);
+    longest = std::max(longest, fx.positions.pending(HostId{1}).size());
+  }
+  EXPECT_LT(longest, 5000u);
+  EXPECT_LT(fx.models[1]->seen.size(), epochs.size());
+  fx.channel.snapshotPositions();
+  EXPECT_EQ(fx.models[0]->seen, epochs);
+  EXPECT_EQ(fx.models[1]->seen, epochs);
 }
 
 /// Two channels over the same scripted positions, one on the grid and one

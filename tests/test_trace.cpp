@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
 #include <vector>
 
@@ -272,6 +274,41 @@ TEST(TraceIntegration, TracingDoesNotPerturbTheRun) {
   for (std::size_t i = 0; i < plainEnd.size(); ++i) {
     EXPECT_EQ(plainEnd[i].x, tracedEnd[i].x) << "host " << i;
     EXPECT_EQ(plainEnd[i].y, tracedEnd[i].y) << "host " << i;
+  }
+}
+
+/// An event's position is the host's position at the event: with the grid
+/// on, the host may still have epochs to replay, and the peek replays them
+/// on its copy, so the positions have the bits of the exhaustive scan's.
+TEST(TraceIntegration, EventPositionsAreTheSameWithGridOnAndOff) {
+  experiment::ScenarioConfig config;
+  config.mapUnits = 5;
+  config.numHosts = 40;
+  config.numBroadcasts = 8;
+  config.scheme = experiment::SchemeSpec::adaptiveLocation();
+  config.seed = 13;
+
+  Recorder viaGrid;
+  Recorder viaScan;
+  for (Recorder* recorder : {&viaGrid, &viaScan}) {
+    config.channelGrid = recorder == &viaGrid;
+    experiment::World world(config);
+    world.setTraceSink(recorder);
+    world.run();
+  }
+  ASSERT_EQ(viaGrid.events().size(), viaScan.events().size());
+  ASSERT_GT(viaGrid.events().size(), 0u);
+  for (std::size_t i = 0; i < viaGrid.events().size(); ++i) {
+    const Event& a = viaGrid.events()[i];
+    const Event& b = viaScan.events()[i];
+    ASSERT_EQ(a.at, b.at) << "event " << i;
+    ASSERT_EQ(a.node, b.node) << "event " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.position.x),
+              std::bit_cast<std::uint64_t>(b.position.x))
+        << "event " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.position.y),
+              std::bit_cast<std::uint64_t>(b.position.y))
+        << "event " << i;
   }
 }
 
