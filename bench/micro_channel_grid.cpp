@@ -170,6 +170,31 @@ void BM_TransmitDrainExhaustive(benchmark::State& state) {
 BENCHMARK(BM_TransmitDrainGrid)->Args({100, 1})->Args({100, 5});
 BENCHMARK(BM_TransmitDrainExhaustive)->Args({100, 1})->Args({100, 5});
 
+/// The storm's collision bookkeeping: k frames from distinct sources start
+/// in the same instant, inside one carrier-sense window, on a 1x1 map of
+/// 100 hosts, so every reception overlaps k - 1 others (and each source
+/// loses the others' frames to half-duplex) before all of them drain.
+/// BM_TransmitDrain ends each frame before the next starts, so it never
+/// reaches this path.
+void BM_OverlappingFramesDrain(benchmark::State& state) {
+  const int hosts = 100;
+  const int frames = static_cast<int>(state.range(0));
+  MobileChannel mc(hosts, 1, true);
+  int src = 0;
+  for (auto _ : state) {
+    mc.advance(1 * sim::kMillisecond);
+    for (int f = 0; f < frames; ++f) {
+      const net::HostId id{static_cast<std::uint32_t>(src)};
+      mc.channel->transmit(
+          id, net::makeDataPacket({id, net::BroadcastSeq{0}}, id), 280);
+      src = (src + 1) % hosts;
+    }
+    mc.scheduler.runAll();
+  }
+  state.SetItemsProcessed(state.iterations() * frames);
+}
+BENCHMARK(BM_OverlappingFramesDrain)->Arg(2)->Arg(8)->Arg(32);
+
 /// End-to-end scenario throughput with the grid on/off; the per-result
 /// frames-per-wall-second rate is what BENCH-style outputs report.
 void BM_ScenarioThroughput(benchmark::State& state, bool grid) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "ckpt/digest.hpp"
 #include "experiment/host.hpp"
@@ -190,17 +191,27 @@ std::uint64_t StateAccess::channelDigest(const phy::Channel& channel) {
     d.add(n.attached);
     d.add(n.transmitting);
     d.add(static_cast<std::int32_t>(n.busyCount));
-    // In-flight frames, including their drop verdicts.
-    d.add(static_cast<std::uint64_t>(n.activeRx.size()));
-    for (const auto ref : n.activeRx) {
-      const phy::Frame& frame = channel.airFrames_[ref.frame].frame;
-      const auto& rec = channel.entry(ref);
-      d.add(frame.src.value());
-      addVec2(d, frame.srcPos);
-      d.add(static_cast<std::uint64_t>(frame.bytes));
-      d.add(packetDigest(frame.packet));
-      d.add(frame.txStart);
-      d.add(frame.txEnd);
+    d.add(n.rxCount);
+    d.add(n.clean.frame);
+    d.add(n.clean.index);
+  }
+  // Every frame on the air, by pool slot, with each reception's verdict.
+  std::vector<bool> free(channel.airFrames_.size(), false);
+  for (const std::uint32_t slot : channel.freeAirFrames_) free[slot] = true;
+  for (std::size_t slot = 0; slot < channel.airFrames_.size(); ++slot) {
+    if (free[slot]) continue;
+    const auto& air = channel.airFrames_[slot];
+    const phy::Frame& frame = air.frame;
+    d.add(static_cast<std::uint64_t>(slot));
+    d.add(frame.src.value());
+    addVec2(d, frame.srcPos);
+    d.add(static_cast<std::uint64_t>(frame.bytes));
+    d.add(packetDigest(frame.packet));
+    d.add(frame.txStart);
+    d.add(frame.txEnd);
+    d.add(static_cast<std::uint64_t>(air.rx.size()));
+    for (const auto& rec : air.rx) {
+      d.add(rec.id.value());
       d.add(static_cast<std::uint32_t>(rec.reason));
     }
   }

@@ -47,6 +47,10 @@ class ModelPositions final : public phy::PositionSource {
       }
       forget();
     }
+    // The step from the previous mark, once for every host that replays
+    // it; the first mark of the log has none (replay() does not read it).
+    steps_.push_back(epochs_.empty() ? 0.0
+                                     : sim::toSeconds(t - epochs_.back()));
     epochs_.push_back(t);
   }
 
@@ -94,13 +98,15 @@ class ModelPositions final : public phy::PositionSource {
     const std::size_t from = seen_[i] - base_;
     seen_[i] = base_ + epochs_.size();
     return models_[i]->replay(
-        {epochs_.data() + from, epochs_.size() - from});
+        {epochs_.data() + from, epochs_.size() - from},
+        {steps_.data() + from, steps_.size() - from});
   }
 
   /// Drops the log once every model has replayed it.
   void forget() {
     base_ += epochs_.size();
     epochs_.clear();
+    steps_.clear();
   }
 
   const sim::Scheduler& scheduler_;
@@ -109,6 +115,8 @@ class ModelPositions final : public phy::PositionSource {
   /// Marked instants not yet replayed by every model; epochs_[k] is mark
   /// number base_ + k since the source was built.
   std::vector<sim::TimePoint> epochs_;
+  /// Parallel to epochs_: steps_[k] = toSeconds(epochs_[k] - epochs_[k-1]).
+  std::vector<double> steps_;
   std::size_t base_ = 0;
   /// Per model: how many marks (counted from the first) it has replayed.
   std::vector<std::size_t> seen_;

@@ -128,13 +128,21 @@ void DcfMac::reschedule() {
     if (!queue_.empty()) startTransmission();
     return;
   }
-  // Consume one idle slot, then re-evaluate. onMediumBusy() cancels this
-  // timer, freezing the counter mid-slot (partial slots do not count).
-  timer_ = scheduler_.scheduleAfter(params_.slot, [this] {
-    MANET_ASSERT(!mediumBusy_ && !transmitting_);
-    --backoffRemaining_;
-    reschedule();
-  });
+  // Consume one idle slot. onMediumBusy() cancels this timer, freezing the
+  // counter mid-slot (partial slots do not count).
+  timer_ = scheduler_.scheduleAfter(params_.slot, [this] { backoffSlot(); });
+}
+
+void DcfMac::backoffSlot() {
+  MANET_ASSERT(!mediumBusy_ && !transmitting_);
+  // The medium has been idle since the slot began, past DIFS, and the
+  // counter is still owed: reschedule() would arm the next slot exactly so
+  // (DESIGN.md §11.2). Only the last slot re-evaluates.
+  if (--backoffRemaining_ > 0) {
+    timer_ = scheduler_.scheduleAfter(params_.slot, [this] { backoffSlot(); });
+    return;
+  }
+  reschedule();
 }
 
 void DcfMac::startTransmission() {

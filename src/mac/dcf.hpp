@@ -118,6 +118,9 @@ class DcfMac final : public phy::Channel::Listener {
   int drawBackoff();
   /// Re-evaluates what the station should be doing now that state changed.
   void reschedule();
+  /// One idle backoff slot elapsed: counts it, then arms the next slot or,
+  /// after the last, re-evaluates.
+  void backoffSlot();
   void startTransmission();
   void ensureBackoffIfBusy();
 

@@ -34,6 +34,15 @@ class MobilityModel {
     return p;
   }
 
+  /// replay(times), given `steps[k] = sim::toSeconds(times[k] - times[k-1])`
+  /// for every k >= 1 (`steps[0]` is not read): a source that replays the
+  /// same times to many models computes each step once.
+  virtual geom::Vec2 replay(std::span<const sim::TimePoint> times,
+                            std::span<const double> steps) {
+    (void)steps;
+    return replay(times);
+  }
+
   /// The position replay(pending) then positionAt(t) would return, without
   /// advancing the model: observers (tracing) use it so that watching a run
   /// never changes its trajectories. Same precondition on the times.

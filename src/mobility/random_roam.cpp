@@ -54,13 +54,14 @@ namespace {
 // The in-turn fast path shared by positionAt() and replay(): a query at `t`
 // strictly inside the turn (last < t < end) whose step lands on the map (of
 // positive size) is left unchanged by reflect and clamp, so skip them. Same
-// bits as advance(). Moves `p` and `last` to `t`, or returns false and
-// leaves them alone when the step must go to advanceTo().
+// bits as advance(). `seconds` is sim::toSeconds(t - last). Moves `p` and
+// `last` to `t`, or returns false and leaves them alone when the step must
+// go to advanceTo().
 inline bool stepInTurn(geom::Vec2& p, geom::Vec2 v, sim::TimePoint& last,
-                       sim::TimePoint end, sim::TimePoint t,
+                       sim::TimePoint end, sim::TimePoint t, double seconds,
                        const MapSpec& map) {
   if (!(t < end && t > last)) return false;
-  const geom::Vec2 q = p + v * sim::toSeconds(t - last);
+  const geom::Vec2 q = p + v * seconds;
   if (!(q.x >= 0.0 && q.x <= map.width && q.y >= 0.0 && q.y <= map.height &&
         map.width > 0.0 && map.height > 0.0)) {
     return false;
@@ -73,29 +74,53 @@ inline bool stepInTurn(geom::Vec2& p, geom::Vec2 v, sim::TimePoint& last,
 }  // namespace
 
 geom::Vec2 RandomRoam::positionAt(sim::TimePoint t) {
-  if (stepInTurn(position_, velocity_, lastQuery_, turnEnd_, t, map_)) {
+  if (stepInTurn(position_, velocity_, lastQuery_, turnEnd_, t,
+                 sim::toSeconds(t - lastQuery_), map_)) {
     return position_;
   }
   return advanceTo(t);
 }
 
-geom::Vec2 RandomRoam::replay(std::span<const sim::TimePoint> times) {
+// After the first time the model's last query is always the previous time,
+// so `seconds(k)`, toSeconds(times[k] - times[k-1]), is the step the fast
+// path takes. (A closed form for the in-turn run would delete this loop:
+// ROADMAP item 9.)
+template <typename Seconds>
+geom::Vec2 RandomRoam::replayWith(std::span<const sim::TimePoint> times,
+                                  Seconds seconds) {
+  if (times.empty()) return position_;
+  positionAt(times[0]);
   const MapSpec map = map_;
-  auto t = times.begin();
-  while (t != times.end()) {
+  std::size_t k = 1;
+  while (k < times.size()) {
     // The fast path over as many times as it holds, with no call in the
     // loop so that the state stays in registers.
     geom::Vec2 p = position_;
     const geom::Vec2 v = velocity_;
     sim::TimePoint last = lastQuery_;
     const sim::TimePoint end = turnEnd_;
-    while (t != times.end() && stepInTurn(p, v, last, end, *t, map)) ++t;
+    while (k < times.size() &&
+           stepInTurn(p, v, last, end, times[k], seconds(k), map)) {
+      ++k;
+    }
     position_ = p;
     lastQuery_ = last;
-    if (t == times.end()) break;
-    advanceTo(*t++);
+    if (k == times.size()) break;
+    advanceTo(times[k++]);
   }
   return position_;
+}
+
+geom::Vec2 RandomRoam::replay(std::span<const sim::TimePoint> times) {
+  return replayWith(times, [times](std::size_t k) {
+    return sim::toSeconds(times[k] - times[k - 1]);
+  });
+}
+
+geom::Vec2 RandomRoam::replay(std::span<const sim::TimePoint> times,
+                              std::span<const double> steps) {
+  MANET_EXPECTS(steps.size() == times.size());
+  return replayWith(times, [steps](std::size_t k) { return steps[k]; });
 }
 
 geom::Vec2 RandomRoam::advanceTo(sim::TimePoint t) {

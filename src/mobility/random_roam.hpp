@@ -31,6 +31,8 @@ class RandomRoam final : public MobilityModel {
 
   geom::Vec2 positionAt(sim::TimePoint t) override;
   geom::Vec2 replay(std::span<const sim::TimePoint> times) override;
+  geom::Vec2 replay(std::span<const sim::TimePoint> times,
+                    std::span<const double> steps) override;
   geom::Vec2 peekPositionAt(std::span<const sim::TimePoint> pending,
                             sim::TimePoint t) const override {
     RandomRoam copy = *this;
@@ -50,6 +52,10 @@ class RandomRoam final : public MobilityModel {
   /// The general step to time `t`: through every turn end before it, with
   /// reflection and clamping. Returns the new position.
   geom::Vec2 advanceTo(sim::TimePoint t);
+  /// Both replay()s: `seconds(k)` is the step from times[k-1] to times[k].
+  template <typename Seconds>
+  geom::Vec2 replayWith(std::span<const sim::TimePoint> times,
+                        Seconds seconds);
 
   MapSpec map_;
   RoamParams params_;

@@ -7,7 +7,7 @@
 namespace manet::obs {
 
 namespace detail {
-thread_local Registry* tlsRegistry = nullptr;
+constinit thread_local Registry* tlsRegistry = nullptr;
 }  // namespace detail
 
 const char* name(Counter counter) {

@@ -149,7 +149,10 @@ class Registry {
 };
 
 namespace detail {
-extern thread_local Registry* tlsRegistry;
+// constinit: no dynamic initialisation, so a read is a plain thread-local
+// load, without the check for an initialiser that every obs::add() would
+// otherwise pay.
+extern constinit thread_local Registry* tlsRegistry;
 }  // namespace detail
 
 /// The registry collecting on this thread, or nullptr when metrics are off.

@@ -58,7 +58,7 @@ Channel::~Channel() {
   // the air when the run stopped mid-frame.
   MANET_AUDIT_HOOK({
     std::uint64_t inFlight = 0;
-    for (const Node& n : nodes_) inFlight += n.activeRx.size();
+    for (const Node& n : nodes_) inFlight += n.rxCount;
     audit_.atTeardown(inFlight, scheduler_.now());
   });
 }
@@ -573,11 +573,7 @@ sim::TimePoint Channel::transmit(net::HostId src, net::Packet packet,
   // garbles anything it was in the middle of receiving.
   tx.transmitting = true;
   raiseBusy(tx);
-  if (collisionsEnabled_) {
-    for (const RxRef ref : tx.activeRx) {
-      corrupt(entry(ref), DropReason::kHalfDuplex);
-    }
-  }
+  corruptClean(tx, DropReason::kHalfDuplex);
 
   // Take the scratch buffer by move so a listener callback that reenters
   // transmit() synchronously cannot clobber the receiver list mid-loop.
@@ -591,16 +587,15 @@ sim::TimePoint Channel::transmit(net::HostId src, net::Packet packet,
     if (collisionsEnabled_) {
       // Overlap with anything already arriving, or with the receiver's own
       // ongoing transmission, corrupts everything involved.
-      if (!rx.activeRx.empty() || rx.transmitting) {
-        corrupt(rec, rx.transmitting ? DropReason::kHalfDuplex
-                                     : DropReason::kCollision);
-        for (const RxRef other : rx.activeRx) {
-          corrupt(entry(other), DropReason::kCollision);
-        }
+      if (rx.rxCount == 0 && !rx.transmitting) {
+        rx.clean = RxRef{slot, static_cast<std::uint32_t>(air.rx.size())};
+      } else {
+        rec.reason = rx.transmitting ? DropReason::kHalfDuplex
+                                     : DropReason::kCollision;
+        corruptClean(rx, DropReason::kCollision);
       }
     }
-    rx.activeRx.push_back(
-        RxRef{slot, static_cast<std::uint32_t>(air.rx.size())});
+    ++rx.rxCount;
     air.rx.push_back(rec);
     MANET_AUDIT_HOOK(audit_.onBeginReception(id, scheduler_.now()));
     // The energy becomes detectable at the receiver only after the carrier-
@@ -638,21 +633,22 @@ std::uint32_t Channel::acquireAirFrame() {
   return static_cast<std::uint32_t>(airFrames_.size() - 1);
 }
 
-// Both batches walk entries by index and re-read each one after the previous
-// receiver's callbacks ran: those may reenter transmit(), which appends a new
-// slot and may corrupt (but never adds or removes) this frame's entries.
+// Both batches hold their slot by reference: a deque never moves a slot, and
+// a callback that reenters transmit() takes another slot and may corrupt
+// (but never adds or removes) this frame's entries. So each verdict is read
+// only once the previous receivers' callbacks ran.
 void Channel::senseFrame(std::uint32_t slot) {
-  const std::size_t receivers = airFrames_[slot].rx.size();
-  for (std::size_t i = 0; i < receivers; ++i) {
-    raiseBusy(node(airFrames_[slot].rx[i].id));
+  for (const RxEntry& rec : airFrames_[slot].rx) {
+    raiseBusy(nodes_[rec.id.value()]);
   }
 }
 
 void Channel::endFrame(std::uint32_t slot) {
-  const auto receivers =
-      static_cast<std::uint32_t>(airFrames_[slot].rx.size());
-  for (std::uint32_t i = 0; i < receivers; ++i) finishReception(slot, i);
   AirFrame& air = airFrames_[slot];
+  const auto receivers = static_cast<std::uint32_t>(air.rx.size());
+  for (std::uint32_t i = 0; i < receivers; ++i) {
+    finishReception(air, RxRef{slot, i});
+  }
   const net::HostId src = air.frame.src;
   // Release the packet (a HELLO's shared neighbour list) with the frame; the
   // slot keeps its entry capacity for the next frame.
@@ -662,16 +658,15 @@ void Channel::endFrame(std::uint32_t slot) {
   finishTransmission(src);
 }
 
-void Channel::finishReception(std::uint32_t slot, std::uint32_t index) {
-  const RxRef ref{slot, index};
-  const net::HostId rxId = entry(ref).id;
-  Node& rx = node(rxId);
-  auto it = std::find(rx.activeRx.begin(), rx.activeRx.end(), ref);
-  MANET_ASSERT(it != rx.activeRx.end());
-  rx.activeRx.erase(it);
+void Channel::finishReception(const AirFrame& air, RxRef ref) {
+  const net::HostId rxId = air.rx[ref.index].id;
+  Node& rx = nodes_[rxId.value()];
+  MANET_ASSERT(rx.rxCount > 0);
+  --rx.rxCount;
+  if (rx.clean == ref) rx.clean = RxRef{};
   MANET_AUDIT_HOOK(audit_.onEndReception(rxId, scheduler_.now()));
   lowerBusy(rx);
-  const DropReason reason = entry(ref).reason;
+  const DropReason reason = air.rx[ref.index].reason;
   switch (reason) {
     case DropReason::kNone:
       ++framesDelivered_;
@@ -686,7 +681,7 @@ void Channel::finishReception(std::uint32_t slot, std::uint32_t index) {
       obs::add(obs::Counter::kChannelDropCollision);
       break;
   }
-  rx.listener->onFrameReceived(airFrames_[slot].frame, reason);
+  rx.listener->onFrameReceived(air.frame, reason);
 }
 
 void Channel::finishTransmission(net::HostId src) {

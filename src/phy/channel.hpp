@@ -39,7 +39,9 @@
 // walks the receivers in ascending id, which is the order the per-receiver
 // events it replaces fired in. A listener may re-enter transmit() from any
 // callback of a batch: records never move once created (deque storage) and
-// the batch re-reads each entry by index just before acting on it.
+// the batch reads each entry's verdict just before acting on it. Each node
+// keeps O(1) reception state: a count of its receptions in flight and the
+// one among them that is still intact, if any.
 #pragma once
 
 #include <algorithm>
@@ -197,8 +199,13 @@ class Channel {
   std::uint64_t framesDroppedHostDown() const { return 0; }
 
   /// Test/ablation hook: when disabled, overlapping frames are all delivered
-  /// intact (perfect-PHY model used by bench/abl_collision_model).
-  void setCollisionsEnabled(bool enabled) { collisionsEnabled_ = enabled; }
+  /// intact (perfect-PHY model used by bench/abl_collision_model). Only
+  /// while no frame is on the air: the per-node reception state assumes
+  /// the setting holds for every frame in flight.
+  void setCollisionsEnabled(bool enabled) {
+    MANET_EXPECTS(airFrames_.size() == freeAirFrames_.size());
+    collisionsEnabled_ = enabled;
+  }
 
   /// Differential-testing hook: when disabled, range queries fall back to the
   /// exhaustive all-nodes scan instead of the spatial grid. Either setting
@@ -220,9 +227,12 @@ class Channel {
     std::vector<RxEntry> rx;
   };
   /// A reception in flight at one node: entry `index` of air frame `frame`.
+  /// Default-constructed: no reception.
   struct RxRef {
-    std::uint32_t frame = 0;
+    static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+    std::uint32_t frame = kNone;
     std::uint32_t index = 0;
+    bool some() const { return frame != kNone; }
     bool operator==(const RxRef&) const = default;
   };
   /// The PositionSource behind attach(id, listener, position): one
@@ -241,12 +251,18 @@ class Channel {
    private:
     std::vector<PositionFn> fns_;
   };
+  /// Reception state is O(1) per node (DESIGN.md §11.6): two receptions
+  /// that overlap at a node both fail, and so does every reception a node
+  /// is in the middle of when it transmits, so at most one reception in
+  /// flight there is still intact. `clean` is that one; every other is
+  /// already corrupted and no later event can change its verdict.
   struct Node {
     Listener* listener = nullptr;
     bool attached = false;
     bool transmitting = false;
     int busyCount = 0;  // overlapping in-range transmissions incl. own
-    std::vector<RxRef> activeRx;  // in arrival order
+    std::uint32_t rxCount = 0;  // receptions in flight
+    RxRef clean;  // the intact one among them, if any (collisions on only)
   };
 
   /// Anchored uniform-cell spatial index over the attached nodes' positions.
@@ -329,11 +345,17 @@ class Channel {
   /// End batch: completes every reception in entry order, then the
   /// transmission, then recycles the slot.
   void endFrame(std::uint32_t slot);
-  void finishReception(std::uint32_t slot, std::uint32_t index);
+  /// Completes reception `ref`, an entry of `air`.
+  void finishReception(const AirFrame& air, RxRef ref);
   void finishTransmission(net::HostId src);
-  /// Marks `rec` corrupted with `reason` unless an earlier cause already did.
-  static void corrupt(RxEntry& rec, DropReason reason) {
-    if (rec.reason == DropReason::kNone) rec.reason = reason;
+  /// Corrupts `n`'s intact reception, if it has one, with `reason`: the
+  /// first cause, since every other reception there is already corrupted.
+  void corruptClean(Node& n, DropReason reason) {
+    if (!n.clean.some()) return;
+    RxEntry& rec = entry(n.clean);
+    MANET_ASSERT(rec.reason == DropReason::kNone);
+    rec.reason = reason;
+    n.clean = RxRef{};
   }
 
   /// Brings the grid up to the current epoch: nothing when it is current;

@@ -8,12 +8,18 @@
 // run performs no callback allocations at all. Unlike std::function it is
 // move-only, which also lets callbacks own move-only state.
 //
+// An inline callable that is trivially copyable (every engine capture:
+// `this` plus an id) moves with one fixed-size copy of the buffer and has no
+// destructor to run, so the several moves an event's callback makes between
+// its construction and its call cost no indirect call (DESIGN.md §11.3).
+//
 // Construction records engine.alloc.callback.{inline,heap} so allocation
 // regressions (a capture growing past the buffer) show up in bench reports
 // rather than only in profiles.
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -42,7 +48,7 @@ class InlineFn {
       ops_ = &opsFor<D, /*Heap=*/false>();
       obs::add(obs::Counter::kEngineAllocCallbackInline);
     } else {
-      heap_ = new D(std::forward<F>(fn));
+      ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(fn)));
       ops_ = &opsFor<D, /*Heap=*/true>();
       obs::add(obs::Counter::kEngineAllocCallbackHeap);
     }
@@ -60,7 +66,7 @@ class InlineFn {
   InlineFn& operator=(const InlineFn&) = delete;
   ~InlineFn() { reset(); }
 
-  void operator()() { ops_->invoke(target()); }
+  void operator()() { ops_->invoke(storage_); }
 
   explicit operator bool() const { return ops_ != nullptr; }
 
@@ -71,9 +77,8 @@ class InlineFn {
   /// Destroys the held callable (no-op when empty).
   void reset() {
     if (ops_ != nullptr) {
-      ops_->destroy(target());
+      if (ops_->destroy != nullptr) ops_->destroy(storage_);
       ops_ = nullptr;
-      heap_ = nullptr;
     }
   }
 
@@ -83,12 +88,25 @@ class InlineFn {
     return fitsInline<std::remove_cvref_t<F>>();
   }
 
+  /// Compile-time probe: would a callable of type F move by a plain copy
+  /// of the buffer and need no destructor call? True for inline,
+  /// trivially copyable captures (`this` plus ids: every engine hot path).
+  template <typename F>
+  static constexpr bool relocatesTrivially() {
+    using D = std::remove_cvref_t<F>;
+    return fitsInline<D>() && std::is_trivially_copyable_v<D>;
+  }
+
  private:
+  /// Every entry takes the buffer; a heap-held callable's buffer holds its
+  /// pointer.
   struct Ops {
     void (*invoke)(void*);
     /// Move-constructs the callable into `to` and destroys the source.
-    /// Null for heap-held callables (moves just steal the pointer).
+    /// Null when a byte copy of the buffer moves it: a heap pointer or a
+    /// trivially copyable callable.
     void (*relocate)(void* from, void* to);
+    /// Null when there is nothing to destroy (trivially copyable).
     void (*destroy)(void*);
     bool heap;
   };
@@ -103,11 +121,16 @@ class InlineFn {
   template <typename D, bool Heap>
   static constexpr Ops makeOps() {
     Ops ops{};
-    ops.invoke = [](void* p) { (*static_cast<D*>(p))(); };
     if constexpr (Heap) {
+      ops.invoke = [](void* p) { (**static_cast<D**>(p))(); };
       ops.relocate = nullptr;
-      ops.destroy = [](void* p) { delete static_cast<D*>(p); };
+      ops.destroy = [](void* p) { delete *static_cast<D**>(p); };
+    } else if constexpr (std::is_trivially_copyable_v<D>) {
+      ops.invoke = [](void* p) { (*static_cast<D*>(p))(); };
+      ops.relocate = nullptr;
+      ops.destroy = nullptr;
     } else {
+      ops.invoke = [](void* p) { (*static_cast<D*>(p))(); };
       ops.relocate = [](void* from, void* to) {
         ::new (to) D(std::move(*static_cast<D*>(from)));
         static_cast<D*>(from)->~D();
@@ -124,14 +147,11 @@ class InlineFn {
     return ops;
   }
 
-  void* target() { return ops_->heap ? heap_ : static_cast<void*>(storage_); }
-
   void moveFrom(InlineFn& other) noexcept {
     ops_ = other.ops_;
     if (ops_ == nullptr) return;
-    if (ops_->heap) {
-      heap_ = other.heap_;
-      other.heap_ = nullptr;
+    if (ops_->relocate == nullptr) {
+      std::memcpy(storage_, other.storage_, kInlineCapacity);
     } else {
       ops_->relocate(other.storage_, storage_);
     }
@@ -139,7 +159,6 @@ class InlineFn {
   }
 
   alignas(std::max_align_t) unsigned char storage_[kInlineCapacity];
-  void* heap_ = nullptr;
   const Ops* ops_ = nullptr;
 };
 

@@ -7,15 +7,6 @@
 
 namespace manet::sim {
 
-void Scheduler::Handle::cancel() {
-  if (owner_ == nullptr) return;
-  owner_->cancelSlot(slot_, gen_);
-}
-
-bool Scheduler::Handle::pending() const {
-  return owner_ != nullptr && owner_->slotPending(slot_, gen_);
-}
-
 EventSlot Scheduler::acquireSlot() {
   if (freeHead_ != kNullSlot) {
     const EventSlot slot = freeHead_;
@@ -41,7 +32,7 @@ void Scheduler::releaseSlot(EventSlot slot) {
   freeHead_ = slot;
 }
 
-Scheduler::Handle Scheduler::schedule(TimePoint at, Callback fn) {
+Scheduler::Handle Scheduler::schedule(TimePoint at, Callback&& fn) {
   MANET_EXPECTS(at >= now_);
   MANET_EXPECTS(static_cast<bool>(fn));
   const EventSlot slot = acquireSlot();
@@ -70,11 +61,6 @@ Scheduler::Handle Scheduler::schedule(TimePoint at, Callback fn) {
   return Handle(this, slot, n.gen);
 }
 
-Scheduler::Handle Scheduler::scheduleAfter(Duration delay, Callback fn) {
-  MANET_EXPECTS(delay >= Duration{});
-  return schedule(now_ + delay, std::move(fn));
-}
-
 void Scheduler::addLane(Duration delay) {
   MANET_EXPECTS(delay > Duration{});
   for (const Lane& lane : lanes_) {
@@ -84,8 +70,7 @@ void Scheduler::addLane(Duration delay) {
       Lane{delay, std::vector<LaneEntry>(Lane::kInitialRing), 0, 0});
 }
 
-void Scheduler::cancelSlot(EventSlot slot, EventGen gen) {
-  if (!slotPending(slot, gen)) return;  // stale handle: fired or cancelled
+void Scheduler::cancelSlot(EventSlot slot) {
   Node& n = node(slot);
   MANET_ASSERT(n.heapIndex != kNullIndex || n.lane != kNullIndex);
   MANET_ASSERT(live_ > 0);

@@ -24,11 +24,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "audit/audit.hpp"
 #include "sim/inline_fn.hpp"
 #include "sim/time.hpp"
+#include "util/assert.hpp"
 #include "util/tagged_id.hpp"
 
 #if MANET_AUDIT_ENABLED
@@ -67,11 +69,18 @@ class Scheduler {
    public:
     Handle() = default;
 
-    /// Cancels the event if it has not fired yet; idempotent.
-    void cancel();
+    /// Cancels the event if it has not fired yet; idempotent. A handle
+    /// whose event already fired (most of them) costs one compare.
+    void cancel() {
+      if (owner_ != nullptr && owner_->slotPending(slot_, gen_)) {
+        owner_->cancelSlot(slot_);
+      }
+    }
 
     /// True while the event is scheduled and neither fired nor cancelled.
-    bool pending() const;
+    bool pending() const {
+      return owner_ != nullptr && owner_->slotPending(slot_, gen_);
+    }
 
    private:
     friend class Scheduler;
@@ -83,10 +92,15 @@ class Scheduler {
   };
 
   /// Schedules `fn` to run at absolute time `at` (must be >= now()).
-  Handle schedule(TimePoint at, Callback fn);
+  /// Taken by reference so that a callable built at the call site moves
+  /// once, into its event node (DESIGN.md §11.3).
+  Handle schedule(TimePoint at, Callback&& fn);
 
   /// Schedules `fn` to run `delay` from now (delay >= 0).
-  Handle scheduleAfter(Duration delay, Callback fn);
+  Handle scheduleAfter(Duration delay, Callback&& fn) {
+    MANET_EXPECTS(delay >= Duration{});
+    return schedule(now_ + delay, std::move(fn));
+  }
 
   /// Declares a constant delay (> 0) the caller schedules at often. From
   /// then on every event whose `at - now()` equals `delay` queues in that
@@ -194,7 +208,8 @@ class Scheduler {
 
   EventSlot acquireSlot();
   void releaseSlot(EventSlot slot);
-  void cancelSlot(EventSlot slot, EventGen gen);
+  /// Cancels the pending event in `slot`.
+  void cancelSlot(EventSlot slot);
   bool slotPending(EventSlot slot, EventGen gen) const {
     return slot.value() < slotCount_ && node(slot).gen == gen;
   }

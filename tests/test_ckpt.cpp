@@ -10,6 +10,8 @@
 #include "ckpt/state_access.hpp"
 #include "experiment/host.hpp"
 #include "experiment/world.hpp"
+#include "net/packet.hpp"
+#include "phy/channel.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 
@@ -94,6 +96,34 @@ TEST(CkptFingerprint, SchedulerDigestCoversLaneEvents) {
   lanedH[2].cancel();
   twinH[1].cancel();
   EXPECT_EQ(digest(laned), digest(twin));
+}
+
+// The channel word covers the verdict of every reception on the air. Node
+// 1 joins after node 0 went on the air, then transmits to it: with
+// collisions on, node 0 loses that frame (half-duplex); with them off it
+// stays intact. Counters, carrier, in-flight counts and intact receptions
+// match in both, so only the frame's verdict can tell the words apart.
+TEST(CkptFingerprint, ChannelWordCoversInFlightVerdicts) {
+  struct Quiet final : phy::Channel::Listener {
+    void onFrameReceived(const phy::Frame&, phy::DropReason) override {}
+  };
+  const auto word = [](bool collisions) {
+    sim::Scheduler scheduler;
+    phy::Channel channel(scheduler, phy::PhyParams{});
+    channel.setCollisionsEnabled(collisions);
+    Quiet a;
+    Quiet b;
+    const net::HostId first{0};
+    const net::HostId second{1};
+    channel.attach(first, &a, [] { return geom::Vec2{0, 0}; });
+    channel.transmit(first, net::Packet{}, 280);  // nobody to hear it
+    channel.attach(second, &b, [] { return geom::Vec2{100, 0}; });
+    channel.transmit(second, net::Packet{}, 280);
+    scheduler.runUntil(sim::TimePoint{100});  // energy sensed, frames on air
+    return StateAccess::channelDigest(channel);
+  };
+  EXPECT_EQ(word(true), word(true));
+  EXPECT_NE(word(true), word(false));
 }
 
 // A broadcast that turns terminal leaves the host's in-flight map, so the

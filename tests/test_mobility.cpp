@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "geom/circle.hpp"
@@ -270,22 +271,31 @@ int mismatchesAtRandomCadence(RandomRoam& roam, ReferenceRoam& ref,
 
 /// Feeds the same random cadence to `ref` one query at a time and to
 /// `roam` as replay() lists of 1 to 40 times, with a single positionAt
-/// between some lists. Returns the number of answers whose bits differ.
+/// between some lists. `withSteps` passes each list's steps between
+/// consecutive times too, as ModelPositions does. Returns the number of
+/// answers whose bits differ.
 int replayMismatches(RandomRoam& roam, ReferenceRoam& ref, sim::Rng& cadence,
-                     int queries) {
+                     int queries, bool withSteps) {
   int mismatches = 0;
   sim::TimePoint t = sim::kTimeZero;
   std::vector<sim::TimePoint> epochs;
+  std::vector<double> steps;
   for (int q = 0; q < queries;) {
     epochs.clear();
+    steps.clear();
     Vec2 want{};
     const auto length = cadence.uniformInt(1, 40);
     for (int k = 0; k < length; ++k, ++q) {
       t = nextQueryTime(t, ref, cadence);
+      // The first step is not read; a NaN there would show if it were.
+      steps.push_back(epochs.empty()
+                          ? std::numeric_limits<double>::quiet_NaN()
+                          : sim::toSeconds(t - epochs.back()));
       epochs.push_back(t);
       want = ref.positionAt(t);
     }
-    mismatches += sameBits(roam.replay(epochs), want) ? 0 : 1;
+    const Vec2 got = withSteps ? roam.replay(epochs, steps) : roam.replay(epochs);
+    mismatches += sameBits(got, want) ? 0 : 1;
     if (cadence.uniformInt(0, 3) == 0) {
       t += cadence.uniformDuration(sim::kMicrosecond, sim::kSecond);
       mismatches += sameBits(roam.positionAt(t), ref.positionAt(t)) ? 0 : 1;
@@ -364,14 +374,15 @@ TEST(RandomRoam, ReplayMatchesPositionAtBitForBit) {
       params.maxSpeedMps = maxSpeed;
       params.minTurnDuration = 100 * sim::kMillisecond;
       params.maxTurnDuration = 2 * kSecond;
-      for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-        sim::Rng rng(seed);
+      for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        const bool withSteps = seed > 12;
+        sim::Rng rng(withSteps ? seed - 12 : seed);
         const Vec2 start =
             seed % 2 == 0 ? Vec2{-0.0, -0.0} : map.uniformPoint(rng);
         RandomRoam roam(map, start, params, rng.fork(1));
         ReferenceRoam ref(map, start, params, rng.fork(1));
         sim::Rng cadence = rng.fork(2);
-        EXPECT_EQ(replayMismatches(roam, ref, cadence, 1500), 0)
+        EXPECT_EQ(replayMismatches(roam, ref, cadence, 1500, withSteps), 0)
             << "map " << map.width << "x" << map.height << " speed "
             << maxSpeed << " seed " << seed;
         for (int edge = 0; edge < 4; ++edge) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -10,6 +12,7 @@
 #include "audit/audit.hpp"
 #include "net/packet.hpp"
 #include "obs/metrics.hpp"
+#include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 
 namespace manet::phy {
@@ -408,6 +411,201 @@ TEST_F(ChannelTest, FinishedFrameReleasesHelloNeighborList) {
   scheduler_.runAll();
   ASSERT_EQ(probe(b).receptions.size(), 1u);
   EXPECT_EQ(neighbors.use_count(), 1);
+}
+
+TEST_F(ChannelTest, CollisionSettingIsFixedWhileFramesFly) {
+  Channel& ch = makeChannel();
+  const HostId a = addNode({0, 0});
+  addNode({100, 0});
+  ch.transmit(a, dataPacket(a), 280);
+  EXPECT_DEATH(ch.setCollisionsEnabled(false), "Precondition");
+  scheduler_.runAll();
+  ch.setCollisionsEnabled(false);  // the air is clear again
+  ch.transmit(a, dataPacket(a), 280);
+  scheduler_.runAll();
+  EXPECT_EQ(ch.framesDelivered(), 2u);
+}
+
+// --- O(1) reception state against a brute-force oracle (DESIGN.md §11.6) ---
+
+/// Random overlapping frames on a small static map, logged in one global
+/// order of events: each transmit() call, each reception's completion and
+/// each transmission's end take the next tick of `clock`. Receivers
+/// sometimes transmit from inside their reception callback (re-entering
+/// transmit() from an end batch); scheduled senders often start while
+/// they are receiving.
+class DifferentialRun {
+ public:
+  static constexpr std::uint64_t kOpen =
+      std::numeric_limits<std::uint64_t>::max();
+  struct Tx {
+    HostId src;
+    sim::TimePoint start;
+    std::uint64_t begin;         // tick of the transmit() call
+    std::uint64_t end = kOpen;   // tick of onTxComplete
+  };
+  struct Rx {
+    std::size_t tx;        // index into txs
+    HostId node;
+    std::uint64_t end;     // tick of onFrameReceived
+    DropReason drop;
+  };
+
+  DifferentialRun(std::uint64_t seed, bool collisions, bool instantSense)
+      : rng_(seed) {
+    PhyParams params;
+    if (instantSense) params.carrierSenseDelay = sim::Duration{};
+    channel_ = std::make_unique<Channel>(scheduler_, params);
+    channel_->setCollisionsEnabled(collisions);
+    const auto hosts = static_cast<std::uint32_t>(rng_.uniformInt(3, 9));
+    for (std::uint32_t i = 0; i < hosts; ++i) {
+      const geom::Vec2 p{rng_.uniform(0.0, 1000.0), rng_.uniform(0.0, 1000.0)};
+      positions.push_back(p);
+      nodes_.push_back(std::make_unique<Node>(*this, HostId{i}));
+      channel_->attach(HostId{i}, nodes_.back().get(), [p] { return p; });
+    }
+    // Start times on a 5 us grid: ties, starts inside the carrier-sense
+    // delay and starts across whole airtimes (192-2592 us) all occur.
+    const int frames = static_cast<int>(rng_.uniformInt(5, 40));
+    for (int f = 0; f < frames; ++f) {
+      const HostId src{static_cast<std::uint32_t>(rng_.uniformInt(0, hosts - 1))};
+      const sim::TimePoint at{5 * rng_.uniformInt(0, 2000)};
+      scheduler_.schedule(at, [this, src] { send(src); });
+    }
+    scheduler_.runAll();
+  }
+
+  const Channel& channel() const { return *channel_; }
+
+  std::vector<geom::Vec2> positions;
+  std::vector<Tx> txs;  // in transmit() order
+  std::vector<Rx> rxs;  // in completion order
+  int reentrant = 0;    // transmissions started from a reception callback
+
+ private:
+  class Node final : public Channel::Listener {
+   public:
+    Node(DifferentialRun& run, HostId self) : run_(run), self_(self) {}
+    void onFrameReceived(const Frame& frame, DropReason drop) override {
+      run_.received(self_, frame, drop);
+    }
+    void onTxComplete() override { run_.txDone(self_); }
+
+   private:
+    DifferentialRun& run_;
+    HostId self_;
+  };
+
+  void send(HostId src) {
+    if (channel_->isTransmitting(src)) return;
+    txs.push_back({src, scheduler_.now(), ++clock_});
+    channel_->transmit(src, dataPacket(src),
+                       static_cast<std::size_t>(rng_.uniformInt(0, 300)));
+  }
+  void received(HostId self, const Frame& frame, DropReason drop) {
+    std::size_t tx = txs.size();
+    while (tx-- > 0) {
+      if (txs[tx].src == frame.src && txs[tx].start == frame.txStart) break;
+    }
+    ASSERT_LT(tx, txs.size());
+    rxs.push_back({tx, self, ++clock_, drop});
+    if (rng_.uniformInt(0, 5) == 0 && !channel_->isTransmitting(self)) {
+      ++reentrant;
+      send(self);
+    }
+  }
+  void txDone(HostId self) {
+    for (Tx& tx : txs) {
+      if (tx.src == self && tx.end == kOpen) tx.end = ++clock_;
+    }
+  }
+
+  sim::Rng rng_;
+  sim::Scheduler scheduler_;
+  std::unique_ptr<Channel> channel_;
+  std::vector<std::unique_ptr<Node>> nodes_;
+  std::uint64_t clock_ = 0;
+};
+
+/// The verdict of reception `rx` from interval overlaps alone. A reception
+/// is in flight at its node from its frame's transmit() call until its own
+/// completion; a transmission from its transmit() call until its end. The
+/// first cause wins: at the frame's start, the node's own transmission
+/// (half-duplex) before another reception in flight (collision); later, the
+/// first transmit() call by the node (half-duplex) or reaching it
+/// (collision) before the reception completes.
+DropReason oracleVerdict(const DifferentialRun& run,
+                         const DifferentialRun::Rx& rx, double radius) {
+  const auto hears = [&](HostId from, HostId to) {
+    return from != to &&
+           geom::distanceSquared(run.positions[from.value()],
+                                 run.positions[to.value()]) <=
+               radius * radius;
+  };
+  const std::uint64_t begin = run.txs[rx.tx].begin;
+  for (const DifferentialRun::Tx& tx : run.txs) {
+    if (tx.src == rx.node && tx.begin < begin && tx.end > begin) {
+      return DropReason::kHalfDuplex;
+    }
+  }
+  for (const DifferentialRun::Rx& other : run.rxs) {
+    if (other.node == rx.node && run.txs[other.tx].begin < begin &&
+        other.end > begin) {
+      return DropReason::kCollision;
+    }
+  }
+  for (const DifferentialRun::Tx& tx : run.txs) {
+    if (tx.begin <= begin || tx.begin >= rx.end) continue;
+    if (tx.src == rx.node) return DropReason::kHalfDuplex;
+    if (hears(tx.src, rx.node)) return DropReason::kCollision;
+  }
+  return DropReason::kNone;
+}
+
+TEST(ChannelDifferential, VerdictsMatchAnIntervalOverlapOracle) {
+  const double radius = PhyParams{}.radiusMeters;
+  int verdicts[3] = {};  // none, collision, half-duplex
+  int reentrant = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    const bool collisions = seed % 5 != 0;
+    const bool instantSense = seed % 3 == 0;
+    const DifferentialRun run(seed, collisions, instantSense);
+    reentrant += run.reentrant;
+    // Every in-range node completes each frame exactly once.
+    std::size_t expected = 0;
+    for (const DifferentialRun::Tx& tx : run.txs) {
+      ASSERT_NE(tx.end, DifferentialRun::kOpen) << "seed " << seed;
+      for (std::size_t n = 0; n < run.positions.size(); ++n) {
+        expected += (n != tx.src.value() &&
+                     geom::distanceSquared(run.positions[tx.src.value()],
+                                           run.positions[n]) <=
+                         radius * radius)
+                        ? 1
+                        : 0;
+      }
+    }
+    ASSERT_EQ(run.rxs.size(), expected) << "seed " << seed;
+    std::uint64_t corrupted = 0;
+    for (const DifferentialRun::Rx& rx : run.rxs) {
+      const DropReason want =
+          collisions ? oracleVerdict(run, rx, radius) : DropReason::kNone;
+      ASSERT_EQ(rx.drop, want)
+          << "seed " << seed << ": node " << rx.node.value() << ", frame "
+          << rx.tx << " from " << run.txs[rx.tx].src.value();
+      corrupted += rx.drop != DropReason::kNone ? 1 : 0;
+      ++verdicts[rx.drop == DropReason::kNone        ? 0
+                 : rx.drop == DropReason::kCollision ? 1
+                                                     : 2];
+    }
+    EXPECT_EQ(run.channel().framesCorrupted(), corrupted);
+    EXPECT_EQ(run.channel().framesDelivered(), run.rxs.size() - corrupted);
+    EXPECT_EQ(run.channel().framesTransmitted(), run.txs.size());
+  }
+  // The runs reach every verdict and re-enter transmit().
+  EXPECT_GT(verdicts[0], 100);
+  EXPECT_GT(verdicts[1], 100);
+  EXPECT_GT(verdicts[2], 100);
+  EXPECT_GT(reentrant, 100);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "sim/inline_fn.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
@@ -652,6 +653,132 @@ TEST(InlineFn, HotPathCapturesFitTheBuffer) {
   using MacCapture = decltype(macLike(nullptr, nullptr, 0));
   static_assert(InlineFn::storesInline<MacCapture>());
   static_assert(sizeof(MacCapture) <= InlineFn::kInlineCapacity);
+}
+
+// --- trivial relocation (DESIGN.md §11.3) ---
+
+/// An engine-shaped capture: an owner pointer plus ids, re-arming itself
+/// like a backoff slot.
+struct Rearm {
+  Scheduler* scheduler;
+  std::vector<std::uint64_t>* seen;
+  std::uint64_t tag;
+  std::uint32_t left;
+  void operator()() const {
+    seen->push_back(tag + left);
+    if (left > 0) {
+      scheduler->scheduleAfter(Duration{20},
+                               Rearm{scheduler, seen, tag, left - 1});
+    }
+  }
+};
+
+TEST(InlineFn, TrivialCaptureSurvivesScheduleFireAndRearm) {
+  static_assert(InlineFn::relocatesTrivially<Rearm>());
+  Scheduler scheduler;
+  scheduler.addLane(Duration{20});  // re-arms ride a lane, the first the heap
+  std::vector<std::uint64_t> seen;
+  InlineFn fn(Rearm{&scheduler, &seen, 0xABCD'0000'0000'0000ULL, 3});
+  InlineFn moved(std::move(fn));
+  InlineFn assigned;
+  assigned = std::move(moved);
+  EXPECT_FALSE(static_cast<bool>(moved));  // NOLINT(bugprone-use-after-move)
+  scheduler.schedule(TimePoint{7}, std::move(assigned));
+  EXPECT_EQ(scheduler.runAll(), 4u);
+  const std::uint64_t tag = 0xABCD'0000'0000'0000ULL;
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{tag + 3, tag + 2, tag + 1, tag}));
+  EXPECT_EQ(scheduler.now(), TimePoint{67});
+}
+
+/// Counts live destructions: a moved-from husk does not count.
+struct Counted {
+  int* destroyed;
+  int* moves;
+  int* hits;
+  bool live = true;
+  Counted(int* d, int* m, int* h) : destroyed(d), moves(m), hits(h) {}
+  Counted(Counted&& other) noexcept
+      : destroyed(other.destroyed), moves(other.moves), hits(other.hits) {
+    other.live = false;
+    ++*moves;
+  }
+  Counted(const Counted&) = delete;
+  Counted& operator=(const Counted&) = delete;
+  Counted& operator=(Counted&&) = delete;
+  ~Counted() {
+    if (live) ++*destroyed;
+  }
+  void operator()() { ++*hits; }
+};
+
+TEST(InlineFn, NonTrivialCaptureRelocatesThroughItsOpsAndDiesOnce) {
+  static_assert(InlineFn::storesInline<Counted>());
+  static_assert(!InlineFn::relocatesTrivially<Counted>());
+  int destroyed = 0;
+  int moves = 0;
+  int hits = 0;
+  {
+    Scheduler scheduler;
+    InlineFn fn(Counted{&destroyed, &moves, &hits});
+    InlineFn moved(std::move(fn));
+    const int before = moves;
+    scheduler.scheduleAfter(Duration{5}, std::move(moved));
+    EXPECT_GT(moves, before);  // relocated by its move constructor
+    EXPECT_EQ(destroyed, 0);
+    scheduler.runAll();
+    EXPECT_EQ(hits, 1);
+    EXPECT_EQ(destroyed, 1);
+  }
+  EXPECT_EQ(destroyed, 1);
+  // Cancelled and reset callables die once too.
+  {
+    Scheduler scheduler;
+    Scheduler::Handle h =
+        scheduler.scheduleAfter(Duration{5}, Counted{&destroyed, &moves, &hits});
+    h.cancel();
+    EXPECT_EQ(destroyed, 2);
+    InlineFn fn(Counted{&destroyed, &moves, &hits});
+    fn.reset();
+    EXPECT_EQ(destroyed, 3);
+  }
+  EXPECT_EQ(destroyed, 3);
+  EXPECT_EQ(hits, 1);
+}
+
+TEST(InlineFn, AllocationCountsAndStorageAreUnchanged) {
+  // The capture shapes the engine schedules: `[this]`, `[this, id]`.
+  struct Owner;
+  Owner* self = nullptr;
+  std::uint32_t slot = 3;
+  auto bare = [self] { (void)self; };
+  auto withId = [self, slot] { (void)self, (void)slot; };
+  static_assert(InlineFn::storesInline<decltype(bare)>());
+  static_assert(InlineFn::storesInline<decltype(withId)>());
+  static_assert(InlineFn::relocatesTrivially<decltype(bare)>());
+  static_assert(InlineFn::relocatesTrivially<decltype(withId)>());
+  auto shared = std::make_shared<int>(1);
+  auto owning = [shared] { (void)shared; };
+  static_assert(InlineFn::storesInline<decltype(owning)>());
+  static_assert(!InlineFn::relocatesTrivially<decltype(owning)>());
+  std::array<char, InlineFn::kInlineCapacity + 1> pad{};
+  auto fat = [pad] { (void)pad; };
+  static_assert(!InlineFn::storesInline<decltype(fat)>());
+  static_assert(!InlineFn::relocatesTrivially<decltype(fat)>());
+
+  obs::Registry registry;
+  obs::ScopedRegistry scope(&registry);
+  Scheduler scheduler;
+  scheduler.scheduleAfter(Duration{1}, withId);
+  scheduler.scheduleAfter(Duration{2}, owning);
+  scheduler.scheduleAfter(Duration{3}, fat);
+  InlineFn heap(fat);
+  InlineFn moved(std::move(heap));
+  EXPECT_TRUE(moved.heapAllocated());
+  scheduler.runAll();
+  // One count per construction; moves and relocations add none.
+  EXPECT_EQ(registry.counter(obs::Counter::kEngineAllocCallbackInline), 2u);
+  EXPECT_EQ(registry.counter(obs::Counter::kEngineAllocCallbackHeap), 2u);
+  EXPECT_EQ(shared.use_count(), 2);  // `owning` still holds one
 }
 
 }  // namespace
