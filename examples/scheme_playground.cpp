@@ -6,8 +6,7 @@
 //   ./build/examples/scheme_playground --scheme=ac --map=7 --speed=50
 //       --broadcasts=100 --hosts=100 --seed=3 --hello --dhi
 //
-// Schemes: flood | prob=<p> | counter=<C> | distance=<D> | location=<A> |
-//          ac | al | nc
+// Schemes: flood | counter=<C> | location=<A> | ac | al | nc
 #include <climits>
 #include <cstdlib>
 #include <cstring>
@@ -22,8 +21,6 @@
 using namespace manet;
 
 namespace {
-
-constexpr double kDoubleMax = std::numeric_limits<double>::max();
 
 bool parseDouble(const std::string& text, double lo, double hi, double& out) {
   char* end = nullptr;
@@ -42,15 +39,9 @@ bool parseScheme(const std::string& text, experiment::SchemeSpec& out) {
   double x = 0.0;
   if (text == "flood") {
     out = experiment::SchemeSpec::flooding();
-  } else if (text.rfind("prob=", 0) == 0) {
-    if (!parseDouble(valueOf("prob="), 0.0, 1.0, x)) return false;
-    out = experiment::SchemeSpec::probabilistic(x);
   } else if (text.rfind("counter=", 0) == 0) {
     if (!examples::parseInt(valueOf("counter="), 1, INT_MAX, n)) return false;
     out = experiment::SchemeSpec::counter(n);
-  } else if (text.rfind("distance=", 0) == 0) {
-    if (!parseDouble(valueOf("distance="), 0.0, kDoubleMax, x)) return false;
-    out = experiment::SchemeSpec::distance(x);
   } else if (text.rfind("location=", 0) == 0) {
     if (!parseDouble(valueOf("location="), 0.0, 1.0, x)) return false;
     out = experiment::SchemeSpec::location(x);
@@ -72,10 +63,8 @@ void usage(const char* argv0) {
       << " [--scheme=S] [--map=N] [--speed=KMH] [--broadcasts=B]\n"
          "          [--hosts=H] [--seed=SEED] [--hello] [--dhi] "
          "[--no-collisions]\n"
-         "schemes: flood prob=<p> counter=<C> distance=<D> location=<A> "
-         "ac al nc\n"
-         "ranges: 0 <= p <= 1, C >= 1, D >= 0, 0 <= A <= 1, N >= 1, "
-         "B >= 0, H >= 1\n";
+         "schemes: flood counter=<C> location=<A> ac al nc\n"
+         "ranges: C >= 1, 0 <= A <= 1, N >= 1, B >= 0, H >= 1\n";
 }
 
 }  // namespace
@@ -102,7 +91,9 @@ int main(int argc, char** argv) {
                                  config.mapUnits);
     } else if (arg.rfind("--speed=", 0) == 0) {
       // A negative speed selects the paper's 10*N km/h rule.
-      valid = parseDouble(valueOf("--speed="), -kDoubleMax, kDoubleMax,
+      valid = parseDouble(valueOf("--speed="),
+                          std::numeric_limits<double>::lowest(),
+                          std::numeric_limits<double>::max(),
                           config.maxSpeedKmh);
     } else if (arg.rfind("--broadcasts=", 0) == 0) {
       valid = examples::parseInt(valueOf("--broadcasts="), 0, INT_MAX,

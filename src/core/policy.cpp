@@ -1,4 +1,4 @@
-#include "core/policies.hpp"
+#include "core/policy.hpp"
 
 #include <algorithm>
 #include <unordered_set>
@@ -18,23 +18,6 @@ class FloodingDecider final : public PacketDecider {
  public:
   bool shouldProceed(HostView&) override { return true; }
   bool onDuplicate(HostView&, const Reception&) override { return true; }
-};
-
-// ----------------------------------------------------------- probabilistic
-
-class ProbabilisticDecider final : public PacketDecider {
- public:
-  explicit ProbabilisticDecider(double p) : p_(p) {}
-  bool shouldProceed(HostView& host) override {
-    return host.rng().bernoulli(p_);
-  }
-  bool onDuplicate(HostView&, const Reception&) override {
-    // The gamble is taken once, at first reception; duplicates are ignored.
-    return true;
-  }
-
- private:
-  double p_;
 };
 
 // ----------------------------------------------------- counter (fixed C)
@@ -85,47 +68,18 @@ class AdaptiveCounterDecider final : public PacketDecider {
   int counter_ = 1;
 };
 
-// --------------------------------------------------- distance (fixed D)
-
-class DistanceDecider final : public PacketDecider {
- public:
-  DistanceDecider(double threshold, const Reception& first)
-      : threshold_(threshold), minDistance_(0.0) {
-    firstPos_ = first.fromPos;
-  }
-  bool shouldProceed(HostView& host) override {
-    minDistance_ = geom::distance(host.position(), firstPos_);
-    return minDistance_ >= threshold_;
-  }
-  bool onDuplicate(HostView& host, const Reception& dup) override {
-    minDistance_ = std::min(minDistance_,
-                            geom::distance(host.position(), dup.fromPos));
-    return minDistance_ >= threshold_;
-  }
-  std::uint64_t stateDigest() const override {
-    ckpt::Digest d;
-    d.add(minDistance_);
-    d.add(firstPos_.x);
-    d.add(firstPos_.y);
-    return d.value();
-  }
-
- private:
-  double threshold_;
-  double minDistance_;
-  geom::Vec2 firstPos_;
-};
-
 // --------------------------------- location (fixed A / adaptive A(n))
+
+/// Monte-Carlo resolution of the location-based schemes' residual additional
+/// coverage.
+constexpr int kCoverageSamples = 512;
 
 /// Shared machinery: accumulates heard-sender positions and decides whether
 /// the residual additional coverage reaches a threshold supplied by the
-/// decider (constant or A(n)). Each decision takes 2 * samples scheme-RNG
-/// draws, however early the verdict settles.
+/// decider (constant or A(n)). Each decision takes 2 * kCoverageSamples
+/// scheme-RNG draws, however early the verdict settles.
 class CoverageTracker {
  public:
-  explicit CoverageTracker(CoverageSampling sampling) : sampling_(sampling) {}
-
   void addSender(geom::Vec2 pos) { senders_.push_back(pos); }
 
   /// Accumulated heard-sender positions, in arrival order.
@@ -144,19 +98,17 @@ class CoverageTracker {
   bool coverageAtLeast(HostView& host, double threshold) const {
     return geom::uncoveredFractionAtLeast(host.position(), senders_,
                                           host.radius(), threshold,
-                                          host.rng(), sampling_.samples);
+                                          host.rng(), kCoverageSamples);
   }
 
  private:
-  CoverageSampling sampling_;
   std::vector<geom::Vec2> senders_;
 };
 
 class LocationDecider final : public PacketDecider {
  public:
-  LocationDecider(double threshold, CoverageSampling sampling,
-                  const Reception& first)
-      : threshold_(threshold), tracker_(sampling) {
+  LocationDecider(double threshold, const Reception& first)
+      : threshold_(threshold) {
     tracker_.addSender(first.fromPos);
   }
   bool shouldProceed(HostView& host) override {
@@ -175,9 +127,8 @@ class LocationDecider final : public PacketDecider {
 
 class AdaptiveLocationDecider final : public PacketDecider {
  public:
-  AdaptiveLocationDecider(const AreaThreshold& fn, CoverageSampling sampling,
-                          const Reception& first)
-      : fn_(fn), tracker_(sampling) {
+  AdaptiveLocationDecider(const AreaThreshold& fn, const Reception& first)
+      : fn_(fn) {
     tracker_.addSender(first.fromPos);
   }
   bool shouldProceed(HostView& host) override {
@@ -241,90 +192,77 @@ class NeighborCoverageDecider final : public PacketDecider {
 
 }  // namespace
 
-std::unique_ptr<PacketDecider> FloodingPolicy::makeDecider(
-    HostView&, const Reception&) const {
-  return std::make_unique<FloodingDecider>();
+RebroadcastPolicy RebroadcastPolicy::flooding() { return {}; }
+
+RebroadcastPolicy RebroadcastPolicy::counter(int c) {
+  return {.type = Type::kCounter, .counterC = c};
 }
 
-ProbabilisticPolicy::ProbabilisticPolicy(double p) : p_(p) {
-  MANET_EXPECTS(p >= 0.0 && p <= 1.0);
+RebroadcastPolicy RebroadcastPolicy::location(double a) {
+  return {.type = Type::kLocation, .areaA = a};
 }
 
-std::unique_ptr<PacketDecider> ProbabilisticPolicy::makeDecider(
-    HostView&, const Reception&) const {
-  return std::make_unique<ProbabilisticDecider>(p_);
+RebroadcastPolicy RebroadcastPolicy::adaptiveCounter(CounterThreshold fn,
+                                                     std::string label) {
+  return {.type = Type::kAdaptiveCounter,
+          .counterFn = std::move(fn),
+          .label = std::move(label)};
 }
 
-std::string ProbabilisticPolicy::name() const {
-  return "P=" + util::fmt(p_, 2);
+RebroadcastPolicy RebroadcastPolicy::adaptiveLocation(AreaThreshold fn,
+                                                      std::string label) {
+  return {.type = Type::kAdaptiveLocation,
+          .areaFn = std::move(fn),
+          .label = std::move(label)};
 }
 
-CounterPolicy::CounterPolicy(int threshold) : threshold_(threshold) {
-  MANET_EXPECTS(threshold >= 1);
+RebroadcastPolicy RebroadcastPolicy::neighborCoverage() {
+  return {.type = Type::kNeighborCoverage};
 }
 
-std::unique_ptr<PacketDecider> CounterPolicy::makeDecider(
-    HostView&, const Reception&) const {
-  return std::make_unique<CounterDecider>(threshold_);
-}
-
-std::string CounterPolicy::name() const {
-  return "C=" + std::to_string(threshold_);
-}
-
-DistancePolicy::DistancePolicy(double thresholdMeters)
-    : thresholdMeters_(thresholdMeters) {
-  MANET_EXPECTS(thresholdMeters >= 0.0);
-}
-
-std::unique_ptr<PacketDecider> DistancePolicy::makeDecider(
+std::unique_ptr<PacketDecider> RebroadcastPolicy::makeDecider(
     HostView&, const Reception& first) const {
-  return std::make_unique<DistanceDecider>(thresholdMeters_, first);
+  switch (type) {
+    case Type::kFlooding:
+      return std::make_unique<FloodingDecider>();
+    case Type::kCounter:
+      return std::make_unique<CounterDecider>(counterC);
+    case Type::kLocation:
+      return std::make_unique<LocationDecider>(areaA, first);
+    case Type::kAdaptiveCounter:
+      return std::make_unique<AdaptiveCounterDecider>(counterFn);
+    case Type::kAdaptiveLocation:
+      return std::make_unique<AdaptiveLocationDecider>(areaFn, first);
+    case Type::kNeighborCoverage:
+      return std::make_unique<NeighborCoverageDecider>(first);
+  }
+  MANET_ASSERT(false);
+  return nullptr;
 }
 
-std::string DistancePolicy::name() const {
-  return "D=" + util::fmt(thresholdMeters_, 0);
+std::string RebroadcastPolicy::name() const {
+  if (!label.empty()) return label;
+  switch (type) {
+    case Type::kFlooding:
+      return "flooding";
+    case Type::kCounter:
+      return "C=" + std::to_string(counterC);
+    case Type::kLocation:
+      return "A=" + util::fmt(areaA, 4);
+    case Type::kAdaptiveCounter:
+      return "AC";
+    case Type::kAdaptiveLocation:
+      return "AL";
+    case Type::kNeighborCoverage:
+      return "NC";
+  }
+  MANET_ASSERT(false);
+  return {};
 }
 
-LocationPolicy::LocationPolicy(double threshold, CoverageSampling sampling)
-    : threshold_(threshold), sampling_(sampling) {
-  MANET_EXPECTS(threshold >= 0.0 && threshold <= 1.0);
-  MANET_EXPECTS(sampling.samples > 0);
-}
-
-std::unique_ptr<PacketDecider> LocationPolicy::makeDecider(
-    HostView&, const Reception& first) const {
-  return std::make_unique<LocationDecider>(threshold_, sampling_, first);
-}
-
-std::string LocationPolicy::name() const {
-  return "A=" + util::fmt(threshold_, 4);
-}
-
-AdaptiveCounterPolicy::AdaptiveCounterPolicy(CounterThreshold fn,
-                                             std::string label)
-    : fn_(std::move(fn)), label_(std::move(label)) {}
-
-std::unique_ptr<PacketDecider> AdaptiveCounterPolicy::makeDecider(
-    HostView&, const Reception&) const {
-  return std::make_unique<AdaptiveCounterDecider>(fn_);
-}
-
-AdaptiveLocationPolicy::AdaptiveLocationPolicy(AreaThreshold fn,
-                                               std::string label,
-                                               CoverageSampling sampling)
-    : fn_(std::move(fn)), label_(std::move(label)), sampling_(sampling) {
-  MANET_EXPECTS(sampling.samples > 0);
-}
-
-std::unique_ptr<PacketDecider> AdaptiveLocationPolicy::makeDecider(
-    HostView&, const Reception& first) const {
-  return std::make_unique<AdaptiveLocationDecider>(fn_, sampling_, first);
-}
-
-std::unique_ptr<PacketDecider> NeighborCoveragePolicy::makeDecider(
-    HostView&, const Reception& first) const {
-  return std::make_unique<NeighborCoverageDecider>(first);
+bool RebroadcastPolicy::needsNeighborInfo() const {
+  return type == Type::kAdaptiveCounter || type == Type::kAdaptiveLocation ||
+         type == Type::kNeighborCoverage;
 }
 
 }  // namespace manet::core

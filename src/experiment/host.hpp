@@ -61,7 +61,6 @@ class Host final : public mac::DcfMac::Upper, public core::HostView {
                         phy::DropReason reason) override;
 
   // --- core::HostView ---
-  net::HostId id() const override { return id_; }
   int neighborCount() const override;
   std::vector<net::HostId> neighborIds() const override;
   const std::vector<net::HostId>* neighborsOf(
@@ -69,7 +68,6 @@ class Host final : public mac::DcfMac::Upper, public core::HostView {
   geom::Vec2 position() const override;
   double radius() const override;
   sim::Rng& rng() override { return schemeRng_; }
-  sim::TimePoint now() const override;
 
  private:
   friend struct manet::ckpt::StateAccess;
@@ -103,6 +101,7 @@ class Host final : public mac::DcfMac::Upper, public core::HostView {
     std::vector<std::uint8_t> bytes_;
   };
 
+  sim::TimePoint now() const;
   void handleData(const phy::Frame& frame);
   void handleFirstReception(const net::Packet& packet,
                             const core::Reception& rx);

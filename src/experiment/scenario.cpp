@@ -10,6 +10,8 @@ ScenarioConfig ScenarioConfig::resolved() const {
   MANET_EXPECTS(out.numHosts >= 1);
   MANET_EXPECTS(out.numBroadcasts >= 0);
   MANET_EXPECTS(out.jitterSlots >= 0);
+  MANET_EXPECTS(out.scheme.counterC >= 1);
+  MANET_EXPECTS(out.scheme.areaA >= 0.0 && out.scheme.areaA <= 1.0);
 
   if (!out.fixedPositions.empty()) {
     out.numHosts = static_cast<int>(out.fixedPositions.size());

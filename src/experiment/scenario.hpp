@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "experiment/scheme_spec.hpp"
+#include "core/policy.hpp"
 #include "geom/vec2.hpp"
 #include "mac/dcf.hpp"
 #include "net/hello.hpp"
@@ -13,6 +13,8 @@
 #include "sim/time.hpp"
 
 namespace manet::experiment {
+
+using SchemeSpec = core::RebroadcastPolicy;
 
 /// Where the adaptive schemes get their neighborhood knowledge.
 enum class NeighborSource {

@@ -29,7 +29,6 @@ World::World(const ScenarioConfig& config)
     : config_(config.resolved()),
       channel_(scheduler_, config_.phy, positions_),
       metrics_(static_cast<std::size_t>(config_.numHosts)),
-      policy_(config_.scheme.build()),
       workloadRng_(sim::Rng(config_.seed).fork(0xF00D)) {
   channel_.setCollisionsEnabled(config_.collisions);
   channel_.setGridEnabled(config_.channelGrid &&

@@ -75,7 +75,7 @@ class World {
   ModelPositions& positions() { return positions_; }
   stats::MetricsCollector& metrics() { return metrics_; }
   const ScenarioConfig& config() const { return config_; }
-  const core::RebroadcastPolicy& policy() const { return *policy_; }
+  const core::RebroadcastPolicy& policy() const { return config_.scheme; }
   Host& host(net::HostId id) { return *hosts_[id.value()]; }
   std::size_t hostCount() const { return hosts_.size(); }
 
@@ -136,7 +136,6 @@ class World {
   ModelPositions positions_{scheduler_};
   phy::Channel channel_;
   stats::MetricsCollector metrics_;
-  std::unique_ptr<core::RebroadcastPolicy> policy_;
   std::vector<std::unique_ptr<Host>> hosts_;
   sim::Rng workloadRng_;
   sim::TimePoint horizon_{};

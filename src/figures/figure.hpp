@@ -48,7 +48,7 @@ struct Figure {
 
 /// One translation unit each, so a figure binary links only its own.
 extern const Figure kFig01, kFig02, kFig05, kFig07, kFig09, kFig10, kFig11,
-    kFig12, kFig13, kJitter, kCollisions, kBaselines, kDensity;
+    kFig12, kFig13, kJitter, kCollisions, kDensity;
 
 /// All of the above in README-table order (a translation unit of its own).
 std::span<const Figure* const> registeredFigures();

@@ -1,7 +1,5 @@
 #include "trace/recorder.hpp"
 
-#include "util/assert.hpp"
-
 namespace manet::trace {
 
 const char* eventKindName(EventKind kind) {
@@ -25,8 +23,6 @@ void Recorder::onEvent(const Event& event) {
   if (event.kind == EventKind::kDrop) {
     ++dropsByReason_[static_cast<std::size_t>(event.drop)];
   }
-  if (filter_ && !filter_(event)) return;
-  if (storageCap_ != 0 && events_.size() >= storageCap_) return;
   events_.push_back(event);
 }
 
@@ -45,17 +41,6 @@ std::vector<Event> Recorder::select(EventKind kind,
     if (e.kind == kind && e.bid == bid) out.push_back(e);
   }
   return out;
-}
-
-void Recorder::clearStored() { events_.clear(); }
-
-void TeeSink::add(TraceSink* sink) {
-  MANET_EXPECTS(sink != nullptr);
-  sinks_.push_back(sink);
-}
-
-void TeeSink::onEvent(const Event& event) {
-  for (TraceSink* sink : sinks_) sink->onEvent(event);
 }
 
 }  // namespace manet::trace

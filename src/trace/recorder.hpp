@@ -1,29 +1,21 @@
-// In-memory trace recorder with simple filtering and counting.
+// In-memory trace recorder with counting.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "trace/event.hpp"
 
 namespace manet::trace {
 
-/// Stores every event (optionally filtered). Memory cost is one Event per
-/// occurrence, so filter or cap for long runs.
+/// Stores every event. Memory cost is one Event per occurrence.
 class Recorder final : public TraceSink {
  public:
-  using Filter = std::function<bool(const Event&)>;
-
-  Recorder() = default;
-  /// Only events passing `filter` are stored (all are still counted).
-  explicit Recorder(Filter filter) : filter_(std::move(filter)) {}
-
   void onEvent(const Event& event) override;
 
   const std::vector<Event>& events() const { return events_; }
 
-  /// Total events seen (including filtered-out ones), by kind.
+  /// Total events seen, by kind.
   std::uint64_t countOf(EventKind kind) const;
   std::uint64_t totalSeen() const { return totalSeen_; }
 
@@ -33,30 +25,11 @@ class Recorder final : public TraceSink {
   /// Events of one kind for one broadcast, in time order.
   std::vector<Event> select(EventKind kind, net::BroadcastId bid) const;
 
-  /// Drops stored events (counters are kept).
-  void clearStored();
-
-  /// Stop storing (counters keep running) once this many events are held;
-  /// 0 = unlimited.
-  void setStorageCap(std::size_t cap) { storageCap_ = cap; }
-
  private:
-  Filter filter_;
   std::vector<Event> events_;
-  std::size_t storageCap_ = 0;
   std::uint64_t totalSeen_ = 0;
   std::uint64_t countsByKind_[kEventKindCount] = {};
   std::uint64_t dropsByReason_[phy::kDropReasonCount] = {};
-};
-
-/// Fans one event stream out to several sinks.
-class TeeSink final : public TraceSink {
- public:
-  void add(TraceSink* sink);
-  void onEvent(const Event& event) override;
-
- private:
-  std::vector<TraceSink*> sinks_;
 };
 
 }  // namespace manet::trace

@@ -1,11 +1,10 @@
-#include "core/policies.hpp"
+#include "core/policy.hpp"
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
 
-#include "core/policy.hpp"
 #include "core/threshold.hpp"
 
 namespace manet::core {
@@ -15,7 +14,6 @@ namespace {
 /// tables, and drive the decider directly — no simulator involved.
 class FakeHost : public HostView {
  public:
-  net::HostId id() const override { return id_; }
   int neighborCount() const override { return static_cast<int>(nx_.size()); }
   std::vector<net::HostId> neighborIds() const override { return nx_; }
   const std::vector<net::HostId>* neighborsOf(
@@ -26,14 +24,11 @@ class FakeHost : public HostView {
   geom::Vec2 position() const override { return pos_; }
   double radius() const override { return 500.0; }
   sim::Rng& rng() override { return rng_; }
-  sim::TimePoint now() const override { return now_; }
 
-  net::HostId id_{};
   std::vector<net::HostId> nx_;
   std::map<net::HostId, std::vector<net::HostId>> twoHop_;
   geom::Vec2 pos_{0, 0};
   sim::Rng rng_{12345};
-  sim::TimePoint now_{};
 };
 
 net::HostId H(std::uint32_t v) { return net::HostId{v}; }
@@ -52,7 +47,7 @@ Reception from(std::uint32_t h, geom::Vec2 pos) {
 
 TEST(Flooding, AlwaysProceedsAndNeverCancels) {
   FakeHost host;
-  FloodingPolicy policy;
+  const auto policy = RebroadcastPolicy::flooding();
   auto d = policy.makeDecider(host, from(1, {100, 0}));
   EXPECT_TRUE(d->shouldProceed(host));
   for (int i = 0; i < 10; ++i) {
@@ -60,58 +55,15 @@ TEST(Flooding, AlwaysProceedsAndNeverCancels) {
   }
 }
 
-TEST(Flooding, Name) { EXPECT_EQ(FloodingPolicy{}.name(), "flooding"); }
-
-// -------------------------------------------------------- probabilistic
-
-TEST(Probabilistic, ZeroNeverProceeds) {
-  FakeHost host;
-  ProbabilisticPolicy policy(0.0);
-  for (int i = 0; i < 20; ++i) {
-    auto d = policy.makeDecider(host, from(1, {100, 0}));
-    EXPECT_FALSE(d->shouldProceed(host));
-  }
-}
-
-TEST(Probabilistic, OneAlwaysProceeds) {
-  FakeHost host;
-  ProbabilisticPolicy policy(1.0);
-  for (int i = 0; i < 20; ++i) {
-    auto d = policy.makeDecider(host, from(1, {100, 0}));
-    EXPECT_TRUE(d->shouldProceed(host));
-  }
-}
-
-TEST(Probabilistic, FrequencyTracksP) {
-  FakeHost host;
-  ProbabilisticPolicy policy(0.25);
-  int proceeded = 0;
-  const int n = 4000;
-  for (int i = 0; i < n; ++i) {
-    auto d = policy.makeDecider(host, from(1, {100, 0}));
-    proceeded += d->shouldProceed(host) ? 1 : 0;
-  }
-  EXPECT_NEAR(static_cast<double>(proceeded) / n, 0.25, 0.03);
-}
-
-TEST(Probabilistic, DuplicatesDoNotRevokeTheGamble) {
-  FakeHost host;
-  ProbabilisticPolicy policy(1.0);
-  auto d = policy.makeDecider(host, from(1, {100, 0}));
-  ASSERT_TRUE(d->shouldProceed(host));
-  EXPECT_TRUE(d->onDuplicate(host, from(2, {0, 100})));
-}
-
-TEST(ProbabilisticDeath, RejectsOutOfRangeP) {
-  EXPECT_DEATH(ProbabilisticPolicy{-0.1}, "Precondition");
-  EXPECT_DEATH(ProbabilisticPolicy{1.1}, "Precondition");
+TEST(Flooding, Name) {
+  EXPECT_EQ(RebroadcastPolicy::flooding().name(), "flooding");
 }
 
 // --------------------------------------------------------------- counter
 
 TEST(Counter, ProceedsWhileUnderThreshold) {
   FakeHost host;
-  CounterPolicy policy(3);  // inhibit at c >= 3
+  const auto policy = RebroadcastPolicy::counter(3);  // inhibit at c >= 3
   auto d = policy.makeDecider(host, from(1, {100, 0}));
   EXPECT_TRUE(d->shouldProceed(host));                    // c = 1
   EXPECT_TRUE(d->onDuplicate(host, from(2, {0, 100})));   // c = 2
@@ -120,7 +72,7 @@ TEST(Counter, ProceedsWhileUnderThreshold) {
 
 TEST(Counter, ThresholdTwoCancelsOnFirstDuplicate) {
   FakeHost host;
-  CounterPolicy policy(2);
+  const auto policy = RebroadcastPolicy::counter(2);
   auto d = policy.makeDecider(host, from(1, {100, 0}));
   EXPECT_TRUE(d->shouldProceed(host));
   EXPECT_FALSE(d->onDuplicate(host, from(2, {0, 100})));
@@ -130,18 +82,19 @@ TEST(Counter, ThresholdOneInhibitsImmediately) {
   // Degenerate but legal: C = 1 means the first hearing already reached
   // the threshold.
   FakeHost host;
-  CounterPolicy policy(1);
+  const auto policy = RebroadcastPolicy::counter(1);
   auto d = policy.makeDecider(host, from(1, {100, 0}));
   EXPECT_FALSE(d->shouldProceed(host));
 }
 
-TEST(Counter, Name) { EXPECT_EQ(CounterPolicy{4}.name(), "C=4"); }
+TEST(Counter, Name) { EXPECT_EQ(RebroadcastPolicy::counter(4).name(), "C=4"); }
 
 // ------------------------------------------------------ adaptive counter
 
 TEST(AdaptiveCounter, UsesNeighborCountForThreshold) {
   FakeHost host;
-  AdaptiveCounterPolicy policy(CounterThreshold::fromDigits("29"));
+  const auto policy =
+      RebroadcastPolicy::adaptiveCounter(CounterThreshold::fromDigits("29"));
   // n = 1 -> C = 2: first duplicate cancels.
   host.nx_ = ids({10});
   auto d1 = policy.makeDecider(host, from(1, {100, 0}));
@@ -162,7 +115,7 @@ TEST(AdaptiveCounter, ReactsToNeighborhoodChangesMidPacket) {
   // duplicate: if neighbors vanish, the host becomes more eager to relay.
   FakeHost host;
   host.nx_ = ids({10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21});  // n = 12
-  AdaptiveCounterPolicy policy(CounterThreshold::suggested());  // C(12) = 2
+  const auto policy = RebroadcastPolicy::adaptiveCounter();  // C(12) = 2
   auto d = policy.makeDecider(host, from(1, {100, 0}));
   EXPECT_TRUE(d->shouldProceed(host));
   host.nx_ = ids({10});  // suddenly sparse: C(1) = 2 still, counter 2 => cancel
@@ -173,7 +126,7 @@ TEST(AdaptiveCounter, SuggestedFunctionForcedRelayInSparseness) {
   // n = 3 -> C(3) = 4: the host survives two duplicates (c=3 < 4).
   FakeHost host;
   host.nx_ = ids({10, 11, 12});
-  AdaptiveCounterPolicy policy(CounterThreshold::suggested());
+  const auto policy = RebroadcastPolicy::adaptiveCounter();
   auto d = policy.makeDecider(host, from(1, {100, 0}));
   EXPECT_TRUE(d->shouldProceed(host));
   EXPECT_TRUE(d->onDuplicate(host, from(2, {0, 100})));
@@ -182,60 +135,28 @@ TEST(AdaptiveCounter, SuggestedFunctionForcedRelayInSparseness) {
 }
 
 TEST(AdaptiveCounter, DefaultLabel) {
-  EXPECT_EQ(AdaptiveCounterPolicy(CounterThreshold::suggested()).name(), "AC");
-}
-
-// --------------------------------------------------------------- distance
-
-TEST(Distance, NearbySenderInhibitsImmediately) {
-  FakeHost host;  // at origin
-  DistancePolicy policy(100.0);
-  auto d = policy.makeDecider(host, from(1, {30, 0}));  // 30 m away
-  EXPECT_FALSE(d->shouldProceed(host));
-}
-
-TEST(Distance, FarSenderAllowsRelay) {
-  FakeHost host;
-  DistancePolicy policy(100.0);
-  auto d = policy.makeDecider(host, from(1, {400, 0}));
-  EXPECT_TRUE(d->shouldProceed(host));
-}
-
-TEST(Distance, TracksMinimumOverDuplicates) {
-  FakeHost host;
-  DistancePolicy policy(100.0);
-  auto d = policy.makeDecider(host, from(1, {400, 0}));
-  EXPECT_TRUE(d->shouldProceed(host));
-  EXPECT_TRUE(d->onDuplicate(host, from(2, {0, 200})));   // still >= 100
-  EXPECT_FALSE(d->onDuplicate(host, from(3, {50, 0})));   // 50 < 100: cancel
-}
-
-TEST(Distance, ZeroThresholdNeverInhibits) {
-  FakeHost host;
-  DistancePolicy policy(0.0);
-  auto d = policy.makeDecider(host, from(1, {0, 0}));  // same position!
-  EXPECT_TRUE(d->shouldProceed(host));
+  EXPECT_EQ(RebroadcastPolicy::adaptiveCounter().name(), "AC");
 }
 
 // --------------------------------------------------------------- location
 
 TEST(Location, ColocatedSenderLeavesNoAdditionalCoverage) {
   FakeHost host;
-  LocationPolicy policy(0.01);
+  const auto policy = RebroadcastPolicy::location(0.01);
   auto d = policy.makeDecider(host, from(1, {0, 0}));
   EXPECT_FALSE(d->shouldProceed(host));
 }
 
 TEST(Location, BorderSenderLeavesMuchCoverage) {
   FakeHost host;
-  LocationPolicy policy(0.1871);
+  const auto policy = RebroadcastPolicy::location(0.1871);
   auto d = policy.makeDecider(host, from(1, {500, 0}));  // ~61% uncovered
   EXPECT_TRUE(d->shouldProceed(host));
 }
 
 TEST(Location, AccumulatedSendersEventuallyInhibit) {
   FakeHost host;
-  LocationPolicy policy(0.1871);
+  const auto policy = RebroadcastPolicy::location(0.1871);
   auto d = policy.makeDecider(host, from(1, {500, 0}));
   ASSERT_TRUE(d->shouldProceed(host));
   // Surround the host: residual uncovered area collapses.
@@ -258,7 +179,7 @@ TEST(Location, ZeroThresholdAlwaysProceeds) {
   // The verdict settles before the first sample, but the decision still
   // takes all 2 * 512 draws: state fingerprints hash the scheme Rng.
   FakeHost host;
-  LocationPolicy policy(0.0);
+  const auto policy = RebroadcastPolicy::location(0.0);
   auto d = policy.makeDecider(host, from(1, {0, 0}));
   sim::Rng before = host.rng_;
   EXPECT_TRUE(d->shouldProceed(host));
@@ -273,7 +194,7 @@ TEST(Location, ZeroThresholdAlwaysProceeds) {
 TEST(AdaptiveLocation, SparseNeighborhoodForcesRelay) {
   FakeHost host;
   host.nx_ = ids({10, 11});  // n = 2 <= n1 = 6 -> A(n) = 0
-  AdaptiveLocationPolicy policy(AreaThreshold::suggested());
+  const auto policy = RebroadcastPolicy::adaptiveLocation();
   auto d = policy.makeDecider(host, from(1, {0, 0}));  // zero new coverage!
   EXPECT_TRUE(d->shouldProceed(host));
   EXPECT_TRUE(d->onDuplicate(host, from(2, {0, 0})));
@@ -282,7 +203,7 @@ TEST(AdaptiveLocation, SparseNeighborhoodForcesRelay) {
 TEST(AdaptiveLocation, ForcedRelayTakesNoDraws) {
   FakeHost host;
   host.nx_ = ids({10, 11, 12});  // n = 3 <= n1: A(n) = 0, no sampling at all
-  AdaptiveLocationPolicy policy(AreaThreshold::suggested());
+  const auto policy = RebroadcastPolicy::adaptiveLocation();
   auto d = policy.makeDecider(host, from(1, {100, 0}));
   const sim::Rng before = host.rng_;
   EXPECT_TRUE(d->shouldProceed(host));
@@ -293,7 +214,7 @@ TEST(AdaptiveLocation, ForcedRelayTakesNoDraws) {
 TEST(AdaptiveLocation, CrowdedNeighborhoodInhibitsLowCoverage) {
   FakeHost host;
   for (std::uint32_t i = 0; i < 15; ++i) host.nx_.push_back(H(100 + i));  // n = 15
-  AdaptiveLocationPolicy policy(AreaThreshold::suggested());  // A = 0.187
+  const auto policy = RebroadcastPolicy::adaptiveLocation();  // A = 0.187
   auto d = policy.makeDecider(host, from(1, {100, 0}));  // ~10% uncovered
   EXPECT_FALSE(d->shouldProceed(host));
 }
@@ -301,13 +222,13 @@ TEST(AdaptiveLocation, CrowdedNeighborhoodInhibitsLowCoverage) {
 TEST(AdaptiveLocation, CrowdedButUsefulRelayProceeds) {
   FakeHost host;
   for (std::uint32_t i = 0; i < 15; ++i) host.nx_.push_back(H(100 + i));
-  AdaptiveLocationPolicy policy(AreaThreshold::suggested());
+  const auto policy = RebroadcastPolicy::adaptiveLocation();
   auto d = policy.makeDecider(host, from(1, {500, 0}));  // ~61% > 0.187
   EXPECT_TRUE(d->shouldProceed(host));
 }
 
 TEST(AdaptiveLocation, DefaultLabel) {
-  EXPECT_EQ(AdaptiveLocationPolicy(AreaThreshold::suggested()).name(), "AL");
+  EXPECT_EQ(RebroadcastPolicy::adaptiveLocation().name(), "AL");
 }
 
 // ------------------------------------------------------ neighbor coverage
@@ -316,7 +237,7 @@ TEST(NeighborCoverage, InhibitsWhenSenderCoversEverything) {
   FakeHost host;
   host.nx_ = ids({1, 2, 3});
   host.twoHop_[H(1)] = ids({2, 3, 99});  // sender 1 already covers 2 and 3
-  NeighborCoveragePolicy policy;
+  const auto policy = RebroadcastPolicy::neighborCoverage();
   auto d = policy.makeDecider(host, from(1, {100, 0}));
   EXPECT_FALSE(d->shouldProceed(host));  // T = {2,3} - {2,3,99} - {1} = {}
 }
@@ -325,7 +246,7 @@ TEST(NeighborCoverage, ProceedsWhileSomeNeighborUncovered) {
   FakeHost host;
   host.nx_ = ids({1, 2, 3});
   host.twoHop_[H(1)] = ids({2});  // 3 not covered by sender 1
-  NeighborCoveragePolicy policy;
+  const auto policy = RebroadcastPolicy::neighborCoverage();
   auto d = policy.makeDecider(host, from(1, {100, 0}));
   EXPECT_TRUE(d->shouldProceed(host));
 }
@@ -335,7 +256,7 @@ TEST(NeighborCoverage, DuplicatesErodePendingSet) {
   host.nx_ = ids({1, 2, 3, 4});
   host.twoHop_[H(1)] = ids({2});
   host.twoHop_[H(3)] = ids({4});
-  NeighborCoveragePolicy policy;
+  const auto policy = RebroadcastPolicy::neighborCoverage();
   auto d = policy.makeDecider(host, from(1, {100, 0}));
   ASSERT_TRUE(d->shouldProceed(host));  // T = {3, 4}
   EXPECT_FALSE(d->onDuplicate(host, from(3, {0, 100})));  // covers 3 and 4
@@ -344,7 +265,8 @@ TEST(NeighborCoverage, DuplicatesErodePendingSet) {
 TEST(NeighborCoverage, UnknownSenderOnlyRemovesItself) {
   FakeHost host;
   host.nx_ = ids({1, 2});
-  NeighborCoveragePolicy policy;  // no two-hop knowledge at all
+  // No two-hop knowledge at all.
+  const auto policy = RebroadcastPolicy::neighborCoverage();
   auto d = policy.makeDecider(host, from(1, {100, 0}));
   EXPECT_TRUE(d->shouldProceed(host));                   // T = {2}
   EXPECT_FALSE(d->onDuplicate(host, from(2, {0, 1})));   // T = {}
@@ -352,7 +274,7 @@ TEST(NeighborCoverage, UnknownSenderOnlyRemovesItself) {
 
 TEST(NeighborCoverage, IsolatedHostInhibits) {
   FakeHost host;  // no neighbors at all
-  NeighborCoveragePolicy policy;
+  const auto policy = RebroadcastPolicy::neighborCoverage();
   auto d = policy.makeDecider(host, from(1, {100, 0}));
   EXPECT_FALSE(d->shouldProceed(host));
 }
@@ -361,9 +283,52 @@ TEST(NeighborCoverage, SenderOutsideNxStillSubtractsItsSet) {
   FakeHost host;
   host.nx_ = ids({2, 3});
   host.twoHop_[H(9)] = ids({2, 3});  // we know 9's neighborhood (e.g. stale entry)
-  NeighborCoveragePolicy policy;
+  const auto policy = RebroadcastPolicy::neighborCoverage();
   auto d = policy.makeDecider(host, from(9, {100, 0}));
   EXPECT_FALSE(d->shouldProceed(host));
+}
+
+// ---------------------------------------------------------- state digests
+
+TEST(StateDigest, FollowsEachSchemesMutableState) {
+  // The host fingerprint folds every live decider's digest (DESIGN.md §14):
+  // deciders fed the same receptions must agree, and one more duplicate
+  // that changes the scheme state (a counter increment, a heard sender, a
+  // shrinking NC set) must move the digest.
+  struct Row {
+    const char* name;
+    RebroadcastPolicy policy;
+  };
+  const Row rows[] = {
+      {"C", RebroadcastPolicy::counter(6)},
+      {"AC", RebroadcastPolicy::adaptiveCounter()},
+      {"A", RebroadcastPolicy::location(0.0134)},
+      {"AL", RebroadcastPolicy::adaptiveLocation()},
+      {"NC", RebroadcastPolicy::neighborCoverage()},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    FakeHost host;
+    host.nx_ = ids({1, 2, 3, 4});  // no two-hop knowledge: T = {2, 3, 4}
+    auto a = row.policy.makeDecider(host, from(1, {100, 0}));
+    auto b = row.policy.makeDecider(host, from(1, {100, 0}));
+    a->shouldProceed(host);
+    b->shouldProceed(host);
+    EXPECT_EQ(a->stateDigest(), b->stateDigest());
+    a->onDuplicate(host, from(2, {0, 100}));
+    b->onDuplicate(host, from(2, {0, 100}));
+    EXPECT_EQ(a->stateDigest(), b->stateDigest());
+    a->onDuplicate(host, from(3, {50, 50}));
+    EXPECT_NE(a->stateDigest(), b->stateDigest());
+  }
+
+  FakeHost host;
+  const auto flooding = RebroadcastPolicy::flooding();
+  auto d = flooding.makeDecider(host, from(1, {100, 0}));
+  d->shouldProceed(host);
+  EXPECT_EQ(d->stateDigest(), 0u);
+  d->onDuplicate(host, from(2, {0, 100}));
+  EXPECT_EQ(d->stateDigest(), 0u);
 }
 
 }  // namespace

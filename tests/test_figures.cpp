@@ -126,8 +126,7 @@ TEST(Figures, ReproPrintsEveryFigureInOrder) {
                        "fig07_ac_vs_fixed", "fig09_tune_location",
                        "fig10_al_vs_fixed", "fig11_hello_interval",
                        "fig12_nc_dhi", "fig13_overall", "abl_jitter",
-                       "abl_collision_model", "ext_baselines",
-                       "ext_density"}));
+                       "abl_collision_model", "ext_density"}));
 
   std::string serial;
   for (const int threads : {1, 4}) {

@@ -81,12 +81,6 @@ TEST(Integration, AdaptiveCounterSavesMoreThanLargeFixedOnDenseMap) {
   EXPECT_GT(ac.srb(), c6.srb());
 }
 
-TEST(Integration, ProbabilisticHalvesRebroadcasts) {
-  const RunResult r =
-      runScenario(smallScenario(5, SchemeSpec::probabilistic(0.5), 20));
-  EXPECT_NEAR(r.srb(), 0.5, 0.1);
-}
-
 TEST(Integration, CollisionAblationImprovesFloodingOnDenseMap) {
   // §4.4: "The main reason for a lot of hosts missing the broadcast message
   // is collision." With a perfect PHY, flooding reaches everyone.
@@ -168,6 +162,14 @@ TEST(Integration, ResolvedConfigAppliesPaperSpeedRule) {
   EXPECT_DOUBLE_EQ(c.resolved().maxSpeedKmh, 25.0);
 }
 
+TEST(IntegrationDeath, ResolvedConfigRejectsOutOfRangeThresholds) {
+  ScenarioConfig c;
+  c.scheme = SchemeSpec::counter(0);
+  EXPECT_DEATH((void)c.resolved(), "Precondition");
+  c.scheme = SchemeSpec::location(1.5);
+  EXPECT_DEATH((void)c.resolved(), "Precondition");
+}
+
 TEST(Integration, ResolvedConfigEnablesHelloForNcUnderHelloSource) {
   // Under HELLO-sourced neighbor information, resolved() turns HELLOs on for
   // exactly the schemes that read |N_x| (AC, AL, NC), and turns on neighbor
@@ -180,9 +182,7 @@ TEST(Integration, ResolvedConfigEnablesHelloForNcUnderHelloSource) {
   };
   const Row rows[] = {
       {SchemeSpec::flooding(), false, false},
-      {SchemeSpec::probabilistic(0.5), false, false},
       {SchemeSpec::counter(3), false, false},
-      {SchemeSpec::distance(100.0), false, false},
       {SchemeSpec::location(0.0134), false, false},
       {SchemeSpec::adaptiveCounter(), true, false},
       {SchemeSpec::adaptiveLocation(), true, false},

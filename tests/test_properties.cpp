@@ -12,10 +12,8 @@ namespace {
 
 enum class SchemeKind {
   kFlooding,
-  kProb05,
   kCounter2,
   kCounter4,
-  kDistance,
   kLocation,
   kAdaptiveCounter,
   kAdaptiveLocation,
@@ -26,10 +24,8 @@ enum class SchemeKind {
 const char* kindName(SchemeKind k) {
   switch (k) {
     case SchemeKind::kFlooding: return "flooding";
-    case SchemeKind::kProb05: return "prob05";
     case SchemeKind::kCounter2: return "counter2";
     case SchemeKind::kCounter4: return "counter4";
-    case SchemeKind::kDistance: return "distance";
     case SchemeKind::kLocation: return "location";
     case SchemeKind::kAdaptiveCounter: return "adaptiveCounter";
     case SchemeKind::kAdaptiveLocation: return "adaptiveLocation";
@@ -49,17 +45,11 @@ ScenarioConfig configFor(SchemeKind kind, int mapUnits) {
     case SchemeKind::kFlooding:
       c.scheme = SchemeSpec::flooding();
       break;
-    case SchemeKind::kProb05:
-      c.scheme = SchemeSpec::probabilistic(0.5);
-      break;
     case SchemeKind::kCounter2:
       c.scheme = SchemeSpec::counter(2);
       break;
     case SchemeKind::kCounter4:
       c.scheme = SchemeSpec::counter(4);
-      break;
-    case SchemeKind::kDistance:
-      c.scheme = SchemeSpec::distance(100.0);
       break;
     case SchemeKind::kLocation:
       c.scheme = SchemeSpec::location(0.0469);
@@ -139,10 +129,8 @@ TEST_P(SchemeMapSweep, FloodingDominatesRebroadcastCount) {
 INSTANTIATE_TEST_SUITE_P(
     AllSchemesAllDensities, SchemeMapSweep,
     ::testing::Combine(::testing::Values(SchemeKind::kFlooding,
-                                         SchemeKind::kProb05,
                                          SchemeKind::kCounter2,
                                          SchemeKind::kCounter4,
-                                         SchemeKind::kDistance,
                                          SchemeKind::kLocation,
                                          SchemeKind::kAdaptiveCounter,
                                          SchemeKind::kAdaptiveLocation,

@@ -300,8 +300,6 @@ TEST(World, SchemeNamesForTables) {
   EXPECT_EQ(SchemeSpec::flooding().name(), "flooding");
   EXPECT_EQ(SchemeSpec::counter(2).name(), "C=2");
   EXPECT_EQ(SchemeSpec::location(0.0134).name(), "A=0.0134");
-  EXPECT_EQ(SchemeSpec::distance(100).name(), "D=100");
-  EXPECT_EQ(SchemeSpec::probabilistic(0.5).name(), "P=0.50");
   EXPECT_EQ(SchemeSpec::adaptiveCounter().name(), "AC");
   EXPECT_EQ(SchemeSpec::adaptiveLocation().name(), "AL");
   EXPECT_EQ(SchemeSpec::neighborCoverage().name(), "NC");

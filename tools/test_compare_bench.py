@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Tests the `compare_bench.py --require-identical` gate (DESIGN.md §10.4).
+"""Tests `compare_bench.py` (DESIGN.md §10.4).
 
 Writes pairs of synthetic bench reports to a temporary directory and runs
-the gate on each: reports that differ only in wall-clock fields
-(`wallSeconds`, `framesPerWallSecond`, the metrics `profile` section) or
-only in the leg's `MANET_THREADS` echo must pass; a single counter
-differing by 1, a counter the candidate no longer has, a differing
-`schemaVersion` and a differing `REPRO_BROADCASTS` echo must each fail.
+the `--require-identical` gate on each: reports that differ only in
+wall-clock fields (`wallSeconds`, `framesPerWallSecond`, the metrics
+`profile` section) or only in the leg's `MANET_THREADS` echo must pass; a
+single counter differing by 1, a counter the candidate no longer has, a
+differing `schemaVersion` and a differing `REPRO_BROADCASTS` echo must each
+fail. In `--baselines` mode, a candidate that only ran 3x slower must pass
+without a warning.
 
 Usage: test_compare_bench.py
 Exit status: 0 every case behaved, 1 otherwise.
@@ -68,6 +70,10 @@ def wall_clock_only(doc: dict) -> None:
     row["metrics"]["profile"]["scenario.run"]["totalSeconds"] = 0.49
 
 
+def three_times_slower(doc: dict) -> None:
+    doc["results"][0]["wallSeconds"] *= 3
+
+
 def one_counter(doc: dict) -> None:
     doc["results"][0]["metrics"]["counters"]["sim.scheduler.executed"] += 1
 
@@ -119,10 +125,31 @@ def main() -> int:
                 failures += 1
                 print(f"FAIL {name}: exit {proc.returncode}, want {expected}")
                 print(proc.stdout, end="")
+
+        # --baselines mode: wall time measures the host, not the simulation.
+        baselines, candidates = Path(tmp) / "base", Path(tmp) / "cand"
+        baselines.mkdir()
+        candidates.mkdir()
+        name = "BENCH_synthetic.json"
+        (baselines / name).write_text(json.dumps(report()), encoding="utf-8")
+        slower = report()
+        three_times_slower(slower)
+        (candidates / name).write_text(json.dumps(slower), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, str(COMPARE), "--baselines", str(baselines),
+             "--candidates", str(candidates)],
+            capture_output=True, text=True, check=False)
+        if proc.returncode == 0 and "0 warning(s)" in proc.stdout:
+            print("ok   3x wallSeconds passes --baselines without a warning")
+        else:
+            failures += 1
+            print(f"FAIL 3x wallSeconds under --baselines: exit "
+                  f"{proc.returncode}")
+            print(proc.stdout, end="")
     if failures:
         print(f"test_compare_bench: {failures} case(s) failed")
         return 1
-    print(f"test_compare_bench: {len(CASES)} case(s) passed")
+    print(f"test_compare_bench: {len(CASES) + 1} case(s) passed")
     return 0
 
 
