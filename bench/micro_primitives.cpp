@@ -66,11 +66,12 @@ void BM_RngNext(benchmark::State& state) {
 BENCHMARK(BM_RngNext);
 
 /// `hosts` roaming hosts as on the paper's 11x11 map (110 km/h), and a
-/// clock that hands out the next `kRoamEpochs` query instants, 1 us to 5 ms
-/// apart: the shape of one grid verification on crowd_2000.
+/// clock that hands out the next `epochsPerCall` query instants, 1 us to
+/// 5 ms apart, with the steps between them as ModelPositions logs them: the
+/// shape of one grid verification on crowd_2000 (which averages about 300
+/// epochs per catch-up).
 struct RoamFixture {
-  static constexpr int kRoamEpochs = 64;
-  explicit RoamFixture(int hosts) {
+  RoamFixture(int hosts, int epochsPerCall) : epochsPerCall(epochsPerCall) {
     const mobility::MapSpec map = mobility::MapSpec::square(11);
     mobility::RoamParams params;
     params.maxSpeedMps = mobility::kmhToMps(110.0);
@@ -82,21 +83,27 @@ struct RoamFixture {
   }
   const std::vector<sim::TimePoint>& nextEpochs() {
     epochs.clear();
-    for (int k = 0; k < kRoamEpochs; ++k) {
-      now += clock.uniformDuration(sim::kMicrosecond, 5 * sim::kMillisecond);
+    steps.clear();
+    for (int k = 0; k < epochsPerCall; ++k) {
+      const sim::Duration dt =
+          clock.uniformDuration(sim::kMicrosecond, 5 * sim::kMillisecond);
+      now += dt;
+      steps.push_back(sim::toSeconds(dt));
       epochs.push_back(now);
     }
     return epochs;
   }
+  int epochsPerCall;
   std::vector<std::unique_ptr<mobility::MobilityModel>> models;
   sim::Rng clock{11};
   sim::TimePoint now = sim::kTimeZero;
   std::vector<sim::TimePoint> epochs;
+  std::vector<double> steps;
 };
 
 /// The eager refresh: every host queried once per epoch, epoch by epoch.
 void BM_RoamPositionAtPerEpoch(benchmark::State& state) {
-  RoamFixture fx(static_cast<int>(state.range(0)));
+  RoamFixture fx(static_cast<int>(state.range(0)), 64);
   for (auto _ : state) {
     for (const sim::TimePoint t : fx.nextEpochs()) {
       for (const auto& model : fx.models) {
@@ -104,25 +111,43 @@ void BM_RoamPositionAtPerEpoch(benchmark::State& state) {
       }
     }
   }
-  state.SetItemsProcessed(state.iterations() * RoamFixture::kRoamEpochs *
+  state.SetItemsProcessed(state.iterations() * fx.epochsPerCall *
                           state.range(0));
 }
 BENCHMARK(BM_RoamPositionAtPerEpoch)->Arg(100)->Arg(2000);
 
-/// The lazy grid's catch-up: each host replays the same epochs in one call.
-/// Items are replayed steps, so the two benches compare per host-epoch.
+/// The lazy grid's catch-up: each of range(0) hosts replays the same
+/// range(1) epochs in one call. Items are replayed steps, so the benches
+/// compare per host-epoch.
 void BM_RoamReplay(benchmark::State& state) {
-  RoamFixture fx(static_cast<int>(state.range(0)));
+  RoamFixture fx(static_cast<int>(state.range(0)),
+                 static_cast<int>(state.range(1)));
   for (auto _ : state) {
     const std::vector<sim::TimePoint>& epochs = fx.nextEpochs();
     for (const auto& model : fx.models) {
       benchmark::DoNotOptimize(model->replay(epochs));
     }
   }
-  state.SetItemsProcessed(state.iterations() * RoamFixture::kRoamEpochs *
+  state.SetItemsProcessed(state.iterations() * fx.epochsPerCall *
                           state.range(0));
 }
-BENCHMARK(BM_RoamReplay)->Arg(100)->Arg(2000);
+BENCHMARK(BM_RoamReplay)->ArgsProduct({{100, 2000}, {64, 512}});
+
+/// BM_RoamReplay through the overload World uses: ModelPositions passes
+/// the steps between epochs, computed once for every host.
+void BM_RoamReplayWithSteps(benchmark::State& state) {
+  RoamFixture fx(static_cast<int>(state.range(0)),
+                 static_cast<int>(state.range(1)));
+  for (auto _ : state) {
+    const std::vector<sim::TimePoint>& epochs = fx.nextEpochs();
+    for (const auto& model : fx.models) {
+      benchmark::DoNotOptimize(model->replay(epochs, fx.steps));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * fx.epochsPerCall *
+                          state.range(0));
+}
+BENCHMARK(BM_RoamReplayWithSteps)->ArgsProduct({{100, 2000}, {64, 512}});
 
 void BM_IntersectionArea(benchmark::State& state) {
   double d = 0.0;

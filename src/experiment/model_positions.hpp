@@ -12,12 +12,14 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "mobility/model.hpp"
 #include "phy/channel.hpp"
 #include "sim/scheduler.hpp"
+#include "util/assert.hpp"
 
 namespace manet::experiment {
 
@@ -38,7 +40,12 @@ class ModelPositions final : public phy::PositionSource {
     maxSpeed_ = std::max(maxSpeed_, model.maxSpeedMps());
   }
 
+  /// Each mark is later than the one before, also across a dropped log
+  /// (the channel marks an instant once): every replay list is strictly
+  /// increasing.
   void markEpoch(sim::TimePoint t) override {
+    MANET_EXPECTS(!lastMark_ || t > *lastMark_);
+    lastMark_ = t;
     // A run whose grid never needs to read every host (no motion) would
     // grow the log without end: replay everyone and start over.
     if (epochs_.size() >= kMaxPendingEpochs) {
@@ -118,6 +125,8 @@ class ModelPositions final : public phy::PositionSource {
   /// Parallel to epochs_: steps_[k] = toSeconds(epochs_[k] - epochs_[k-1]).
   std::vector<double> steps_;
   std::size_t base_ = 0;
+  /// The latest mark; forget() keeps it.
+  std::optional<sim::TimePoint> lastMark_;
   /// Per model: how many marks (counted from the first) it has replayed.
   std::vector<std::size_t> seen_;
 };

@@ -1,6 +1,8 @@
 #include "mobility/random_roam.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "geom/circle.hpp"
 #include "util/assert.hpp"
@@ -62,13 +64,36 @@ inline bool stepInTurn(geom::Vec2& p, geom::Vec2 v, sim::TimePoint& last,
                        const MapSpec& map) {
   if (!(t < end && t > last)) return false;
   const geom::Vec2 q = p + v * seconds;
-  if (!(q.x >= 0.0 && q.x <= map.width && q.y >= 0.0 && q.y <= map.height &&
-        map.width > 0.0 && map.height > 0.0)) {
+  if (!(map.contains(q) && map.width > 0.0 && map.height > 0.0)) {
     return false;
   }
   p = q;
   last = t;
   return true;
+}
+
+// replay()'s straight run: stepInTurn's step for every k in [from, to),
+// with no turn end or map edge to check. Out of line on purpose: inlined
+// into replayWith(), or with the point as one Vec2, GCC 12 keeps {x, y} in
+// a stack slot and stores and reloads it at every step; here both sums
+// stay in registers.
+template <typename Seconds>
+[[gnu::noinline]] void straightRun(double& x, double& y, double vx,
+                                   double vy, Seconds seconds,
+                                   std::size_t from, std::size_t to) {
+  double px = x;
+  double py = y;
+  for (std::size_t k = from; k < to; ++k) {
+    const double s = seconds(k);
+    px += vx * s;
+    py += vy * s;
+  }
+  x = px;
+  y = py;
+}
+
+bool isNegativeZero(double value) {
+  return value == 0.0 && std::signbit(value);
 }
 
 }  // namespace
@@ -85,16 +110,46 @@ geom::Vec2 RandomRoam::positionAt(sim::TimePoint t) {
 // so `seconds(k)`, toSeconds(times[k] - times[k-1]), is the step the fast
 // path takes. (A closed form for the in-turn run would delete this loop:
 // ROADMAP item 9.)
+//
+// The times before the turn ends form a straight run, found by binary
+// search and stepped by straightRun() with one bounds check, at its end:
+// within a turn each coordinate's addend keeps its sign, and round-to-
+// nearest addition is monotone, so each coordinate moves monotonically and
+// an end point on the map means every step stayed on it. A run that ends
+// off the map (once per wall hit) is replayed from its start through the
+// checked stepInTurn() loop, which hands the step that leaves the map to
+// advanceTo(). A repeated time is a zero step, and x + v*0 is x for every
+// x but -0.0 (-0.0 + +0.0 is +0.0, where advanceTo() would keep -0.0); a
+// sum is -0.0 only when both addends are, so a run that starts with no
+// -0.0 coordinate never meets one. Runs that start on -0.0, and every run
+// on a map of zero size, take the checked loop.
 template <typename Seconds>
 geom::Vec2 RandomRoam::replayWith(std::span<const sim::TimePoint> times,
                                   Seconds seconds) {
   if (times.empty()) return position_;
   positionAt(times[0]);
   const MapSpec map = map_;
+  const bool mapHasArea = map.width > 0.0 && map.height > 0.0;
   std::size_t k = 1;
   while (k < times.size()) {
-    // The fast path over as many times as it holds, with no call in the
-    // loop so that the state stays in registers.
+    const std::size_t stop = static_cast<std::size_t>(
+        std::lower_bound(times.begin() + static_cast<std::ptrdiff_t>(k),
+                         times.end(), turnEnd_) -
+        times.begin());
+    if (stop > k && mapHasArea && !isNegativeZero(position_.x) &&
+        !isNegativeZero(position_.y)) {
+      double x = position_.x;
+      double y = position_.y;
+      straightRun(x, y, velocity_.x, velocity_.y, seconds, k, stop);
+      if (map.contains({x, y})) {
+        position_ = {x, y};
+        lastQuery_ = times[stop - 1];
+        k = stop;
+      }
+    }
+    // The checked fast path over as many times as it holds, with no call
+    // in the loop so that the state stays in registers: the run that left
+    // the map, up to the step that leaves it, or none.
     geom::Vec2 p = position_;
     const geom::Vec2 v = velocity_;
     sim::TimePoint last = lastQuery_;

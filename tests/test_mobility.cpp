@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "geom/circle.hpp"
@@ -180,6 +181,7 @@ class ReferenceRoam {
   }
 
   sim::TimePoint turnEnd() const { return turnEnd_; }
+  Vec2 velocity() const { return velocity_; }
 
   int reflections[4] = {};
   int negativeZeroSteps = 0;
@@ -235,6 +237,11 @@ bool sameBits(Vec2 a, Vec2 b) {
   return std::bit_cast<std::uint64_t>(a.x) ==
              std::bit_cast<std::uint64_t>(b.x) &&
          std::bit_cast<std::uint64_t>(a.y) == std::bit_cast<std::uint64_t>(b.y);
+}
+
+int totalReflections(const ReferenceRoam& ref) {
+  return ref.reflections[0] + ref.reflections[1] + ref.reflections[2] +
+         ref.reflections[3];
 }
 
 /// The next query time of a random cadence after `t`: mostly short steps,
@@ -396,6 +403,116 @@ TEST(RandomRoam, ReplayMatchesPositionAtBitForBit) {
     EXPECT_GT(reflections[edge], 0) << "edge " << edge;
   }
   EXPECT_GT(negativeZeroSteps, 0);
+}
+
+/// replay() over logs as long as ModelPositions keeps (200 to 4,096
+/// strictly increasing epochs, 1 us to 5 ms apart, with their steps): each
+/// turn's straight run, the runs that end off the map and fall back to the
+/// checked steps (on the 1x1 map at 150 m/s), and times exactly at a turn
+/// end, also as a list's last, all keep the bits and the turn of one
+/// positionAt per epoch.
+TEST(RandomRoam, LongReplayListsMatchPositionAtBitForBit) {
+  int fallbacks = 0;       // in-turn steps of a list that reflect
+  int listsAtTurnEnd = 0;  // lists with a time exactly at a turn end
+  int listsEndingAtTurnEnd = 0;
+  const std::pair<MapSpec, double> cases[] = {
+      {MapSpec::square(1), 150.0}, {MapSpec::square(11), kmhToMps(110.0)}};
+  for (const auto& [map, maxSpeed] : cases) {
+    RoamParams params;
+    params.maxSpeedMps = maxSpeed;
+    params.minTurnDuration = 100 * sim::kMillisecond;
+    params.maxTurnDuration = 2 * kSecond;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      sim::Rng rng(seed);
+      const Vec2 start = map.uniformPoint(rng);
+      RandomRoam roam(map, start, params, rng.fork(1));
+      ReferenceRoam ref(map, start, params, rng.fork(1));
+      sim::Rng cadence = rng.fork(2);
+      sim::TimePoint t = sim::kTimeZero;
+      std::vector<sim::TimePoint> epochs;
+      std::vector<double> steps;
+      for (int list = 0; list < 8; ++list) {
+        epochs.clear();
+        steps.clear();
+        bool atTurnEnd = false;
+        bool endsAtTurnEnd = false;
+        Vec2 want{};
+        const auto length = cadence.uniformInt(200, 4096);
+        for (int k = 0; k < length && !endsAtTurnEnd; ++k) {
+          const sim::TimePoint end = ref.turnEnd();
+          sim::TimePoint next =
+              t + cadence.uniformDuration(sim::kMicrosecond,
+                                          5 * sim::kMillisecond);
+          // Half the steps that reach the turn end stop exactly on it, and
+          // a quarter of those past the 200th end the list there.
+          if (next > end && cadence.uniformInt(0, 1) == 0) next = end;
+          atTurnEnd = atTurnEnd || next == end;
+          endsAtTurnEnd =
+              next == end && k >= 199 && cadence.uniformInt(0, 3) == 0;
+          steps.push_back(k == 0 ? std::numeric_limits<double>::quiet_NaN()
+                                 : sim::toSeconds(next - t));
+          epochs.push_back(next);
+          const int reflected = totalReflections(ref);
+          want = ref.positionAt(next);
+          fallbacks +=
+              k > 0 && ref.turnEnd() == end && totalReflections(ref) > reflected
+                  ? 1
+                  : 0;
+          t = next;
+        }
+        EXPECT_TRUE(sameBits(roam.replay(epochs, steps), want))
+            << "map " << map.width << " seed " << seed << " list " << list;
+        EXPECT_TRUE(sameBits(roam.currentVelocity(), ref.velocity()))
+            << "map " << map.width << " seed " << seed << " list " << list;
+        listsAtTurnEnd += atTurnEnd ? 1 : 0;
+        listsEndingAtTurnEnd += endsAtTurnEnd ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(fallbacks, 0);
+  EXPECT_GT(listsAtTurnEnd, 0);
+  EXPECT_GT(listsEndingAtTurnEnd, 0);
+}
+
+/// A repeated time in a replay list is a zero step, and must leave a -0.0
+/// coordinate alone as positionAt does (-0.0 + 0.0 * v is +0.0 for v > 0):
+/// hosts that start at (-0.0, -0.0) replay repeats of their first query
+/// time, through both overloads, then lists that move on.
+TEST(RandomRoam, ReplayOfRepeatedTimesKeepsSignedZeros) {
+  const sim::TimePoint t0 = sim::kTimeZero;
+  const sim::TimePoint t1 = T(sim::kMillisecond);
+  const sim::TimePoint t2 = T(2 * sim::kMillisecond);
+  const std::vector<std::vector<sim::TimePoint>> lists = {
+      {t0, t0}, {t0, t0, t0}, {t0, t1, t1}, {t1, t2, t2}};
+  int negativeZeroAnswers = 0;
+  for (const double maxSpeed : {0.0, 20.0}) {
+    RoamParams params;
+    params.maxSpeedMps = maxSpeed;
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+      const bool withSteps = seed > 8;
+      sim::Rng rng(seed);
+      const MapSpec map = MapSpec::square(1);
+      const Vec2 start{-0.0, -0.0};
+      RandomRoam roam(map, start, params, rng.fork(1));
+      ReferenceRoam ref(map, start, params, rng.fork(1));
+      for (const std::vector<sim::TimePoint>& times : lists) {
+        std::vector<double> steps{0.0};
+        Vec2 want = ref.positionAt(times[0]);
+        for (std::size_t k = 1; k < times.size(); ++k) {
+          steps.push_back(sim::toSeconds(times[k] - times[k - 1]));
+          want = ref.positionAt(times[k]);
+        }
+        const Vec2 got =
+            withSteps ? roam.replay(times, steps) : roam.replay(times);
+        EXPECT_TRUE(sameBits(got, want))
+            << "speed " << maxSpeed << " seed " << seed << " at "
+            << sim::toSeconds(times.back()) << " s";
+        negativeZeroAnswers +=
+            std::signbit(want.x) && want.x == 0.0 ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(negativeZeroAnswers, 0);
 }
 
 }  // namespace

@@ -580,6 +580,22 @@ TEST(PhyGrid, EpochLogStaysBoundedWhenNothingMoves) {
   EXPECT_EQ(fx.models[1]->seen, epochs);
 }
 
+/// ModelPositions logs each marked instant once, later than the last: a
+/// repeated or earlier mark is a contract violation, also after a read of
+/// every host has dropped the log.
+TEST(PhyGridDeath, ModelPositionsRejectsAMarkNotLaterThanTheLast) {
+  RecordingFixture fx({[](sim::TimePoint) { return geom::Vec2{0.0, 0.0}; }});
+  fx.advance(sim::kSecond);
+  const sim::TimePoint now = fx.scheduler.now();
+  fx.channel.snapshotPositions();  // marks `now`, reads every host
+  EXPECT_TRUE(fx.positions.pending(HostId{0}).empty());
+  EXPECT_DEATH(fx.positions.markEpoch(now), "Precondition");
+  EXPECT_DEATH(fx.positions.markEpoch(now - sim::kMicrosecond),
+               "Precondition");
+  fx.positions.markEpoch(now + sim::kMicrosecond);
+  EXPECT_EQ(fx.positions.pending(HostId{0}).size(), 1u);
+}
+
 /// Two channels over the same scripted positions, one on the grid and one
 /// on the exhaustive scan, stepped through epochs that put a drifting node
 /// just inside and just past the anchor escape margin and at exactly the

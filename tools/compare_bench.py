@@ -31,12 +31,15 @@ A third mode backs the serial-vs-threads CI gate (DESIGN.md §10.4):
   --require-identical: every value in the two reports must be EXACTLY equal
   — results, metrics, environment — except the fields that measure host
   wall-clock rather than simulation output (per-row wallSeconds and
-  framesPerWallSecond, the metrics `profile` scope timings) and the two
+  framesPerWallSecond, the metrics `profile` scope timings), the two
   environment echo entries that differ between the legs by construction
-  (MANET_THREADS and MANET_BENCH_JSON). Any other difference, float or int,
-  is a HARD FAIL: the two reports come from the same binary on the same
-  machine in the same job, so "close" is not a thing — a one-bit drift means
-  the output depends on the worker count.
+  (MANET_THREADS and MANET_BENCH_JSON), and `environment.gitSha`, which
+  records where the binary came from, not what it computed: so the same
+  gate also checks that a change to the code is byte-identical, comparing
+  reports from two commits. Any other difference, float or int, is a HARD
+  FAIL: the two reports come from the same platform, so "close" is not a
+  thing — a one-bit drift means the output depends on the worker count (or
+  on the change).
 
 Usage:
   compare_bench.py --baselines bench/baselines --candidates out/
@@ -227,17 +230,23 @@ def compare_values(base_row: dict, cand_row: dict, label: str,
 
 # --require-identical exclusions: the only report content allowed to differ
 # between a serial and a multi-worker run of the same bench on the same
-# machine. Wall-clock fields measure the host, not the simulation; the two
-# env entries select the leg; every counter must match bit for bit.
+# machine, or between two commits that must compute the same. Wall-clock
+# fields measure the host, not the simulation; the two env entries select
+# the leg; the git sha is provenance; every counter must match bit for bit.
 WALL_ROW_KEYS = ("wallSeconds", "framesPerWallSecond")
 WALL_METRIC_KEYS = ("profile",)
 LEG_ENV_KEYS = ("MANET_THREADS", "MANET_BENCH_JSON")
+PROVENANCE_KEYS = ("gitSha",)
 
 
 def strip_wall_clock(doc: dict) -> dict:
-    """Deep-copies `doc` minus wall-clock fields and the leg's env entries."""
+    """Deep-copies `doc` minus wall-clock fields, the leg's env entries and
+    the provenance fields of its environment."""
     out = json.loads(json.dumps(doc))
     env = out.get("environment")
+    if isinstance(env, dict):
+        for key in PROVENANCE_KEYS:
+            env.pop(key, None)
     if isinstance(env, dict) and isinstance(env.get("env"), dict):
         for key in LEG_ENV_KEYS:
             env["env"].pop(key, None)

@@ -4,10 +4,11 @@
 Writes pairs of synthetic bench reports to a temporary directory and runs
 the `--require-identical` gate on each: reports that differ only in
 wall-clock fields (`wallSeconds`, `framesPerWallSecond`, the metrics
-`profile` section) or only in the leg's `MANET_THREADS` echo must pass; a
-single counter differing by 1, a counter the candidate no longer has, a
-differing `schemaVersion` and a differing `REPRO_BROADCASTS` echo must each
-fail. In `--baselines` mode, a candidate that only ran 3x slower must pass
+`profile` section), only in the leg's `MANET_THREADS` echo or only in the
+`gitSha` they were built from must pass; a single counter differing by 1
+(also beside a differing `gitSha`), a counter the candidate no longer has,
+a differing `schemaVersion` and a differing `REPRO_BROADCASTS` echo must
+each fail. In `--baselines` mode, a candidate that only ran 3x slower must pass
 without a warning.
 
 Usage: test_compare_bench.py
@@ -94,6 +95,15 @@ def scale_echo(doc: dict) -> None:
     doc["environment"]["env"]["REPRO_BROADCASTS"] = "20"
 
 
+def other_commit(doc: dict) -> None:
+    doc["environment"]["gitSha"] = "cdd7d8ae49a2"
+
+
+def other_commit_and_counter(doc: dict) -> None:
+    other_commit(doc)
+    one_counter(doc)
+
+
 # (name, edit applied to the candidate, expected exit status)
 CASES = (
     ("wall-clock fields only pass", wall_clock_only, 0),
@@ -102,6 +112,8 @@ CASES = (
     ("schemaVersion mismatch fails", schema_bumped, 1),
     ("MANET_THREADS echo only passes", threads_echo, 0),
     ("REPRO_BROADCASTS echo mismatch fails", scale_echo, 1),
+    ("gitSha only passes", other_commit, 0),
+    ("gitSha and one counter fails", other_commit_and_counter, 1),
 )
 
 
