@@ -1,6 +1,6 @@
 // Scheduler memory-layout microbench (DESIGN.md §11): schedule/cancel/fire
-// churn at MAC-realistic cancel rates and DCF slot ticks with and without
-// fixed-delay lanes. Not a paper figure — a regression guard for the
+// churn at MAC-realistic cancel rates and DCF backoff countdowns that
+// freeze and resume. Not a paper figure — a regression guard for the
 // engine's allocation behaviour.
 //
 // Every case reports `allocs_per_item`, measured by a global operator
@@ -102,59 +102,86 @@ void BM_SchedulerChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerChurn)->Arg(8)->Arg(50);
 
-/// DCF backoff pattern (DESIGN.md §11.2): N stations each hold one slot
-/// tick that re-arms itself 20 us ahead when it fires. After every slot a
-/// quarter of the stations sense the medium busy: their tick is cancelled
-/// and re-armed a DIFS (50 us) later. Range arguments: lanes declared (0 or
-/// 1) and the station count. With lanes the ticks never touch the heap;
-/// without them this is the heap churn the lanes replace.
-void BM_SchedulerSlotTicks(benchmark::State& state) {
-  const bool lanes = state.range(0) != 0;
+/// DCF backoff pattern (DESIGN.md §11.2): N stations each count a backoff
+/// down. Every slot a carrier-sense event, scheduled two slots ahead like a
+/// frame's, makes a quarter of the stations sense the medium busy: each
+/// freezes (reads the slots it still owes and cancels) and resumes at once
+/// with what it owes. A station whose count reaches zero waits a DIFS and
+/// draws 1-31 slots again (a zero draw of the 0-31 window counts nothing
+/// down; the frame it would send in between is left out, as the other
+/// stations would sit frozen through it). Items are slots counted down. Range
+/// arguments: `countdown` 1 arms one scheduleCountdown per run, 0 the
+/// slot-by-slot chain of scheduleAfter(slot) re-arms it replaced (both fire
+/// in the same order, so both count the same slots); the station count.
+void BM_BackoffCountdown(benchmark::State& state) {
+  const bool countdown = state.range(0) != 0;
   const auto stations = static_cast<std::size_t>(state.range(1));
   constexpr sim::Duration kSlot{20};
   constexpr sim::Duration kDifs{50};
-  constexpr int kCancelPct = 25;
+  constexpr int kFreezePct = 25;
 
-  struct Ticks {
+  struct Stations {
+    bool countdown = false;
     sim::Scheduler s;
-    std::vector<sim::Scheduler::Handle> timers;
-    long fired = 0;
-    void arm(std::size_t i, sim::Duration delay) {
-      timers[i] = s.scheduleAfter(delay, [this, i] {
-        ++fired;
-        arm(i, kSlot);
-      });
-    }
-  } t;
-  if (lanes) {
-    t.s.addLane(kSlot);
-    t.s.addLane(kDifs);
-  }
-  t.timers.resize(stations);
-  sim::Rng rng(11);
-  for (std::size_t i = 0; i < stations; ++i) t.arm(i, kSlot);
-  t.s.runUntil(t.s.now() + 10 * kDifs);  // warm pool and rings off-clock
-
-  const std::uint64_t allocsBefore = gHeapAllocs.load();
-  const long firedBefore = t.fired;
-  for (auto _ : state) {
-    t.s.runUntil(t.s.now() + kSlot);
-    for (std::size_t i = 0; i < stations; ++i) {
-      if (rng.uniformInt(0, 99) < kCancelPct) {
-        t.timers[i].cancel();
-        t.arm(i, kDifs);
+    sim::Rng rng{11};
+    std::vector<sim::Scheduler::Handle> runs;
+    /// A countdown's armed count; a chain's slots still owed.
+    std::vector<std::int64_t> owed;
+    long slots = 0;
+    void arm(std::size_t i, std::int64_t periods) {
+      owed[i] = periods;
+      if (countdown) {
+        runs[i] = s.scheduleCountdown(kSlot, periods, [this, i] {
+          slots += owed[i];
+          rest(i);
+        });
+      } else {
+        runs[i] = s.scheduleAfter(kSlot, [this, i] { tick(i); });
       }
     }
-  }
-  benchmark::DoNotOptimize(t.fired);
+    void tick(std::size_t i) {
+      ++slots;
+      if (--owed[i] > 0) {
+        runs[i] = s.scheduleAfter(kSlot, [this, i] { tick(i); });
+        return;
+      }
+      rest(i);
+    }
+    void rest(std::size_t i) {
+      s.scheduleAfter(kDifs, [this, i] { arm(i, rng.uniformInt(1, 31)); });
+    }
+    void sense() {
+      for (std::size_t i = 0; i < runs.size(); ++i) {
+        if (!runs[i].pending() || rng.uniformInt(0, 99) >= kFreezePct) continue;
+        const std::int64_t left = countdown ? runs[i].periodsLeft() : owed[i];
+        runs[i].cancel();
+        if (countdown) slots += owed[i] - left;
+        arm(i, left);
+      }
+    }
+  } t;
+  t.countdown = countdown;
+  t.runs.resize(stations);
+  t.owed.resize(stations);
+  for (std::size_t i = 0; i < stations; ++i) t.arm(i, t.rng.uniformInt(1, 31));
+  const auto slot = [&t] {
+    t.s.scheduleAfter(2 * kSlot, [&t] { t.sense(); });
+    t.s.runUntil(t.s.now() + kSlot);
+  };
+  for (int i = 0; i < 200; ++i) slot();  // warm the pool off-clock
 
-  const auto items = static_cast<double>(t.fired - firedBefore);
-  state.SetItemsProcessed(t.fired - firedBefore);
+  const std::uint64_t allocsBefore = gHeapAllocs.load();
+  const long slotsBefore = t.slots;
+  for (auto _ : state) slot();
+  benchmark::DoNotOptimize(t.slots);
+
+  const auto items = static_cast<double>(t.slots - slotsBefore);
+  state.SetItemsProcessed(t.slots - slotsBefore);
   state.counters["allocs_per_item"] = benchmark::Counter(
       static_cast<double>(gHeapAllocs.load() - allocsBefore) / items);
 }
-BENCHMARK(BM_SchedulerSlotTicks)
-    ->ArgNames({"lanes", "stations"})
+BENCHMARK(BM_BackoffCountdown)
+    ->ArgNames({"countdown", "stations"})
     ->Args({0, 100})
     ->Args({1, 100})
     ->Args({0, 2000})

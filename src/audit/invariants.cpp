@@ -42,13 +42,17 @@ void SchedulerAudit::onCancel(sim::TimePoint eventAt, sim::TimePoint now) {
 }
 
 void SchedulerAudit::onCount(std::size_t live, std::size_t heapResident,
-                             std::size_t laneLive, sim::TimePoint now) {
-  if (live != heapResident + laneLive) {
+                             std::size_t wheelResident, sim::TimePoint now) {
+  if (live != heapResident + wheelResident) {
     report({"scheduler.count-drift", now, net::kInvalidHost,
             "live=" + std::to_string(live) +
                 " heapResident=" + std::to_string(heapResident) +
-                " laneLive=" + std::to_string(laneLive)});
+                " wheelResident=" + std::to_string(wheelResident)});
   }
+}
+
+void SchedulerAudit::onCountdownTie(sim::TimePoint now, const char* what) {
+  report({"scheduler.countdown-tie", now, net::kInvalidHost, what});
 }
 
 // --- ChannelAudit -----------------------------------------------------------

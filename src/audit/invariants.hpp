@@ -11,7 +11,10 @@
 //   scheduler.schedule-in-past   event scheduled before now
 //   scheduler.monotonic-pop      event popped earlier than its predecessor
 //   scheduler.cancel-past-event  live event cancelled after its due time
-//   scheduler.count-drift        live count != heap-resident + live-lane count
+//   scheduler.count-drift        live count != heap-resident + wheel-resident
+//   scheduler.countdown-tie      a countdown's order against an event due at
+//                                the same instant is not settled by the
+//                                schedule instants the scheduler keeps
 //   channel.reception-underflow  reception ended with none in flight
 //   channel.energy-underflow     carrier energy lowered below zero
 //   channel.teardown-balance     begin/end ledger broken at teardown
@@ -45,12 +48,16 @@ class SchedulerAudit {
   /// A still-pending event scheduled for `eventAt` was cancelled at `now`.
   void onCancel(sim::TimePoint eventAt, sim::TimePoint now);
   /// After every pop/cancel the scheduler reports its redundant live-event
-  /// counter, the heap's resident size and the live lane entries (dead lane
-  /// entries, cancelled but not yet at their ring's head, are excluded).
-  /// The first must equal the sum of the other two, so any drift is a
-  /// pool/heap/lane bookkeeping bug.
+  /// counter, the heap's resident size and the timing wheel's. The first
+  /// must equal the sum of the other two, so any drift is a
+  /// pool/heap/wheel bookkeeping bug.
   void onCount(std::size_t live, std::size_t heapResident,
-               std::size_t laneLive, sim::TimePoint now);
+               std::size_t wheelResident, sim::TimePoint now);
+  /// At `now` the scheduler met a countdown tie its ordering rule cannot
+  /// settle (DESIGN.md §11.2): an event one period after a parent one
+  /// period after its own, or a countdown armed by an origin that ran
+  /// after a tick of another countdown on its grid.
+  void onCountdownTie(sim::TimePoint now, const char* what);
 
   sim::TimePoint lastPopTime() const { return lastPop_; }
 

@@ -72,21 +72,22 @@ std::uint64_t StateAccess::schedulerDigest(const sim::Scheduler& scheduler) {
   d.add(scheduler.nextSeq_);
   d.add(static_cast<std::uint64_t>(scheduler.live_));
   d.add(static_cast<std::uint32_t>(scheduler.slotCount_));
-  // (at, seq) is the queues' total order; the closures are not comparable.
-  // Heap and lane residents fold into one sorted set, so the digest does
-  // not depend on which queue holds an event; dead lane entries are skipped.
+  // (at, seq) names a pending event; the closures are not comparable. Heap
+  // and wheel residents fold into one sorted set, so the digest does not
+  // depend on which queue holds an event.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> pending;
   pending.reserve(scheduler.live_);
   for (const auto& entry : scheduler.heap_) {
     pending.emplace_back(static_cast<std::uint64_t>(entry.at.ticks()),
                          entry.seq);
   }
-  for (const auto& lane : scheduler.lanes_) {
-    for (std::size_t i = 0; i < lane.size; ++i) {
-      const auto& entry = lane.entry(i);
-      if (scheduler.node(entry.slot).gen != entry.gen) continue;
-      pending.emplace_back(static_cast<std::uint64_t>(entry.at.ticks()),
-                           entry.seq);
+  for (const auto& bucket : scheduler.wheel_) {
+    for (const sim::EventSlot first : {bucket.head, bucket.countdowns}) {
+      for (sim::EventSlot s = first; s != sim::Scheduler::kNullSlot;
+           s = scheduler.node(s).next) {
+        const auto& n = scheduler.node(s);
+        pending.emplace_back(static_cast<std::uint64_t>(n.at.ticks()), n.seq);
+      }
     }
   }
   addSorted(d, pending);
@@ -134,12 +135,19 @@ std::uint64_t StateAccess::macDigest(const mac::DcfMac& mac) {
   d.add(packetDigest(mac.onAirPacket_));
   d.add(mac.mediumBusy_);
   d.add(mac.idleSince_);
-  d.add(static_cast<std::int32_t>(mac.backoffRemaining_));
-  d.add(mac.timer_.pending());
+  d.add(static_cast<std::int32_t>(macSlotsOwed(mac)));
+  d.add(mac.difsTimer_.pending());
+  d.add(mac.backoff_.pending());
   d.add(mac.framesSent_);
   d.add(mac.framesDroppedCorrupt_);
   addRng(d, mac.rng_);
   return d.value();
+}
+
+int StateAccess::macSlotsOwed(const mac::DcfMac& mac) {
+  // The slots still owed now, not the count a running countdown was armed
+  // with.
+  return mac.slotsOwed();
 }
 
 // --- HELLO -------------------------------------------------------------
@@ -157,7 +165,7 @@ std::uint64_t StateAccess::helloDigest(const net::HelloAgent& hello) {
 
 std::uint64_t StateAccess::mobilityDigest(
     const mobility::MobilityModel& model,
-    std::span<const sim::TimePoint> pending) {
+    std::span<const sim::TimePoint> pending, std::span<const double> steps) {
   Digest d;
   if (const auto* s = dynamic_cast<const mobility::Stationary*>(&model)) {
     d.add(std::uint32_t{1});
@@ -165,7 +173,7 @@ std::uint64_t StateAccess::mobilityDigest(
   } else if (const auto* live =
                  dynamic_cast<const mobility::RandomRoam*>(&model)) {
     mobility::RandomRoam copy = *live;
-    if (!pending.empty()) copy.replay(pending);
+    if (!pending.empty()) copy.replay(pending, steps);
     const mobility::RandomRoam* roam = &copy;
     d.add(std::uint32_t{2});
     addRng(d, roam->rng_);
@@ -297,8 +305,10 @@ HostFingerprint StateAccess::host(const experiment::Host& host) {
   w[HostFingerprint::kJitterRng] = rngWord(host.jitterRng_);
   w[HostFingerprint::kMac] = macDigest(*host.mac_);
   w[HostFingerprint::kHello] = helloDigest(*host.hello_);
-  w[HostFingerprint::kMobility] = mobilityDigest(
-      *host.mobility_, host.world_.positions_.pending(host.id_));
+  const auto& positions = host.world_.positions_;
+  w[HostFingerprint::kMobility] =
+      mobilityDigest(*host.mobility_, positions.pending(host.id_),
+                     positions.pendingSteps(host.id_));
   w[HostFingerprint::kNeighborTable] = neighborTableDigest(host.table_);
 
   std::vector<std::pair<std::uint64_t, std::uint64_t>> states;

@@ -58,13 +58,17 @@ struct StateAccess {
   static std::uint64_t schedulerDigest(const sim::Scheduler& scheduler);
   static std::uint64_t neighborTableDigest(const net::NeighborTable& table);
   static std::uint64_t macDigest(const mac::DcfMac& mac);
+  /// The backoff slots the MAC owes now, as macDigest folds them: while a
+  /// countdown runs, the slots it has yet to count down (-1: none owed).
+  static int macSlotsOwed(const mac::DcfMac& mac);
   static std::uint64_t helloDigest(const net::HelloAgent& hello);
   /// The model's state after it replays `pending`, the epochs its source
-  /// logged for it (replayed on a copy), so the word does not depend on
-  /// when a host catches up.
+  /// logged for it, with their `steps` (replayed on a copy), so the word
+  /// does not depend on when a host catches up.
   static std::uint64_t mobilityDigest(
       const mobility::MobilityModel& model,
-      std::span<const sim::TimePoint> pending);
+      std::span<const sim::TimePoint> pending,
+      std::span<const double> steps);
   static std::uint64_t channelDigest(const phy::Channel& channel);
   static std::uint64_t metricsDigest(const stats::MetricsCollector& collector,
                                      const obs::Registry* registry);

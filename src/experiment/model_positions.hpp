@@ -81,9 +81,17 @@ class ModelPositions final : public phy::PositionSource {
     return {epochs_.data() + from, epochs_.size() - from};
   }
 
+  /// The steps between consecutive pending(id) instants, as replay(times,
+  /// steps) takes them (the first is not read).
+  std::span<const double> pendingSteps(net::HostId id) const {
+    const std::size_t from = seen_[id.value()] - base_;
+    return {steps_.data() + from, steps_.size() - from};
+  }
+
   /// What positionOf(id) would return now, without advancing the model.
   geom::Vec2 peekPositionOf(net::HostId id) const {
-    return models_[id.value()]->peekPositionAt(pending(id), scheduler_.now());
+    return models_[id.value()]->peekPositionAt(pending(id), pendingSteps(id),
+                                               scheduler_.now());
   }
 
  private:

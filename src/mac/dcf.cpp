@@ -22,10 +22,9 @@ DcfMac::DcfMac(sim::Scheduler& scheduler, phy::Channel& channel,
   MANET_EXPECTS(params_.difs >= sim::Duration{});
   MANET_EXPECTS(params_.cwBroadcast >= 0);
   MANET_AUDIT_HOOK(audit_ = audit::DcfAudit(self_));
-  // Backoff slots and DIFS waits are most of a run's events; their constant
-  // delays get FIFO lanes instead of the heap (DESIGN.md §11.2).
-  scheduler_.addLane(params_.slot);
-  if (params_.difs > sim::Duration{}) scheduler_.addLane(params_.difs);
+  // A whole backoff is one countdown on the scheduler's timing wheel.
+  MANET_EXPECTS(params_.difs + params_.slot * params_.cwBroadcast <
+                sim::Scheduler::kWheelHorizon);
   if (position) {
     channel_.attach(self_, this, std::move(position));
   } else {
@@ -65,14 +64,22 @@ bool DcfMac::cancel(TxId id) {
                          [id](const Pending& p) { return p.id == id; });
   if (it == queue_.end()) return false;
   queue_.erase(it);
-  if (queue_.empty() && backoffRemaining_ < 0) timer_.cancel();
+  // No backoff owed, so no countdown runs: only a DIFS wait can be pending.
+  if (queue_.empty() && backoffRemaining_ < 0) difsTimer_.cancel();
   return true;
 }
 
 void DcfMac::onMediumBusy() {
   mediumBusy_ = true;
-  timer_.cancel();  // freeze backoff / abandon pending DIFS expiry
+  difsTimer_.cancel();  // abandon a pending DIFS expiry
+  freezeBackoff();
   ensureBackoffIfBusy();
+}
+
+void DcfMac::freezeBackoff() {
+  if (!backoff_.pending()) return;
+  backoffRemaining_ = static_cast<int>(backoff_.periodsLeft());
+  backoff_.cancel();
 }
 
 void DcfMac::onMediumIdle() {
@@ -106,7 +113,8 @@ void DcfMac::onTxComplete() {
 }
 
 void DcfMac::reschedule() {
-  timer_.cancel();
+  difsTimer_.cancel();
+  freezeBackoff();
   // Physical idle re-enters through onMediumIdle.
   if (transmitting_ || mediumBusy_) return;
   if (queue_.empty() && backoffRemaining_ < 0) return;
@@ -114,7 +122,7 @@ void DcfMac::reschedule() {
   const sim::TimePoint now = scheduler_.now();
   const sim::TimePoint difsEnd = idleSince_ + params_.difs;
   if (now < difsEnd) {
-    timer_ = scheduler_.schedule(difsEnd, [this] { reschedule(); });
+    difsTimer_ = scheduler_.schedule(difsEnd, [this] { reschedule(); });
     return;
   }
   if (backoffRemaining_ < 0) {
@@ -128,20 +136,16 @@ void DcfMac::reschedule() {
     if (!queue_.empty()) startTransmission();
     return;
   }
-  // Consume one idle slot. onMediumBusy() cancels this timer, freezing the
-  // counter mid-slot (partial slots do not count).
-  timer_ = scheduler_.scheduleAfter(params_.slot, [this] { backoffSlot(); });
+  // Count the owed idle slots down as one event. onMediumBusy() freezes the
+  // countdown mid-slot (partial slots do not count); the scheduler runs it
+  // exactly where a slot-by-slot re-arm would end (DESIGN.md §11.2).
+  backoff_ = scheduler_.scheduleCountdown(params_.slot, backoffRemaining_,
+                                          [this] { backoffDone(); });
 }
 
-void DcfMac::backoffSlot() {
+void DcfMac::backoffDone() {
   MANET_ASSERT(!mediumBusy_ && !transmitting_);
-  // The medium has been idle since the slot began, past DIFS, and the
-  // counter is still owed: reschedule() would arm the next slot exactly so
-  // (DESIGN.md §11.2). Only the last slot re-evaluates.
-  if (--backoffRemaining_ > 0) {
-    timer_ = scheduler_.scheduleAfter(params_.slot, [this] { backoffSlot(); });
-    return;
-  }
+  backoffRemaining_ = 0;
   reschedule();
 }
 

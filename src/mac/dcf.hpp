@@ -118,9 +118,17 @@ class DcfMac final : public phy::Channel::Listener {
   int drawBackoff();
   /// Re-evaluates what the station should be doing now that state changed.
   void reschedule();
-  /// One idle backoff slot elapsed: counts it, then arms the next slot or,
-  /// after the last, re-evaluates.
-  void backoffSlot();
+  /// Stops a running backoff countdown, keeping the slots it still owes
+  /// (a partial slot does not count).
+  void freezeBackoff();
+  /// The backoff counter reached zero: re-evaluates.
+  void backoffDone();
+  /// Backoff slots owed right now, -1 for none: while a countdown runs,
+  /// the slots it has yet to count down.
+  int slotsOwed() const {
+    return backoff_.pending() ? static_cast<int>(backoff_.periodsLeft())
+                              : backoffRemaining_;
+  }
   void startTransmission();
   void ensureBackoffIfBusy();
 
@@ -140,8 +148,12 @@ class DcfMac final : public phy::Channel::Listener {
 
   bool mediumBusy_ = false;
   sim::TimePoint idleSince_{};
-  int backoffRemaining_ = -1;  // -1: no backoff owed
-  sim::Scheduler::Handle timer_;
+  /// -1: no backoff owed. While `backoff_` runs it is the count the
+  /// countdown was armed with; slotsOwed() reads what is left.
+  int backoffRemaining_ = -1;
+  sim::Scheduler::Handle difsTimer_;
+  /// One countdown per backoff run, one slot per period (DESIGN.md §11.2).
+  sim::Scheduler::Handle backoff_;
 
   std::uint64_t framesSent_ = 0;
   std::uint64_t framesDroppedCorrupt_ = 0;

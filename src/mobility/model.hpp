@@ -43,10 +43,12 @@ class MobilityModel {
     return replay(times);
   }
 
-  /// The position replay(pending) then positionAt(t) would return, without
-  /// advancing the model: observers (tracing) use it so that watching a run
-  /// never changes its trajectories. Same precondition on the times.
+  /// The position replay(pending, steps) then positionAt(t) would return,
+  /// without advancing the model: observers (tracing) use it so that
+  /// watching a run never changes its trajectories. Same precondition on the
+  /// times; `steps` as for replay(times, steps).
   virtual geom::Vec2 peekPositionAt(std::span<const sim::TimePoint> pending,
+                                    std::span<const double> steps,
                                     sim::TimePoint t) const = 0;
 
   /// Upper bound on the model's speed, in m/s: no two queries return points
@@ -63,6 +65,7 @@ class Stationary final : public MobilityModel {
   explicit Stationary(geom::Vec2 position) : position_(position) {}
   geom::Vec2 positionAt(sim::TimePoint) override { return position_; }
   geom::Vec2 peekPositionAt(std::span<const sim::TimePoint>,
+                            std::span<const double>,
                             sim::TimePoint) const override {
     return position_;
   }

@@ -34,9 +34,10 @@ class RandomRoam final : public MobilityModel {
   geom::Vec2 replay(std::span<const sim::TimePoint> times,
                     std::span<const double> steps) override;
   geom::Vec2 peekPositionAt(std::span<const sim::TimePoint> pending,
+                            std::span<const double> steps,
                             sim::TimePoint t) const override {
     RandomRoam copy = *this;
-    if (!pending.empty()) copy.replay(pending);
+    if (!pending.empty()) copy.replay(pending, steps);
     return copy.positionAt(t);
   }
   double maxSpeedMps() const override { return params_.maxSpeedMps; }

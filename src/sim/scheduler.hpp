@@ -1,6 +1,6 @@
 // Discrete-event scheduler: the "event-driven engine" at the center of the
 // paper's simulator (§4). Single-threaded, deterministic: events at equal
-// timestamps run in scheduling (FIFO) order — every queue orders by
+// timestamps run in scheduling (FIFO) order — plain events order by
 // (at, seq) where seq is the global schedule counter, a total order, so the
 // execution sequence is independent of queue structure or memory layout.
 //
@@ -11,15 +11,18 @@
 // by generation mismatch, which keeps cancel()/pending() safe on recycled
 // slots.
 //
-// Two kinds of queue hold pending events (DESIGN.md §11.2). An indexed 4-ary
-// min-heap takes any delay and removes a cancelled entry eagerly. Fixed-delay
-// lanes take the constant delays a layer declares with addLane() (the DCF
-// slot and DIFS, the PHY carrier-sense delay): a lane is a FIFO ring, already
-// sorted because now() never goes back and seq only rises, and it drops a
-// cancelled entry lazily, once the entry reaches the ring's head. The next
-// event is the least (at, seq) among the heap top and the lane heads.
-// pendingCount() is O(1), and the audit's live == heap-resident + live-lane
-// count invariant holds after every pop/cancel.
+// Two queues hold pending events (DESIGN.md §11.2). A timing wheel with one
+// bucket per microsecond takes every event due within kWheelHorizon: a
+// bucket's plain events sit in an intrusive list in schedule order, so a
+// push, a pop and a cancel are O(1), and a bitmap of non-empty buckets finds
+// the next one. An indexed 4-ary min-heap takes every later event; it was
+// scheduled before any wheel event due at the same time, so it runs first.
+//
+// A countdown (scheduleCountdown) is one event standing for a chain of
+// one-period re-arms: it fires where the chain's last tick would, and
+// periodsLeft() says how many ticks are still owed at any point of the run.
+// Its place among the events due at its instant follows from the schedule
+// instants each node keeps (the ordering rule, DESIGN.md §11.2).
 #pragma once
 
 #include <cstdint>
@@ -56,7 +59,14 @@ class Scheduler {
  public:
   using Callback = InlineFn;
 
-  Scheduler() = default;
+  /// How far ahead the timing wheel reaches, one bucket per microsecond.
+  /// It covers a DCF backoff (DIFS + 31 slots of 20 us = 670 us), the
+  /// carrier-sense delay, frame airtimes up to ~830 bytes and the forwarding
+  /// jitter; any later event goes to the heap. A power of two, so a bucket
+  /// index is a remainder the compiler turns into a mask.
+  static constexpr Duration kWheelHorizon{1024};
+
+  Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
@@ -82,6 +92,15 @@ class Scheduler {
       return owner_ != nullptr && owner_->slotPending(slot_, gen_);
     }
 
+    /// Periods a pending countdown still owes at this point of the run:
+    /// the armed count less the ticks its chain of one-period re-arms would
+    /// have fired by now. A tick due at this very instant counts only if it
+    /// would have fired before the event now running. A pending plain event
+    /// owes 1, a fired or cancelled one 0.
+    std::int64_t periodsLeft() const {
+      return pending() ? owner_->periodsLeft(slot_) : 0;
+    }
+
    private:
     friend class Scheduler;
     Handle(Scheduler* owner, EventSlot slot, EventGen gen)
@@ -102,17 +121,20 @@ class Scheduler {
     return schedule(now_ + delay, std::move(fn));
   }
 
-  /// Declares a constant delay (> 0) the caller schedules at often. From
-  /// then on every event whose `at - now()` equals `delay` queues in that
-  /// delay's FIFO lane instead of the heap; the execution order is the same
-  /// either way. Declaring a delay twice is a no-op.
-  void addLane(Duration delay);
+  /// Schedules `fn` to run once, `periods` periods from now, exactly where
+  /// the last of a chain of `periods` one-period re-arms would run: the
+  /// first scheduled now, each next one scheduleAfter(period) from inside
+  /// the one before. Handle::periodsLeft() reads the ticks still owed, so
+  /// cancelling a countdown freezes the chain. One period is a plain
+  /// scheduleAfter(period). Needs periods >= 1 and the whole countdown
+  /// inside kWheelHorizon.
+  Handle scheduleCountdown(Duration period, std::int64_t periods,
+                           Callback&& fn);
 
   /// Current simulation time (time of the most recently fired event).
   TimePoint now() const { return now_; }
 
-  /// Number of live (non-cancelled) events still queued. O(1); cancelled
-  /// lane entries still waiting to reach their ring's head do not count.
+  /// Number of live (non-cancelled) events still queued. O(1).
   std::size_t pendingCount() const { return live_; }
 
   /// Runs the next live event; returns false when the queue is empty.
@@ -134,6 +156,12 @@ class Scheduler {
   /// Nodes per slab. One slab covers a small scenario entirely; big runs
   /// amortize one allocation per kSlabNodes concurrent events.
   static constexpr std::uint32_t kSlabNodes = 256;
+  static constexpr std::uint32_t kBuckets =
+      static_cast<std::uint32_t>(kWheelHorizon / kMicrosecond);
+  static constexpr std::uint32_t kBucketWords = kBuckets / 64;
+  static_assert(kBuckets % 64 == 0 && kBucketWords <= 32);
+
+  enum class Queue : std::uint8_t { kNone, kHeap, kWheel, kCountdown };
 
   /// One pooled event. `gen` increments every time the slot is released
   /// (fire or cancel), invalidating all outstanding handles to it.
@@ -141,62 +169,65 @@ class Scheduler {
     Callback fn;
     TimePoint at{};
     std::uint64_t seq = 0;
+    /// now() when it was scheduled; for a countdown, when it was armed.
+    TimePoint scheduledAt{};
+    /// The delay of the event that was running when it was scheduled. For a
+    /// countdown, the period: the delay of the previous tick of its chain,
+    /// which is the tick that would have scheduled the last one.
+    Duration parentDelay{};
     EventGen gen{};
-    std::uint32_t heapIndex = kNullIndex;  // kNullIndex while not in heap
-    std::uint32_t lane = kNullIndex;       // kNullIndex while not in a lane
-    EventSlot nextFree = kNullSlot;        // free-list link while released
+    /// Heap position while in the heap; previous node of its bucket list
+    /// while in the wheel.
+    std::uint32_t link = kNullIndex;
+    /// Next node of its bucket list while in the wheel; free-list link
+    /// while released.
+    EventSlot next = kNullSlot;
+    Queue queue = Queue::kNone;
+    /// A countdown whose origin ran after the ticks other countdowns had
+    /// due when it was armed (see countdownFirst()).
+    bool late = false;
   };
 
   /// Heap entries carry the (at, seq) sort key inline so sift comparisons
   /// stay within the contiguous heap array and never dereference nodes —
-  /// the node is only touched once per move, to update its heapIndex.
+  /// the node is only touched once per move, to update its heap position.
   struct HeapEntry {
     TimePoint at;
     std::uint64_t seq;
     EventSlot slot;
   };
 
-  /// A lane's ring entry. Cancel leaves it in the ring; it is dead once the
-  /// slot's generation moved past `gen`, and is dropped at the head.
-  struct LaneEntry {
-    TimePoint at;
+  /// One microsecond of the wheel. Plain events are listed in schedule
+  /// order, countdowns in firing order; `fire()` merges the two heads.
+  struct Bucket {
+    EventSlot head = kNullSlot;
+    EventSlot tail = kNullSlot;
+    EventSlot countdowns = kNullSlot;
+    /// The countdown last inserted here, where the next insertion's search
+    /// starts if it is still listed and ahead of the newcomer: countdowns
+    /// armed at one instant queue up in arming order, so a burst of them
+    /// is placed in O(1) each, not by a walk past the ones before.
+    EventSlot lastInserted = kNullSlot;
+  };
+
+  /// The event now running, as the ordering rule sees it. A countdown
+  /// stands for its chain's last tick, scheduled one period before it fires
+  /// by a tick that was itself scheduled one period earlier. Between
+  /// runUntil() calls it is a point after every event due at now().
+  struct Firing {
+    TimePoint scheduledAt;
+    Duration parentDelay;
     std::uint64_t seq;
-    EventSlot slot;
-    EventGen gen;
+    Duration period;  // zero unless a countdown
+    TimePoint armedAt;
+    bool late;
   };
 
-  /// FIFO ring of the events scheduled exactly `delay` ahead. Pushes arrive
-  /// in (at, seq) order, so the head is the lane's least entry. Invariant:
-  /// the head, if any, is live. The ring is reserved when the lane is
-  /// declared, doubles when full and never shrinks, so steady state
-  /// allocates nothing.
-  struct Lane {
-    /// 6 KB per lane. A 100-station storm and a 2000-host crowd
-    /// (bench/perf) both fit, dead entries included, so their runs never
-    /// grow a ring.
-    static constexpr std::size_t kInitialRing = 256;
-
-    Duration delay;
-    std::vector<LaneEntry> ring;  // size: a power of two
-    std::size_t head = 0;
-    std::size_t size = 0;
-
-    const LaneEntry& front() const { return ring[head]; }
-    const LaneEntry& entry(std::size_t i) const {
-      return ring[(head + i) & (ring.size() - 1)];
-    }
-    void push(const LaneEntry& entry);
-    void pop() {
-      head = (head + 1) & (ring.size() - 1);
-      --size;
-    }
-  };
-
-  /// Where the least pending (at, seq) sits: lane index, or kNullIndex for
-  /// the heap top.
+  /// Where the least pending event sits: a bucket, or kNullIndex for the
+  /// heap top.
   struct Next {
     TimePoint at;
-    std::uint32_t lane;
+    std::uint32_t bucket;
   };
 
   Node& node(EventSlot slot) {
@@ -208,23 +239,69 @@ class Scheduler {
 
   EventSlot acquireSlot();
   void releaseSlot(EventSlot slot);
+  /// Takes a slot for an event due at `at` and fills in its keys.
+  EventSlot newNode(TimePoint at, Callback&& fn);
+  /// Counts a newly queued event.
+  Handle queued(EventSlot slot);
   /// Cancels the pending event in `slot`.
   void cancelSlot(EventSlot slot);
   bool slotPending(EventSlot slot, EventGen gen) const {
     return slot.value() < slotCount_ && node(slot).gen == gen;
   }
+  std::int64_t periodsLeft(EventSlot slot) const;
 
   /// Heap order: earliest (at, seq) at the root — exact FIFO tie-break.
   static bool before(const HeapEntry& a, const HeapEntry& b) {
     return a.at < b.at || (a.at == b.at && a.seq < b.seq);
   }
-  /// Compares the heap top with every lane head; false when none is pending.
+  /// Compares the heap top with the first occupied bucket; false when
+  /// nothing is pending.
   bool next(Next& out) const;
   /// Pops the event `next()` found, advances now() and runs it.
   void fire(const Next& next);
-  /// Drops the dead entries at the head of `lane`.
-  void trimLane(Lane& lane);
 
+  // --- the ordering rule (DESIGN.md §11.2) ---
+  /// Plain event `e` against countdown `c`, both due at c.at: true when the
+  /// chain's last tick would have been scheduled after `e`.
+  bool plainBeforeCountdown(const Node& e, const Node& c) const;
+  /// Two countdowns whose ticks fall due at the same instant: true when
+  /// `a`'s runs first. A chain falls in line at its first tick, behind the
+  /// chains whose ticks ran before its origin: ahead of every one already
+  /// ticking, or (`late`) behind all of them.
+  static bool countdownFirst(const Node& a, const Node& b) {
+    return countdownFirst(a.parentDelay, a.scheduledAt, a.seq, a.late,
+                          b.parentDelay, b.scheduledAt, b.seq, b.late);
+  }
+  static bool countdownFirst(Duration aPeriod, TimePoint aArmed,
+                             std::uint64_t aSeq, bool aLate,
+                             Duration bPeriod, TimePoint bArmed,
+                             std::uint64_t bSeq, bool bLate);
+  /// Whether a countdown armed now with `period` is late: its origin, the
+  /// event now running, ran after the ticks other countdowns have due now.
+  bool armedLate(Duration period);
+  /// A tick of countdown `c` due now (its `first`, or a later one): true
+  /// when it would have fired before the event now running.
+  bool tickBeforeFiring(const Node& c, bool first) const;
+  /// A point after every event due at now(): outside any event.
+  void settle() {
+    firing_ = Firing{now_, Duration{}, UINT64_MAX, Duration{}, now_, false};
+  }
+
+  // --- wheel ---
+  static std::uint32_t bucketOf(TimePoint at) {
+    return static_cast<std::uint32_t>((at.sinceStart() % kWheelHorizon) /
+                                      kMicrosecond);
+  }
+  /// First occupied bucket at or after `from`, circularly; kNullIndex if
+  /// the wheel is empty.
+  std::uint32_t firstOccupied(std::uint32_t from) const;
+  void markOccupied(std::uint32_t bucket);
+  void wheelAppend(EventSlot slot);
+  void wheelInsertCountdown(EventSlot slot);
+  void wheelUnlink(EventSlot slot);
+
+  // --- heap ---
+  void heapPush(EventSlot slot);
   void siftUp(std::size_t i);
   void siftDown(std::size_t i);
   /// Removes the heap entry at position `i`, restoring the heap property.
@@ -232,18 +309,24 @@ class Scheduler {
 
   TimePoint now_{};
   std::uint64_t nextSeq_ = 0;
+  Firing firing_{};
   /// Redundant live-event counter, cross-checked against heap_.size() +
-  /// laneLive_ after every pop/cancel (the scheduler.count-drift audit
+  /// wheelSize_ after every pop/cancel (the scheduler.count-drift audit
   /// invariant).
   std::size_t live_ = 0;
-  std::size_t laneLive_ = 0;  // live entries across all lanes
+  std::size_t wheelSize_ = 0;  // events in the wheel, countdowns included
   std::vector<std::unique_ptr<Node[]>> slabs_;
   std::uint32_t slotCount_ = 0;       // slots ever carved from slabs
   EventSlot freeHead_ = kNullSlot;    // released-slot free list
   std::vector<HeapEntry> heap_;          // 4-ary min-heap, keys inline
-  std::vector<Lane> lanes_;              // one per declared delay
+  std::vector<Bucket> wheel_;            // kBuckets, bucket = at mod horizon
+  /// Bit b of word w: bucket 64 w + b is non-empty.
+  std::uint64_t occupied_[kBucketWords] = {};
+  /// Bit w: occupied_[w] is non-zero.
+  std::uint32_t occupiedWords_ = 0;
 #if MANET_AUDIT_ENABLED
-  audit::SchedulerAudit audit_;
+  // Mutable: the ordering rule reports unresolved ties from const reads.
+  mutable audit::SchedulerAudit audit_;
 #endif
 };
 

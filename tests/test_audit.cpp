@@ -93,15 +93,15 @@ TEST(SchedulerAuditTest, MatchingLiveAndResidentCountsAreSilent) {
   SchedulerAudit audit;
   audit.onCount(0, 0, 0, T(10));
   audit.onCount(17, 17, 0, T(20));
-  audit.onCount(17, 5, 12, T(30));  // heap plus live lane entries
+  audit.onCount(17, 5, 12, T(30));  // heap plus wheel residents
   EXPECT_EQ(sink.count(), 0u);
 }
 
 TEST(SchedulerAuditTest, CountDriftFires) {
   // The slab scheduler's cross-check: the redundant live counter must equal
-  // the heap-resident count plus the live lane entries after every pop and
-  // cancel. Drift means a dead entry survived in the heap, a cancelled lane
-  // entry was still counted live (or a live one was dropped).
+  // the heap-resident count plus the wheel-resident count after every pop
+  // and cancel. Drift means a dead entry survived in a queue (or a live one
+  // was dropped).
   ScopedCountingSink sink;
   SchedulerAudit audit;
   audit.onCount(3, 4, 0, T(55));
@@ -110,6 +110,15 @@ TEST(SchedulerAuditTest, CountDriftFires) {
   EXPECT_EQ(sink.last().at, T(55));
   audit.onCount(3, 2, 2, T(60));
   EXPECT_EQ(sink.count(), 2u);
+}
+
+TEST(SchedulerAuditTest, CountdownTieFires) {
+  ScopedCountingSink sink;
+  SchedulerAudit audit;
+  audit.onCountdownTie(T(140), "armed after another countdown's tick");
+  ASSERT_EQ(sink.count(), 1u);
+  EXPECT_STREQ(sink.last().invariant, "scheduler.countdown-tie");
+  EXPECT_EQ(sink.last().at, T(140));
 }
 
 // --- channel ----------------------------------------------------------------

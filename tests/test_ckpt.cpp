@@ -10,6 +10,7 @@
 #include "ckpt/state_access.hpp"
 #include "experiment/host.hpp"
 #include "experiment/world.hpp"
+#include "mac/dcf.hpp"
 #include "net/packet.hpp"
 #include "phy/channel.hpp"
 #include "sim/scheduler.hpp"
@@ -63,39 +64,98 @@ TEST(CkptFingerprint, CaptureRoundTripAndDiff) {
   EXPECT_EQ(diffFingerprints(fp, other).back(), "host count: 30 vs 29");
 }
 
-// The scheduler word folds heap and lane residents into one sorted
-// (at, seq) set: the same pending events digest alike whichever queue holds
-// them, a pending lane event counts, and a cancelled one, still queued in
-// its ring, no longer does.
-TEST(CkptFingerprint, SchedulerDigestCoversLaneEvents) {
-  sim::Scheduler heapOnly;
-  sim::Scheduler laned;
-  sim::Scheduler twin;
-  laned.addLane(sim::Duration{20});
-  twin.addLane(sim::Duration{20});
-  std::vector<sim::Scheduler::Handle> heapH;
-  std::vector<sim::Scheduler::Handle> lanedH;
-  std::vector<sim::Scheduler::Handle> twinH;
-  for (int i = 0; i < 3; ++i) {
-    heapH.push_back(heapOnly.scheduleAfter(sim::Duration{20}, [] {}));
-    lanedH.push_back(laned.scheduleAfter(sim::Duration{20}, [] {}));
-    twinH.push_back(twin.scheduleAfter(sim::Duration{20}, [] {}));
+// The scheduler word folds heap and wheel residents, countdowns included,
+// into one sorted (at, seq) set: a pending event counts whichever queue
+// holds it, and a cancelled one no longer does. Both schedulers first run
+// past the wheel's end, so their buckets have wrapped.
+TEST(CkptFingerprint, SchedulerDigestCoversWheelEvents) {
+  sim::Scheduler a;
+  sim::Scheduler b;
+  a.runUntil(sim::TimePoint{1500});
+  b.runUntil(sim::TimePoint{1500});
+  std::vector<sim::Scheduler::Handle> aH;
+  std::vector<sim::Scheduler::Handle> bH;
+  for (sim::Scheduler* s : {&a, &b}) {
+    auto& h = s == &a ? aH : bH;
+    for (int i = 0; i < 3; ++i) {
+      h.push_back(s->scheduleAfter(sim::Duration{20}, [] {}));  // wheel
+    }
+    h.push_back(s->scheduleAfter(sim::Duration{3000}, [] {}));  // heap
+    h.push_back(s->scheduleCountdown(sim::Duration{20}, 5, [] {}));
   }
   const auto digest = [](const sim::Scheduler& s) {
     return StateAccess::schedulerDigest(s);
   };
-  EXPECT_EQ(digest(laned), digest(heapOnly));
+  EXPECT_EQ(digest(a), digest(b));
 
-  // Same counters everywhere; only which lane event is live differs.
-  heapH[1].cancel();
-  lanedH[1].cancel();  // behind the head: a dead ring entry
-  twinH[2].cancel();
-  EXPECT_EQ(digest(laned), digest(heapOnly));
-  EXPECT_NE(digest(laned), digest(twin));
+  // Same counters in both; only which wheel event is live differs.
+  aH[1].cancel();
+  bH[2].cancel();
+  EXPECT_NE(digest(a), digest(b));
+  aH[2].cancel();
+  bH[1].cancel();
+  EXPECT_EQ(digest(a), digest(b));
 
-  lanedH[2].cancel();
-  twinH[1].cancel();
-  EXPECT_EQ(digest(laned), digest(twin));
+  for (std::size_t i : {3u, 4u}) {  // the heap event, then the countdown
+    aH[i].cancel();
+    EXPECT_NE(digest(a), digest(b));
+    bH[i].cancel();
+    EXPECT_EQ(digest(a), digest(b));
+  }
+}
+
+// A capture taken k slots into a backoff countdown of n slots digests the
+// MAC as owing n - k: the word follows the countdown slot by slot, not the
+// count it was armed with. A lone station transmits after DIFS; its
+// post-backoff countdown starts DIFS after the frame ends.
+TEST(CkptFingerprint, MacDigestFoldsTheSlotsStillOwed) {
+  struct Quiet final : mac::DcfMac::Upper {
+    void onTxStarted(mac::DcfMac::TxId, const net::Packet&) override {}
+    void onTxFinished(mac::DcfMac::TxId, const net::Packet&) override {}
+    void onReceive(const phy::Frame&) override {}
+  };
+  constexpr sim::Duration kSlot{20};
+  constexpr sim::Duration kDifs{50};
+  constexpr std::size_t kBytes = 280;
+  int checked = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    sim::Scheduler scheduler;
+    const phy::PhyParams phy{};
+    phy::Channel channel(scheduler, phy);
+    Quiet upper;
+    mac::DcfMac mac(scheduler, channel, net::HostId{0},
+                    [] { return geom::Vec2{}; }, sim::Rng(seed),
+                    mac::MacParams{}, &upper);
+    const net::HostId self{0};
+    mac.enqueue(net::makeDataPacket(
+                    net::BroadcastId{self, net::BroadcastSeq{0}}, self),
+                kBytes);
+    const sim::TimePoint armed =
+        sim::kTimeZero + kDifs + phy.frameAirtime(kBytes) + kDifs;
+    scheduler.runUntil(armed);
+    const int n = StateAccess::macSlotsOwed(mac);
+    if (n < 2) continue;  // no countdown: a plain slot event or none
+    ++checked;
+    std::uint64_t previous = 0;
+    for (int k = 0; k < n; ++k) {
+      // Mid-slot, and at the tick instant itself once it has run.
+      scheduler.runUntil(armed + kSlot * k + sim::Duration{7});
+      EXPECT_EQ(StateAccess::macSlotsOwed(mac), n - k) << "k=" << k;
+      const std::uint64_t word = StateAccess::macDigest(mac);
+      EXPECT_NE(word, previous);
+      scheduler.runUntil(armed + kSlot * (k + 1) - sim::Duration{1});
+      EXPECT_EQ(StateAccess::macDigest(mac), word);
+      if (k + 1 < n) {
+        scheduler.runUntil(armed + kSlot * (k + 1));
+        EXPECT_EQ(StateAccess::macSlotsOwed(mac), n - k - 1);
+      }
+      previous = word;
+    }
+    scheduler.runAll();
+    EXPECT_EQ(StateAccess::macSlotsOwed(mac), -1);
+  }
+  EXPECT_GT(checked, 3);
 }
 
 // The channel word covers the verdict of every reception on the air. Node

@@ -391,6 +391,7 @@ class RecordingModel final : public mobility::MobilityModel {
     return path_(t);
   }
   geom::Vec2 peekPositionAt(std::span<const sim::TimePoint>,
+                            std::span<const double>,
                             sim::TimePoint t) const override {
     return path_(t);
   }
@@ -578,6 +579,36 @@ TEST(PhyGrid, EpochLogStaysBoundedWhenNothingMoves) {
   fx.channel.snapshotPositions();
   EXPECT_EQ(fx.models[0]->seen, epochs);
   EXPECT_EQ(fx.models[1]->seen, epochs);
+}
+
+/// A peek (tracing, fingerprints) replays a host's pending epochs on a copy
+/// of its model with the logged steps, as the host's next read will: over
+/// logs of 1 to 4,096 epochs every host's peek equals its later real read,
+/// bit for bit, and peeking advances nothing.
+TEST(PhyGrid, PeekMatchesTheLaterReadBitForBit) {
+  for (const std::size_t epochs : {1u, 2u, 97u, 1000u, 4096u}) {
+    SCOPED_TRACE(testing::Message() << epochs << " epochs");
+    MobileFixture fx(8, 11, 5 + epochs);
+    fx.advance(sim::kSecond);
+    sim::Rng gaps(epochs);
+    sim::TimePoint mark = fx.scheduler.now();
+    for (std::size_t k = 0; k < epochs; ++k) {
+      mark += gaps.uniformDuration(sim::kMicrosecond, sim::Duration{900});
+      fx.positions.markEpoch(mark);
+    }
+    fx.advance(mark - fx.scheduler.now() + sim::Duration{13});
+    const auto bits = [](geom::Vec2 p) {
+      return std::pair{std::bit_cast<std::uint64_t>(p.x),
+                       std::bit_cast<std::uint64_t>(p.y)};
+    };
+    for (std::uint32_t i = 0; i < 8; ++i) {
+      const HostId id{i};
+      ASSERT_EQ(fx.positions.pending(id).size(), epochs);
+      const geom::Vec2 peek = fx.positions.peekPositionOf(id);
+      EXPECT_EQ(bits(fx.positions.peekPositionOf(id)), bits(peek));
+      EXPECT_EQ(bits(fx.positions.positionOf(id)), bits(peek)) << "host " << i;
+    }
+  }
 }
 
 /// ModelPositions logs each marked instant once, later than the last: a
